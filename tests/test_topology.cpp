@@ -18,13 +18,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <map>
 #include <memory>
 #include <queue>
 #include <set>
+#include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "algorithms/matvec.hpp"
@@ -454,6 +459,411 @@ TEST_P(TopologyTwin, ResultsAreTopologyIndependentAndChargesNeverCheaper) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, TopologyTwin, ::testing::Range(0, 12));
+
+// --------------------------------------------------------------------------
+// Round-charge pins.
+//
+// The three exchange-round kinds — `exchange` on every dimension, a
+// multi-port and a single-port `exchange_allport`, an irregular
+// `neighbor_exchange` with sit-outs — run with ragged lengths (empty sends
+// included) on every preset, under each fault-plan family, at 1 and 3
+// lanes.  Every run is pinned exactly: now_us, every SimStats field, and
+// digests of the event trace (events, spans, paths, self profiles) and of
+// the delivered payloads.  TopologyTwin bounds the routed presets' charges
+// only from below; these goldens pin them to the last bit.
+
+enum class RoundPlan { Clean, Transient, DeadLink };
+
+/// Incremental FNV-1a over the bytes of scalar values.
+struct Digest {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  template <class T>
+  void add(T v) {
+    static_assert(std::is_arithmetic_v<T>);
+    unsigned char b[sizeof(T)];
+    std::memcpy(b, &v, sizeof(T));
+    for (const unsigned char c : b) {
+      h ^= c;
+      h *= 0x100000001b3ull;
+    }
+  }
+  void add(const std::string& s) {
+    add(s.size());
+    for (const char c : s) add(c);
+  }
+  [[nodiscard]] std::string hex() const {
+    char out[17];
+    std::snprintf(out, sizeof out, "%016llx",
+                  static_cast<unsigned long long>(h));
+    return out;
+  }
+};
+
+/// Ragged send length in [0, 5]: an empty send for about one port in six.
+[[nodiscard]] std::size_t ragged_len(proc_t q, int round, std::size_t port) {
+  return (std::size_t{q} * 7 + static_cast<std::size_t>(round) * 3 +
+          port * 5) %
+         6;
+}
+
+/// A symmetric pairing that crosses several dimensions in one round and
+/// leaves some processors sitting out.  The top address bit and bits 0/1
+/// pick the rule, and no rule flips a bit it reads.
+[[nodiscard]] proc_t irregular_partner(int d, proc_t q) {
+  if (d == 1) return q ^ 1u;
+  if (((q >> (d - 1)) & 1u) == 0) return q ^ 1u;  // dim 0
+  if (d == 2) return q;                           // sits out
+  if ((q & 1u) == 0) return q ^ 2u;               // dim 1
+  if (d == 3 || (q & 2u) != 0) return q;          // sits out
+  return q ^ (proc_t{1} << (d - 2));              // dim d-2
+}
+
+/// Runs the round program and renders its canonical pin line:
+///   now=<now_us %.17g> st=<every SimStats field, declaration order>
+///   tr=<trace digest> pl=<payload digest> thr=<rounds that threw>
+[[nodiscard]] std::string run_round_kinds(TopologyKind kind, RoundPlan plan,
+                                          bool none_plan, int d,
+                                          unsigned lanes) {
+  Cube::Options opts;
+  opts.threads = lanes;
+  opts.topology = kind;
+  Cube cube(d, CostParams::cm2(), opts);
+  if (plan == RoundPlan::Clean && none_plan)
+    cube.enable_faults(FaultPlan::none());
+  if (plan != RoundPlan::Clean) {
+    FaultPlan fp = FaultPlan::transient(0x5eedu + static_cast<unsigned>(d),
+                                        0.1, 0.1, 0.1, 2.5);
+    if (plan == RoundPlan::DeadLink)
+      fp.link_kills.push_back({/*from_round=*/0, /*node=*/0, /*dim=*/0});
+    cube.enable_faults(fp);
+  }
+  cube.clock().tracer().set_recording(true);
+
+  const proc_t p = cube.node_count();
+  const std::size_t nd = static_cast<std::size_t>(d);
+  constexpr std::size_t kMax = 5;
+  std::vector<std::vector<double>> buf(p, std::vector<double>(kMax));
+  std::vector<std::vector<std::int32_t>> ibuf(
+      p, std::vector<std::int32_t>(kMax));
+  std::vector<std::vector<std::int32_t>> inbox(nd * p);
+  for (proc_t q = 0; q < p; ++q)
+    for (std::size_t j = 0; j < kMax; ++j) {
+      buf[q][j] = static_cast<double>(q) + 0.125 * static_cast<double>(j);
+      ibuf[q][j] = static_cast<std::int32_t>(q * 16 + j);
+    }
+  const auto dspan = [&](proc_t q, std::size_t n) {
+    return std::span<const double>(buf[q].data(), n);
+  };
+
+  Digest payload;
+  std::atomic<int> stray{0};  // deliveries of the elided round (must stay 0)
+  std::string thrown;
+  int round = 0;
+  // One round: a FaultError (the dead-link plan on a cube with no detour)
+  // is part of the pin, and the program goes on with the next round.
+  const auto guarded = [&](auto&& body) {
+    try {
+      body();
+    } catch (const FaultError&) {
+      thrown += std::to_string(round) + ",";
+    }
+    for (const auto& v : buf)
+      for (const double x : v) payload.add(x);
+    for (const auto& v : inbox) {
+      payload.add(v.size());
+      for (const std::int32_t x : v) payload.add(x);
+    }
+    ++round;
+  };
+
+  // Two passes: the first grows the staging slots, the second reuses them.
+  for (int pass = 0; pass < 2; ++pass) {
+    for (int k = 0; k < d; ++k)
+      guarded([&] {
+        cube.exchange<double>(
+            k, [&](proc_t q) { return dspan(q, ragged_len(q, round, 0)); },
+            [&](proc_t q, std::span<const double> in) {
+              // Combines into the very buffer send exposed.
+              for (std::size_t j = 0; j < in.size(); ++j)
+                buf[q][j] = buf[q][j] * 0.5 + in[j];
+            });
+      });
+    // Nobody sends: the round is elided and charges nothing.
+    guarded([&] {
+      cube.exchange<double>(
+          0, [&](proc_t q) { return dspan(q, 0); },
+          [&](proc_t, std::span<const double>) { ++stray; });
+    });
+    // Multi-port, dims in descending order.
+    std::vector<int> dims;
+    for (int k = d - 1; k >= 0; --k) dims.push_back(k);
+    guarded([&] {
+      cube.exchange_allport<std::int32_t>(
+          dims,
+          [&](proc_t q, std::size_t idx) {
+            return std::span<const std::int32_t>(ibuf[q].data(),
+                                                 ragged_len(q, round, idx));
+          },
+          [&](proc_t q, std::size_t idx, std::span<const std::int32_t> in) {
+            inbox[idx * p + q].assign(in.begin(), in.end());
+          });
+    });
+    const int one_dim[] = {d / 2};
+    guarded([&] {
+      cube.exchange_allport<double>(
+          one_dim,
+          [&](proc_t q, std::size_t) {
+            return dspan(q, ragged_len(q, round, 0));
+          },
+          [&](proc_t q, std::size_t, std::span<const double> in) {
+            for (std::size_t j = 0; j < in.size(); ++j)
+              buf[q][j] -= 0.25 * in[j];
+          });
+    });
+    guarded([&] {
+      cube.neighbor_exchange<double>(
+          [&](proc_t q) { return irregular_partner(d, q); },
+          [&](proc_t q) { return dspan(q, ragged_len(q, round, 0)); },
+          [&](proc_t q, std::span<const double> in) {
+            for (std::size_t j = 0; j < in.size(); ++j) buf[q][j] += in[j];
+          });
+    });
+  }
+
+  const Tracer& tr = cube.clock().tracer();
+  Digest trace;
+  for (const std::string& path : tr.paths()) trace.add(path);
+  for (const TraceEvent& e : tr.events()) {
+    trace.add(e.ts_us);
+    trace.add(e.dur_us);
+    trace.add(static_cast<int>(e.kind));
+    trace.add(e.dim);
+    trace.add(e.messages);
+    trace.add(e.elements);
+    trace.add(e.flops);
+    trace.add(e.packets);
+    trace.add(e.path_id);
+  }
+  for (const RegionSpan& s : tr.spans()) {
+    trace.add(s.begin_us);
+    trace.add(s.end_us);
+    trace.add(s.path_id);
+    trace.add(s.depth);
+  }
+  for (const auto& [path, r] : tr.self_profiles()) {
+    trace.add(path);
+    for (const double us : {r.comm_us, r.compute_us, r.router_us, r.host_us})
+      trace.add(us);
+    for (const std::uint64_t n :
+         {r.comm_steps, r.messages, r.elements_moved, r.elements_serial,
+          r.flops_charged, r.flops_total, r.router_cycles, r.router_hops,
+          r.mixed_dim_elements})
+      trace.add(n);
+    trace.add(r.dim_elements.size());
+    for (const std::uint64_t n : r.dim_elements) trace.add(n);
+  }
+
+  const SimStats& s = cube.clock().stats();
+  char now[32];
+  std::snprintf(now, sizeof now, "%.17g", cube.clock().now_us());
+  std::string line = std::string("now=") + now + " st=";
+  for (const std::uint64_t v :
+       {s.comm_steps, s.messages, s.elements_moved, s.elements_serial,
+        s.flops_charged, s.flops_total, s.router_packets, s.router_hops,
+        s.link_hops, s.fault_retries, s.fault_chksum_fails, s.fault_reroutes,
+        s.alloc_bytes, s.pool_hits, s.pool_misses, s.slab_allocs,
+        s.slab_bytes})
+    line += std::to_string(v) + ",";
+  payload.add(stray.load());
+  line += " tr=" + trace.hex() + " pl=" + payload.hex() + " thr=" + thrown;
+  return line;
+}
+
+struct RoundGolden {
+  TopologyKind kind;
+  RoundPlan plan;
+  int d;
+  const char* line;
+};
+
+// Recorded from the round program above; one line serves both lane
+// counts, and the Clean lines serve both no injector and FaultPlan::none().
+const RoundGolden kRoundGoldens[] = {
+    {TopologyKind::Hypercube, RoundPlan::Clean, 1, "now=220"
+     " st=8,12,32,20,0,0,0,0,12,0,0,0,128,10,2,0,0,"
+     " tr=db6a0f6cbd0f059b pl=330c247818452bb5 thr="},
+    {TopologyKind::Hypercube, RoundPlan::Clean, 3, "now=359"
+     " st=12,101,298,59,0,0,0,0,101,0,0,0,1536,77,24,0,0,"
+     " tr=39d5ccc78435f44e pl=e28f47063e835b5c thr="},
+    {TopologyKind::Hypercube, RoundPlan::Clean, 4, "now=420"
+     " st=14,262,788,70,0,0,0,0,262,0,0,0,3648,205,57,0,0,"
+     " tr=0cbe58bf2e83294c pl=3c8d1d4288bb98ff thr="},
+    {TopologyKind::Hypercube, RoundPlan::Clean, 6, "now=540"
+     " st=18,1478,4436,90,0,0,0,0,1478,0,0,0,21184,1147,331,0,0,"
+     " tr=f0109d41614329c7 pl=a8bb1f31ef9830f2 thr="},
+    {TopologyKind::Hypercube, RoundPlan::Transient, 1, "now=252"
+     " st=11,13,33,21,0,0,0,0,13,1,0,0,128,10,2,0,0,"
+     " tr=1938fee7144f79bf pl=330c247818452bb5 thr="},
+    {TopologyKind::Hypercube, RoundPlan::Transient, 3, "now=830"
+     " st=35,128,382,116,0,0,0,0,128,27,15,0,1536,77,24,0,0,"
+     " tr=d5826354a1535a28 pl=e28f47063e835b5c thr="},
+    {TopologyKind::Hypercube, RoundPlan::Transient, 4, "now=1059"
+     " st=48,327,980,143,0,0,0,0,327,65,37,0,3648,205,57,0,0,"
+     " tr=53f8618631644457 pl=3c8d1d4288bb98ff thr="},
+    {TopologyKind::Hypercube, RoundPlan::Transient, 6, "now=1937.5"
+     " st=95,1823,5508,268,0,0,0,0,1823,345,172,0,21184,1147,331,0,0,"
+     " tr=9ea6ac3a0c416615 pl=a8bb1f31ef9830f2 thr="},
+    {TopologyKind::Hypercube, RoundPlan::DeadLink, 1, "now=220"
+     " st=8,12,32,20,0,0,0,0,12,0,0,0,128,10,2,0,0,"
+     " tr=0996c8a4af6591ff pl=d5da8f4bf4cbf9e5 thr=0,2,3,4,5,7,8,9,"},
+    {TopologyKind::Hypercube, RoundPlan::DeadLink, 3, "now=1631.5"
+     " st=63,156,461,196,0,0,0,0,156,25,13,10,1536,77,24,0,0,"
+     " tr=d377f26e74c9b19c pl=e28f47063e835b5c thr="},
+    {TopologyKind::Hypercube, RoundPlan::DeadLink, 4, "now=1684"
+     " st=71,350,1031,194,0,0,0,0,350,64,36,8,3648,205,57,0,0,"
+     " tr=16730aef72c893e4 pl=3c8d1d4288bb98ff thr="},
+    {TopologyKind::Hypercube, RoundPlan::DeadLink, 6, "now=2789.5"
+     " st=125,1852,5607,370,0,0,0,0,1852,344,172,10,21184,1147,331,0,0,"
+     " tr=255c2e4515e64463 pl=a8bb1f31ef9830f2 thr="},
+    {TopologyKind::Mesh, RoundPlan::Clean, 1, "now=220"
+     " st=8,12,32,20,0,0,0,0,12,0,0,0,128,10,2,0,0,"
+     " tr=3704771d913ee0eb pl=330c247818452bb5 thr="},
+    {TopologyKind::Mesh, RoundPlan::Clean, 3, "now=579"
+     " st=12,101,298,59,0,0,0,0,143,0,0,0,1536,77,24,0,0,"
+     " tr=406ee2bce75246d9 pl=e28f47063e835b5c thr="},
+    {TopologyKind::Mesh, RoundPlan::Clean, 4, "now=638"
+     " st=14,262,788,70,0,0,0,0,376,0,0,0,3648,205,57,0,0,"
+     " tr=53e3efac78dd3ef0 pl=3c8d1d4288bb98ff thr="},
+    {TopologyKind::Mesh, RoundPlan::Clean, 6, "now=1220"
+     " st=18,1478,4436,90,0,0,0,0,3218,0,0,0,21184,1147,331,0,0,"
+     " tr=35f65f2b71d17ee6 pl=a8bb1f31ef9830f2 thr="},
+    {TopologyKind::Mesh, RoundPlan::Transient, 1, "now=252"
+     " st=11,13,33,21,0,0,0,0,13,1,0,0,128,10,2,0,0,"
+     " tr=2c7ba389ee836ff8 pl=330c247818452bb5 thr="},
+    {TopologyKind::Mesh, RoundPlan::Transient, 3, "now=1251"
+     " st=35,128,382,116,0,0,0,0,181,27,15,0,1536,77,24,0,0,"
+     " tr=9078f09b287b658d pl=e28f47063e835b5c thr="},
+    {TopologyKind::Mesh, RoundPlan::Transient, 4, "now=1509"
+     " st=48,327,980,143,0,0,0,0,471,65,37,0,3648,205,57,0,0,"
+     " tr=04a7d8df9c1b5d88 pl=3c8d1d4288bb98ff thr="},
+    {TopologyKind::Mesh, RoundPlan::Transient, 6, "now=4091.5"
+     " st=95,1823,5508,268,0,0,0,0,3987,345,172,0,21184,1147,331,0,0,"
+     " tr=831d39ad3ead458b pl=a8bb1f31ef9830f2 thr="},
+    {TopologyKind::Mesh, RoundPlan::DeadLink, 1, "now=220"
+     " st=8,12,32,20,0,0,0,0,12,0,0,0,128,10,2,0,0,"
+     " tr=481404f8546c53cf pl=d5da8f4bf4cbf9e5 thr=0,2,3,4,5,7,8,9,"},
+    {TopologyKind::Mesh, RoundPlan::DeadLink, 3, "now=3178"
+     " st=102,194,585,324,0,0,0,0,245,23,11,20,1536,77,24,0,0,"
+     " tr=62e73265276af0ae pl=e28f47063e835b5c thr="},
+    {TopologyKind::Mesh, RoundPlan::DeadLink, 4, "now=3027.5"
+     " st=102,382,1127,290,0,0,0,0,526,64,36,16,3648,205,57,0,0,"
+     " tr=11590b1ba8446c54 pl=3c8d1d4288bb98ff thr="},
+    {TopologyKind::Mesh, RoundPlan::DeadLink, 6, "now=6551.5"
+     " st=181,1904,5797,577,0,0,0,0,4064,340,170,22,21184,1147,331,0,0,"
+     " tr=3906ec6cb235a8b6 pl=a8bb1f31ef9830f2 thr="},
+    {TopologyKind::Torus, RoundPlan::Clean, 1, "now=220"
+     " st=8,12,32,20,0,0,0,0,12,0,0,0,128,10,2,0,0,"
+     " tr=3704771d913ee0eb pl=330c247818452bb5 thr="},
+    {TopologyKind::Torus, RoundPlan::Clean, 3, "now=588"
+     " st=12,101,298,59,0,0,0,0,143,0,0,0,1536,77,24,0,0,"
+     " tr=bea81013cb9fe497 pl=e28f47063e835b5c thr="},
+    {TopologyKind::Torus, RoundPlan::Clean, 4, "now=656"
+     " st=14,262,788,70,0,0,0,0,376,0,0,0,3648,205,57,0,0,"
+     " tr=54e4c560cc5d4e47 pl=3c8d1d4288bb98ff thr="},
+    {TopologyKind::Torus, RoundPlan::Clean, 6, "now=1240"
+     " st=18,1478,4436,90,0,0,0,0,3218,0,0,0,21184,1147,331,0,0,"
+     " tr=d036f107b254bd9c pl=a8bb1f31ef9830f2 thr="},
+    {TopologyKind::Torus, RoundPlan::Transient, 1, "now=252"
+     " st=11,13,33,21,0,0,0,0,13,1,0,0,128,10,2,0,0,"
+     " tr=2c7ba389ee836ff8 pl=330c247818452bb5 thr="},
+    {TopologyKind::Torus, RoundPlan::Transient, 3, "now=1260"
+     " st=35,128,382,116,0,0,0,0,181,27,15,0,1536,77,24,0,0,"
+     " tr=ee986e19d972d2de pl=e28f47063e835b5c thr="},
+    {TopologyKind::Torus, RoundPlan::Transient, 4, "now=1531"
+     " st=48,327,980,143,0,0,0,0,471,65,37,0,3648,205,57,0,0,"
+     " tr=8f2b1c0e777d3396 pl=3c8d1d4288bb98ff thr="},
+    {TopologyKind::Torus, RoundPlan::Transient, 6, "now=4118.5"
+     " st=95,1823,5508,268,0,0,0,0,3987,345,172,0,21184,1147,331,0,0,"
+     " tr=ab88f2202261c9fd pl=a8bb1f31ef9830f2 thr="},
+    {TopologyKind::Torus, RoundPlan::DeadLink, 1, "now=220"
+     " st=8,12,32,20,0,0,0,0,12,0,0,0,128,10,2,0,0,"
+     " tr=481404f8546c53cf pl=d5da8f4bf4cbf9e5 thr=0,2,3,4,5,7,8,9,"},
+    {TopologyKind::Torus, RoundPlan::DeadLink, 3, "now=2511"
+     " st=78,171,511,248,0,0,0,0,223,24,12,18,1536,77,24,0,0,"
+     " tr=bb3e5df65c3e49c7 pl=e28f47063e835b5c thr="},
+    {TopologyKind::Torus, RoundPlan::DeadLink, 4, "now=2485.5"
+     " st=82,361,1059,226,0,0,0,0,504,63,35,14,3648,205,57,0,0,"
+     " tr=ebfe52d860889bf6 pl=3c8d1d4288bb98ff thr="},
+    {TopologyKind::Torus, RoundPlan::DeadLink, 6, "now=6778.5"
+     " st=189,1912,5797,577,0,0,0,0,4072,340,170,26,21184,1147,331,0,0,"
+     " tr=76c84842003a5be3 pl=a8bb1f31ef9830f2 thr="},
+    {TopologyKind::Dragonfly, RoundPlan::Clean, 1, "now=220"
+     " st=8,12,32,20,0,0,0,0,12,0,0,0,128,10,2,0,0,"
+     " tr=3704771d913ee0eb pl=330c247818452bb5 thr="},
+    {TopologyKind::Dragonfly, RoundPlan::Clean, 3, "now=683"
+     " st=12,101,298,59,0,0,0,0,141,0,0,0,1536,77,24,0,0,"
+     " tr=2f1d88c423056a1b pl=e28f47063e835b5c thr="},
+    {TopologyKind::Dragonfly, RoundPlan::Clean, 4, "now=1238"
+     " st=14,262,788,70,0,0,0,0,474,0,0,0,3648,205,57,0,0,"
+     " tr=90eadcbbce7e7668 pl=3c8d1d4288bb98ff thr="},
+    {TopologyKind::Dragonfly, RoundPlan::Clean, 6, "now=1574"
+     " st=18,1478,4436,90,0,0,0,0,2792,0,0,0,21184,1147,331,0,0,"
+     " tr=74b2221bb007e87a pl=a8bb1f31ef9830f2 thr="},
+    {TopologyKind::Dragonfly, RoundPlan::Transient, 1, "now=252"
+     " st=11,13,33,21,0,0,0,0,13,1,0,0,128,10,2,0,0,"
+     " tr=2c7ba389ee836ff8 pl=330c247818452bb5 thr="},
+    {TopologyKind::Dragonfly, RoundPlan::Transient, 3, "now=1459"
+     " st=35,128,382,116,0,0,0,0,178,27,15,0,1536,77,24,0,0,"
+     " tr=d656cf4ac6e163f6 pl=e28f47063e835b5c thr="},
+    {TopologyKind::Dragonfly, RoundPlan::Transient, 4, "now=2841"
+     " st=48,327,980,143,0,0,0,0,601,65,37,0,3648,205,57,0,0,"
+     " tr=9155fb5cc8618c5d pl=3c8d1d4288bb98ff thr="},
+    {TopologyKind::Dragonfly, RoundPlan::Transient, 6, "now=4738.5"
+     " st=95,1823,5508,268,0,0,0,0,3454,345,172,0,21184,1147,331,0,0,"
+     " tr=f39e0a973c3da928 pl=a8bb1f31ef9830f2 thr="},
+    {TopologyKind::Dragonfly, RoundPlan::DeadLink, 1, "now=220"
+     " st=8,12,32,20,0,0,0,0,12,0,0,0,128,10,2,0,0,"
+     " tr=481404f8546c53cf pl=d5da8f4bf4cbf9e5 thr=0,2,3,4,5,7,8,9,"},
+    {TopologyKind::Dragonfly, RoundPlan::DeadLink, 3, "now=2970"
+     " st=83,176,521,260,0,0,0,0,222,23,12,18,1536,77,24,0,0,"
+     " tr=4f191f5f93e77af9 pl=e28f47063e835b5c thr="},
+    {TopologyKind::Dragonfly, RoundPlan::DeadLink, 4, "now=6151"
+     " st=143,418,1255,431,0,0,0,0,684,60,35,28,3648,205,57,0,0,"
+     " tr=60af88ce1cb07114 pl=3c8d1d4288bb98ff thr="},
+    {TopologyKind::Dragonfly, RoundPlan::DeadLink, 6, "now=7316.5"
+     " st=171,1896,5727,496,0,0,0,0,3523,342,170,24,21184,1147,331,0,0,"
+     " tr=3a7a8f659617cb08 pl=a8bb1f31ef9830f2 thr="},
+};
+
+class RoundCharges : public ::testing::TestWithParam<TopologyKind> {};
+
+TEST_P(RoundCharges, PinnedOnEveryPlanDimensionAndLaneCount) {
+  const TopologyKind kind = GetParam();
+  int checked = 0;
+  for (const RoundGolden& g : kRoundGoldens) {
+    if (g.kind != kind) continue;
+    for (const unsigned lanes : {1u, 3u})
+      for (const bool none_plan : {false, true}) {
+        if (none_plan && g.plan != RoundPlan::Clean) continue;
+        SCOPED_TRACE(std::string(to_string(kind)) + " plan " +
+                     std::to_string(static_cast<int>(g.plan)) + " d=" +
+                     std::to_string(g.d) + " lanes=" + std::to_string(lanes) +
+                     (none_plan ? " FaultPlan::none()" : ""));
+        EXPECT_EQ(run_round_kinds(kind, g.plan, none_plan, g.d, lanes),
+                  g.line);
+        ++checked;
+      }
+  }
+  EXPECT_EQ(checked, 32) << "4 dims x (2 + 1 + 1 plans) x 2 lane counts";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Presets, RoundCharges,
+    ::testing::Values(TopologyKind::Hypercube, TopologyKind::Mesh,
+                      TopologyKind::Torus, TopologyKind::Dragonfly),
+    [](const ::testing::TestParamInfo<TopologyKind>& info) {
+      return std::string(to_string(info.param));
+    });
 
 // --------------------------------------------------------------------------
 // Options plumbing.
