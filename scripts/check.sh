@@ -2,8 +2,10 @@
 # Full repository verification:
 #   1. tier-1: configure, build, run the quick label first (the sub-minute
 #      inner loop), then the complete test suite;
-#   2. an address+undefined sanitizer build of the library, the tracer
-#      test binary and one benchmark, with the tests re-run under ASan/UBSan;
+#   2. an address+undefined sanitizer build of the library, a set of test
+#      binaries (tracer, accounting, kernels, CG, sparse properties and the
+#      exchange-round tests) and one benchmark, with the tests re-run under
+#      ASan/UBSan;
 #   3. one benchmark in --quick mode (plus a --faults rerun), with its
 #      BENCH_*.json report and the exported Chrome trace validated against
 #      their schemas;
@@ -61,8 +63,8 @@ if [[ "$NO_SANITIZE" == 0 ]]; then
   echo "== sanitizer build (address,undefined) =="
   cmake -B build-asan -S . -DVMP_SANITIZE=address,undefined >/dev/null
   cmake --build build-asan -j --target test_trace test_accounting \
-    test_kernels test_cg test_properties_random \
-    bench_naive_vs_primitive >/dev/null
+    test_kernels test_cg test_properties_random test_allport_shift \
+    test_fault_recovery test_topology bench_naive_vs_primitive >/dev/null
   ./build-asan/tests/test_trace
   ./build-asan/tests/test_accounting \
     --gtest_filter='Accounting.*:Charging.*:Threading.*'
@@ -74,6 +76,13 @@ if [[ "$NO_SANITIZE" == 0 ]]; then
   ./build-asan/tests/test_cg
   ./build-asan/tests/test_properties_random \
     --gtest_filter='*Sparse*:*Reembed*'
+  # The exchange-round core under ASan/UBSan: all three round kinds
+  # (exchange, exchange_allport, neighbor_exchange), their argument
+  # checks, the fault-recovery delivery path, and the round-charge pins on
+  # every topology preset.
+  ./build-asan/tests/test_allport_shift
+  ./build-asan/tests/test_fault_recovery
+  ./build-asan/tests/test_topology --gtest_filter='*RoundCharges*'
 fi
 
 if [[ "$TSAN" == 1 ]]; then

@@ -12,12 +12,18 @@
 ///                       cube dimension `d`; every processor whose partner
 ///                       offers data receives it; charged `τ + max_n · t_c`.
 ///
+/// `exchange_allport` (one message per port over several dimensions at
+/// once) and `neighbor_exchange` (a partner of each processor's choosing)
+/// are the same lockstep cube-edge round: all three forward to one private
+/// round core, `run_round`, which stages every send, delivers, and charges
+/// the round once through `charge_round`.
+///
 /// Correctness never depends on host threading: the per-processor loops run
 /// on a persistent SPMD worker team (hypercube/team.hpp, Options::threads /
 /// VMP_THREADS) whose lanes own static processor ranges.  Host threads
 /// change wall-clock speed only, never simulated time or results — the
-/// staging buffer inside `exchange` makes in-place combining (all-reduce
-/// style) race-free, and the per-step statistics are reduced from per-lane
+/// round core's staging slots make in-place combining (all-reduce style)
+/// race-free, and the per-step statistics are reduced from per-lane
 /// integer partials whose sums and maxima are independent of the partition.
 /// Multi-round loops open a `session()` so their steps run back to back
 /// inside one team activation (see docs/threading.md).
@@ -37,8 +43,6 @@
 #include <span>
 #include <string>
 #include <type_traits>
-#include <typeindex>
-#include <unordered_map>
 #include <vector>
 
 #include "fault/injector.hpp"
@@ -57,10 +61,10 @@ namespace vmp {
 
 /// One staged message of a lockstep round, as seen by the fault-recovery
 /// engine: the (src, dst) LOGICAL cube edge, the cube dimension it
-/// crosses, a caller context index (the all-port port), and a view of the
-/// staged payload (which lives either in a persistent staging slot or a
-/// staged vector).  On a non-unit-hop topology the logical edge resolves
-/// to a multi-hop physical route at delivery/charging time.
+/// crosses, the round-core port it was sent on, and a view of the staged
+/// payload in its persistent staging slot.  On a non-unit-hop topology the
+/// logical edge resolves to a multi-hop physical route at
+/// delivery/charging time.
 template <class T>
 struct FaultMsg {
   proc_t src = 0;
@@ -74,14 +78,14 @@ struct FaultMsg {
 
 namespace detail {
 
-/// Payload types the zero-allocation staging path handles: memcpy-able and
-/// without extended alignment (pooled blocks are new-aligned).  Everything
-/// else falls back to the vector-staged path.
+/// Payload types an exchange round accepts (the round core static_asserts
+/// it): memcpy-able, since staging copies raw bytes into the slots below,
+/// and without extended alignment, since the slots are new-aligned.
 template <class T>
 inline constexpr bool kPoolStageable =
     std::is_trivially_copyable_v<T> && alignof(T) <= alignof(std::max_align_t);
 
-/// One persistent staging slot of the zero-allocation exchange path.  The
+/// One persistent staging slot of the exchange round core.  The
 /// payload is copied here AT send() TIME (the span send() returns only has
 /// to live for the duration of the call), and the slot's capacity persists
 /// across rounds, so a steady-state exchange loop never touches the heap.
@@ -162,13 +166,6 @@ struct alignas(64) ExPartial {
   }
 };
 
-/// Type-erased holder for the persistent vector staging slots of the
-/// non-memcpy exchange path (one `std::vector<std::vector<T>>` per payload
-/// type, slot capacities retained across rounds).
-struct VecStageBase {
-  virtual ~VecStageBase() = default;
-};
-
 /// Cached physical routes of one logical cube dimension on a non-unit-hop
 /// topology: for every source q the hops of route(q, q ^ 2^d), with the
 /// per-hop directed-link index and charge multiplier precomputed so the
@@ -183,11 +180,6 @@ struct DimRoutes {
   std::vector<double> mult;          ///< per hop: per-element multiplier
   std::vector<double> startup;       ///< per src: summed start-up mults
   int common_axis = -1;              ///< shared axis of every hop, or -1
-};
-
-template <class T>
-struct VecStage : VecStageBase {
-  std::vector<std::vector<T>> slots;
 };
 
 }  // namespace detail
@@ -300,92 +292,18 @@ class Cube {
   /// optimized primitives.  If nobody sends, the round is free (elided).
   ///
   /// Staging lands in per-processor slots whose capacity persists across
-  /// rounds (memcpy-able payloads use raw bucket-rounded slots, other
-  /// types persistent per-processor vectors), so a steady-state exchange
-  /// loop performs zero heap allocations; slot reuse and growth feed the
-  /// SimStats pool counters.  The staging pass also accumulates the
-  /// round's message statistics into per-lane partials — no serial host
-  /// scan runs between staging and delivery.
+  /// rounds, so a steady-state exchange loop performs zero heap
+  /// allocations; slot reuse and growth feed the SimStats pool counters.
+  /// `T` must be trivially copyable without extended alignment
+  /// (detail::kPoolStageable).
   template <class T, class SendFn, class RecvFn>
   void exchange(int d, SendFn&& send, RecvFn&& recv) {
     VMP_REQUIRE(d >= 0 && d < dim_, "exchange dimension out of range");
-    const std::uint32_t bit = std::uint32_t{1} << d;
-    if constexpr (detail::kPoolStageable<T>) {
-      detail::StageBuf* stage = stage_slots(procs_);
-      detail::ExPartial* parts = lane_partials();
-      // Staging before any delivery: the copy is what lets recv combine
-      // into (or overwrite) the very buffer send exposed — and send's span
-      // only has to outlive its own call.  The partial accumulates in a
-      // stack local (registers — the staging memcpy can't alias it) and is
-      // stored to the lane's slot once.
-      team_.step(procs_, [&](unsigned lane, std::size_t lo, std::size_t hi) {
-        detail::ExPartial p;
-        for (std::size_t q = lo; q < hi; ++q) {
-          stage[q].stage(send(static_cast<proc_t>(q)));
-          p.note(stage[q].len, stage[q].grew);
-        }
-        parts[lane] = p;
-      });
-      const detail::ExPartial r = reduce_partials();
-      if (r.messages == 0) return;
-      if (faults_) {
-        std::vector<FaultMsg<T>> msgs;
-        msgs.reserve(r.messages);
-        for (proc_t q = 0; q < procs_; ++q)
-          if (stage[q].len != 0)
-            msgs.push_back(FaultMsg<T>{q, q ^ bit, d, 0,
-                                       stage[q].template data<T>(),
-                                       stage[q].len});
-        deliver_with_faults<T>(std::move(msgs), r.max_elems, r.messages,
-                               r.total, d, [&](const FaultMsg<T>& m) {
-                                 recv(m.dst, m.payload());
-                               });
-        return;
-      }
-      team_.step(procs_, [&](unsigned, std::size_t lo, std::size_t hi) {
-        for (std::size_t q = lo; q < hi; ++q) {
-          const detail::StageBuf& in = stage[q ^ bit];
-          if (in.len != 0)
-            recv(static_cast<proc_t>(q), in.template view<T>());
-        }
-      });
-      charge_round_dim(d, r, [&](proc_t q) { return stage[q].len; });
-    } else {
-      std::vector<std::vector<T>>& slots = vec_stage_slots<T>(procs_);
-      detail::ExPartial* parts = lane_partials();
-      team_.step(procs_, [&](unsigned lane, std::size_t lo, std::size_t hi) {
-        detail::ExPartial p;
-        for (std::size_t q = lo; q < hi; ++q) {
-          std::span<const T> s = send(static_cast<proc_t>(q));
-          p.note(s.size(), vec_stage_one(slots[q], s));
-        }
-        parts[lane] = p;
-      });
-      const detail::ExPartial r = reduce_partials();
-      if (r.messages == 0) return;
-      if (faults_) {
-        std::vector<FaultMsg<T>> msgs;
-        msgs.reserve(r.messages);
-        for (proc_t q = 0; q < procs_; ++q)
-          if (!slots[q].empty())
-            msgs.push_back(FaultMsg<T>{q, q ^ bit, d, 0, slots[q].data(),
-                                       slots[q].size()});
-        deliver_with_faults<T>(std::move(msgs), r.max_elems, r.messages,
-                               r.total, d, [&](const FaultMsg<T>& m) {
-                                 recv(m.dst, m.payload());
-                               });
-        return;
-      }
-      team_.step(procs_, [&](unsigned, std::size_t lo, std::size_t hi) {
-        for (std::size_t q = lo; q < hi; ++q) {
-          const std::vector<T>& in = slots[q ^ bit];
-          if (!in.empty())
-            recv(static_cast<proc_t>(q),
-                 std::span<const T>(in.data(), in.size()));
-        }
-      });
-      charge_round_dim(d, r, [&](proc_t q) { return slots[q].size(); });
-    }
+    const proc_t bit = proc_t{1} << d;
+    run_round<T>(
+        1, d, [bit](proc_t q, std::size_t) { return q ^ bit; },
+        [&](proc_t q, std::size_t) -> std::span<const T> { return send(q); },
+        [&](proc_t q, std::size_t, std::span<const T> in) { recv(q, in); });
   }
 
   /// One lockstep ALL-PORT communication round: several cube dimensions are
@@ -404,98 +322,12 @@ class Cube {
       for (std::size_t b = a + 1; b < dims.size(); ++b)
         VMP_REQUIRE(dims[a] != dims[b], "all-port dims must be distinct");
     }
-    const std::size_t nd = dims.size();
-    if constexpr (detail::kPoolStageable<T>) {
-      detail::StageBuf* stage = stage_slots(nd * procs_);
-      detail::ExPartial* parts = lane_partials();
-      team_.step(procs_, [&](unsigned lane, std::size_t lo, std::size_t hi) {
-        detail::ExPartial p;
-        for (std::size_t q = lo; q < hi; ++q)
-          for (std::size_t idx = 0; idx < nd; ++idx) {
-            detail::StageBuf& sb = stage[idx * procs_ + q];
-            sb.stage(send(static_cast<proc_t>(q), idx));
-            p.note(sb.len, sb.grew);
-          }
-        parts[lane] = p;
-      });
-      const detail::ExPartial r = reduce_partials();
-      if (r.messages == 0) return;
-      if (faults_) {
-        std::vector<FaultMsg<T>> msgs;
-        msgs.reserve(r.messages);
-        for (std::size_t idx = 0; idx < nd; ++idx)
-          for (proc_t q = 0; q < procs_; ++q) {
-            const detail::StageBuf& s = stage[idx * procs_ + q];
-            if (s.len != 0)
-              msgs.push_back(FaultMsg<T>{
-                  q, q ^ (std::uint32_t{1} << dims[idx]), dims[idx], idx,
-                  s.template data<T>(), s.len});
-          }
-        deliver_with_faults<T>(std::move(msgs), r.max_elems, r.messages,
-                               r.total, nd == 1 ? dims[0] : -1,
-                               [&](const FaultMsg<T>& m) {
-                                 recv(m.dst, m.port, m.payload());
-                               });
-        return;
-      }
-      team_.step(procs_, [&](unsigned, std::size_t lo, std::size_t hi) {
-        for (std::size_t q = lo; q < hi; ++q)
-          for (std::size_t idx = 0; idx < nd; ++idx) {
-            const detail::StageBuf& in =
-                stage[idx * procs_ + (q ^ (std::uint32_t{1} << dims[idx]))];
-            if (in.len != 0)
-              recv(static_cast<proc_t>(q), idx, in.template view<T>());
-          }
-      });
-      charge_round_allport(dims, r, [&](proc_t q, std::size_t idx) {
-        return stage[idx * procs_ + q].len;
-      });
-    } else {
-      std::vector<std::vector<T>>& slots = vec_stage_slots<T>(nd * procs_);
-      detail::ExPartial* parts = lane_partials();
-      team_.step(procs_, [&](unsigned lane, std::size_t lo, std::size_t hi) {
-        detail::ExPartial p;
-        for (std::size_t q = lo; q < hi; ++q)
-          for (std::size_t idx = 0; idx < nd; ++idx) {
-            std::span<const T> s = send(static_cast<proc_t>(q), idx);
-            p.note(s.size(), vec_stage_one(slots[idx * procs_ + q], s));
-          }
-        parts[lane] = p;
-      });
-      const detail::ExPartial r = reduce_partials();
-      if (r.messages == 0) return;
-      if (faults_) {
-        std::vector<FaultMsg<T>> msgs;
-        msgs.reserve(r.messages);
-        for (std::size_t idx = 0; idx < nd; ++idx)
-          for (proc_t q = 0; q < procs_; ++q) {
-            const std::vector<T>& s = slots[idx * procs_ + q];
-            if (!s.empty())
-              msgs.push_back(FaultMsg<T>{
-                  q, q ^ (std::uint32_t{1} << dims[idx]), dims[idx], idx,
-                  s.data(), s.size()});
-          }
-        deliver_with_faults<T>(std::move(msgs), r.max_elems, r.messages,
-                               r.total, nd == 1 ? dims[0] : -1,
-                               [&](const FaultMsg<T>& m) {
-                                 recv(m.dst, m.port, m.payload());
-                               });
-        return;
-      }
-      team_.step(procs_, [&](unsigned, std::size_t lo, std::size_t hi) {
-        for (std::size_t q = lo; q < hi; ++q)
-          for (std::size_t idx = 0; idx < nd; ++idx) {
-            const std::vector<T>& in =
-                slots[idx * procs_ + (q ^ (std::uint32_t{1} << dims[idx]))];
-            if (!in.empty())
-              recv(static_cast<proc_t>(q), idx,
-                   std::span<const T>(in.data(), in.size()));
-          }
-      });
-      charge_round_allport(dims, r, [&](proc_t q, std::size_t idx) {
-        return slots[idx * procs_ + q].size();
-      });
-    }
+    run_round<T>(
+        dims.size(), dims.size() == 1 ? dims[0] : -1,
+        [dims](proc_t q, std::size_t idx) {
+          return q ^ (proc_t{1} << dims[idx]);
+        },
+        send, recv);
   }
 
   /// One lockstep irregular round: every processor may exchange with ONE
@@ -508,100 +340,16 @@ class Cube {
   void neighbor_exchange(PartnerFn&& partner, SendFn&& send, RecvFn&& recv) {
     for (proc_t q = 0; q < procs_; ++q) {
       const proc_t pq = partner(q);
+      VMP_REQUIRE(pq < procs_, "neighbor_exchange partner outside the cube");
       if (pq == q) continue;
       VMP_REQUIRE(hamming_distance(q, pq) == 1,
                   "neighbor_exchange partner must be a cube neighbour");
       VMP_REQUIRE(partner(pq) == q, "neighbor_exchange must be symmetric");
     }
-    if constexpr (detail::kPoolStageable<T>) {
-      detail::StageBuf* stage = stage_slots(procs_);
-      detail::ExPartial* parts = lane_partials();
-      team_.step(procs_, [&](unsigned lane, std::size_t lo, std::size_t hi) {
-        detail::ExPartial p;
-        for (std::size_t q = lo; q < hi; ++q) {
-          if (partner(static_cast<proc_t>(q)) == static_cast<proc_t>(q)) {
-            stage[q].skip();
-            continue;
-          }
-          stage[q].stage(send(static_cast<proc_t>(q)));
-          p.note(stage[q].len, stage[q].grew);
-        }
-        parts[lane] = p;
-      });
-      const detail::ExPartial r = reduce_partials();
-      if (r.messages == 0) return;
-      if (faults_) {
-        std::vector<FaultMsg<T>> msgs;
-        msgs.reserve(r.messages);
-        for (proc_t q = 0; q < procs_; ++q) {
-          if (stage[q].len == 0) continue;
-          const proc_t pq = partner(q);
-          msgs.push_back(FaultMsg<T>{
-              q, pq, std::countr_zero(static_cast<std::uint32_t>(q ^ pq)), 0,
-              stage[q].template data<T>(), stage[q].len});
-        }
-        deliver_with_faults<T>(std::move(msgs), r.max_elems, r.messages,
-                               r.total, -1, [&](const FaultMsg<T>& m) {
-                                 recv(m.dst, m.payload());
-                               });
-        return;
-      }
-      team_.step(procs_, [&](unsigned, std::size_t lo, std::size_t hi) {
-        for (std::size_t q = lo; q < hi; ++q) {
-          const proc_t pq = partner(static_cast<proc_t>(q));
-          if (pq == static_cast<proc_t>(q)) continue;
-          const detail::StageBuf& in = stage[pq];
-          if (in.len != 0)
-            recv(static_cast<proc_t>(q), in.template view<T>());
-        }
-      });
-      charge_round_partner(partner, r, [&](proc_t q) { return stage[q].len; });
-    } else {
-      std::vector<std::vector<T>>& slots = vec_stage_slots<T>(procs_);
-      detail::ExPartial* parts = lane_partials();
-      team_.step(procs_, [&](unsigned lane, std::size_t lo, std::size_t hi) {
-        detail::ExPartial p;
-        for (std::size_t q = lo; q < hi; ++q) {
-          if (partner(static_cast<proc_t>(q)) == static_cast<proc_t>(q)) {
-            slots[q].clear();
-            continue;
-          }
-          std::span<const T> s = send(static_cast<proc_t>(q));
-          p.note(s.size(), vec_stage_one(slots[q], s));
-        }
-        parts[lane] = p;
-      });
-      const detail::ExPartial r = reduce_partials();
-      if (r.messages == 0) return;
-      if (faults_) {
-        std::vector<FaultMsg<T>> msgs;
-        msgs.reserve(r.messages);
-        for (proc_t q = 0; q < procs_; ++q) {
-          if (slots[q].empty()) continue;
-          const proc_t pq = partner(q);
-          msgs.push_back(FaultMsg<T>{
-              q, pq, std::countr_zero(static_cast<std::uint32_t>(q ^ pq)), 0,
-              slots[q].data(), slots[q].size()});
-        }
-        deliver_with_faults<T>(std::move(msgs), r.max_elems, r.messages,
-                               r.total, -1, [&](const FaultMsg<T>& m) {
-                                 recv(m.dst, m.payload());
-                               });
-        return;
-      }
-      team_.step(procs_, [&](unsigned, std::size_t lo, std::size_t hi) {
-        for (std::size_t q = lo; q < hi; ++q) {
-          const proc_t pq = partner(static_cast<proc_t>(q));
-          if (pq == static_cast<proc_t>(q)) continue;
-          const std::vector<T>& in = slots[pq];
-          if (!in.empty())
-            recv(static_cast<proc_t>(q),
-                 std::span<const T>(in.data(), in.size()));
-        }
-      });
-      charge_round_partner(partner, r,
-                           [&](proc_t q) { return slots[q].size(); });
-    }
+    run_round<T>(
+        1, -1, [&](proc_t q, std::size_t) -> proc_t { return partner(q); },
+        [&](proc_t q, std::size_t) -> std::span<const T> { return send(q); },
+        [&](proc_t q, std::size_t, std::span<const T> in) { recv(q, in); });
   }
 
   /// Explicit charging for one lockstep round whose messages the CALLER
@@ -664,59 +412,121 @@ class Cube {
   }
 
  private:
-  /// Charge one lockstep round whose every message crosses logical cube
-  /// dimension `d`.  On the unit-hop (hypercube) preset this is the exact
-  /// historical `τ + max_elems·t_c` charge; otherwise the staged lengths
-  /// (`len(q)`, 0 = silent) are resolved through the cached physical
-  /// routes and the round pays for its most loaded link.
-  template <class LenFn>
-  void charge_round_dim(int d, const detail::ExPartial& r, LenFn&& len) {
-    if (unit_hop_) {
-      clock_.charge_comm_step(r.max_elems, r.messages, r.total, d);
-      return;
-    }
-    rc_begin();
-    for (proc_t q = 0; q < procs_; ++q) {
-      const std::size_t l = len(q);
-      if (l != 0) rc_add(d, q, l);
-    }
-    rc_charge(r.max_elems, r.messages, r.total);
-  }
-
-  /// All-port round charge: one message per (processor, dims[idx]) pair.
-  template <class LenFn>
-  void charge_round_allport(std::span<const int> dims,
-                            const detail::ExPartial& r, LenFn&& len) {
-    if (unit_hop_) {
-      clock_.charge_comm_step(r.max_elems, r.messages, r.total,
-                              dims.size() == 1 ? dims[0] : -1);
-      return;
-    }
-    rc_begin();
-    for (std::size_t idx = 0; idx < dims.size(); ++idx)
-      for (proc_t q = 0; q < procs_; ++q) {
-        const std::size_t l = len(q, idx);
-        if (l != 0) rc_add(dims[idx], q, l);
+  /// The lockstep exchange round behind exchange, exchange_allport and
+  /// neighbor_exchange.  Port `i` of processor `q` sends `send(q, i)` to
+  /// `partner(q, i)` across dimension countr_zero(q ^ partner(q, i)); the
+  /// relation is symmetric per port, and a processor that is its own
+  /// partner sits the port out.  `recv(q, i, data)` receives what q's
+  /// partner on port i sent, if anything.  Every pass walks port-major,
+  /// then processor-ascending, so a one-port round's loops are the plain
+  /// per-processor loops.
+  ///
+  ///  1. Stage: one team step copies every send into its persistent slot
+  ///     (i·p + q) — the copy is what lets recv combine into (or overwrite)
+  ///     the very buffer send exposed, and send's span only has to outlive
+  ///     its own call — while each lane folds the round's statistics into
+  ///     its ExPartial, so no serial host scan runs before delivery.
+  ///  2. Deliver: one team step, or, with a fault plan attached,
+  ///     deliver_with_faults on the host thread.
+  ///  3. Charge: once, through charge_round; `charge_dim` is the dimension
+  ///     every message crosses, or -1 when the round mixes dimensions.
+  ///
+  /// If nobody sends, the round is elided: no delivery, no charge.
+  template <class T, class PartnerFn, class SendFn, class RecvFn>
+  void run_round(std::size_t ports, int charge_dim, PartnerFn&& partner,
+                 SendFn&& send, RecvFn&& recv) {
+    static_assert(detail::kPoolStageable<T>,
+                  "exchange payloads must be trivially copyable and not "
+                  "over-aligned");
+    // Slots and lane partials are grown, never shrunk, so a steady-state
+    // round allocates nothing.  No zeroing: every lane — including lanes
+    // whose range is empty — stores its partial below.  The partial
+    // accumulates in a stack local (registers — the staging memcpy can't
+    // alias it) and is stored to the lane's slot once.
+    if (stage_.size() < ports * procs_) stage_.resize(ports * procs_);
+    partials_.resize(team_.lanes());
+    detail::StageBuf* stage = stage_.data();
+    detail::ExPartial* parts = partials_.data();
+    team_.step(procs_, [&](unsigned lane, std::size_t lo, std::size_t hi) {
+      detail::ExPartial p;
+      for (std::size_t i = 0; i < ports; ++i) {
+        detail::StageBuf* const port = stage + i * procs_;
+        for (std::size_t q = lo; q < hi; ++q) {
+          const proc_t src = static_cast<proc_t>(q);
+          detail::StageBuf& sb = port[q];
+          if (partner(src, i) == src) {
+            sb.skip();
+            continue;
+          }
+          sb.template stage<T>(send(src, i));
+          p.note(sb.len, sb.grew);
+        }
       }
-    rc_charge(r.max_elems, r.messages, r.total);
+      parts[lane] = p;
+    });
+    // Reduced in lane order: sums and maxima of integers, so the totals do
+    // not depend on how processors were partitioned across lanes.
+    detail::ExPartial r;
+    for (const detail::ExPartial& lp : partials_) r.merge(lp);
+    if (r.messages == 0) return;
+    clock_.note_pool_hits(r.pool_hits);
+    clock_.note_pool_misses(r.pool_misses, r.miss_bytes);
+    if (faults_) {
+      std::vector<FaultMsg<T>> msgs;
+      msgs.reserve(r.messages);
+      for (std::size_t i = 0; i < ports; ++i)
+        for (proc_t q = 0; q < procs_; ++q) {
+          const detail::StageBuf& sb = stage[i * procs_ + q];
+          if (sb.len == 0) continue;
+          const proc_t pq = partner(q, i);
+          msgs.push_back(FaultMsg<T>{q, pq, std::countr_zero(q ^ pq), i,
+                                     sb.template data<T>(), sb.len});
+        }
+      deliver_with_faults<T>(std::move(msgs), r.max_elems, r.messages,
+                             r.total, charge_dim, [&](const FaultMsg<T>& m) {
+                               recv(m.dst, m.port, m.payload());
+                             });
+      return;
+    }
+    team_.step(procs_, [&](unsigned, std::size_t lo, std::size_t hi) {
+      for (std::size_t i = 0; i < ports; ++i) {
+        const detail::StageBuf* const port = stage + i * procs_;
+        for (std::size_t q = lo; q < hi; ++q) {
+          const proc_t dst = static_cast<proc_t>(q);
+          const proc_t src = partner(dst, i);
+          if (src == dst) continue;
+          const detail::StageBuf& in = port[src];
+          if (in.len != 0) recv(dst, i, in.template view<T>());
+        }
+      }
+    });
+    charge_round(r.max_elems, r.messages, r.total, charge_dim,
+                 [&](auto&& add) {
+                   for (std::size_t i = 0; i < ports; ++i)
+                     for (proc_t q = 0; q < procs_; ++q) {
+                       const std::size_t len = stage[i * procs_ + q].len;
+                       if (len != 0)
+                         add(std::countr_zero(q ^ partner(q, i)), q, len);
+                     }
+                 });
   }
 
-  /// Irregular (per-processor partner) round charge.
-  template <class PartnerFn, class LenFn>
-  void charge_round_partner(PartnerFn&& partner, const detail::ExPartial& r,
-                            LenFn&& len) {
+  /// Charge one lockstep round.  On the unit-hop (hypercube) preset this is
+  /// the exact historical `τ + max_elems·t_c` step, `charge_dim` feeding
+  /// the trace's per-dimension histogram.  Elsewhere `each_msg(add)` calls
+  /// `add(dim, src, len)` once per message; every logical edge resolves
+  /// through the cached physical routes and the round pays for its most
+  /// loaded link.
+  template <class EachMsg>
+  void charge_round(std::size_t max_elems, std::size_t messages,
+                    std::size_t total, int charge_dim, EachMsg&& each_msg) {
     if (unit_hop_) {
-      clock_.charge_comm_step(r.max_elems, r.messages, r.total);
+      clock_.charge_comm_step(max_elems, messages, total, charge_dim);
       return;
     }
     rc_begin();
-    for (proc_t q = 0; q < procs_; ++q) {
-      const std::size_t l = len(q);
-      if (l == 0) continue;
-      const proc_t pq = partner(q);
-      rc_add(std::countr_zero(static_cast<std::uint32_t>(q ^ pq)), q, l);
-    }
-    rc_charge(r.max_elems, r.messages, r.total);
+    each_msg([this](int d, proc_t q, std::size_t len) { rc_add(d, q, len); });
+    rc_charge(max_elems, messages, total);
   }
 
   /// Non-unit-hop round-cost accumulator (machine.cpp): rc_begin resets,
@@ -742,59 +552,6 @@ class Cube {
   /// `τ + n·t_c` on the hypercube, multiplier-weighted elsewhere).
   void charge_reroute_hop(std::size_t n, const Hop& h);
 
-  /// The persistent staging slots behind the zero-allocation exchange path.
-  /// Grown (never shrunk) to the round's slot count; slot capacities are
-  /// retained across rounds so steady-state staging is allocation-free.
-  detail::StageBuf* stage_slots(std::size_t slots) {
-    if (stage_.size() < slots) stage_.resize(slots);
-    return stage_.data();
-  }
-
-  /// The persistent per-processor vectors of the non-memcpy staging path,
-  /// one set per payload type, grown (never shrunk) like the raw slots.
-  template <class T>
-  std::vector<std::vector<T>>& vec_stage_slots(std::size_t slots) {
-    std::unique_ptr<detail::VecStageBase>& entry =
-        vec_stage_[std::type_index(typeid(T))];
-    if (!entry) entry = std::make_unique<detail::VecStage<T>>();
-    auto& v = static_cast<detail::VecStage<T>*>(entry.get())->slots;
-    if (v.size() < slots) v.resize(slots);
-    return v;
-  }
-
-  /// Stage one payload into a persistent vector slot; returns the bytes
-  /// freshly heap-allocated (0 on capacity reuse), mirroring
-  /// StageBuf::grew so both paths feed the pool counters identically.
-  template <class T>
-  static std::size_t vec_stage_one(std::vector<T>& slot,
-                                   std::span<const T> s) {
-    const std::size_t old_cap = slot.capacity();
-    slot.assign(s.begin(), s.end());
-    return slot.capacity() > old_cap ? slot.capacity() * sizeof(T) : 0;
-  }
-
-  /// Per-lane statistic partials for one round (the backing vector is
-  /// reused across rounds, so this allocates only once per Cube).  No
-  /// zeroing: every lane — including lanes whose range is empty — stores
-  /// its freshly-accumulated partial into its slot during the staging step.
-  detail::ExPartial* lane_partials() {
-    partials_.resize(team_.lanes());
-    return partials_.data();
-  }
-
-  /// Reduce the lane partials in lane order and fold the hit/miss counts
-  /// into the clock.  Sums and maxima of integers — the result does not
-  /// depend on how processors were partitioned across lanes.
-  detail::ExPartial reduce_partials() {
-    detail::ExPartial r;
-    for (const detail::ExPartial& p : partials_) r.merge(p);
-    if (r.messages != 0) {
-      clock_.note_pool_hits(r.pool_hits);
-      clock_.note_pool_misses(r.pool_misses, r.miss_bytes);
-    }
-    return r;
-  }
-
   /// Recovery-aware delivery of one lockstep round's staged messages.
   ///
   /// Attempt 0 charges exactly the fault-free round cost (`max_elems`,
@@ -811,9 +568,9 @@ class Cube {
   ///
   /// A dead endpoint, an exhausted retry budget, or a fully cut detour
   /// throws FaultError — degraded runs fail loudly, never silently.
-  /// Deliveries happen on the host thread in deterministic (src-ascending)
-  /// order; each destination receives its payload exactly once, so results
-  /// match the fault-free delivery bit for bit.
+  /// Deliveries happen on the host thread in deterministic (port-major,
+  /// then src-ascending) order; each destination port receives its payload
+  /// exactly once, so results match the fault-free delivery bit for bit.
   template <class T, class DeliverFn>
   void deliver_with_faults(std::vector<FaultMsg<T>> pending,
                            std::size_t max_elems, std::size_t messages,
@@ -823,6 +580,9 @@ class Cube {
     const std::uint64_t round = fi.begin_round();
     const RecoveryPolicy& rp = fi.policy();
     std::vector<FaultMsg<T>> rerouted, failed;
+    const auto each_pending = [&](auto&& add) {
+      for (const FaultMsg<T>& m : pending) add(m.dim, m.src, m.len);
+    };
     int attempt = 0;
     while (!pending.empty()) {
       for (const FaultMsg<T>& m : pending) {
@@ -835,13 +595,7 @@ class Cube {
               "the failed node before continuing");
       }
       if (attempt == 0) {
-        if (unit_hop_) {
-          clock_.charge_comm_step(max_elems, messages, total, charge_dim);
-        } else {
-          rc_begin();
-          for (const FaultMsg<T>& m : pending) rc_add(m.dim, m.src, m.len);
-          rc_charge(max_elems, messages, total);
-        }
+        charge_round(max_elems, messages, total, charge_dim, each_pending);
       } else {
         TraceRegion fault_region(clock_, "fault_retry");
         clock_.charge_us(rp.backoff_us *
@@ -852,13 +606,7 @@ class Cube {
           mx = std::max(mx, m.len);
           tot += m.len;
         }
-        if (unit_hop_) {
-          clock_.charge_comm_step(mx, pending.size(), tot, charge_dim);
-        } else {
-          rc_begin();
-          for (const FaultMsg<T>& m : pending) rc_add(m.dim, m.src, m.len);
-          rc_charge(mx, pending.size(), tot);
-        }
+        charge_round(mx, pending.size(), tot, charge_dim, each_pending);
         clock_.note_fault_retries(pending.size());
       }
       double spike = 0.0;
@@ -905,23 +653,15 @@ class Cube {
   template <class T>
   [[nodiscard]] bool checksum_rejects(const FaultMsg<T>& m,
                                       std::uint64_t round, int attempt) const {
-    if constexpr (std::is_trivially_copyable_v<T>) {
-      const std::size_t nbytes = m.len * sizeof(T);
-      if (nbytes == 0) return true;
-      const auto* bytes = reinterpret_cast<const unsigned char*>(m.data);
-      const std::uint64_t sum = fnv1a(bytes, nbytes);
-      std::vector<unsigned char> wire(bytes, bytes + nbytes);
-      const std::uint64_t h =
-          faults_->message_hash(round, attempt, m.src, m.dim);
-      wire[static_cast<std::size_t>(h % nbytes)] ^=
-          static_cast<unsigned char>(1u << ((h >> 17) % 8));
-      return fnv1a(wire.data(), nbytes) != sum;
-    } else {
-      // No byte view to checksum — model corruption as a detected loss.
-      (void)round;
-      (void)attempt;
-      return true;
-    }
+    const std::size_t nbytes = m.len * sizeof(T);
+    if (nbytes == 0) return true;
+    const auto* bytes = reinterpret_cast<const unsigned char*>(m.data);
+    const std::uint64_t sum = fnv1a(bytes, nbytes);
+    std::vector<unsigned char> wire(bytes, bytes + nbytes);
+    const std::uint64_t h = faults_->message_hash(round, attempt, m.src, m.dim);
+    wire[static_cast<std::size_t>(h % nbytes)] ^=
+        static_cast<unsigned char>(1u << ((h >> 17) % 8));
+    return fnv1a(wire.data(), nbytes) != sum;
   }
 
   /// Deliver one message around its severed physical route, on a live
@@ -952,10 +692,8 @@ class Cube {
   WorkerTeam team_;
   BufferPool buffers_{&clock_};
   MetricsRegistry metrics_;
-  std::vector<detail::StageBuf> stage_;
-  std::vector<detail::ExPartial> partials_;
-  std::unordered_map<std::type_index, std::unique_ptr<detail::VecStageBase>>
-      vec_stage_;
+  std::vector<detail::StageBuf> stage_;       ///< round-core slots, i·p + q
+  std::vector<detail::ExPartial> partials_;  ///< round-core lane partials
   std::unique_ptr<FaultInjector> faults_;
   // Non-unit-hop round-charge state (untouched on the hypercube preset).
   std::vector<detail::DimRoutes> dim_routes_;

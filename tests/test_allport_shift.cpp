@@ -114,6 +114,11 @@ TEST(NeighborExchange, RejectsNonNeighborsAndAsymmetry) {
                    [](proc_t q) -> proc_t { return q == 0 ? 1 : q; }, send,
                    recv),
                ContractError);
+  // A partner outside the cube: q ^ 2^dim is one bit away and symmetric,
+  // but delivery would read past the staging slots.
+  EXPECT_THROW(cube.neighbor_exchange<int>(
+                   [](proc_t q) -> proc_t { return q ^ 8u; }, send, recv),
+               ContractError);
 }
 
 // ---------------------------------------------------------------------------
