@@ -64,7 +64,8 @@ if [[ "$NO_SANITIZE" == 0 ]]; then
   cmake -B build-asan -S . -DVMP_SANITIZE=address,undefined >/dev/null
   cmake --build build-asan -j --target test_trace test_accounting \
     test_kernels test_cg test_properties_random test_allport_shift \
-    test_fault_recovery test_topology bench_naive_vs_primitive >/dev/null
+    test_fault_recovery test_topology test_matmul_hyper test_buffer_pool \
+    test_contracts bench_naive_vs_primitive >/dev/null
   ./build-asan/tests/test_trace
   ./build-asan/tests/test_accounting \
     --gtest_filter='Accounting.*:Charging.*:Threading.*'
@@ -76,13 +77,20 @@ if [[ "$NO_SANITIZE" == 0 ]]; then
   ./build-asan/tests/test_cg
   ./build-asan/tests/test_properties_random \
     --gtest_filter='*Sparse*:*Reembed*'
-  # The exchange-round core under ASan/UBSan: all three round kinds
-  # (exchange, exchange_allport, neighbor_exchange), their argument
-  # checks, the fault-recovery delivery path, and the round-charge pins on
-  # every topology preset.
+  # The round core under ASan/UBSan: all three round kinds (exchange,
+  # exchange_allport, relay), their argument checks, the fault-recovery
+  # delivery path (shift legs included), the round- and shift-charge pins
+  # on every topology preset, the hyper-systolic matmul built on relay
+  # shifts, and the staging-slot reuse checks.
   ./build-asan/tests/test_allport_shift
   ./build-asan/tests/test_fault_recovery
-  ./build-asan/tests/test_topology --gtest_filter='*RoundCharges*'
+  ./build-asan/tests/test_topology \
+    --gtest_filter='*RoundCharges*:*ShiftCharges*'
+  ./build-asan/tests/test_matmul_hyper
+  ./build-asan/tests/test_buffer_pool
+  # Host input validation: malformed CSR triples must be rejected before
+  # load_csr reads through rowptr.
+  ./build-asan/tests/test_contracts
 fi
 
 if [[ "$TSAN" == 1 ]]; then

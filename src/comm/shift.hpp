@@ -8,17 +8,16 @@
 /// algorithms/matmul.cpp: a shift base {0, 1, …, K−1} of unit strides plus
 /// K-stride streaming shifts, K ≈ √p.  With processors ordered by the
 /// binary-reflected Gray code a unit shift is ONE lockstep round (ring
-/// neighbours are cube neighbours); a stride-s shift is charged as the
-/// store-and-forward dimension-order relay it would be on the wire — H
-/// lockstep rounds, H = max Hamming distance of any (src, dest) pair, round
-/// j carrying leg j of every in-flight message's dimension-order path, with
-/// per-processor (and, on routed topologies, per-link) combining.  With the
+/// neighbours are cube neighbours); a stride-s shift is one Cube::relay,
+/// charged as the store-and-forward dimension-order relay it is on the
+/// wire — H lockstep rounds, H = max Hamming distance of any (src, dest)
+/// pair, round j carrying leg j of every in-flight message's
+/// dimension-order path, with per-processor (and, on routed topologies,
+/// per-link) combining.  With the
 /// natural binary ordering even a unit shift degrades to a full
 /// dimension-order routing sweep.  bench_collectives measures both gaps —
 /// the reason every mesh embedding in the hypercube era was Gray-coded.
 #pragma once
-
-#include <unordered_map>
 
 #include "comm/collectives.hpp"
 #include "hypercube/gray.hpp"
@@ -48,45 +47,6 @@ namespace shift_detail {
   return static_cast<std::uint32_t>(((by % p) + p) % p);
 }
 
-/// The round-`j` leg of the dimension-order path q → dst (requires
-/// hamming_distance(q, dst) > j): the cube node the message occupies after
-/// j legs and the dimension it crosses next.  Legs cross the differing
-/// bits in ascending dimension order, the store-and-forward discipline
-/// every routing sweep in this codebase uses.
-struct Leg {
-  proc_t node;
-  int dim;
-};
-[[nodiscard]] inline Leg leg_of(proc_t q, proc_t dst, int j) {
-  std::uint32_t x = q ^ dst;
-  std::uint32_t applied = 0;
-  for (int t = 0; t < j; ++t) {
-    const std::uint32_t low = x & (0u - x);
-    applied |= low;
-    x ^= low;
-  }
-  return Leg{static_cast<proc_t>(q ^ applied), std::countr_zero(x)};
-}
-
-/// Gray staging scratch layout inside one pooled slab lease: the P tile
-/// lengths first (the lease is max_align-aligned, so size_t is fine), then
-/// the tile payloads at a 64-byte-aligned offset with the buffer's own
-/// stride.  One lease per shift — the bucket recycles through the
-/// BufferPool, so a steady-state shift loop never touches the heap.
-template <class T>
-[[nodiscard]] inline std::size_t lease_bytes(proc_t procs,
-                                             std::size_t stride) {
-  return std::size_t{procs} * sizeof(std::size_t) + 64 +
-         std::size_t{procs} * stride * sizeof(T);
-}
-template <class T>
-[[nodiscard]] inline T* lease_data(const BufferPool::Block& b, proc_t procs) {
-  auto addr = reinterpret_cast<std::uintptr_t>(b.data()) +
-              std::size_t{procs} * sizeof(std::size_t);
-  addr = (addr + 63) & ~std::uintptr_t{63};
-  return reinterpret_cast<T*>(addr);
-}
-
 }  // namespace shift_detail
 
 /// Number of charged lockstep rounds of a Gray-order shift by `by` within
@@ -106,10 +66,11 @@ template <class T>
 }
 
 /// Cyclically shift each processor's whole local array `by` ring positions
-/// (negative = backward) within each subcube of `sc`.  Gray order: staged
-/// host-side through one pooled slab lease and charged as H
-/// store-and-forward dimension-order rounds (H = 1 for unit strides).
-/// Binary order: a full dimension-order combining-router sweep.
+/// (negative = backward) within each subcube of `sc`.  Gray order: one
+/// Cube::relay, charged as H store-and-forward dimension-order rounds
+/// (H = 1 for unit strides); if a fault plan's recovery fails, the
+/// FaultError leaves every tile of `buf` empty.  Binary order: a full
+/// dimension-order combining-router sweep.
 template <class T>
 void shift_blocks(Cube& cube, DistBuffer<T>& buf, const SubcubeSet& sc,
                   int by, RingOrder order) {
@@ -126,54 +87,23 @@ void shift_blocks(Cube& cube, DistBuffer<T>& buf, const SubcubeSet& sc,
   };
 
   if (order == RingOrder::Gray) {
-    // The shift is a directed cycle, not an involution, so it fits neither
-    // exchange (one shared dimension) nor neighbor_exchange (symmetric
-    // partners): stage every tile and its length through one pooled slab
-    // lease, deliver directly, and charge the rounds explicitly via the
-    // machine's irregular-round accumulator.
-    const proc_t procs = cube.procs();
-    const std::size_t stride = buf.stride();
-    const BufferPool::Block lease = cube.buffers().acquire_slab(
-        shift_detail::lease_bytes<T>(procs, stride));
-    auto* lens = static_cast<std::size_t*>(lease.data());
-    T* data = shift_detail::lease_data<T>(lease, procs);
-    cube.each_proc([&](proc_t q) {
-      const std::span<const T> mine = buf.tile(q);
-      lens[q] = mine.size();
-      if (!mine.empty())
-        kern::copy(mine, std::span<T>(data + std::size_t{q} * stride,
-                                      mine.size()));
-    });
-
-    // Store-and-forward rounds: round j advances leg j of every message
-    // still in flight; a unit Gray stride is exactly one round with the
-    // historical irregular-round charge.
-    int rounds = 0;
-    cube.each_proc([&](proc_t q) {
-      if (lens[q] != 0)
-        rounds = std::max(rounds, hamming_distance(q, dest_of(q)));
-    });
-    for (int j = 0; j < rounds; ++j) {
-      cube.irr_begin();
-      cube.each_proc([&](proc_t q) {
-        if (lens[q] == 0) return;
-        const proc_t dst = dest_of(q);
-        if (hamming_distance(q, dst) <= j) return;
-        const shift_detail::Leg leg = shift_detail::leg_of(q, dst, j);
-        cube.irr_add(leg.dim, leg.node, lens[q]);
-      });
-      cube.irr_charge();
-    }
+    // Every tile leaves its processor and the arriving tile, if any, takes
+    // its place: send empties the tile (clear only resets its length, so
+    // the view stays valid while relay stages it).  Tiles never outgrow
+    // the buffer's stride, so delivery assigns in place on the team lanes.
+    const int rounds = cube.relay<T>(
+        dest_of,
+        [&](proc_t q) {
+          const std::span<const T> mine = buf.tile(q);
+          buf.clear(q);
+          return mine;
+        },
+        [&](proc_t q, std::span<const T> in) { buf.assign(q, in); });
     if (MetricsRegistry& mx = cube.metrics(); mx.enabled()) {
       mx.counter("shift.calls", MetricClass::Sim).add(1);
       mx.counter("shift.rounds", MetricClass::Sim)
           .add(static_cast<std::uint64_t>(rounds));
     }
-
-    cube.each_proc([&](proc_t q) {
-      buf.assign(dest_of(q), std::span<const T>(
-                                 data + std::size_t{q} * stride, lens[q]));
-    });
     return;
   }
 
@@ -197,11 +127,9 @@ void shift_blocks(Cube& cube, DistBuffer<T>& buf, const SubcubeSet& sc,
 
 /// Simulated cost of one Gray-order shift_blocks call moving `elems`
 /// elements per processor, priced with the cube's CostParams and physical
-/// topology but WITHOUT advancing the clock: the same store-and-forward
-/// rounds the real call charges — `τ + max·t_c` of the busiest processor
-/// on the unit-hop preset, start-up dilation plus the most loaded directed
-/// link on routed presets.  This is the shift term of the matmul_auto
-/// selector's backend models.
+/// topology but WITHOUT advancing the clock: Cube::relay_cost walks the
+/// same store-and-forward rounds the real call charges.  This is the shift
+/// term of the matmul_auto selector's backend models.
 [[nodiscard]] inline double shift_cost_model(Cube& cube, const SubcubeSet& sc,
                                              int by, std::size_t elems) {
   const int k = sc.k();
@@ -209,57 +137,12 @@ void shift_blocks(Cube& cube, DistBuffer<T>& buf, const SubcubeSet& sc,
   const std::uint32_t P = sc.size();
   const std::uint32_t step = shift_detail::norm_step(by, P);
   if (step == 0) return 0.0;
-  const CostParams& cp = cube.costs();
-  const bool routed = !cube.unit_hop();
-  const Topology& topo = cube.topology();
-  const auto dest_of = [&](proc_t q) -> proc_t {
-    const std::uint32_t pos = ring_pos(RingOrder::Gray, sc.rank(q));
-    return sc.with_rank(q, ring_proc(RingOrder::Gray, (pos + step) % P));
-  };
-  int rounds = 0;
-  for (proc_t q = 0; q < cube.procs(); ++q)
-    rounds = std::max(rounds, hamming_distance(q, dest_of(q)));
-  double cost = 0.0;
-  std::vector<std::size_t> node_load(cube.procs(), 0);
-  std::unordered_map<std::uint64_t, double> link_load;
-  std::vector<Hop> hops;
-  for (int j = 0; j < rounds; ++j) {
-    std::fill(node_load.begin(), node_load.end(), std::size_t{0});
-    link_load.clear();
-    double startup_units = 0.0;
-    std::size_t max_node = 0;
-    bool any = false;
-    for (proc_t q = 0; q < cube.procs(); ++q) {
-      const proc_t dst = dest_of(q);
-      if (hamming_distance(q, dst) <= j) continue;
-      any = true;
-      const shift_detail::Leg leg = shift_detail::leg_of(q, dst, j);
-      node_load[leg.node] += elems;
-      max_node = std::max(max_node, node_load[leg.node]);
-      if (routed) {
-        hops.clear();
-        topo.route(leg.node, leg.node ^ (proc_t{1} << leg.dim), hops);
-        double su = 0.0;
-        for (const Hop& h : hops) {
-          const AxisCharge c = topo.axis_charge(h.axis);
-          su += c.startup_mult;
-          const std::uint64_t lid =
-              2 * topo.link_id(h.from, h.port) + (h.from < h.to ? 0 : 1);
-          link_load[lid] += static_cast<double>(elems) * c.per_elem_mult;
-        }
-        startup_units = std::max(startup_units, su);
-      }
-    }
-    if (!any) continue;
-    if (!routed) {
-      cost += cp.startup_us + static_cast<double>(max_node) * cp.per_elem_us;
-    } else {
-      double worst = 0.0;
-      for (const auto& [lid, load] : link_load) worst = std::max(worst, load);
-      cost += cp.startup_us * startup_units + cp.per_elem_us * worst;
-    }
-  }
-  return cost;
+  return cube.relay_cost(
+      [&](proc_t q) -> proc_t {
+        const std::uint32_t pos = ring_pos(RingOrder::Gray, sc.rank(q));
+        return sc.with_rank(q, ring_proc(RingOrder::Gray, (pos + step) % P));
+      },
+      elems);
 }
 
 }  // namespace vmp

@@ -155,6 +155,18 @@ class DistSparseMatrix {
                 std::span<const T> vals) {
     VMP_REQUIRE(rowptr.size() == nrows() + 1, "host rowptr length mismatch");
     VMP_REQUIRE(colind.size() == vals.size(), "host colind/vals mismatch");
+    // Validate the whole triple before reading colind through rowptr: a
+    // rowptr that decreases or overshoots nnz would index past colind, and
+    // unsorted columns would break every tile's binary-searched rows.
+    VMP_REQUIRE(rowptr[0] == 0, "host rowptr must start at 0");
+    VMP_REQUIRE(rowptr[nrows()] == colind.size(),
+                "host rowptr must end at nnz");
+    for (std::size_t i = 0; i < nrows(); ++i)
+      VMP_REQUIRE(rowptr[i] <= rowptr[i + 1], "host rowptr must not decrease");
+    for (std::size_t i = 0; i < nrows(); ++i)
+      for (std::size_t k = std::size_t{rowptr[i]} + 1; k < rowptr[i + 1]; ++k)
+        VMP_REQUIRE(colind[k - 1] < colind[k],
+                    "host colind must ascend strictly within each row");
     Cube& cube = grid().cube();
     // Per-processor entry counts first (host thread), so slab growth is
     // done before the parallel assembly below.

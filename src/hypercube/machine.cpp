@@ -81,49 +81,13 @@ void Cube::rc_add(int d, proc_t q, std::size_t len) {
   }
 }
 
-void Cube::rc_charge(std::size_t max_elems, std::size_t messages,
-                     std::size_t total) {
+double Cube::rc_end() {
   double elem_units = 0.0;
   for (const std::uint32_t li : rc_touched_) {
     if (link_load_[li] > elem_units) elem_units = link_load_[li];
     link_load_[li] = 0.0;
   }
-  clock_.charge_comm_round(rc_startup_, elem_units, messages, total,
-                           max_elems, rc_axis_ == -2 ? -1 : rc_axis_,
-                           rc_hops_);
-}
-
-void Cube::irr_begin() {
-  irr_total_ = 0;
-  irr_messages_ = 0;
-  if (!unit_hop_) rc_begin();
-}
-
-void Cube::irr_add(int d, proc_t from, std::size_t len) {
-  VMP_REQUIRE(d >= 0 && d < dim_, "irregular-round dimension out of range");
-  VMP_REQUIRE(from < procs_, "irregular-round sender out of range");
-  if (len == 0) return;  // elided, matching every silent sender
-  if (irr_load_.empty()) irr_load_.assign(procs_, 0);
-  if (irr_load_[from] == 0) irr_senders_.push_back(from);
-  irr_load_[from] += len;
-  ++irr_messages_;
-  irr_total_ += len;
-  if (!unit_hop_) rc_add(d, from, len);
-}
-
-void Cube::irr_charge() {
-  if (irr_messages_ == 0) return;
-  std::size_t max_elems = 0;
-  for (const proc_t q : irr_senders_) {
-    if (irr_load_[q] > max_elems) max_elems = irr_load_[q];
-    irr_load_[q] = 0;
-  }
-  irr_senders_.clear();
-  if (unit_hop_) {
-    clock_.charge_comm_step(max_elems, irr_messages_, irr_total_);
-  } else {
-    rc_charge(max_elems, irr_messages_, irr_total_);
-  }
+  return elem_units;
 }
 
 bool Cube::route_compromised(std::uint64_t round, proc_t src, int d) {

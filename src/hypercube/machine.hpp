@@ -13,10 +13,10 @@
 ///                       offers data receives it; charged `τ + max_n · t_c`.
 ///
 /// `exchange_allport` (one message per port over several dimensions at
-/// once) and `neighbor_exchange` (a partner of each processor's choosing)
-/// are the same lockstep cube-edge round: all three forward to one private
-/// round core, `run_round`, which stages every send, delivers, and charges
-/// the round once through `charge_round`.
+/// once) and `relay` (any permutation — ring shifts, irregular neighbour
+/// pairings) are the same lockstep cube-edge round: all three stage every
+/// send in one team step, deliver in one team step, and charge through
+/// `charge_round`, one lockstep round per store-and-forward leg.
 ///
 /// Correctness never depends on host threading: the per-processor loops run
 /// on a persistent SPMD worker team (hypercube/team.hpp, Options::threads /
@@ -330,45 +330,81 @@ class Cube {
         send, recv);
   }
 
-  /// One lockstep irregular round: every processor may exchange with ONE
-  /// cube neighbour of its choosing (partner(q) must satisfy
-  /// partner(partner(q)) == q and be at Hamming distance 1, or equal q for
-  /// sitting out).  This models MIMD-style / NEWS-grid communication where
-  /// different processors use different ports in the same step — the
-  /// operation a Gray-code embedding turns mesh shifts into.
-  template <class T, class PartnerFn, class SendFn, class RecvFn>
-  void neighbor_exchange(PartnerFn&& partner, SendFn&& send, RecvFn&& recv) {
-    for (proc_t q = 0; q < procs_; ++q) {
-      const proc_t pq = partner(q);
-      VMP_REQUIRE(pq < procs_, "neighbor_exchange partner outside the cube");
-      if (pq == q) continue;
-      VMP_REQUIRE(hamming_distance(q, pq) == 1,
-                  "neighbor_exchange partner must be a cube neighbour");
-      VMP_REQUIRE(partner(pq) == q, "neighbor_exchange must be symmetric");
-    }
-    run_round<T>(
-        1, -1, [&](proc_t q, std::size_t) -> proc_t { return partner(q); },
-        [&](proc_t q, std::size_t) -> std::span<const T> { return send(q); },
-        [&](proc_t q, std::size_t, std::span<const T> in) { recv(q, in); });
+  /// One lockstep permutation round: processor q's payload `send(q)` goes
+  /// to `dest(q)`, which must be a bijection on the cube (ContractError
+  /// otherwise).  A processor with `dest(q) == q` or an empty send sits
+  /// out; `recv(q, data)` is invoked on every processor whose source sent
+  /// data.  Sends are staged before any delivery, so recv may overwrite
+  /// the very buffer send exposed.
+  ///
+  /// Charged as the store-and-forward dimension-order relay it is on the
+  /// wire: H = max hamming(q, dest(q)) lockstep legs, leg j carrying every
+  /// message still in flight across its j-th differing bit (lowest
+  /// first).  Each leg pays charge_round for its busiest sender node
+  /// (messages meeting at a node combine) or, on routed presets, its most
+  /// loaded link — so a round between cube neighbours is one leg.  Under a
+  /// fault plan every leg runs through deliver_with_faults, and recv runs
+  /// only after the last leg got through: a FaultError delivers nothing.
+  /// Returns H (0 when nobody sends).
+  template <class T, class DestFn, class SendFn, class RecvFn>
+  int relay(DestFn&& dest, SendFn&& send, RecvFn&& recv) {
+    tabulate_relay(dest);
+    const proc_t* to = relay_to_.data();
+    const proc_t* from = relay_from_.data();
+    const auto to_fn = [to](proc_t q, std::size_t) { return to[q]; };
+    const auto send_fn = [&](proc_t q, std::size_t) -> std::span<const T> {
+      return send(q);
+    };
+    if (stage_round<T>(1, to_fn, send_fn).messages == 0) return 0;
+    const detail::StageBuf* slot = stage_.data();
+    const int legs = relay_legs(
+        [slot](proc_t q) { return slot[q].len; },
+        [&](std::size_t max_elems, std::size_t messages, std::size_t total,
+            auto&& each) {
+          if (!faults_) {
+            charge_round(max_elems, messages, total, -1, [&](auto&& add) {
+              each([&](int d, proc_t node, proc_t q) {
+                add(d, node, slot[q].len);
+              });
+            });
+            return;
+          }
+          std::vector<FaultMsg<T>> msgs;
+          msgs.reserve(messages);
+          each([&](int d, proc_t node, proc_t q) {
+            msgs.push_back(FaultMsg<T>{node, node ^ (proc_t{1} << d), d, 0,
+                                       slot[q].template data<T>(),
+                                       slot[q].len});
+          });
+          deliver_with_faults<T>(std::move(msgs), max_elems, messages, total,
+                                 -1, [](const FaultMsg<T>&) {});
+        });
+    const auto from_fn = [from](proc_t q, std::size_t) { return from[q]; };
+    const auto recv_fn = [&](proc_t q, std::size_t, std::span<const T> in) {
+      recv(q, in);
+    };
+    deliver_round<T>(1, from_fn, recv_fn);
+    return legs;
   }
 
-  /// Explicit charging for one lockstep round whose messages the CALLER
-  /// stages and delivers host-side (the generalized ring shifts in
-  /// comm/shift.hpp): different processors may cross DIFFERENT cube
-  /// dimensions in the same round, so neither `exchange` (one shared
-  /// dimension) nor `neighbor_exchange` (symmetric partners) fits.
-  /// Between irr_begin() and irr_charge(), add every message's logical
-  /// cube edge (`from`, `from ^ 2^d`) with irr_add; zero-length messages
-  /// are elided like every silent sender.  On the unit-hop (hypercube)
-  /// preset the round is charged `τ + max·t_c` where `max` is the busiest
-  /// processor's combined outgoing transfer — the irregular-round rule
-  /// neighbor_exchange pays; routed presets resolve every logical edge
-  /// through the cached physical routes and the round pays its most
-  /// loaded link, exactly like every other lockstep round.
-  void irr_begin();
-  void irr_add(int d, proc_t from, std::size_t len);
-  /// Charge the accumulated round (a no-op if nothing was added).
-  void irr_charge();
+  /// Simulated cost of a relay() in which every processor q with
+  /// `dest(q) != q` sends `elems` elements: the same legs, each priced by
+  /// price_round, without advancing the clock.
+  template <class DestFn>
+  [[nodiscard]] double relay_cost(DestFn&& dest, std::size_t elems) {
+    tabulate_relay(dest);
+    double us = 0.0;
+    relay_legs([elems](proc_t) { return elems; },
+               [&](std::size_t max_elems, std::size_t, std::size_t,
+                   auto&& each) {
+                 us += price_round(max_elems, [&](auto&& add) {
+                   each([&](int d, proc_t node, proc_t) {
+                     add(d, node, elems);
+                   });
+                 });
+               });
+    return us;
+  }
 
   /// The persistent worker team backing the per-processor loops.
   [[nodiscard]] WorkerTeam& team() { return team_; }
@@ -412,65 +448,23 @@ class Cube {
   }
 
  private:
-  /// The lockstep exchange round behind exchange, exchange_allport and
-  /// neighbor_exchange.  Port `i` of processor `q` sends `send(q, i)` to
-  /// `partner(q, i)` across dimension countr_zero(q ^ partner(q, i)); the
-  /// relation is symmetric per port, and a processor that is its own
-  /// partner sits the port out.  `recv(q, i, data)` receives what q's
-  /// partner on port i sent, if anything.  Every pass walks port-major,
-  /// then processor-ascending, so a one-port round's loops are the plain
-  /// per-processor loops.
-  ///
-  ///  1. Stage: one team step copies every send into its persistent slot
-  ///     (i·p + q) — the copy is what lets recv combine into (or overwrite)
-  ///     the very buffer send exposed, and send's span only has to outlive
-  ///     its own call — while each lane folds the round's statistics into
-  ///     its ExPartial, so no serial host scan runs before delivery.
-  ///  2. Deliver: one team step, or, with a fault plan attached,
-  ///     deliver_with_faults on the host thread.
-  ///  3. Charge: once, through charge_round; `charge_dim` is the dimension
-  ///     every message crosses, or -1 when the round mixes dimensions.
-  ///
-  /// If nobody sends, the round is elided: no delivery, no charge.
+  /// The lockstep exchange round behind exchange and exchange_allport.
+  /// Port `i` of processor `q` sends `send(q, i)` to `partner(q, i)` across
+  /// dimension countr_zero(q ^ partner(q, i)); the relation is symmetric
+  /// per port, and a processor that is its own partner sits the port out.
+  /// `recv(q, i, data)` receives what q's partner on port i sent, if
+  /// anything.  Staged by stage_round; then delivered by deliver_round and
+  /// charged once through charge_round (`charge_dim` is the dimension every
+  /// message crosses, or -1 when the round mixes dimensions), or, with a
+  /// fault plan attached, delivered and charged by deliver_with_faults on
+  /// the host thread.  If nobody sends, the round is elided: no delivery,
+  /// no charge.
   template <class T, class PartnerFn, class SendFn, class RecvFn>
   void run_round(std::size_t ports, int charge_dim, PartnerFn&& partner,
                  SendFn&& send, RecvFn&& recv) {
-    static_assert(detail::kPoolStageable<T>,
-                  "exchange payloads must be trivially copyable and not "
-                  "over-aligned");
-    // Slots and lane partials are grown, never shrunk, so a steady-state
-    // round allocates nothing.  No zeroing: every lane — including lanes
-    // whose range is empty — stores its partial below.  The partial
-    // accumulates in a stack local (registers — the staging memcpy can't
-    // alias it) and is stored to the lane's slot once.
-    if (stage_.size() < ports * procs_) stage_.resize(ports * procs_);
-    partials_.resize(team_.lanes());
-    detail::StageBuf* stage = stage_.data();
-    detail::ExPartial* parts = partials_.data();
-    team_.step(procs_, [&](unsigned lane, std::size_t lo, std::size_t hi) {
-      detail::ExPartial p;
-      for (std::size_t i = 0; i < ports; ++i) {
-        detail::StageBuf* const port = stage + i * procs_;
-        for (std::size_t q = lo; q < hi; ++q) {
-          const proc_t src = static_cast<proc_t>(q);
-          detail::StageBuf& sb = port[q];
-          if (partner(src, i) == src) {
-            sb.skip();
-            continue;
-          }
-          sb.template stage<T>(send(src, i));
-          p.note(sb.len, sb.grew);
-        }
-      }
-      parts[lane] = p;
-    });
-    // Reduced in lane order: sums and maxima of integers, so the totals do
-    // not depend on how processors were partitioned across lanes.
-    detail::ExPartial r;
-    for (const detail::ExPartial& lp : partials_) r.merge(lp);
+    const detail::ExPartial r = stage_round<T>(ports, partner, send);
     if (r.messages == 0) return;
-    clock_.note_pool_hits(r.pool_hits);
-    clock_.note_pool_misses(r.pool_misses, r.miss_bytes);
+    const detail::StageBuf* stage = stage_.data();
     if (faults_) {
       std::vector<FaultMsg<T>> msgs;
       msgs.reserve(r.messages);
@@ -488,18 +482,7 @@ class Cube {
                              });
       return;
     }
-    team_.step(procs_, [&](unsigned, std::size_t lo, std::size_t hi) {
-      for (std::size_t i = 0; i < ports; ++i) {
-        const detail::StageBuf* const port = stage + i * procs_;
-        for (std::size_t q = lo; q < hi; ++q) {
-          const proc_t dst = static_cast<proc_t>(q);
-          const proc_t src = partner(dst, i);
-          if (src == dst) continue;
-          const detail::StageBuf& in = port[src];
-          if (in.len != 0) recv(dst, i, in.template view<T>());
-        }
-      }
-    });
+    deliver_round<T>(ports, partner, recv);
     charge_round(r.max_elems, r.messages, r.total, charge_dim,
                  [&](auto&& add) {
                    for (std::size_t i = 0; i < ports; ++i)
@@ -509,6 +492,132 @@ class Cube {
                          add(std::countr_zero(q ^ partner(q, i)), q, len);
                      }
                  });
+  }
+
+  /// The staging step of every round: one team step copies each port's
+  /// send into its persistent slot (i·p + q) — the copy is what lets recv
+  /// combine into (or overwrite) the very buffer send exposed, and send's
+  /// span only has to outlive its own call — while each lane folds the
+  /// round's statistics into its ExPartial, so no serial host scan runs
+  /// before delivery.  Port i of q sits out (send is not called) when
+  /// `dest(q, i) == q`.  Every pass walks port-major, then
+  /// processor-ascending, so a one-port round's loops are the plain
+  /// per-processor loops.  Returns the reduced statistics and folds the
+  /// slots' reuse and growth into the pool counters.
+  template <class T, class DestFn, class SendFn>
+  detail::ExPartial stage_round(std::size_t ports, DestFn& dest,
+                                SendFn& send) {
+    static_assert(detail::kPoolStageable<T>,
+                  "round payloads must be trivially copyable and not "
+                  "over-aligned");
+    // Slots and lane partials are grown, never shrunk, so a steady-state
+    // round allocates nothing.  No zeroing: every lane — including lanes
+    // whose range is empty — stores its partial below.  The partial
+    // accumulates in a stack local (registers — the staging memcpy can't
+    // alias it) and is stored to the lane's slot once.
+    if (stage_.size() < ports * procs_) stage_.resize(ports * procs_);
+    partials_.resize(team_.lanes());
+    detail::StageBuf* stage = stage_.data();
+    detail::ExPartial* parts = partials_.data();
+    team_.step(procs_, [&](unsigned lane, std::size_t lo, std::size_t hi) {
+      detail::ExPartial p;
+      for (std::size_t i = 0; i < ports; ++i) {
+        detail::StageBuf* const port = stage + i * procs_;
+        for (std::size_t q = lo; q < hi; ++q) {
+          const proc_t src = static_cast<proc_t>(q);
+          detail::StageBuf& sb = port[q];
+          if (dest(src, i) == src) {
+            sb.skip();
+            continue;
+          }
+          sb.template stage<T>(send(src, i));
+          p.note(sb.len, sb.grew);
+        }
+      }
+      parts[lane] = p;
+    });
+    // Reduced in lane order: sums and maxima of integers, so the totals do
+    // not depend on how processors were partitioned across lanes.
+    detail::ExPartial r;
+    for (const detail::ExPartial& lp : partials_) r.merge(lp);
+    clock_.note_pool_hits(r.pool_hits);
+    clock_.note_pool_misses(r.pool_misses, r.miss_bytes);
+    return r;
+  }
+
+  /// The delivery step of every round: one team step hands each processor
+  /// q, on every port i, what its source `from(q, i)` staged (nothing when
+  /// the source is q itself or sent nothing).
+  template <class T, class FromFn, class RecvFn>
+  void deliver_round(std::size_t ports, FromFn& from, RecvFn& recv) {
+    const detail::StageBuf* stage = stage_.data();
+    team_.step(procs_, [&](unsigned, std::size_t lo, std::size_t hi) {
+      for (std::size_t i = 0; i < ports; ++i) {
+        const detail::StageBuf* const port = stage + i * procs_;
+        for (std::size_t q = lo; q < hi; ++q) {
+          const proc_t dst = static_cast<proc_t>(q);
+          const proc_t src = from(dst, i);
+          if (src == dst) continue;
+          const detail::StageBuf& in = port[src];
+          if (in.len != 0) recv(dst, i, in.template view<T>());
+        }
+      }
+    });
+  }
+
+  /// Check that `dest` is a bijection on the cube and tabulate it:
+  /// relay_to_[q] = dest(q), relay_from_[dest(q)] = q.
+  template <class DestFn>
+  void tabulate_relay(DestFn& dest) {
+    relay_to_.resize(procs_);
+    relay_from_.assign(procs_, procs_);  // procs_ = no source yet
+    for (proc_t q = 0; q < procs_; ++q) {
+      const proc_t d = dest(q);
+      VMP_REQUIRE(d < procs_, "relay destination outside the cube");
+      VMP_REQUIRE(relay_from_[d] == procs_,
+                  "relay destinations must be distinct (dest must be a "
+                  "bijection)");
+      relay_to_[q] = d;
+      relay_from_[d] = q;
+    }
+  }
+
+  /// Walk the store-and-forward legs of the tabulated relay, in which the
+  /// message from q carries `len(q)` elements (0 = none).  Leg j moves
+  /// every message still in flight across the j-th lowest bit of
+  /// q ^ dest(q).  Per leg, calls `leg(max_elems, messages, total, each)`:
+  /// `max_elems` is the busiest node's combined outgoing load, and
+  /// `each(fn)` calls `fn(dim, node, q)` for every message in flight, in
+  /// ascending q, with the node it leaves and the dimension it crosses.
+  /// Returns the number of legs.
+  template <class LenFn, class LegFn>
+  int relay_legs(LenFn&& len, LegFn&& leg) {
+    const proc_t* to = relay_to_.data();
+    int legs = 0;
+    for (proc_t q = 0; q < procs_; ++q)
+      if (len(q) != 0) legs = std::max(legs, hamming_distance(q, to[q]));
+    if (leg_load_.size() < procs_) leg_load_.assign(procs_, 0);
+    for (int j = 0; j < legs; ++j) {
+      const auto each = [&](auto&& fn) {
+        for (proc_t q = 0; q < procs_; ++q) {
+          if (len(q) == 0) continue;
+          std::uint32_t left = q ^ to[q];  // bits still to cross
+          for (int t = 0; t < j && left != 0; ++t) left &= left - 1;
+          if (left != 0) fn(std::countr_zero(left), to[q] ^ left, q);
+        }
+      };
+      std::size_t max_elems = 0, messages = 0, total = 0;
+      each([&](int, proc_t node, proc_t q) {
+        std::size_t& load = leg_load_[node];
+        load += len(q);
+        max_elems = std::max(max_elems, load);
+        ++messages;
+        total += len(q);
+      });
+      each([&](int, proc_t node, proc_t) { leg_load_[node] = 0; });
+      leg(max_elems, messages, total, each);
+    }
+    return legs;
   }
 
   /// Charge one lockstep round.  On the unit-hop (hypercube) preset this is
@@ -524,18 +633,40 @@ class Cube {
       clock_.charge_comm_step(max_elems, messages, total, charge_dim);
       return;
     }
+    const double elem_units = route_round(each_msg);
+    clock_.charge_comm_round(rc_startup_, elem_units, messages, total,
+                             max_elems, rc_axis_ == -2 ? -1 : rc_axis_,
+                             rc_hops_);
+  }
+
+  /// The side-effect-free twin of charge_round: what the round would
+  /// advance the clock by, leaving clock, statistics and trace untouched.
+  template <class EachMsg>
+  [[nodiscard]] double price_round(std::size_t max_elems,
+                                   EachMsg&& each_msg) {
+    if (unit_hop_)
+      return clock_.round_us(1.0, static_cast<double>(max_elems));
+    const double elem_units = route_round(each_msg);
+    return clock_.round_us(rc_startup_, elem_units);
+  }
+
+  /// Routed presets: fold every message's cached route into the
+  /// per-directed-link loads and return the most loaded link's element
+  /// units; rc_startup_, rc_hops_ and rc_axis_ then describe the round.
+  template <class EachMsg>
+  double route_round(EachMsg& each_msg) {
     rc_begin();
     each_msg([this](int d, proc_t q, std::size_t len) { rc_add(d, q, len); });
-    rc_charge(max_elems, messages, total);
+    return rc_end();
   }
 
   /// Non-unit-hop round-cost accumulator (machine.cpp): rc_begin resets,
   /// rc_add folds one logical-edge message's cached route into the
-  /// per-directed-link loads, rc_charge reduces and charges the clock.
+  /// per-directed-link loads, rc_end returns the most loaded link's units
+  /// and clears the loads.
   void rc_begin();
   void rc_add(int d, proc_t q, std::size_t len);
-  void rc_charge(std::size_t max_elems, std::size_t messages,
-                 std::size_t total);
+  [[nodiscard]] double rc_end();
   /// The cached physical routes of logical dimension `d` (built lazily).
   [[nodiscard]] const detail::DimRoutes& dim_routes(int d);
 
@@ -571,6 +702,8 @@ class Cube {
   /// Deliveries happen on the host thread in deterministic (port-major,
   /// then src-ascending) order; each destination port receives its payload
   /// exactly once, so results match the fault-free delivery bit for bit.
+  /// A relay leg passes a no-op `deliver`: its messages are still in
+  /// flight, and relay delivers them in one step after the last leg.
   template <class T, class DeliverFn>
   void deliver_with_faults(std::vector<FaultMsg<T>> pending,
                            std::size_t max_elems, std::size_t messages,
@@ -704,13 +837,11 @@ class Cube {
   int rc_axis_ = -2;
   std::vector<Hop> reroute_hops_;
   std::vector<Hop> route_scratch_;
-  // Irregular-round charge state (irr_begin/irr_add/irr_charge): combined
-  // per-processor outgoing loads, tracked sparsely so a round touching few
-  // processors stays cheap and allocation-free in steady state.
-  std::vector<std::size_t> irr_load_;
-  std::vector<proc_t> irr_senders_;
-  std::size_t irr_total_ = 0;
-  std::size_t irr_messages_ = 0;
+  // Relay state: the tabulated permutation and its inverse, and the
+  // per-node outgoing load of one leg (all zero between legs).
+  std::vector<proc_t> relay_to_;
+  std::vector<proc_t> relay_from_;
+  std::vector<std::size_t> leg_load_;
 };
 
 }  // namespace vmp

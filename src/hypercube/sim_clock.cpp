@@ -24,28 +24,11 @@ SimStats operator-(const SimStats& a, const SimStats& b) {
   return d;
 }
 
-void SimClock::charge_comm_step(std::size_t max_elems, std::size_t messages,
-                                std::size_t total_elems, int dim) {
-  const double dt =
-      params_.startup_us + static_cast<double>(max_elems) * params_.per_elem_us;
-  const double t0 = now_us_;
-  now_us_ += dt;
-  comm_us_ += dt;
-  stats_.comm_steps += 1;
-  stats_.messages += messages;
-  stats_.elements_moved += total_elems;
-  stats_.elements_serial += max_elems;
-  stats_.link_hops += messages;  // one physical link per message here
-  tracer_.on_charge(ChargeKind::Comm, t0, dt, dim, messages, total_elems,
-                    max_elems, 0, 0, 0);
-}
-
 void SimClock::charge_comm_round(double startup_units, double elem_units,
                                  std::size_t messages, std::size_t total_elems,
                                  std::size_t max_elems, int axis,
                                  std::uint64_t link_hops) {
-  const double dt = params_.startup_us * startup_units +
-                    params_.per_elem_us * elem_units;
+  const double dt = round_us(startup_units, elem_units);
   const double t0 = now_us_;
   now_us_ += dt;
   comm_us_ += dt;

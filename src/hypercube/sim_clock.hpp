@@ -71,26 +71,39 @@ class SimClock {
   /// One lockstep cube-edge communication round: `max_elems` is the largest
   /// per-processor transfer, `messages`/`total_elems` feed the statistics.
   /// `dim` is the cube dimension the round crossed (-1 when the round spans
-  /// several dimensions at once — all-port, irregular neighbor exchanges —
-  /// or models front-end traffic); it feeds the tracer's per-dimension
-  /// traffic histogram only, never the cost.
+  /// several dimensions at once — all-port exchanges, relay legs — or
+  /// models front-end traffic); it feeds the tracer's per-dimension traffic
+  /// histogram only, never the cost.  The unit-hop case of
+  /// charge_comm_round: one start-up and one physical link per message.
   void charge_comm_step(std::size_t max_elems, std::size_t messages,
-                        std::size_t total_elems, int dim = -1);
+                        std::size_t total_elems, int dim = -1) {
+    charge_comm_round(1.0, static_cast<double>(max_elems), messages,
+                      total_elems, max_elems, dim, messages);
+  }
 
-  /// One lockstep round routed over a NON-unit-hop topology (mesh/torus,
-  /// dragonfly): the machine resolves every logical cube edge into
-  /// physical hops and passes the resulting charge units —
+  /// One lockstep round, general form; on a NON-unit-hop topology
+  /// (mesh/torus, dragonfly) the machine resolves every logical cube edge
+  /// into physical hops and passes the resulting charge units —
   /// `startup_units` is the largest per-message sum of per-hop start-up
   /// multipliers, `elem_units` the most loaded directed link's element
   /// count weighted by its per-element multiplier (store-and-forward
   /// lockstep contention: the busiest wire paces the round).  Advances
   /// the clock by `τ·startup_units + t_c·elem_units`; `axis` feeds the
   /// per-axis traffic histogram (-1 = mixed), `link_hops` the dilation
-  /// counter.  The unit-hop (hypercube) path never calls this.
+  /// counter.
   void charge_comm_round(double startup_units, double elem_units,
                          std::size_t messages, std::size_t total_elems,
                          std::size_t max_elems, int axis,
                          std::uint64_t link_hops);
+
+  /// Duration of one lockstep round, `τ·startup_units + t_c·elem_units` —
+  /// the one cost formula behind both comm charges above, also used to
+  /// price rounds without running them (Cube::relay_cost).
+  [[nodiscard]] double round_us(double startup_units,
+                                double elem_units) const {
+    return params_.startup_us * startup_units +
+           params_.per_elem_us * elem_units;
+  }
 
   /// One lockstep compute round: `max_flops` per-processor bound,
   /// `total_flops` over all processors.

@@ -1,5 +1,5 @@
 // Tests: all-port nESBT broadcast, Gray-code ring shifts, and the
-// neighbor-exchange / all-port machine rounds they are built on.
+// relay / all-port machine rounds they are built on.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -65,7 +65,7 @@ TEST(AllportExchange, RejectsDuplicateOrBadDims) {
 }
 
 // ---------------------------------------------------------------------------
-// neighbor_exchange
+// relay
 // ---------------------------------------------------------------------------
 
 TEST(NeighborExchange, IrregularPartnersInOneStep) {
@@ -85,7 +85,7 @@ TEST(NeighborExchange, IrregularPartnersInOneStep) {
   cube.each_proc([&](proc_t q) { buf.assign(q, 2, int(q)); });
   DistBuffer<int> got(cube);
   got.reserve_each(2);  // delivery assigns; slab growth is host-only
-  cube.neighbor_exchange<int>(
+  cube.relay<int>(
       partner, [&](proc_t q) { return std::span<const int>(buf.tile(q)); },
       [&](proc_t q, std::span<const int> in) {
         got.assign(q, in);
@@ -98,27 +98,58 @@ TEST(NeighborExchange, IrregularPartnersInOneStep) {
   EXPECT_EQ(cube.clock().stats().comm_steps, 1u);
 }
 
-TEST(NeighborExchange, RejectsNonNeighborsAndAsymmetry) {
+TEST(NeighborExchange, RejectsOutOfCubeAndRepeatedDestinations) {
   Cube cube(3, CostParams::unit());
   const auto send = [](proc_t) { return std::span<const int>{}; };
   const auto recv = [](proc_t, std::span<const int>) {};
-  // 0 <-> 3 differ in two bits.
-  EXPECT_THROW(cube.neighbor_exchange<int>(
-                   [](proc_t q) -> proc_t {
-                     return q == 0 ? 3 : (q == 3 ? 0 : q);
-                   },
-                   send, recv),
-               ContractError);
-  // Asymmetric relation.
-  EXPECT_THROW(cube.neighbor_exchange<int>(
-                   [](proc_t q) -> proc_t { return q == 0 ? 1 : q; }, send,
-                   recv),
-               ContractError);
   // A partner outside the cube: q ^ 2^dim is one bit away and symmetric,
   // but delivery would read past the staging slots.
-  EXPECT_THROW(cube.neighbor_exchange<int>(
+  EXPECT_THROW(cube.relay<int>(
                    [](proc_t q) -> proc_t { return q ^ 8u; }, send, recv),
                ContractError);
+  // Two sources for one destination: not a permutation.
+  EXPECT_THROW(cube.relay<int>(
+                   [](proc_t q) -> proc_t { return q == 2 ? 3 : q; }, send,
+                   recv),
+               ContractError);
+}
+
+TEST(Relay, CycleIsChargedAsStoreAndForwardLegs) {
+  // The 3-cycle 0 → 3 → 5 → 0 moves every message two bits.  Leg 0 leaves
+  // the sources across their lowest differing bit, which parks the
+  // messages from 0 and 3 both on node 1; leg 1 sends them on from there
+  // together, so it pays for both.
+  Cube cube(3, CostParams::unit(), pin_hypercube());
+  const auto cycle = [](proc_t q) -> proc_t {
+    switch (q) {
+      case 0: return 3;
+      case 3: return 5;
+      case 5: return 0;
+      default: return q;
+    }
+  };
+  const int payload[] = {10, 11, 12, 13, 14, 15, 16, 17};
+  std::vector<std::vector<int>> got(cube.procs());
+  const int legs = cube.relay<int>(
+      cycle, [&](proc_t q) { return std::span<const int>(payload + q, 1); },
+      [&](proc_t q, std::span<const int> in) {
+        got[q].assign(in.begin(), in.end());
+      });
+  EXPECT_EQ(legs, 2);
+  EXPECT_EQ(got[3], std::vector<int>{10});
+  EXPECT_EQ(got[5], std::vector<int>{13});
+  EXPECT_EQ(got[0], std::vector<int>{15});
+  EXPECT_TRUE(got[1].empty());
+  const SimStats& st = cube.clock().stats();
+  EXPECT_EQ(st.comm_steps, 2u);
+  EXPECT_EQ(st.messages, 6u);
+  EXPECT_EQ(st.elements_serial, 1u + 2u);
+  const CostParams u = CostParams::unit();
+  EXPECT_EQ(cube.clock().now_us(),
+            2 * u.startup_us + 3 * u.per_elem_us);
+  // relay_cost prices the same legs without touching the clock.
+  EXPECT_EQ(cube.relay_cost(cycle, 1), cube.clock().now_us());
+  EXPECT_EQ(cube.clock().stats().comm_steps, 2u);
 }
 
 // ---------------------------------------------------------------------------

@@ -108,10 +108,10 @@ TEST(PooledStaging, SteadyStateExchangeLoopNeverTouchesTheHeap) {
 }
 
 TEST(PooledStaging, SteadyStateGrayShiftLoopNeverTouchesTheHeap) {
-  // The Gray shift stages tiles AND their lengths through one pooled slab
-  // lease (no per-call DistBuffer copy, whose length vector would hit the
-  // heap every shift): after one warm pass, a repeated-shift loop at any
-  // mix of strides must be 100% pool hits.
+  // The Gray shift is one relay round, staged through the round core's
+  // persistent per-processor slots (no per-call DistBuffer copy, whose
+  // length vector would hit the heap every shift): after one warm pass, a
+  // repeated-shift loop at any mix of strides must be 100% pool hits.
   Cube cube(4, CostParams::cm2());
   const SubcubeSet sc = SubcubeSet::contiguous(0, 4);
   DistBuffer<double> buf(cube, 64);

@@ -9,6 +9,7 @@
 #include "core/primitives.hpp"
 #include "core/vector_ops.hpp"
 #include "embed/dist_matrix.hpp"
+#include "embed/dist_sparse_matrix.hpp"
 #include "embed/dist_vector.hpp"
 #include "util/workloads.hpp"
 
@@ -150,6 +151,51 @@ TEST(Contracts, GridSplitChecks) {
   Grid grid(cube, 2, 2);
   EXPECT_THROW((void)grid.at(4, 0), ContractError);
   EXPECT_THROW((void)grid.at(0, 4), ContractError);
+}
+
+// load_csr: every malformed host CSR triple is rejected before any read
+// through rowptr, and the matrix keeps what it held.
+
+struct CsrTriple {
+  std::vector<std::uint32_t> rowptr;
+  std::vector<std::uint32_t> colind;
+  std::vector<double> vals;
+};
+
+/// Load `bad` into a 4×4 sparse matrix already holding the diagonal; the
+/// load must throw ContractError and leave the diagonal in place.
+void expect_csr_rejected(const CsrTriple& bad) {
+  Cube cube(2, CostParams::unit());
+  Grid grid(cube, 1, 1);
+  DistSparseMatrix<double> S(grid, 4, 4);
+  const std::vector<std::uint32_t> rowptr{0, 1, 2, 3, 4}, colind{0, 1, 2, 3};
+  const std::vector<double> vals{1.0, 2.0, 3.0, 4.0};
+  S.load_csr(rowptr, colind, vals);
+  const std::vector<double> before = S.to_host();
+  EXPECT_THROW(S.load_csr(bad.rowptr, bad.colind, bad.vals), ContractError);
+  EXPECT_EQ(S.to_host(), before);
+  EXPECT_EQ(S.nnz(), 4u);
+}
+
+TEST(Contracts, LoadCsrRejectsRowptrNotStartingAtZero) {
+  expect_csr_rejected({{1, 1, 2, 3, 4}, {0, 1, 2, 3}, {1, 2, 3, 4}});
+}
+
+TEST(Contracts, LoadCsrRejectsRowptrPastNnz) {
+  expect_csr_rejected({{0, 1, 2, 3, 6}, {0, 1, 2, 3}, {1, 2, 3, 4}});
+}
+
+TEST(Contracts, LoadCsrRejectsDecreasingRowptr) {
+  // Rows 0 and 2 would each read three of the four entries: six in all.
+  expect_csr_rejected({{0, 3, 1, 4, 4}, {0, 1, 2, 3}, {1, 2, 3, 4}});
+}
+
+TEST(Contracts, LoadCsrRejectsUnsortedColumns) {
+  expect_csr_rejected({{0, 2, 2, 3, 4}, {1, 0, 2, 3}, {1, 2, 3, 4}});
+}
+
+TEST(Contracts, LoadCsrRejectsRepeatedColumns) {
+  expect_csr_rejected({{0, 2, 2, 3, 4}, {1, 1, 2, 3}, {1, 2, 3, 4}});
 }
 
 }  // namespace

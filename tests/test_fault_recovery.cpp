@@ -1,5 +1,5 @@
-// Machine-level fault recovery: the exchange variants and the naive router
-// under seeded fault plans.  The contract under test is the tentpole's —
+// Machine-level fault recovery: the exchange variants, relay-based ring
+// shifts and the naive router under seeded fault plans.  The contract:
 // within-budget plans change *when* and *what is charged*, never the data
 // delivered; beyond-budget plans throw FaultError instead of degrading
 // silently.
@@ -9,7 +9,9 @@
 #include <string>
 #include <vector>
 
+#include "algorithms/matmul.hpp"
 #include "comm/router.hpp"
+#include "comm/shift.hpp"
 #include "embed/realign.hpp"
 #include "hypercube/machine.hpp"
 #include "obs/report.hpp"
@@ -274,7 +276,7 @@ TEST(FaultRecovery, NeighborExchangeRecovers) {
     std::vector<std::vector<double>> payload(cube.procs());
     for (proc_t q = 0; q < cube.procs(); ++q)
       payload[q] = {static_cast<double>(q) * 3.0};
-    cube.neighbor_exchange<double>(
+    cube.relay<double>(
         [](proc_t q) { return q ^ 1u; },
         [&](proc_t q) { return std::span<const double>(payload[q]); },
         [&](proc_t q, std::span<const double> in) {
@@ -310,6 +312,104 @@ TEST(FaultRecovery, DisableFaultsRestoresTheFastPath) {
   EXPECT_EQ(got, want);
   EXPECT_EQ(cube.clock().now_us(), plain.clock().now_us());
   EXPECT_EQ(cube.clock().stats().fault_retries, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Ring shifts under faults: every store-and-forward leg of a Gray shift is
+// a lockstep round, so it consults the injector like any exchange.
+
+[[nodiscard]] Cube::Options preset_opts(TopologyKind kind) {
+  Cube::Options opts;
+  opts.topology = kind;
+  return opts;
+}
+
+/// Gray shifts at unit and multi-hop strides over ragged tiles (some
+/// empty) on the whole-cube ring; returns the final tiles.
+std::vector<std::vector<double>> shift_workout(Cube& cube) {
+  DistBuffer<double> buf(cube);
+  buf.reserve_each(6);
+  cube.each_proc([&](proc_t q) {
+    for (std::size_t j = 0; j < (std::size_t{q} * 3) % 7; ++j)
+      buf.push_back(q, static_cast<double>(q) + 0.5 * static_cast<double>(j));
+  });
+  const SubcubeSet ring = SubcubeSet::contiguous(0, cube.dim());
+  for (const int by : {1, 3, -1, -6, 5})
+    shift_blocks(cube, buf, ring, by, RingOrder::Gray);
+  std::vector<std::vector<double>> tiles;
+  cube.each_proc([&](proc_t q) { tiles.push_back(buf.host_vec(q)); });
+  return tiles;
+}
+
+/// A plan killing the physical link the Gray ring's first message
+/// (processor 0 → 1) leaves on.
+[[nodiscard]] FaultPlan dead_first_ring_link(const Cube& cube) {
+  std::vector<Hop> hops;
+  cube.topology().route(0, 1, hops);
+  FaultPlan plan;
+  plan.link_kills.push_back({/*from_round=*/0, hops.front().from,
+                             hops.front().port});
+  return plan;
+}
+
+class ShiftFaults : public ::testing::TestWithParam<TopologyKind> {};
+
+TEST_P(ShiftFaults, DeadRingNodeThrows) {
+  FaultPlan plan;
+  plan.node_kills.push_back({/*from_round=*/0, /*node=*/5});
+  Cube cube(4, CostParams::cm2(), preset_opts(GetParam()));
+  cube.enable_faults(plan);
+  EXPECT_THROW(shift_workout(cube), FaultError);
+}
+
+TEST_P(ShiftFaults, DeadLinkIsRoutedAround) {
+  Cube plain(4, CostParams::cm2(), preset_opts(GetParam()));
+  const auto want = shift_workout(plain);
+  Cube faulty(4, CostParams::cm2(), preset_opts(GetParam()));
+  faulty.enable_faults(dead_first_ring_link(faulty));
+  EXPECT_EQ(shift_workout(faulty), want);
+  EXPECT_GT(faulty.clock().stats().fault_reroutes, 0u);
+  EXPECT_GT(faulty.clock().now_us(), plain.clock().now_us());
+}
+
+TEST_P(ShiftFaults, DropsAndCorruptionAreRetried) {
+  Cube plain(4, CostParams::cm2(), preset_opts(GetParam()));
+  const auto want = shift_workout(plain);
+  Cube faulty(4, CostParams::cm2(), preset_opts(GetParam()));
+  faulty.enable_faults(FaultPlan::transient(29, /*drop=*/0.1,
+                                            /*corrupt=*/0.1));
+  EXPECT_EQ(shift_workout(faulty), want);
+  EXPECT_GT(faulty.clock().stats().fault_retries, 0u);
+  EXPECT_GT(faulty.clock().stats().fault_chksum_fails, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Presets, ShiftFaults,
+    ::testing::Values(TopologyKind::Hypercube, TopologyKind::Mesh,
+                      TopologyKind::Torus, TopologyKind::Dragonfly),
+    [](const ::testing::TestParamInfo<TopologyKind>& info) {
+      return std::string(to_string(info.param));
+    });
+
+TEST(ShiftFaults, MatmulHyperOnTheDragonflyRecovers) {
+  const auto product = [](Cube& cube) {
+    Grid grid(cube, 6, 0);
+    DistMatrix<double> A(grid, 64, 64);
+    DistMatrix<double> B(grid, 64, 64);
+    A.load(random_matrix(64, 64, 31));
+    B.load(random_matrix(64, 64, 32));
+    return matmul_hyper(A, B).to_host();
+  };
+  Cube plain(6, CostParams::cm2(), preset_opts(TopologyKind::Dragonfly));
+  const std::vector<double> want = product(plain);
+  Cube faulty(6, CostParams::cm2(), preset_opts(TopologyKind::Dragonfly));
+  FaultPlan plan = dead_first_ring_link(faulty);
+  plan.seed = 37;
+  plan.drop_prob = 0.05;
+  faulty.enable_faults(plan);
+  EXPECT_EQ(product(faulty), want);
+  EXPECT_GT(faulty.clock().stats().fault_reroutes, 0u);
+  EXPECT_GT(faulty.clock().stats().fault_retries, 0u);
 }
 
 // ---------------------------------------------------------------------------
