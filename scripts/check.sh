@@ -3,9 +3,9 @@
 #   1. tier-1: configure, build, run the quick label first (the sub-minute
 #      inner loop), then the complete test suite;
 #   2. an address+undefined sanitizer build of the library, a set of test
-#      binaries (tracer, accounting, kernels, CG, sparse properties and the
-#      exchange-round tests) and one benchmark, with the tests re-run under
-#      ASan/UBSan;
+#      binaries (tracer, accounting, kernels, CG, sparse properties, the
+#      exchange-round tests and the dense primitives) and one benchmark,
+#      with the tests re-run under ASan/UBSan;
 #   3. one benchmark in --quick mode (plus a --faults rerun), with its
 #      BENCH_*.json report and the exported Chrome trace validated against
 #      their schemas;
@@ -65,7 +65,8 @@ if [[ "$NO_SANITIZE" == 0 ]]; then
   cmake --build build-asan -j --target test_trace test_accounting \
     test_kernels test_cg test_properties_random test_allport_shift \
     test_fault_recovery test_topology test_matmul_hyper test_buffer_pool \
-    test_contracts bench_naive_vs_primitive >/dev/null
+    test_contracts test_primitives test_exhaustive_small \
+    bench_naive_vs_primitive >/dev/null
   ./build-asan/tests/test_trace
   ./build-asan/tests/test_accounting \
     --gtest_filter='Accounting.*:Charging.*:Threading.*'
@@ -79,18 +80,23 @@ if [[ "$NO_SANITIZE" == 0 ]]; then
     --gtest_filter='*Sparse*:*Reembed*'
   # The round core under ASan/UBSan: all three round kinds (exchange,
   # exchange_allport, relay), their argument checks, the fault-recovery
-  # delivery path (shift legs included), the round- and shift-charge pins
-  # on every topology preset, the hyper-systolic matmul built on relay
-  # shifts, and the staging-slot reuse checks.
+  # delivery path (shift legs included), the round-, shift- and
+  # primitive-charge pins on every topology preset, the hyper-systolic
+  # matmul built on relay shifts, and the staging-slot reuse checks.
   ./build-asan/tests/test_allport_shift
   ./build-asan/tests/test_fault_recovery
   ./build-asan/tests/test_topology \
-    --gtest_filter='*RoundCharges*:*ShiftCharges*'
+    --gtest_filter='*RoundCharges*:*ShiftCharges*:*PrimitiveCharges*'
   ./build-asan/tests/test_matmul_hyper
   ./build-asan/tests/test_buffer_pool
   # Host input validation: malformed CSR triples must be rejected before
-  # load_csr reads through rowptr.
+  # load_csr reads through rowptr; the primitives' contract table.
   ./build-asan/tests/test_contracts
+  # The dense primitive skeletons on both axes: column gathers/scatters and
+  # ranged insert windows (the sparse tile kernels run above and in the
+  # PrimitiveCharges pins).
+  ./build-asan/tests/test_primitives
+  ./build-asan/tests/test_exhaustive_small
 fi
 
 if [[ "$TSAN" == 1 ]]; then

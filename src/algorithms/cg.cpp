@@ -140,6 +140,30 @@ CgResult cg_jacobi_impl(const Mat& A, std::span<const double> b,
   return out;
 }
 
+/// The diagonal as a Cols-aligned vector; an unstored sparse diagonal
+/// entry reads as zero.
+template <class Mat>
+DistVector<double> diagonal_impl(const Mat& A) {
+  VMP_REQUIRE(A.nrows() == A.ncols(), "diagonal of a square matrix only");
+  Grid& grid = A.grid();
+  Cube& cube = grid.cube();
+  DistVector<double> diag(grid, A.ncols(), Align::Cols, A.layout().cols);
+  cube.compute(detail::max_piece(A.colmap()), A.ncols(), [&](proc_t q) {
+    const std::uint32_t R = grid.prow(q), C = grid.pcol(q);
+    const std::span<double> piece = diag.data().tile(q);
+    kern::fill(piece, 0.0);
+    for (std::size_t lc = 0; lc < A.lcols(q); ++lc) {
+      const std::size_t j = A.colmap().global(C, lc);
+      if (A.rowmap().owner(j) != R) continue;  // diagonal not in my tile
+      piece[lc] = detail::Tiles<Mat>::get(A, q, A.rowmap().local(j), lc);
+    }
+  });
+  // Each column's diagonal entry exists on exactly one grid row: a sum
+  // all-reduce replicates it to the rest.
+  allreduce_auto(cube, diag.data(), grid.within_col(), Plus<double>{});
+  return diag;
+}
+
 }  // namespace
 
 CgResult conjugate_gradient(const DistMatrix<double>& A,
@@ -163,53 +187,11 @@ CgResult conjugate_gradient_jacobi(const DistSparseMatrix<double>& A,
 }
 
 DistVector<double> extract_diagonal(const DistMatrix<double>& A) {
-  VMP_REQUIRE(A.nrows() == A.ncols(), "diagonal of a square matrix only");
-  Grid& grid = A.grid();
-  Cube& cube = grid.cube();
-  DistVector<double> diag(grid, A.ncols(), Align::Cols, A.layout().cols);
-  const std::size_t max_piece = (A.ncols() + grid.pcols() - 1) / grid.pcols();
-  cube.compute(max_piece, A.ncols(), [&](proc_t q) {
-    const std::uint32_t R = grid.prow(q), C = grid.pcol(q);
-    const std::size_t lcn = A.lcols(q);
-    const std::span<const double> blk = A.block(q);
-    const std::span<double> piece = diag.data().tile(q);
-    kern::fill(piece, 0.0);
-    for (std::size_t lc = 0; lc < lcn; ++lc) {
-      const std::size_t j = A.colmap().global(C, lc);
-      if (A.rowmap().owner(j) != R) continue;  // diagonal not in my block
-      piece[lc] = blk[A.rowmap().local(j) * lcn + lc];
-    }
-  });
-  // Each column's diagonal entry exists on exactly one grid row: a sum
-  // all-reduce replicates it to the rest.
-  allreduce_auto(cube, diag.data(), grid.within_col(), Plus<double>{});
-  return diag;
+  return diagonal_impl(A);
 }
 
 DistVector<double> extract_diagonal(const DistSparseMatrix<double>& A) {
-  VMP_REQUIRE(A.nrows() == A.ncols(), "diagonal of a square matrix only");
-  Grid& grid = A.grid();
-  Cube& cube = grid.cube();
-  DistVector<double> diag(grid, A.ncols(), Align::Cols, A.layout().cols);
-  const std::size_t max_piece = (A.ncols() + grid.pcols() - 1) / grid.pcols();
-  cube.compute(max_piece, A.ncols(), [&](proc_t q) {
-    const std::uint32_t R = grid.prow(q), C = grid.pcol(q);
-    const std::size_t lcn = A.lcols(q);
-    const std::span<double> piece = diag.data().tile(q);
-    kern::fill(piece, 0.0);
-    const auto rp = A.tile_rowptr(q);
-    const auto va = A.tile_vals(q);
-    for (std::size_t lc = 0; lc < lcn; ++lc) {
-      const std::size_t j = A.colmap().global(C, lc);
-      if (A.rowmap().owner(j) != R) continue;  // diagonal not in my tile
-      const std::size_t lr = A.rowmap().local(j);
-      const std::size_t k =
-          detail::find_in_row(A, q, lr, static_cast<std::uint32_t>(lc));
-      if (k < rp[lr + 1]) piece[lc] = va[k];  // unstored diagonal stays 0
-    }
-  });
-  allreduce_auto(cube, diag.data(), grid.within_col(), Plus<double>{});
-  return diag;
+  return diagonal_impl(A);
 }
 
 }  // namespace vmp

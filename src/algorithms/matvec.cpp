@@ -10,7 +10,7 @@ namespace vmp {
 
 DistVector<double> matvec(const DistMatrix<double>& A,
                           const DistVector<double>& x) {
-  detail::require_cols_aligned("matvec", A, x);
+  detail::require_line("matvec", A, Axis::Row, x);
   VMP_TRACE(A.grid().cube(), "matvec");
   const DistMatrix<double> X = distribute(x, Axis::Row, A.nrows(), A.layout().rows);
   const DistMatrix<double> P = hadamard(A, X);
@@ -19,7 +19,7 @@ DistVector<double> matvec(const DistMatrix<double>& A,
 
 DistVector<double> matvec_fused(const DistMatrix<double>& A,
                                 const DistVector<double>& x) {
-  detail::require_cols_aligned("matvec_fused", A, x);
+  detail::require_line("matvec_fused", A, Axis::Row, x);
   Grid& grid = A.grid();
   Cube& cube = grid.cube();
   VMP_TRACE(cube, "matvec_fused");
@@ -38,7 +38,7 @@ DistVector<double> matvec_fused(const DistMatrix<double>& A,
 
 DistVector<double> vecmat(const DistVector<double>& x,
                           const DistMatrix<double>& A) {
-  detail::require_rows_aligned("vecmat", A, x);
+  detail::require_line("vecmat", A, Axis::Col, x);
   VMP_TRACE(A.grid().cube(), "vecmat");
   const DistMatrix<double> X = distribute(x, Axis::Col, A.ncols(), A.layout().cols);
   const DistMatrix<double> P = hadamard(A, X);
@@ -47,7 +47,7 @@ DistVector<double> vecmat(const DistVector<double>& x,
 
 DistVector<double> vecmat_fused(const DistVector<double>& x,
                                 const DistMatrix<double>& A) {
-  detail::require_rows_aligned("vecmat_fused", A, x);
+  detail::require_line("vecmat_fused", A, Axis::Col, x);
   Grid& grid = A.grid();
   Cube& cube = grid.cube();
   VMP_TRACE(cube, "vecmat_fused");

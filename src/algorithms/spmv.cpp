@@ -9,7 +9,7 @@ namespace vmp {
 
 DistVector<double> spmv(const DistSparseMatrix<double>& A,
                         const DistVector<double>& x) {
-  detail::require_cols_aligned("spmv", A, x);
+  detail::require_line("spmv", A, Axis::Row, x);
   VMP_TRACE(A.grid().cube(), "spmv");
   const DistSparseMatrix<double> X = distribute_like(A, x, Axis::Row);
   const DistSparseMatrix<double> P = hadamard(A, X);
@@ -18,7 +18,7 @@ DistVector<double> spmv(const DistSparseMatrix<double>& A,
 
 DistVector<double> spmv_fused(const DistSparseMatrix<double>& A,
                               const DistVector<double>& x) {
-  detail::require_cols_aligned("spmv_fused", A, x);
+  detail::require_line("spmv_fused", A, Axis::Row, x);
   Grid& grid = A.grid();
   Cube& cube = grid.cube();
   VMP_TRACE(cube, "spmv_fused");

@@ -1,13 +1,14 @@
 /// \file sparse_primitives.hpp
-/// \brief The four primitives over sparse (CSR-tiled) matrices.
+/// \brief The four primitives over sparse (CSR-tiled) matrices: CSR tile
+///        kernels for core/primitives.hpp, distribute_like, hadamard.
 ///
-/// Same contracts, same communication structure, same trace-region names
-/// as the dense forms in core/primitives.hpp — only the local work
-/// changes: folds and gathers walk stored entries (charged by tile nnz,
-/// the sparse counterpart of max_block), and the write forms are
-/// PATTERN-PRESERVING: insert_row/col and hadamard touch only stored
-/// slots; an unstored slot stays an implicit zero.  That is the contract
-/// that keeps the CSR arenas alloc-free in steady state.
+/// Same skeletons, so the same contracts, communication structure and
+/// trace-region names as the dense forms — only the local work changes:
+/// folds and gathers walk stored entries (charged by tile nnz, the sparse
+/// counterpart of max_block), and the write forms are PATTERN-PRESERVING:
+/// insert_row/col, distribute_like and hadamard touch only stored slots;
+/// an unstored slot stays an implicit zero.  That is the contract that
+/// keeps the CSR arenas alloc-free in steady state.
 ///
 /// Bit-identity with the densified reference: for op = Plus over finite
 /// data, skipping a zero entry is bitwise identical to adding it (adding
@@ -18,9 +19,7 @@
 /// so they are deliberately not densify-equivalent.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
-#include <vector>
 
 #include "core/primitives.hpp"
 #include "embed/dist_sparse_matrix.hpp"
@@ -29,65 +28,78 @@ namespace vmp {
 
 namespace detail {
 
-/// Index of local column slot `lc` in row lr's stored segment, or the
-/// segment end if unstored (ascending colind within a row ⇒ binary search).
+/// CSR tiles over local (lr, lc) slots; see Tiles in core/primitives.hpp.
+/// read yields a dense line (unstored slots are zero); write and spread
+/// touch stored slots only.
 template <class T>
-[[nodiscard]] std::size_t find_in_row(const DistSparseMatrix<T>& A, proc_t q,
-                                      std::size_t lr, std::uint32_t lc) {
-  const auto rp = A.tile_rowptr(q);
-  const auto ci = A.tile_colind(q);
-  const auto* b = ci.data() + rp[lr];
-  const auto* e = ci.data() + rp[lr + 1];
-  const auto* it = std::lower_bound(b, e, lc);
-  if (it == e || *it != lc) return static_cast<std::size_t>(rp[lr + 1]);
-  return static_cast<std::size_t>(it - ci.data());
-}
+struct Tiles<DistSparseMatrix<T>> {
+  [[nodiscard]] static Work work(const DistSparseMatrix<T>& A) {
+    return {A.max_tile_nnz(), A.nnz()};
+  }
+
+  template <class Op>
+  static void fold(const DistSparseMatrix<T>& A, Axis axis, proc_t q,
+                   const Op& op, std::span<T> out) {
+    if (axis == Axis::Row) {
+      const std::size_t lrn = A.lrows(q);
+      kern::fold_sparse(A.tile_rowptr(q), A.tile_vals(q), lrn, op.identity(),
+                        out.first(lrn), kern::op_fn(op));
+    } else {
+      kern::fill(out, op.identity());
+      kern::fold_sparse_cols(A.tile_colind(q), A.tile_vals(q), out,
+                             kern::op_fn(op));
+    }
+  }
+
+  static void read(const DistSparseMatrix<T>& A, Axis axis, proc_t q,
+                   std::size_t l, std::span<T> out) {
+    if (axis == Axis::Row) {
+      kern::fill(out, T{});
+      const auto rp = A.tile_rowptr(q);
+      const auto ci = A.tile_colind(q);
+      const auto va = A.tile_vals(q);
+      for (std::uint32_t k = rp[l]; k < rp[l + 1]; ++k) out[ci[k]] = va[k];
+    } else {
+      for (std::size_t lr = 0; lr < A.lrows(q); ++lr)
+        out[lr] = get(A, q, lr, l);
+    }
+  }
+
+  static void write(DistSparseMatrix<T>& A, Axis axis, proc_t q,
+                    std::size_t l, std::span<const T> in, std::size_t lo,
+                    std::size_t hi) {
+    const std::span<T> va = A.tile_vals(q);
+    if (axis == Axis::Row) {
+      const auto rp = A.tile_rowptr(q);
+      const auto ci = A.tile_colind(q);
+      for (std::uint32_t k = rp[l]; k < rp[l + 1]; ++k)
+        if (ci[k] >= lo && ci[k] < hi) va[k] = in[ci[k]];
+    } else {
+      for (std::size_t lr = lo; lr < hi; ++lr) {
+        const std::size_t k = A.find(q, lr, l);
+        if (k != DistSparseMatrix<T>::npos) va[k] = in[lr];
+      }
+    }
+  }
+
+  static void spread(DistSparseMatrix<T>& A, Axis axis, proc_t q,
+                     std::span<const T> piece) {
+    const std::span<T> va = A.tile_vals(q);
+    const auto rp = A.tile_rowptr(q);
+    const auto ci = A.tile_colind(q);
+    for (std::size_t lr = 0; lr < A.lrows(q); ++lr)
+      for (std::uint32_t k = rp[lr]; k < rp[lr + 1]; ++k)
+        va[k] = piece[axis == Axis::Row ? ci[k] : lr];
+  }
+
+  [[nodiscard]] static T get(const DistSparseMatrix<T>& A, proc_t q,
+                             std::size_t lr, std::size_t lc) {
+    const std::size_t k = A.find(q, lr, lc);
+    return k == DistSparseMatrix<T>::npos ? T{} : A.tile_vals(q)[k];
+  }
+};
 
 }  // namespace detail
-
-// ---------------------------------------------------------------------------
-// reduce
-// ---------------------------------------------------------------------------
-
-/// Fold each row's STORED entries with `op`: out[i] = op-fold over stored
-/// j of A[i][j], seeded with op.identity().  Rows-aligned result.
-template <class T, class Op>
-[[nodiscard]] DistVector<T> reduce_rows(const DistSparseMatrix<T>& A, Op op) {
-  Grid& grid = A.grid();
-  Cube& cube = grid.cube();
-  VMP_TRACE(cube, "reduce_rows");
-  const auto batch = cube.session();
-  DistVector<T> out(grid, A.nrows(), Align::Rows, A.layout().rows);
-  cube.compute(A.max_tile_nnz(), A.nnz(), [&](proc_t q) {
-    const std::size_t lrn = A.lrows(q);
-    kern::fold_sparse(A.tile_rowptr(q), A.tile_vals(q), lrn, op.identity(),
-                      out.data().tile(q).first(lrn), kern::op_fn(op));
-  });
-  allreduce_auto(cube, out.data(), grid.within_row(), op);
-  return out;
-}
-
-/// Fold each column's STORED entries with `op`.  Cols-aligned result.
-template <class T, class Op>
-[[nodiscard]] DistVector<T> reduce_cols(const DistSparseMatrix<T>& A, Op op) {
-  Grid& grid = A.grid();
-  Cube& cube = grid.cube();
-  VMP_TRACE(cube, "reduce_cols");
-  const auto batch = cube.session();
-  DistVector<T> out(grid, A.ncols(), Align::Cols, A.layout().cols);
-  cube.compute(A.max_tile_nnz(), A.nnz(), [&](proc_t q) {
-    const std::span<T> piece = out.data().tile(q);
-    kern::fill(piece, op.identity());
-    kern::fold_sparse_cols(A.tile_colind(q), A.tile_vals(q), piece,
-                           kern::op_fn(op));
-  });
-  allreduce_auto(cube, out.data(), grid.within_col(), op);
-  return out;
-}
-
-// ---------------------------------------------------------------------------
-// distribute
-// ---------------------------------------------------------------------------
 
 /// Replicate v onto A's sparsity pattern: out has A's pattern with
 /// out[i][j] = v[j] (Axis::Row, v Cols-aligned) or v[i] (Axis::Col, v
@@ -98,156 +110,10 @@ template <class T>
 [[nodiscard]] DistSparseMatrix<T> distribute_like(const DistSparseMatrix<T>& A,
                                                   const DistVector<T>& v,
                                                   Axis axis) {
-  if (axis == Axis::Row) {
-    detail::require_cols_aligned("distribute_like", A, v);
-  } else {
-    detail::require_rows_aligned("distribute_like", A, v);
-  }
-  Grid& grid = A.grid();
-  Cube& cube = grid.cube();
-  VMP_TRACE(cube, "distribute_like");
-  const auto batch = cube.session();
-  DistSparseMatrix<T> out(grid, A.nrows(), A.ncols(), A.layout());
-  out.reserve_tiles(A.max_tile_nnz());
-  cube.compute(A.max_tile_nnz(), A.nnz(), [&](proc_t q) {
-    const auto rp = A.tile_rowptr(q);
-    const auto ci = A.tile_colind(q);
-    const std::span<const T> piece = v.piece(q);
-    std::vector<T> vals(ci.size());
-    if (axis == Axis::Row) {
-      for (std::size_t k = 0; k < ci.size(); ++k) vals[k] = piece[ci[k]];
-    } else {
-      for (std::size_t lr = 0; lr < A.lrows(q); ++lr)
-        for (std::uint32_t k = rp[lr]; k < rp[lr + 1]; ++k)
-          vals[k] = piece[lr];
-    }
-    out.assign_tile(q, rp, ci, vals);
-  });
-  out.finalize();
-  return out;
+  detail::require_line("distribute_like", A, axis, v);
+  return detail::distribute_onto("distribute_like", v, axis,
+                                 [&] { return A; });
 }
-
-// ---------------------------------------------------------------------------
-// extract
-// ---------------------------------------------------------------------------
-
-/// Pull row i of A into a DENSE Cols-aligned vector (unstored slots are
-/// zero), broadcast from the owner row — same communication as dense
-/// extract_row.
-template <class T>
-[[nodiscard]] DistVector<T> extract_row(const DistSparseMatrix<T>& A,
-                                        std::size_t i) {
-  detail::require_row_index("extract_row", A, i);
-  Grid& grid = A.grid();
-  Cube& cube = grid.cube();
-  VMP_TRACE(cube, "extract_row");
-  const auto batch = cube.session();
-  DistVector<T> out(grid, A.ncols(), Align::Cols, A.layout().cols);
-  const std::uint32_t R = A.rowmap().owner(i);
-  const std::size_t lr = A.rowmap().local(i);
-  const std::size_t max_piece =
-      (A.ncols() + grid.pcols() - 1) / grid.pcols();
-  cube.compute(max_piece, A.ncols(), [&](proc_t q) {
-    if (grid.prow(q) != R) return;
-    const std::span<T> piece = out.data().tile(q);
-    kern::fill(piece, T{});
-    const auto rp = A.tile_rowptr(q);
-    const auto ci = A.tile_colind(q);
-    const auto va = A.tile_vals(q);
-    for (std::uint32_t k = rp[lr]; k < rp[lr + 1]; ++k) piece[ci[k]] = va[k];
-  });
-  broadcast_auto(cube, out.data(), grid.within_col(), R,
-                 [&](proc_t q) { return out.map().size(out.rank_of(q)); });
-  return out;
-}
-
-/// Pull column j of A into a dense Rows-aligned vector.
-template <class T>
-[[nodiscard]] DistVector<T> extract_col(const DistSparseMatrix<T>& A,
-                                        std::size_t j) {
-  detail::require_col_index("extract_col", A, j);
-  Grid& grid = A.grid();
-  Cube& cube = grid.cube();
-  VMP_TRACE(cube, "extract_col");
-  const auto batch = cube.session();
-  DistVector<T> out(grid, A.nrows(), Align::Rows, A.layout().rows);
-  const std::uint32_t C = A.colmap().owner(j);
-  const auto lc = static_cast<std::uint32_t>(A.colmap().local(j));
-  const std::size_t max_piece =
-      (A.nrows() + grid.prows() - 1) / grid.prows();
-  cube.compute(max_piece, A.nrows(), [&](proc_t q) {
-    if (grid.pcol(q) != C) return;
-    const std::span<T> piece = out.data().tile(q);
-    const auto rp = A.tile_rowptr(q);
-    const auto va = A.tile_vals(q);
-    for (std::size_t lr = 0; lr < A.lrows(q); ++lr) {
-      const std::size_t k = detail::find_in_row(A, q, lr, lc);
-      piece[lr] = k < rp[lr + 1] ? va[k] : T{};
-    }
-  });
-  broadcast_auto(cube, out.data(), grid.within_row(), C,
-                 [&](proc_t q) { return out.map().size(out.rank_of(q)); });
-  return out;
-}
-
-// ---------------------------------------------------------------------------
-// insert (pattern-preserving)
-// ---------------------------------------------------------------------------
-
-/// Overwrite row i's STORED entries with the matching elements of a
-/// Cols-aligned vector; unstored slots keep their implicit zero.  Purely
-/// local, like dense insert_row.
-template <class T>
-void insert_row(DistSparseMatrix<T>& A, std::size_t i,
-                const DistVector<T>& v) {
-  detail::require_row_index("insert_row", A, i);
-  detail::require_cols_aligned("insert_row", A, v);
-  Grid& grid = A.grid();
-  VMP_TRACE(grid.cube(), "insert_row");
-  const auto batch = grid.cube().session();
-  const std::uint32_t R = A.rowmap().owner(i);
-  const std::size_t lr = A.rowmap().local(i);
-  const std::size_t max_piece =
-      (A.ncols() + grid.pcols() - 1) / grid.pcols();
-  grid.cube().compute(max_piece, A.ncols(), [&](proc_t q) {
-    if (grid.prow(q) != R) return;
-    const auto rp = A.tile_rowptr(q);
-    const auto ci = A.tile_colind(q);
-    const std::span<T> va = A.tile_vals(q);
-    const std::span<const T> piece = v.piece(q);
-    for (std::uint32_t k = rp[lr]; k < rp[lr + 1]; ++k) va[k] = piece[ci[k]];
-  });
-}
-
-/// Overwrite column j's STORED entries with the matching elements of a
-/// Rows-aligned vector; unstored slots keep their implicit zero.
-template <class T>
-void insert_col(DistSparseMatrix<T>& A, std::size_t j,
-                const DistVector<T>& v) {
-  detail::require_col_index("insert_col", A, j);
-  detail::require_rows_aligned("insert_col", A, v);
-  Grid& grid = A.grid();
-  VMP_TRACE(grid.cube(), "insert_col");
-  const auto batch = grid.cube().session();
-  const std::uint32_t C = A.colmap().owner(j);
-  const auto lc = static_cast<std::uint32_t>(A.colmap().local(j));
-  const std::size_t max_piece =
-      (A.nrows() + grid.prows() - 1) / grid.prows();
-  grid.cube().compute(max_piece, A.nrows(), [&](proc_t q) {
-    if (grid.pcol(q) != C) return;
-    const auto rp = A.tile_rowptr(q);
-    const std::span<T> va = A.tile_vals(q);
-    const std::span<const T> piece = v.piece(q);
-    for (std::size_t lr = 0; lr < A.lrows(q); ++lr) {
-      const std::size_t k = detail::find_in_row(A, q, lr, lc);
-      if (k < rp[lr + 1]) va[k] = piece[lr];
-    }
-  });
-}
-
-// ---------------------------------------------------------------------------
-// elementwise
-// ---------------------------------------------------------------------------
 
 /// Elementwise product over a SHARED pattern: A and B must have the same
 /// embedding and pattern; out has that pattern with out_k = a_k · b_k.
@@ -256,43 +122,12 @@ template <class T>
 [[nodiscard]] DistSparseMatrix<T> hadamard(const DistSparseMatrix<T>& A,
                                            const DistSparseMatrix<T>& B) {
   VMP_REQUIRE(A.aligned_with(B), "hadamard operands must be aligned");
-  DistSparseMatrix<T> C(A.grid(), A.nrows(), A.ncols(), A.layout());
-  C.reserve_tiles(A.max_tile_nnz());
+  DistSparseMatrix<T> C = A;  // A's pattern; the values are overwritten
   A.grid().cube().compute(A.max_tile_nnz(), A.nnz(), [&](proc_t q) {
-    const auto va = A.tile_vals(q);
-    const auto vb = B.tile_vals(q);
-    std::vector<T> vals(va.size());
-    kern::zip_into(va, vb, std::span<T>(vals), kern::op_fn(Multiply<T>{}));
-    C.assign_tile(q, A.tile_rowptr(q), A.tile_colind(q), vals);
+    kern::zip_into(A.tile_vals(q), B.tile_vals(q), C.tile_vals(q),
+                   kern::op_fn(Multiply<T>{}));
   });
-  C.finalize();
   return C;
-}
-
-// ---------------------------------------------------------------------------
-// Axis-generic forms
-// ---------------------------------------------------------------------------
-
-template <class T, class Op>
-[[nodiscard]] DistVector<T> reduce(const DistSparseMatrix<T>& A, Axis axis,
-                                   Op op) {
-  return axis == Axis::Row ? reduce_rows(A, op) : reduce_cols(A, op);
-}
-
-template <class T>
-[[nodiscard]] DistVector<T> extract(const DistSparseMatrix<T>& A, Axis axis,
-                                    std::size_t i) {
-  return axis == Axis::Row ? extract_row(A, i) : extract_col(A, i);
-}
-
-template <class T>
-void insert(DistSparseMatrix<T>& A, Axis axis, std::size_t i,
-            const DistVector<T>& v) {
-  if (axis == Axis::Row) {
-    insert_row(A, i, v);
-  } else {
-    insert_col(A, i, v);
-  }
 }
 
 }  // namespace vmp

@@ -7,98 +7,82 @@
 
 #include "comm/collectives.hpp"
 #include "core/kernels.hpp"
+#include "core/primitives.hpp"
 #include "embed/dist_matrix.hpp"
 
 namespace vmp {
 
-/// Exchange rows i and j of A.
+namespace detail {
+
+/// Exchange lines i and j of A along `axis` (rows for Axis::Row).
 template <class T>
-void swap_rows(DistMatrix<T>& A, std::size_t i, std::size_t j) {
-  VMP_REQUIRE(i < A.nrows() && j < A.nrows(), "row index out of range");
+void swap_lines(const char* primitive, DistMatrix<T>& A, Axis axis,
+                std::size_t i, std::size_t j) {
+  require_index(primitive, A, axis, i);
+  require_index(primitive, A, axis, j);
   if (i == j) return;
   Grid& grid = A.grid();
   Cube& cube = grid.cube();
-  const std::uint32_t Ri = A.rowmap().owner(i), Rj = A.rowmap().owner(j);
-  const std::size_t li = A.rowmap().local(i), lj = A.rowmap().local(j);
-  const std::size_t max_piece = (A.ncols() + grid.pcols() - 1) / grid.pcols();
+  const bool row = axis == Axis::Row;
+  const AxisMap& lines = line_map(A, axis);
+  const std::uint32_t Oi = lines.owner(i), Oj = lines.owner(j);
+  const std::size_t li = lines.local(i), lj = lines.local(j);
+  // Flat block offset of line slot l, along slot s, in a tile lcn wide.
+  const auto flat = [row](std::size_t l, std::size_t s, std::size_t lcn) {
+    return row ? l * lcn + s : s * lcn + l;
+  };
 
-  if (Ri == Rj) {  // both rows in the same block: purely local swap
-    cube.compute(2 * max_piece, 2 * A.ncols(), [&](proc_t q) {
-      if (grid.prow(q) != Ri) return;
+  if (Oi == Oj) {  // both lines in the same block: purely local swap
+    const AxisMap& along = along_map(A, axis);
+    cube.compute(2 * max_piece(along), 2 * along.n(), [&](proc_t q) {
+      if (owner_coord(grid, axis, q) != Oi) return;
       const std::size_t lcn = A.lcols(q);
+      const std::size_t len = row ? lcn : A.lrows(q);
       std::span<T> blk = A.block(q);
-      for (std::size_t lc = 0; lc < lcn; ++lc)
-        std::swap(blk[li * lcn + lc], blk[lj * lcn + lc]);
+      for (std::size_t s = 0; s < len; ++s)
+        std::swap(blk[flat(li, s, lcn)], blk[flat(lj, s, lcn)]);
     });
     return;
   }
 
-  // Owner groups trade pieces along the grid-column subcubes; the tag
-  // encodes the destination local offset.
+  // Owner groups trade pieces along the spanning subcubes; the tag
+  // encodes the destination flat offset.
   DistBuffer<RouteItem<T>> items(cube);
   cube.each_proc([&](proc_t q) {
-    const std::uint32_t R = grid.prow(q);
-    if (R != Ri && R != Rj) return;
-    const bool mine_is_i = (R == Ri);
+    const std::uint32_t O = owner_coord(grid, axis, q);
+    if (O != Oi && O != Oj) return;
+    const bool mine_is_i = (O == Oi);
     const std::size_t lsrc = mine_is_i ? li : lj;
     const std::size_t ldst = mine_is_i ? lj : li;
-    const proc_t dst = grid.at(mine_is_i ? Rj : Ri, grid.pcol(q));
+    const std::uint32_t Odst = mine_is_i ? Oj : Oi;
+    const proc_t dst =
+        row ? grid.at(Odst, grid.pcol(q)) : grid.at(grid.prow(q), Odst);
     const std::size_t lcn = A.lcols(q);
+    const std::size_t lcn_dst = row ? lcn : A.colmap().size(Odst);
+    const std::size_t len = row ? lcn : A.lrows(q);
     const std::span<const T> blk = A.block(q);
-    for (std::size_t lc = 0; lc < lcn; ++lc)
-      items.push_back(q,
-          RouteItem<T>{dst, ldst * lcn + lc, blk[lsrc * lcn + lc]});
+    for (std::size_t s = 0; s < len; ++s)
+      items.push_back(q, RouteItem<T>{dst, flat(ldst, s, lcn_dst),
+                                      blk[flat(lsrc, s, lcn)]});
   });
-  route_within(cube, items, grid.within_col());
+  route_within(cube, items, spanning(grid, axis));
   cube.each_proc([&](proc_t q) {
     kern::scatter_tagged(items.tile(q), A.data().tile(q));
   });
 }
 
+}  // namespace detail
+
+/// Exchange rows i and j of A.
+template <class T>
+void swap_rows(DistMatrix<T>& A, std::size_t i, std::size_t j) {
+  detail::swap_lines("swap_rows", A, Axis::Row, i, j);
+}
+
 /// Exchange columns i and j of A.
 template <class T>
 void swap_cols(DistMatrix<T>& A, std::size_t i, std::size_t j) {
-  VMP_REQUIRE(i < A.ncols() && j < A.ncols(), "column index out of range");
-  if (i == j) return;
-  Grid& grid = A.grid();
-  Cube& cube = grid.cube();
-  const std::uint32_t Ci = A.colmap().owner(i), Cj = A.colmap().owner(j);
-  const std::size_t li = A.colmap().local(i), lj = A.colmap().local(j);
-  const std::size_t max_piece = (A.nrows() + grid.prows() - 1) / grid.prows();
-
-  if (Ci == Cj) {
-    cube.compute(2 * max_piece, 2 * A.nrows(), [&](proc_t q) {
-      if (grid.pcol(q) != Ci) return;
-      const std::size_t lcn = A.lcols(q);
-      const std::size_t lrn = A.lrows(q);
-      std::span<T> blk = A.block(q);
-      for (std::size_t lr = 0; lr < lrn; ++lr)
-        std::swap(blk[lr * lcn + li], blk[lr * lcn + lj]);
-    });
-    return;
-  }
-
-  DistBuffer<RouteItem<T>> items(cube);
-  cube.each_proc([&](proc_t q) {
-    const std::uint32_t C = grid.pcol(q);
-    if (C != Ci && C != Cj) return;
-    const bool mine_is_i = (C == Ci);
-    const std::size_t lsrc = mine_is_i ? li : lj;
-    const std::size_t ldst = mine_is_i ? lj : li;
-    const std::uint32_t Cdst = mine_is_i ? Cj : Ci;
-    const proc_t dst = grid.at(grid.prow(q), Cdst);
-    const std::size_t lcn = A.lcols(q);
-    const std::size_t lcn_dst = A.colmap().size(Cdst);
-    const std::size_t lrn = A.lrows(q);
-    const std::span<const T> blk = A.block(q);
-    for (std::size_t lr = 0; lr < lrn; ++lr)
-      items.push_back(q,
-          RouteItem<T>{dst, lr * lcn_dst + ldst, blk[lr * lcn + lsrc]});
-  });
-  route_within(cube, items, grid.within_row());
-  cube.each_proc([&](proc_t q) {
-    kern::scatter_tagged(items.tile(q), A.data().tile(q));
-  });
+  detail::swap_lines("swap_cols", A, Axis::Col, i, j);
 }
 
 }  // namespace vmp

@@ -21,6 +21,8 @@ namespace vmp {
 template <class T>
 class DistMatrix {
  public:
+  using value_type = T;
+
   /// An nrows × ncols matrix of value-initialized elements.
   DistMatrix(Grid& grid, std::size_t nrows, std::size_t ncols,
              MatrixLayout layout = {})

@@ -40,6 +40,8 @@ namespace vmp {
 template <class T>
 class DistSparseMatrix {
  public:
+  using value_type = T;
+
   /// An empty (all-zero) nrows × ncols sparse matrix.
   DistSparseMatrix(Grid& grid, std::size_t nrows, std::size_t ncols,
                    MatrixLayout layout = {})
@@ -84,11 +86,27 @@ class DistSparseMatrix {
   [[nodiscard]] std::span<const T> tile_vals(proc_t q) const {
     return vals_.on(q);
   }
-  /// Mutable values (pattern-preserving updates: insert_row/col, hadamard).
+  /// Mutable values (pattern-preserving updates: insert_row/col,
+  /// distribute_like, hadamard).
   [[nodiscard]] std::span<T> tile_vals(proc_t q) { return vals_.on(q); }
 
   [[nodiscard]] DistBuffer<T>& vals() { return vals_; }
   [[nodiscard]] const DistBuffer<T>& vals() const { return vals_; }
+
+  /// find()'s answer for an unstored slot.
+  static constexpr std::size_t npos = static_cast<std::size_t>(-1);
+
+  /// Index of local entry (lr, lc) in tile q's colind/vals, or npos if it
+  /// is not stored (colind ascends within a row ⇒ binary search).
+  [[nodiscard]] std::size_t find(proc_t q, std::size_t lr,
+                                 std::size_t lc) const {
+    const auto rp = tile_rowptr(q);
+    const auto ci = tile_colind(q);
+    const auto* e = ci.data() + rp[lr + 1];
+    const auto* it = std::lower_bound(ci.data() + rp[lr], e, lc);
+    if (it == e || *it != lc) return npos;
+    return static_cast<std::size_t>(it - ci.data());
+  }
 
   /// True if `other` has the same embedding and the same per-tile entry
   /// counts (the cheap alignment check the elementwise paths use; the
@@ -239,15 +257,8 @@ class DistSparseMatrix {
   /// Host-side single-element read; zero for unstored slots.
   [[nodiscard]] T at(std::size_t i, std::size_t j) const {
     const proc_t q = owner(i, j);
-    const std::size_t lr = rowmap().local(i);
-    const auto lc = static_cast<std::uint32_t>(colmap().local(j));
-    const auto rp = tile_rowptr(q);
-    const auto ci = tile_colind(q);
-    const auto* b = ci.data() + rp[lr];
-    const auto* e = ci.data() + rp[lr + 1];
-    const auto* it = std::lower_bound(b, e, lc);
-    if (it == e || *it != lc) return T{};
-    return tile_vals(q)[static_cast<std::size_t>(it - ci.data())];
+    const std::size_t k = find(q, rowmap().local(i), colmap().local(j));
+    return k == npos ? T{} : tile_vals(q)[k];
   }
 
  private:

@@ -3,10 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
+#include "algorithms/matvec.hpp"
+#include "algorithms/spmv.hpp"
 #include "comm/collectives.hpp"
 #include "comm/router.hpp"
 #include "core/primitives.hpp"
+#include "core/sparse_primitives.hpp"
+#include "core/swap.hpp"
 #include "core/vector_ops.hpp"
 #include "embed/dist_matrix.hpp"
 #include "embed/dist_sparse_matrix.hpp"
@@ -152,6 +157,201 @@ TEST(Contracts, GridSplitChecks) {
   EXPECT_THROW((void)grid.at(4, 0), ContractError);
   EXPECT_THROW((void)grid.at(0, 4), ContractError);
 }
+
+// --------------------------------------------------------------------------
+// The contract table: every primitive × axis × storage.  A bad line index
+// or range raises ShapeError; a vector with the wrong alignment, partition
+// kind or grid raises AlignError; a wrong length raises ShapeError.  The
+// message names the call, and a rejected call leaves its operand and the
+// simulated clock untouched.  (reduce takes no index and no vector, so it
+// has nothing to reject.)
+
+/// A 6×5 Block matrix in both storages on a 2×4 grid of an 8-node cube,
+/// plus a second grid over the same cube.
+struct ContractBed {
+  Cube cube{3, CostParams::unit()};
+  Grid grid{cube, 1, 2};
+  Grid other{cube, 1, 2};
+  DistMatrix<double> dense{grid, 6, 5};
+  DistSparseMatrix<double> sparse{grid, 6, 5};
+
+  ContractBed() {
+    dense.load(random_matrix(6, 5, 11));
+    const HostCsr h = power_law_csr(6, 5, 2.0, 1.0, 11);
+    sparse.load_csr(h.rowptr, h.colind, h.vals);
+  }
+
+  /// Vectors laid out like one line along `axis` (a row is Cols-aligned,
+  /// of length ncols), and the four ways to get that wrong.
+  struct Lines {
+    DistVector<double> good, crossed, cyclic, foreign, short_by_one;
+  };
+  [[nodiscard]] Lines lines(Axis axis) {
+    const bool row = axis == Axis::Row;
+    const std::size_t n = row ? 5 : 6;
+    const Align align = row ? Align::Cols : Align::Rows;
+    return {DistVector<double>(grid, n, align),
+            DistVector<double>(grid, n, row ? Align::Rows : Align::Cols),
+            DistVector<double>(grid, n, align, Part::Cyclic),
+            DistVector<double>(other, n, align),
+            DistVector<double>(grid, n - 1, align)};
+  }
+};
+
+/// `call` must throw E whose message starts with "<name>: ", and leave
+/// `operand` (anything with to_host()) and the clock as they were.
+template <class E, class Operand, class Call>
+void expect_rejected(Cube& cube, const Operand& operand,
+                     const std::string& name, Call&& call) {
+  SCOPED_TRACE(name);
+  const auto before = operand.to_host();
+  const double t0 = cube.clock().now_us();
+  try {
+    call();
+    ADD_FAILURE() << "accepted";
+  } catch (const E& e) {
+    EXPECT_EQ(std::string(e.what()).rfind(name + ": ", 0), 0u) << e.what();
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "wrong error type: " << e.what();
+  }
+  EXPECT_EQ(operand.to_host(), before);
+  EXPECT_EQ(cube.clock().now_us(), t0);
+}
+
+/// extract and insert, both axes, on either storage.
+template <class Mat>
+void expect_line_contracts(ContractBed& bed, Mat& A) {
+  for (const Axis axis : {Axis::Row, Axis::Col}) {
+    const bool row = axis == Axis::Row;
+    const std::string ext = row ? "extract_row" : "extract_col";
+    const std::string ins = row ? "insert_row" : "insert_col";
+    const std::size_t past_end = row ? A.nrows() : A.ncols();
+    const ContractBed::Lines v = bed.lines(axis);
+    expect_rejected<ShapeError>(bed.cube, A, ext,
+                                [&] { (void)extract(A, axis, past_end); });
+    expect_rejected<ShapeError>(bed.cube, A, ins,
+                                [&] { insert(A, axis, past_end, v.good); });
+    for (const DistVector<double>* bad : {&v.crossed, &v.cyclic, &v.foreign})
+      expect_rejected<AlignError>(bed.cube, A, ins,
+                                  [&] { insert(A, axis, 0, *bad); });
+    expect_rejected<ShapeError>(bed.cube, A, ins,
+                                [&] { insert(A, axis, 0, v.short_by_one); });
+    EXPECT_NO_THROW(insert(A, axis, 0, v.good));
+  }
+}
+
+TEST(ContractTable, ExtractAndInsertOnBothStorages) {
+  ContractBed bed;
+  expect_line_contracts(bed, bed.dense);
+  expect_line_contracts(bed, bed.sparse);
+}
+
+TEST(ContractTable, DenseRangedInsertDistributeSwapAndMatvec) {
+  ContractBed bed;
+  DistMatrix<double>& A = bed.dense;
+  for (const Axis axis : {Axis::Row, Axis::Col}) {
+    const bool row = axis == Axis::Row;
+    const std::size_t lines = row ? 6 : 5, along = row ? 5 : 6;
+    const ContractBed::Lines v = bed.lines(axis);
+
+    const std::string ins = row ? "insert_row_range" : "insert_col_range";
+    expect_rejected<ShapeError>(bed.cube, A, ins, [&] {
+      insert_range(A, axis, lines, v.good, 0, along);
+    });
+    expect_rejected<ShapeError>(bed.cube, A, ins,
+                                [&] { insert_range(A, axis, 0, v.good, 3, 2); });
+    expect_rejected<ShapeError>(bed.cube, A, ins, [&] {
+      insert_range(A, axis, 0, v.good, 0, along + 1);
+    });
+    for (const DistVector<double>* bad : {&v.crossed, &v.cyclic, &v.foreign})
+      expect_rejected<AlignError>(bed.cube, A, ins, [&] {
+        insert_range(A, axis, 0, *bad, 0, along);
+      });
+    expect_rejected<ShapeError>(bed.cube, A, ins, [&] {
+      insert_range(A, axis, 0, v.short_by_one, 0, along);
+    });
+
+    // distribute checks only the alignment: the vector IS the line.
+    expect_rejected<AlignError>(
+        bed.cube, v.crossed, row ? "distribute_rows" : "distribute_cols",
+        [&] { (void)distribute(v.crossed, axis, 4); });
+
+    const std::string swap = row ? "swap_rows" : "swap_cols";
+    expect_rejected<ShapeError>(bed.cube, A, swap, [&] {
+      row ? swap_rows(A, lines, 0) : swap_cols(A, lines, 0);
+    });
+    expect_rejected<ShapeError>(bed.cube, A, swap, [&] {
+      row ? swap_rows(A, 0, lines) : swap_cols(A, 0, lines);
+    });
+
+    // matvec takes a vector laid out like a row, vecmat like a column.
+    const auto mv = [&](bool fused, const DistVector<double>& x) {
+      if (row) {
+        (void)(fused ? matvec_fused(A, x) : matvec(A, x));
+      } else {
+        (void)(fused ? vecmat_fused(x, A) : vecmat(x, A));
+      }
+    };
+    for (const bool fused : {false, true}) {
+      const std::string name = std::string(row ? "matvec" : "vecmat") +
+                               (fused ? "_fused" : "");
+      for (const DistVector<double>* bad : {&v.crossed, &v.cyclic, &v.foreign})
+        expect_rejected<AlignError>(bed.cube, A, name,
+                                    [&] { mv(fused, *bad); });
+      expect_rejected<ShapeError>(bed.cube, A, name,
+                                  [&] { mv(fused, v.short_by_one); });
+    }
+  }
+}
+
+TEST(ContractTable, SparseDistributeLikeAndSpmv) {
+  ContractBed bed;
+  const DistSparseMatrix<double>& S = bed.sparse;
+  for (const Axis axis : {Axis::Row, Axis::Col}) {
+    const ContractBed::Lines v = bed.lines(axis);
+    for (const DistVector<double>* bad : {&v.crossed, &v.cyclic, &v.foreign})
+      expect_rejected<AlignError>(bed.cube, S, "distribute_like", [&] {
+        (void)distribute_like(S, *bad, axis);
+      });
+    expect_rejected<ShapeError>(bed.cube, S, "distribute_like", [&] {
+      (void)distribute_like(S, v.short_by_one, axis);
+    });
+  }
+  const ContractBed::Lines x = bed.lines(Axis::Row);
+  for (const bool fused : {false, true}) {
+    const auto run = [&](const DistVector<double>& in) {
+      (void)(fused ? spmv_fused(S, in) : spmv(S, in));
+    };
+    const std::string name = fused ? "spmv_fused" : "spmv";
+    for (const DistVector<double>* bad : {&x.crossed, &x.cyclic, &x.foreign})
+      expect_rejected<AlignError>(bed.cube, S, name, [&] { run(*bad); });
+    expect_rejected<ShapeError>(bed.cube, S, name,
+                                [&] { run(x.short_by_one); });
+  }
+}
+
+// The public surface: the ranged insert and the extent-taking distribute
+// forms stay dense-only; the other named forms take both storages.
+template <class Mat>
+concept RangedInsertable = requires(Mat& A, const DistVector<double>& v) {
+  insert_range(A, Axis::Row, 0, v, 0, 1);
+  insert_row_range(A, 0, v, 0, 1);
+};
+template <class Mat>
+concept LineAddressable = requires(Mat& A, const DistVector<double>& v) {
+  reduce_rows(A, Plus<double>{});
+  reduce_cols(A, Plus<double>{});
+  extract_row(A, 0);
+  extract_col(A, 0);
+  insert_row(A, 0, v);
+  insert_col(A, 0, v);
+};
+static_assert(RangedInsertable<DistMatrix<double>>);
+static_assert(!RangedInsertable<DistSparseMatrix<double>>);
+static_assert(LineAddressable<DistMatrix<double>>);
+static_assert(LineAddressable<DistSparseMatrix<double>>);
+static_assert(!LineAddressable<DistVector<double>>);
+static_assert(!LineAddressable<const DistMatrix<double>>);
 
 // load_csr: every malformed host CSR triple is rejected before any read
 // through rowptr, and the matrix keeps what it held.

@@ -658,6 +658,40 @@ TEST_P(RandomSweep, SparsePrimitivesMatchDensifiedBitwise) {
   }
 }
 
+// distribute_like on both axes: the result keeps A's pattern exactly, and
+// each stored (i, j) holds x[j] (Axis::Row) or v[i] (Axis::Col).
+TEST_P(RandomSweep, SparseDistributeLikeFillsThePatternOnBothAxes) {
+  const int trial = GetParam();
+  const TrialConfig c = draw(trial);
+  SCOPED_TRACE(c.reproducer(trial));
+  const MatrixLayout layout =
+      c.cyclic ? MatrixLayout::cyclic() : MatrixLayout::blocked();
+  Cube cube(c.d, CostParams::cm2());
+  Grid grid(cube, c.gr, c.gc);
+  const HostCsr H = draw_csr(c);
+  DistSparseMatrix<double> S(grid, c.nrows, c.ncols, layout);
+  S.load_csr(H.rowptr, H.colind, H.vals);
+  const std::vector<double> xh =
+      random_vector(c.ncols, static_cast<unsigned>(c.data_seed >> 4));
+  const std::vector<double> vh =
+      random_vector(c.nrows, static_cast<unsigned>(c.data_seed >> 12));
+  DistVector<double> x(grid, c.ncols, Align::Cols, layout.cols);
+  DistVector<double> v(grid, c.nrows, Align::Rows, layout.rows);
+  x.load(xh);
+  v.load(vh);
+
+  for (const Axis axis : {Axis::Row, Axis::Col}) {
+    const bool row = axis == Axis::Row;
+    const DistSparseMatrix<double> X = distribute_like(S, row ? x : v, axis);
+    EXPECT_TRUE(X.same_pattern(S)) << (row ? "Axis::Row" : "Axis::Col");
+    std::vector<double> expect(c.nrows * c.ncols, 0.0);
+    for (std::size_t i = 0; i < c.nrows; ++i)
+      for (std::uint32_t k = H.rowptr[i]; k < H.rowptr[i + 1]; ++k)
+        expect[i * c.ncols + H.colind[k]] = row ? xh[H.colind[k]] : vh[i];
+    EXPECT_EQ(X.to_host(), expect) << (row ? "Axis::Row" : "Axis::Col");
+  }
+}
+
 // Twin determinism under a within-budget fault plan: the same sparse
 // workload on two machines driven by the same plan must agree on results,
 // simulated clock, critical paths, event traces and every masked SimStats
