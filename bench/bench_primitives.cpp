@@ -6,8 +6,14 @@
 //   elems_per_proc m/p, the load-balance unit the costs should track
 //   comm_steps     lockstep communication rounds (the τ count)
 // Each case also embeds the per-region cost profile of the timed call.
+#include <algorithm>
 #include <chrono>
+#include <cstddef>
+#include <cstring>
 #include <span>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "harness.hpp"
 #include "vmprim.hpp"
@@ -35,6 +41,28 @@ struct Fixture {
   DistMatrix<double> A;
   DistVector<double> v, w;
 };
+
+/// Wall time per step (ns) of a session of two `team.step(items, body)`
+/// calls opened on a team gone idle: the first step wakes the parked
+/// workers, the second finds them awake — as a round's staging and
+/// delivery steps meet the team when a collective starts.
+template <class Body>
+double session_step_ns(WorkerTeam& team, std::size_t items, Body& body) {
+  std::this_thread::sleep_for(std::chrono::microseconds(200));
+  const auto t0 = std::chrono::steady_clock::now();
+  {
+    const auto session = team.session();
+    team.step(items, body);
+    team.step(items, body);
+  }
+  const auto t1 = std::chrono::steady_clock::now();
+  return std::chrono::duration<double, std::nano>(t1 - t0).count() / 2;
+}
+
+double median(std::vector<double> v) {
+  std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+  return v[v.size() / 2];
+}
 
 void finish(bench::Case& c, Cube& cube, std::size_t n) {
   c.counter("sim_us", cube.clock().now_us());
@@ -185,5 +213,72 @@ int main(int argc, char** argv) {
       if (h.metrics()) c.metrics(cube.metrics(), cube.clock().now_us());
     });
   }
+  // engine_fanout_crossover — the calibration behind WorkerTeam's inline
+  // cuts (kInlineFlops, kInlineBytes).  One raw team step over the 2^d
+  // processors, timed on a 2-lane team (every step fans out) and on a
+  // 1-lane team (every step runs inline), for two per-processor bodies over
+  // power-of-two step sizes: an axpy for the flop cut (2 flops per element,
+  // as the rank-1 update counts them) and a memcpy for the byte cut.  Each
+  // sample is a two-step session on an idle team (session_step_ns), so the
+  // fanned-out side pays one wake-up per two steps: back-to-back steps
+  // alone would hide the wake-up that a solve's isolated steps pay, lone
+  // steps would charge it to every step of a collective's rounds.
+  // Counters per size: `flops=F.inline_ns`/`.fanout_ns` and
+  // `bytes=B.inline_ns`/`.fanout_ns`, the median of alternating samples;
+  // `flop_cut`/`byte_cut` are the largest sizes at which inline was not
+  // slower.
+  for (int d : h.dims({6}, {6}))
+    h.run("engine_fanout_crossover", {{"dim", d}}, [&](bench::Case& c) {
+      const std::size_t items = std::size_t{1} << d;
+      WorkerTeam fan(2), one(1);
+      const int reps = h.quick() ? 5 : 15;
+      // Times the body on both teams at each size in [lo, hi] and returns
+      // the largest size at which inline was not slower (0 if none).
+      const auto sweep = [&](const std::string& unit, std::size_t lo,
+                             std::size_t hi, auto&& make_body) {
+        std::size_t cut = 0;
+        for (std::size_t size = lo; size <= hi; size *= 2) {
+          auto body = make_body(size);
+          std::vector<double> fan_ns, one_ns;
+          for (int r = 0; r < reps; ++r) {
+            fan_ns.push_back(session_step_ns(fan, items, body));
+            one_ns.push_back(session_step_ns(one, items, body));
+          }
+          const double inline_ns = median(one_ns), fanout_ns = median(fan_ns);
+          const std::string key = unit + "=" + std::to_string(size);
+          c.counter(key + ".inline_ns", inline_ns);
+          c.counter(key + ".fanout_ns", fanout_ns);
+          if (inline_ns <= fanout_ns) cut = size;
+        }
+        return cut;
+      };
+      std::vector<double> x, y;
+      const std::size_t flop_cut = sweep(
+          "flops", std::size_t{1} << 10, std::size_t{1} << 21,
+          [&](std::size_t flops) {
+            const std::size_t len = flops / 2 / items;
+            x.assign(len * items, 1.0);
+            y.assign(len * items, 0.0);
+            return [&, len](unsigned, std::size_t lo, std::size_t hi) {
+              for (std::size_t q = lo; q < hi; ++q)
+                kern::axpy(std::span<double>(y).subspan(q * len, len), 1e-9,
+                           std::span<const double>(x).subspan(q * len, len));
+            };
+          });
+      std::vector<std::byte> src, dst;
+      const std::size_t byte_cut = sweep(
+          "bytes", std::size_t{1} << 12, std::size_t{1} << 23,
+          [&](std::size_t bytes) {
+            const std::size_t len = bytes / items;
+            src.assign(len * items, std::byte{1});
+            dst.assign(len * items, std::byte{0});
+            return [&, len](unsigned, std::size_t lo, std::size_t hi) {
+              for (std::size_t q = lo; q < hi; ++q)
+                std::memcpy(dst.data() + q * len, src.data() + q * len, len);
+            };
+          });
+      c.counter("flop_cut", static_cast<double>(flop_cut));
+      c.counter("byte_cut", static_cast<double>(byte_cut));
+    });
   return h.finish();
 }

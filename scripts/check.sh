@@ -4,7 +4,8 @@
 #      inner loop), then the complete test suite;
 #   2. an address+undefined sanitizer build of the library, a set of test
 #      binaries (tracer, accounting, kernels, CG, sparse properties, the
-#      exchange-round tests and the dense primitives) and one benchmark,
+#      exchange-round tests, the dense primitives and the mixed
+#      inline/fanned-out step sequence) and one benchmark,
 #      with the tests re-run under ASan/UBSan;
 #   3. one benchmark in --quick mode (plus a --faults rerun), with its
 #      BENCH_*.json report and the exported Chrome trace validated against
@@ -19,9 +20,11 @@
 #                         [--no-perf-gate]
 #
 # --tsan adds a ThreadSanitizer build of the whole tree and re-runs the
-# quick-label tests under VMP_THREADS=4, so every team step really runs
-# multi-lane while TSan watches the publish/park protocol.  Opt-in (it
-# roughly doubles the build); CI runs it on every push.
+# quick-label tests under VMP_THREADS=4 while TSan watches the publish/park
+# protocol.  Only steps with enough work to fan out (WorkerTeam::fans_out)
+# run multi-lane; smaller ones run inline on the host, and the mixed-step
+# test (MixedSteps.*) drives both kinds back to back.  Opt-in (it roughly
+# doubles the build); CI runs it on every push.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -66,7 +69,7 @@ if [[ "$NO_SANITIZE" == 0 ]]; then
     test_kernels test_cg test_properties_random test_allport_shift \
     test_fault_recovery test_topology test_matmul_hyper test_buffer_pool \
     test_contracts test_primitives test_exhaustive_small \
-    bench_naive_vs_primitive >/dev/null
+    test_thread_invariance bench_naive_vs_primitive >/dev/null
   ./build-asan/tests/test_trace
   ./build-asan/tests/test_accounting \
     --gtest_filter='Accounting.*:Charging.*:Threading.*'
@@ -97,6 +100,9 @@ if [[ "$NO_SANITIZE" == 0 ]]; then
   # PrimitiveCharges pins).
   ./build-asan/tests/test_primitives
   ./build-asan/tests/test_exhaustive_small
+  # Steps above and below the inline cuts back to back at lanes 1-3: the
+  # staging step's partial merge and the one-round byte predictor.
+  ./build-asan/tests/test_thread_invariance --gtest_filter='MixedSteps.*'
 fi
 
 if [[ "$TSAN" == 1 ]]; then

@@ -2,6 +2,17 @@
 
 namespace vmp {
 
+namespace {
+
+/// Lanes the team runs: the request, resolved, but never more than one per
+/// processor — a lane beyond that would own no processor in any step.
+unsigned team_lanes(unsigned threads, proc_t procs) {
+  return std::max(1u, std::min(WorkerTeam::resolve_lanes(threads),
+                               static_cast<unsigned>(procs)));
+}
+
+}  // namespace
+
 Cube::Cube(int dim, CostParams params) : Cube(dim, params, Options{}) {}
 
 Cube::Cube(int dim, CostParams params, Options opts)
@@ -10,7 +21,7 @@ Cube::Cube(int dim, CostParams params, Options opts)
       topo_(dim >= 0 && dim < 31 ? make_topology(opts.topology, dim)
                                  : nullptr),
       clock_(params),
-      team_(opts.threads) {
+      team_(team_lanes(opts.threads, procs_)) {
   VMP_REQUIRE(dim >= 0 && dim < 31, "cube dimension must be in [0, 31)");
   unit_hop_ = topo_->unit_hop();
   clock_.set_topology(topo_->name(), topo_->axis_count());

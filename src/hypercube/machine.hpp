@@ -189,8 +189,9 @@ class Cube {
   struct Options {
     /// Host threads (team lanes) running the per-processor loops;
     /// 0 = one per hardware thread, 1 = fully serial (deterministic
-    /// wall-clock, same results at any setting).  Defaults to the
-    /// VMP_THREADS environment variable (unset → 1).
+    /// wall-clock, same results at any setting), never more than one per
+    /// processor.  Defaults to the VMP_THREADS environment variable
+    /// (unset → 1).
     unsigned threads = env_threads();
 
     /// Physical network the logical cube's exchanges cross (see
@@ -255,13 +256,17 @@ class Cube {
 
   /// One lockstep compute step: run `fn(proc)` on every processor and charge
   /// `max_flops` (the analytic per-processor bound) to the clock.
-  /// `total_flops` only feeds statistics; pass the aggregate over all
+  /// `total_flops` feeds statistics and decides whether the step is worth
+  /// fanning out across the host lanes; pass the aggregate over all
   /// processors when known, else `max_flops * procs()`.
   template <class F>
   void compute(std::uint64_t max_flops, std::uint64_t total_flops, F&& fn) {
-    team_.step(procs_, [&](unsigned, std::size_t lo, std::size_t hi) {
-      for (std::size_t q = lo; q < hi; ++q) fn(static_cast<proc_t>(q));
-    });
+    team_.step(
+        procs_,
+        [&](unsigned, std::size_t lo, std::size_t hi) {
+          for (std::size_t q = lo; q < hi; ++q) fn(static_cast<proc_t>(q));
+        },
+        WorkerTeam::fans_out({.flops = total_flops}));
     clock_.charge_compute_step(max_flops, total_flops);
   }
 
@@ -504,6 +509,10 @@ class Cube {
   /// processor-ascending, so a one-port round's loops are the plain
   /// per-processor loops.  Returns the reduced statistics and folds the
   /// slots' reuse and growth into the pool counters.
+  ///
+  /// A round's bytes are known only once it is staged, so whether the
+  /// staging step fans out is decided by the previous round's bytes
+  /// (`round_bytes_`, 0 on a fresh cube); delivery uses this round's.
   template <class T, class DestFn, class SendFn>
   detail::ExPartial stage_round(std::size_t ports, DestFn& dest,
                                 SendFn& send) {
@@ -511,35 +520,41 @@ class Cube {
                   "round payloads must be trivially copyable and not "
                   "over-aligned");
     // Slots and lane partials are grown, never shrunk, so a steady-state
-    // round allocates nothing.  No zeroing: every lane — including lanes
-    // whose range is empty — stores its partial below.  The partial
-    // accumulates in a stack local (registers — the staging memcpy can't
-    // alias it) and is stored to the lane's slot once.
+    // round allocates nothing.  No zeroing: every lane the step runs on
+    // stores its partial below, and only those partials are merged — an
+    // inline step writes lane 0's alone, and the other lanes' still hold
+    // an earlier round's.  The partial accumulates in a stack local
+    // (registers — the staging memcpy can't alias it) and is stored to the
+    // lane's slot once.
     if (stage_.size() < ports * procs_) stage_.resize(ports * procs_);
     partials_.resize(team_.lanes());
     detail::StageBuf* stage = stage_.data();
     detail::ExPartial* parts = partials_.data();
-    team_.step(procs_, [&](unsigned lane, std::size_t lo, std::size_t hi) {
-      detail::ExPartial p;
-      for (std::size_t i = 0; i < ports; ++i) {
-        detail::StageBuf* const port = stage + i * procs_;
-        for (std::size_t q = lo; q < hi; ++q) {
-          const proc_t src = static_cast<proc_t>(q);
-          detail::StageBuf& sb = port[q];
-          if (dest(src, i) == src) {
-            sb.skip();
-            continue;
+    const unsigned ran = team_.step(
+        procs_,
+        [&](unsigned lane, std::size_t lo, std::size_t hi) {
+          detail::ExPartial p;
+          for (std::size_t i = 0; i < ports; ++i) {
+            detail::StageBuf* const port = stage + i * procs_;
+            for (std::size_t q = lo; q < hi; ++q) {
+              const proc_t src = static_cast<proc_t>(q);
+              detail::StageBuf& sb = port[q];
+              if (dest(src, i) == src) {
+                sb.skip();
+                continue;
+              }
+              sb.template stage<T>(send(src, i));
+              p.note(sb.len, sb.grew);
+            }
           }
-          sb.template stage<T>(send(src, i));
-          p.note(sb.len, sb.grew);
-        }
-      }
-      parts[lane] = p;
-    });
+          parts[lane] = p;
+        },
+        WorkerTeam::fans_out({.bytes = round_bytes_}));
     // Reduced in lane order: sums and maxima of integers, so the totals do
     // not depend on how processors were partitioned across lanes.
     detail::ExPartial r;
-    for (const detail::ExPartial& lp : partials_) r.merge(lp);
+    for (unsigned lane = 0; lane < ran; ++lane) r.merge(parts[lane]);
+    round_bytes_ = r.total * sizeof(T);
     clock_.note_pool_hits(r.pool_hits);
     clock_.note_pool_misses(r.pool_misses, r.miss_bytes);
     return r;
@@ -547,22 +562,26 @@ class Cube {
 
   /// The delivery step of every round: one team step hands each processor
   /// q, on every port i, what its source `from(q, i)` staged (nothing when
-  /// the source is q itself or sent nothing).
+  /// the source is q itself or sent nothing).  Runs right after the
+  /// round's stage_round, whose bytes decide whether it fans out.
   template <class T, class FromFn, class RecvFn>
   void deliver_round(std::size_t ports, FromFn& from, RecvFn& recv) {
     const detail::StageBuf* stage = stage_.data();
-    team_.step(procs_, [&](unsigned, std::size_t lo, std::size_t hi) {
-      for (std::size_t i = 0; i < ports; ++i) {
-        const detail::StageBuf* const port = stage + i * procs_;
-        for (std::size_t q = lo; q < hi; ++q) {
-          const proc_t dst = static_cast<proc_t>(q);
-          const proc_t src = from(dst, i);
-          if (src == dst) continue;
-          const detail::StageBuf& in = port[src];
-          if (in.len != 0) recv(dst, i, in.template view<T>());
-        }
-      }
-    });
+    team_.step(
+        procs_,
+        [&](unsigned, std::size_t lo, std::size_t hi) {
+          for (std::size_t i = 0; i < ports; ++i) {
+            const detail::StageBuf* const port = stage + i * procs_;
+            for (std::size_t q = lo; q < hi; ++q) {
+              const proc_t dst = static_cast<proc_t>(q);
+              const proc_t src = from(dst, i);
+              if (src == dst) continue;
+              const detail::StageBuf& in = port[src];
+              if (in.len != 0) recv(dst, i, in.template view<T>());
+            }
+          }
+        },
+        WorkerTeam::fans_out({.bytes = round_bytes_}));
   }
 
   /// Check that `dest` is a bijection on the cube and tabulate it:
@@ -827,6 +846,7 @@ class Cube {
   MetricsRegistry metrics_;
   std::vector<detail::StageBuf> stage_;       ///< round-core slots, i·p + q
   std::vector<detail::ExPartial> partials_;  ///< round-core lane partials
+  std::uint64_t round_bytes_ = 0;  ///< bytes the latest round staged
   std::unique_ptr<FaultInjector> faults_;
   // Non-unit-hop round-charge state (untouched on the hypercube preset).
   std::vector<detail::DimRoutes> dim_routes_;

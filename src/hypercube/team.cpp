@@ -66,6 +66,7 @@ void WorkerTeam::set_metrics(MetricsRegistry* m) {
   // StepScope increment, see team.hpp); sessions are rare enough for a
   // plain tally.
   steps_baseline_ = steps_dispatched();
+  fanout_baseline_ = fanned_out();
   sessions_tally_ = 0;
   m->add_probe([this, m] {
     m->gauge("engine.steps", MetricClass::Sim)
@@ -74,6 +75,9 @@ void WorkerTeam::set_metrics(MetricsRegistry* m) {
         .set(static_cast<double>(sessions_tally_));
     m->gauge("engine.session_depth", MetricClass::Sim)
         .set(session_open_.load(std::memory_order_relaxed));
+    // Wall class: which steps fan out depends on the lane count.
+    m->gauge("engine.fanout_steps", MetricClass::Wall)
+        .set(static_cast<double>(fanned_out() - fanout_baseline_));
   });
   // Wall-clock instruments: lane utilization and dispatch behaviour.
   mx_.lane_busy_ns = &m->counter("engine.lane_busy_ns", MetricClass::Wall);

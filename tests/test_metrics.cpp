@@ -207,7 +207,7 @@ TEST(EngineMetrics, EverySubsystemRegistersItsInstruments) {
   for (const char* name :
        {"engine.lane_busy_ns", "engine.lane_spins", "engine.lane_parks",
         "engine.lane_park_ns", "engine.host_barrier_ns", "engine.step_ns",
-        "engine.step_imbalance_pct"})
+        "engine.step_imbalance_pct", "engine.fanout_steps"})
     EXPECT_TRUE(r.wall.count(name)) << name;
   // Buffer pool occupancy gauges.
   for (const char* name :
