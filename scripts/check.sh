@@ -4,8 +4,8 @@
 #      inner loop), then the complete test suite;
 #   2. an address+undefined sanitizer build of the library, a set of test
 #      binaries (tracer, accounting, kernels, CG, sparse properties, the
-#      exchange-round tests, the dense primitives and the mixed
-#      inline/fanned-out step sequence) and one benchmark,
+#      exchange-round tests, the collectives, the dense primitives and the
+#      mixed inline/fanned-out step sequences) and one benchmark,
 #      with the tests re-run under ASan/UBSan;
 #   3. one benchmark in --quick mode (plus a --faults rerun), with its
 #      BENCH_*.json report and the exported Chrome trace validated against
@@ -69,7 +69,8 @@ if [[ "$NO_SANITIZE" == 0 ]]; then
     test_kernels test_cg test_properties_random test_allport_shift \
     test_fault_recovery test_topology test_matmul_hyper test_buffer_pool \
     test_contracts test_primitives test_exhaustive_small \
-    test_thread_invariance bench_naive_vs_primitive >/dev/null
+    test_collectives test_thread_invariance bench_naive_vs_primitive \
+    >/dev/null
   ./build-asan/tests/test_trace
   ./build-asan/tests/test_accounting \
     --gtest_filter='Accounting.*:Charging.*:Threading.*'
@@ -100,9 +101,15 @@ if [[ "$NO_SANITIZE" == 0 ]]; then
   # PrimitiveCharges pins).
   ./build-asan/tests/test_primitives
   ./build-asan/tests/test_exhaustive_small
+  # Every collective against its host reference, and the two segment
+  # pipelines against their one-segment twins on ragged lengths (the
+  # per-call tables their rounds read).
+  ./build-asan/tests/test_collectives
   # Steps above and below the inline cuts back to back at lanes 1-3: the
-  # staging step's partial merge and the one-round byte predictor.
-  ./build-asan/tests/test_thread_invariance --gtest_filter='MixedSteps.*'
+  # staging step's partial merge and the one-round byte predictor, and
+  # every collective backend with rounds on both sides of the byte cut.
+  ./build-asan/tests/test_thread_invariance \
+    --gtest_filter='MixedSteps.*:CollectiveSteps.*'
 fi
 
 if [[ "$TSAN" == 1 ]]; then

@@ -36,9 +36,16 @@
 /// on the host thread before entering the exchange — slab tiles may change
 /// length concurrently but may not outgrow their stride off the host
 /// thread (see comm/dist_buffer.hpp).
+///
+/// Per-processor geometry is tabulated once per call on the host thread,
+/// and the rounds' staging and delivery steps only read the tables:
+/// `broadcast_auto` calls `n_of` once per processor into a length table
+/// its backends read, and the two pipelines look up each processor's
+/// relative rank and segment cuts in a detail::SegmentTable.
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -283,6 +290,65 @@ void allreduce_rsag(Cube& cube, DistBuffer<T>& buf, const SubcubeSet& sc,
          (cp.startup_us + seg * cp.per_elem_us);
 }
 
+namespace detail {
+
+/// The per-call geometry of an S-segment pipeline, built on the host thread
+/// before the first round so that the rounds only read it: each
+/// processor's subcube rank relative to `root_rank`, and the S+1 cuts of
+/// its payload of `len(q)` elements into segments (segment s spans
+/// [cut(q, s), cut(q, s+1))).  Lengths agree within a subcube and the
+/// partitions give only a few distinct ones, so each distinct length's
+/// cuts are computed once and shared.
+class SegmentTable {
+ public:
+  template <class LenFn>
+  SegmentTable(const Cube& cube, const SubcubeSet& sc, std::uint32_t root_rank,
+               std::uint32_t nseg, LenFn len)
+      : nseg_(nseg), proc_(cube.procs()) {
+    for (proc_t q = 0; q < cube.procs(); ++q) {
+      const std::size_t n = static_cast<std::size_t>(len(q));
+      // A row's last cut is its length: block_begin(n, S, S) == n.
+      std::size_t row = 0;
+      while (row < cuts_.size() && cuts_[row + nseg_] != n) row += nseg_ + 1;
+      if (row == cuts_.size())
+        for (std::uint32_t s = 0; s <= nseg_; ++s)
+          cuts_.push_back(block_begin(n, nseg_, s));
+      proc_[q] = {sc.rank(q) ^ root_rank, row};
+    }
+  }
+
+  [[nodiscard]] std::uint32_t rel_rank(proc_t q) const {
+    return proc_[q].rel_rank;
+  }
+  [[nodiscard]] std::size_t cut(proc_t q, std::uint32_t s) const {
+    return cuts_[proc_[q].row + s];
+  }
+  [[nodiscard]] std::size_t len(proc_t q) const { return cut(q, nseg_); }
+
+  /// Segment s of `payload`, q's payload.
+  template <class T>
+  [[nodiscard]] std::span<T> segment(std::span<T> payload, proc_t q,
+                                     std::uint32_t s) const {
+    const std::size_t lo = cut(q, s);
+    return payload.subspan(lo, cut(q, s + 1) - lo);
+  }
+
+ private:
+  struct Proc {
+    std::uint32_t rel_rank = 0;
+    std::size_t row = 0;  ///< offset of q's cuts in cuts_
+  };
+  std::uint32_t nseg_;
+  std::vector<Proc> proc_;
+  std::vector<std::size_t> cuts_;
+};
+
+/// Ports a pipeline round can use: each active segment occupies a distinct
+/// subcube dimension, and a SubcubeSet spans at most 32.
+inline constexpr std::size_t kMaxPipelinePorts = 32;
+
+}  // namespace detail
+
 /// Segment-pipelined recursive-doubling all-reduce: the array is cut into
 /// `nseg` blocks and segment s runs doubling step i in round s+i; active
 /// segments occupy DISTINCT cube dimensions, so every round is one
@@ -300,34 +366,29 @@ void allreduce_pipelined(Cube& cube, DistBuffer<T>& buf, const SubcubeSet& sc,
   const auto batch = cube.session();
   const int k = sc.k();
   const std::uint32_t S = nseg;
-  const auto seg_range = [&](proc_t q, std::uint32_t s) {
-    const std::size_t n = buf.len(q);
-    return std::pair{block_begin(n, S, s), block_begin(n, S, s + 1)};
-  };
-  std::vector<int> dims;
-  std::vector<std::uint32_t> segs;
+  const detail::SegmentTable geo(cube, sc, 0, S,
+                                 [&](proc_t q) { return buf.len(q); });
+  std::array<int, detail::kMaxPipelinePorts> dims{};
+  std::array<std::uint32_t, detail::kMaxPipelinePorts> segs{};
   for (int t = 0; t < k + static_cast<int>(S) - 1; ++t) {
-    dims.clear();
-    segs.clear();
     const std::uint32_t s_lo =
         t >= k ? static_cast<std::uint32_t>(t - k + 1) : 0;
     const std::uint32_t s_hi = std::min<std::uint32_t>(
         S - 1, static_cast<std::uint32_t>(t));
-    for (std::uint32_t s = s_lo; s <= s_hi; ++s) {
-      dims.push_back(sc.dim_of_rank_bit(t - static_cast<int>(s)));
-      segs.push_back(s);
+    std::size_t ports = 0;
+    for (std::uint32_t s = s_lo; s <= s_hi; ++s, ++ports) {
+      dims[ports] = sc.dim_of_rank_bit(t - static_cast<int>(s));
+      segs[ports] = s;
     }
     cube.exchange_allport<T>(
-        std::span<const int>(dims),
+        std::span<const int>(dims.data(), ports),
         [&](proc_t q, std::size_t idx) -> std::span<const T> {
-          const auto [lo, hi] = seg_range(q, segs[idx]);
-          return std::span<const T>(buf.tile(q)).subspan(lo, hi - lo);
+          return geo.segment(std::span<const T>(buf.tile(q)), q, segs[idx]);
         },
         [&](proc_t q, std::size_t idx, std::span<const T> in) {
-          const auto [lo, hi] = seg_range(q, segs[idx]);
-          VMP_ASSERT(in.size() == hi - lo,
+          const std::span<T> seg = geo.segment(buf.tile(q), q, segs[idx]);
+          VMP_ASSERT(in.size() == seg.size(),
                      "allreduce_pipelined segment length mismatch");
-          const std::span<T> seg = buf.tile(q).subspan(lo, hi - lo);
           if (bit_of(q, dims[idx]) != 0)
             kern::zip_swapped(seg, in, kern::op_fn(op));
           else
@@ -338,9 +399,7 @@ void allreduce_pipelined(Cube& cube, DistBuffer<T>& buf, const SubcubeSet& sc,
     std::size_t max_comb = 0;
     std::uint64_t total_comb = 0;
     for (proc_t q = 0; q < cube.procs(); ++q) {
-      const std::size_t n = buf.len(q);
-      const std::size_t len =
-          block_begin(n, S, s_hi + 1) - block_begin(n, S, s_lo);
+      const std::size_t len = geo.cut(q, s_hi + 1) - geo.cut(q, s_lo);
       max_comb = std::max(max_comb, len);
       total_comb += len;
     }
@@ -499,53 +558,44 @@ void broadcast_pipelined(Cube& cube, DistBuffer<T>& buf, const SubcubeSet& sc,
   const auto batch = cube.session();
   const int k = sc.k();
   const std::uint32_t S = nseg;
+  const detail::SegmentTable geo(cube, sc, root_rank, S, n_of);
   std::size_t cap = 0;
-  for (proc_t q = 0; q < cube.procs(); ++q)
-    cap = std::max(cap, static_cast<std::size_t>(n_of(q)));
+  for (proc_t q = 0; q < cube.procs(); ++q) cap = std::max(cap, geo.len(q));
   buf.reserve_each(cap);
   // Non-roots receive their segments in place: size them up front.
   cube.each_proc([&](proc_t q) {
-    if (sc.rank(q) != root_rank) buf.resize(q, n_of(q));
+    if (geo.rel_rank(q) != 0) buf.resize(q, geo.len(q));
   });
-  const auto seg_range = [&](proc_t q, std::uint32_t s) {
-    const std::size_t n = n_of(q);
-    return std::pair{block_begin(n, S, s), block_begin(n, S, s + 1)};
-  };
-  std::vector<int> dims;
-  std::vector<std::uint32_t> segs;
+  std::array<int, detail::kMaxPipelinePorts> dims{};
+  std::array<std::uint32_t, detail::kMaxPipelinePorts> segs{};
+  std::array<std::uint32_t, detail::kMaxPipelinePorts> uncovered{};
   for (int t = 0; t < k + static_cast<int>(S) - 1; ++t) {
-    dims.clear();
-    segs.clear();
     const std::uint32_t s_lo =
         t >= k ? static_cast<std::uint32_t>(t - k + 1) : 0;
     const std::uint32_t s_hi = std::min<std::uint32_t>(
         S - 1, static_cast<std::uint32_t>(t));
-    for (std::uint32_t s = s_lo; s <= s_hi; ++s) {
+    std::size_t ports = 0;
+    for (std::uint32_t s = s_lo; s <= s_hi; ++s, ++ports) {
       // Stage st of the binomial tree crosses rank bit k-1-st, mirroring
-      // `broadcast`'s high-to-low dimension order.
+      // `broadcast`'s high-to-low dimension order.  Holders of segment s
+      // before stage st are the relative ranks whose bits below k-st are
+      // all zero.
       const int st = t - static_cast<int>(s);
-      dims.push_back(sc.dim_of_rank_bit(k - 1 - st));
-      segs.push_back(s);
+      dims[ports] = sc.dim_of_rank_bit(k - 1 - st);
+      segs[ports] = s;
+      uncovered[ports] = (std::uint32_t{1} << (k - st)) - 1;
     }
     cube.exchange_allport<T>(
-        std::span<const int>(dims),
+        std::span<const int>(dims.data(), ports),
         [&](proc_t q, std::size_t idx) -> std::span<const T> {
-          const std::uint32_t s = segs[idx];
-          const int st = t - static_cast<int>(s);
-          // Holders of segment s before stage st: relative ranks whose
-          // uncovered bits (below k-st) are all zero.
-          const std::uint32_t processed =
-              (std::uint32_t{1} << k) - (std::uint32_t{1} << (k - st));
-          const std::uint32_t rr = sc.rank(q) ^ root_rank;
-          if ((rr & ~processed) != 0) return {};
-          const auto [lo, hi] = seg_range(q, s);
-          return std::span<const T>(buf.tile(q)).subspan(lo, hi - lo);
+          if ((geo.rel_rank(q) & uncovered[idx]) != 0) return {};
+          return geo.segment(std::span<const T>(buf.tile(q)), q, segs[idx]);
         },
         [&](proc_t q, std::size_t idx, std::span<const T> in) {
-          const auto [lo, hi] = seg_range(q, segs[idx]);
-          VMP_ASSERT(in.size() == hi - lo,
+          const std::span<T> seg = geo.segment(buf.tile(q), q, segs[idx]);
+          VMP_ASSERT(in.size() == seg.size(),
                      "broadcast_pipelined segment length mismatch");
-          kern::copy(in, buf.tile(q).subspan(lo, in.size()));
+          kern::copy(in, seg);
         });
   }
 }
@@ -558,9 +608,14 @@ template <class T, class NFn>
 void broadcast_auto(Cube& cube, DistBuffer<T>& buf, const SubcubeSet& sc,
                     std::uint32_t root_rank, NFn n_of) {
   if (sc.k() == 0) return;
+  // n_of runs once per processor, here; the backends read the table.
+  std::vector<std::size_t> len(cube.procs());
   std::size_t nmax = 0;
-  for (proc_t q = 0; q < cube.procs(); ++q)
-    nmax = std::max(nmax, static_cast<std::size_t>(n_of(q)));
+  for (proc_t q = 0; q < cube.procs(); ++q) {
+    len[q] = static_cast<std::size_t>(n_of(q));
+    nmax = std::max(nmax, len[q]);
+  }
+  const auto len_of = [&len](proc_t q) { return len[q]; };
   const double n = static_cast<double>(nmax);
   const double k = sc.k();
   const double frac =
@@ -574,9 +629,9 @@ void broadcast_auto(Cube& cube, DistBuffer<T>& buf, const SubcubeSet& sc,
   const std::uint32_t S = pipeline_segments(cp, sc.k(), nmax);
   const double c_pipe = pipeline_rounds_model(cp, sc.k(), nmax, S);
   if (S > 1 && c_pipe < c_bin && c_pipe < c_sag) {
-    broadcast_pipelined(cube, buf, sc, root_rank, n_of, S);
+    broadcast_pipelined(cube, buf, sc, root_rank, len_of, S);
   } else if (c_sag < c_bin) {
-    broadcast_sag(cube, buf, sc, root_rank, n_of);
+    broadcast_sag(cube, buf, sc, root_rank, len_of);
   } else {
     broadcast(cube, buf, sc, root_rank);
   }

@@ -8,7 +8,7 @@
 /// end read back scalars such as pivot values.
 #pragma once
 
-#include <cmath>
+#include <limits>
 
 #include "comm/collectives.hpp"
 #include "core/kernels.hpp"
@@ -124,25 +124,31 @@ template <class T>
   return acc.tile(0)[0];
 }
 
-/// Locate the element minimizing key(value, g); elements whose key is
-/// +infinity are excluded.  Returns {key, index}, index == -1 when every
-/// element was excluded.  One local pass plus a one-element all-reduce.
-template <class T, class KeyFn>
-[[nodiscard]] ValueIndex<double> vec_argmin_key(const DistVector<T>& v,
-                                                KeyFn key) {
-  Grid& grid = v.grid();
-  Cube& cube = grid.cube();
-  const MinLoc<double> op;
+namespace detail {
+
+/// The located search behind vec_argmin_key / vec_argmax_key: one local
+/// pass combining {key, index} with `Op` (MinLoc or MaxLoc), skipping
+/// elements whose key is `excluded`, then a one-element all-reduce.  Each
+/// piece is indexed affinely (global_begin(r) + s·global_step()), bounds
+/// checked once per processor.
+template <class Op, class T, class KeyFn>
+[[nodiscard]] ValueIndex<double> vec_locate(const DistVector<T>& v, KeyFn key,
+                                            double excluded) {
+  Cube& cube = v.grid().cube();
+  const Op op;
+  const AxisMap& map = v.map();
   DistBuffer<ValueIndex<double>> acc(cube, 1);
   const std::size_t mx = max_local_len(cube, v.data());
   cube.compute(mx, v.n(), [&](proc_t q) {
     const std::uint32_t r = v.rank_of(q);
     const std::span<const T> piece = v.piece(q);
+    VMP_REQUIRE(piece.size() <= map.size(r), "local slot out of range");
+    const std::size_t step = map.global_step();
+    std::size_t g = map.global_begin(r);
     ValueIndex<double> best = op.identity();
-    for (std::size_t s = 0; s < piece.size(); ++s) {
-      const std::size_t g = v.map().global(r, s);
+    for (std::size_t s = 0; s < piece.size(); ++s, g += step) {
       const double k = key(piece[s], g);
-      if (std::isinf(k) && k > 0) continue;
+      if (k == excluded) continue;
       best = op.combine(best,
                         ValueIndex<double>{k, static_cast<std::int64_t>(g)});
     }
@@ -152,30 +158,24 @@ template <class T, class KeyFn>
   return acc.tile(0)[0];
 }
 
+}  // namespace detail
+
+/// Locate the element minimizing key(value, g); elements whose key is
+/// +infinity are excluded.  Returns {key, index}, index == -1 when every
+/// element was excluded.  One local pass plus a one-element all-reduce.
+template <class T, class KeyFn>
+[[nodiscard]] ValueIndex<double> vec_argmin_key(const DistVector<T>& v,
+                                                KeyFn key) {
+  return detail::vec_locate<MinLoc<double>>(
+      v, key, std::numeric_limits<double>::infinity());
+}
+
 /// Locate the element maximizing key(value, g); -infinity keys excluded.
 template <class T, class KeyFn>
 [[nodiscard]] ValueIndex<double> vec_argmax_key(const DistVector<T>& v,
                                                 KeyFn key) {
-  Grid& grid = v.grid();
-  Cube& cube = grid.cube();
-  const MaxLoc<double> op;
-  DistBuffer<ValueIndex<double>> acc(cube, 1);
-  const std::size_t mx = max_local_len(cube, v.data());
-  cube.compute(mx, v.n(), [&](proc_t q) {
-    const std::uint32_t r = v.rank_of(q);
-    const std::span<const T> piece = v.piece(q);
-    ValueIndex<double> best = op.identity();
-    for (std::size_t s = 0; s < piece.size(); ++s) {
-      const std::size_t g = v.map().global(r, s);
-      const double k = key(piece[s], g);
-      if (std::isinf(k) && k < 0) continue;
-      best = op.combine(best,
-                        ValueIndex<double>{k, static_cast<std::int64_t>(g)});
-    }
-    acc.tile(q)[0] = best;
-  });
-  allreduce(cube, acc, v.partitioned_over(), op);
-  return acc.tile(0)[0];
+  return detail::vec_locate<MaxLoc<double>>(
+      v, key, -std::numeric_limits<double>::infinity());
 }
 
 /// Read one element back to the host, charging one one-element message (the

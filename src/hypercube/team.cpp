@@ -1,6 +1,11 @@
 #include "hypercube/team.hpp"
 
+#include <charconv>
 #include <cstdlib>
+#include <cstring>
+#include <string>
+
+#include "hypercube/check.hpp"
 
 namespace vmp {
 
@@ -20,10 +25,15 @@ constexpr int kSessionSpin = 4096;
 unsigned env_threads() {
   const char* s = std::getenv("VMP_THREADS");
   if (s == nullptr || *s == '\0') return 1;
-  char* end = nullptr;
-  const long v = std::strtol(s, &end, 10);
-  if (end == s || *end != '\0' || v < 0) return 1;
-  return static_cast<unsigned>(v);
+  // Digits only: from_chars takes no sign or blank and reports overflow.
+  const char* end = s + std::strlen(s);
+  unsigned v = 0;
+  const auto [ptr, ec] = std::from_chars(s, end, v);
+  if (ec != std::errc{} || ptr != end)
+    throw Error("VMP_THREADS=\"" + std::string(s) +
+                "\" is not a lane count (a decimal number of lanes, 0 for "
+                "one per hardware thread)");
+  return v;
 }
 
 unsigned WorkerTeam::resolve_lanes(unsigned threads) {

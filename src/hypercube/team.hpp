@@ -52,10 +52,12 @@
 namespace vmp {
 
 /// Lane count the VMP_THREADS environment variable requests: unset or
-/// unparsable means 1 (fully serial), "0" means one lane per hardware
-/// thread, any other number is taken literally.  This is the default for
-/// Cube::Options::threads, so every test and bench binary honours the
-/// variable without plumbing.
+/// empty means 1 (fully serial), "0" means one lane per hardware thread,
+/// any other decimal number is taken literally (a Cube clamps it to its
+/// processor count).  Anything else — a sign, a blank, a trailing
+/// character, a value past UINT_MAX — throws vmp::Error naming the
+/// variable and its value.  This is the default for Cube::Options::threads,
+/// so every test and bench binary honours the variable without plumbing.
 [[nodiscard]] unsigned env_threads();
 
 class WorkerTeam {

@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 #include <queue>
+#include <string>
 
 #include "net/dragonfly_topology.hpp"
 #include "net/hypercube_topology.hpp"
@@ -153,7 +154,11 @@ bool parse_topology(std::string_view name, TopologyKind& out) {
 
 TopologyKind env_topology() {
   TopologyKind kind = TopologyKind::Hypercube;
-  if (const char* s = std::getenv("VMP_TOPOLOGY")) (void)parse_topology(s, kind);
+  const char* s = std::getenv("VMP_TOPOLOGY");
+  if (s != nullptr && *s != '\0' && !parse_topology(s, kind))
+    throw Error("VMP_TOPOLOGY=\"" + std::string(s) +
+                "\" names no topology (hypercube, cube, mesh, torus or "
+                "dragonfly)");
   return kind;
 }
 

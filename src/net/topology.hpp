@@ -175,7 +175,9 @@ class Topology {
 /// Parse a preset name (case-sensitive; "cube" aliases "hypercube").
 [[nodiscard]] bool parse_topology(std::string_view name, TopologyKind& out);
 
-/// The VMP_TOPOLOGY environment default (unset/unknown → Hypercube).
+/// The VMP_TOPOLOGY environment default: unset or empty → Hypercube, a
+/// name parse_topology knows → that preset; any other value throws
+/// vmp::Error naming the variable and its value.
 [[nodiscard]] TopologyKind env_topology();
 
 /// Build a preset sized for a 2^dim-processor logical cube.  The mesh and

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "algorithms/matvec.hpp"
+#include "comm/collectives.hpp"
 #include "comm/dist_buffer.hpp"
 #include "core/kernels.hpp"
 #include "core/primitives.hpp"
@@ -266,6 +267,32 @@ TEST(ThreadOptions, VmpThreadsEnvIsTheDefault) {
   ASSERT_EQ(unsetenv("VMP_THREADS"), 0);
 }
 
+TEST(ThreadOptions, MalformedVmpThreadsIsRejected) {
+  // A value that is not a decimal lane count fails in the parse, which
+  // runs when Cube::Options{} is built — before any team is; unset or
+  // empty still means 1 lane.
+  for (const char* bad :
+       {"abc", "4x", "-1", "+2", " 3", "4294967296", "99999999999999999999"}) {
+    ASSERT_EQ(setenv("VMP_THREADS", bad, 1), 0);
+    try {
+      (void)env_threads();
+      ADD_FAILURE() << "VMP_THREADS=" << bad << " was accepted";
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("VMP_THREADS"), std::string::npos) << what;
+      EXPECT_NE(what.find(std::string("\"") + bad + "\""), std::string::npos)
+          << what;
+    }
+    EXPECT_THROW((void)Cube::Options{}, Error) << bad;
+    EXPECT_THROW({ Cube cube(2, CostParams::unit()); }, Error) << bad;
+  }
+  ASSERT_EQ(setenv("VMP_THREADS", "4294967295", 1), 0);
+  EXPECT_EQ(env_threads(), 4294967295u);
+  ASSERT_EQ(setenv("VMP_THREADS", "", 1), 0);
+  EXPECT_EQ(env_threads(), 1u);
+  ASSERT_EQ(unsetenv("VMP_THREADS"), 0);
+}
+
 TEST(ThreadOptions, LanesNeverExceedProcessors) {
   // A lane beyond one per processor would own nothing in any step: a
   // 4-processor cube asked for 64 lanes runs 4.
@@ -392,6 +419,104 @@ TEST(MixedSteps, InlineAndFannedOutStepsBitIdenticalAcrossLaneCounts) {
       EXPECT_LT(got.fanned_out, got.steps) << what;
       EXPECT_EQ(got.fanout_gauge, static_cast<double>(got.fanned_out))
           << what << " engine.fanout_steps";
+    }
+  }
+}
+
+// Collective invariance across lanes.  The collectives tabulate their
+// per-processor geometry (payload lengths, relative ranks, segment cuts)
+// on the host thread, and their rounds' staging and delivery steps only
+// read the tables.  Here every backend of broadcast_auto and of
+// allreduce_auto runs at payloads whose first rounds stay under the
+// 524288-byte inline cut and whose later rounds pass it, over the whole
+// cube and over a family of 4-processor subcubes whose payload lengths
+// differ, so at 2 and 3 lanes worker lanes read the tables.  Results,
+// clock, SimStats and traces must match the 1-lane run.
+struct CollectiveRun {
+  std::vector<std::uint64_t> digests;  ///< per call and processor
+  double now_us = 0.0;
+  SimStats stats;
+  std::vector<std::string> trace_paths;
+  std::vector<TraceEvent> trace_events;
+  std::vector<std::uint64_t> fanned_out;  ///< fanned-out steps per call
+};
+
+[[nodiscard]] CollectiveRun run_collectives(unsigned threads, bool faulty) {
+  constexpr int kDim = 4;
+  constexpr std::uint32_t kSegments = 4;
+  Cube cube(kDim, CostParams::cm2(), Cube::Options{threads});
+  if (faulty) cube.enable_faults(FaultPlan::transient(20261019, 0.02, 0.01));
+  cube.clock().tracer().set_recording(true);
+  // Half the byte cut per processor: a round with one sender stays inline,
+  // a round in which every processor sends fans out.
+  const std::size_t n = WorkerTeam::kInlineBytes / sizeof(double) / 2;
+  CollectiveRun r;
+  for (const SubcubeSet sc : {SubcubeSet::contiguous(0, kDim),
+                              SubcubeSet::contiguous(1, 2)}) {
+    const auto n_of = [&](proc_t q) {
+      return n + static_cast<std::size_t>(sc.subcube_id(q) % 7);
+    };
+    const auto filled = [&](bool roots_only) {
+      DistBuffer<double> buf(cube);
+      cube.each_proc([&](proc_t q) {
+        if (roots_only && sc.rank(q) != 1) return;
+        std::vector<double> v(n_of(q));
+        for (std::size_t t = 0; t < v.size(); ++t)
+          v[t] = static_cast<double>(q * 131 + t % 97) * 0.25 + 1.0 / (t + 1);
+        buf.assign(q, v);
+      });
+      return buf;
+    };
+    const auto run = [&](bool bcast, auto collective) {
+      DistBuffer<double> buf = filled(bcast);
+      const std::uint64_t before = cube.team().fanned_out();
+      collective(buf);
+      r.fanned_out.push_back(cube.team().fanned_out() - before);
+      cube.each_proc([&](proc_t q) {
+        const std::span<const double> t = buf.tile(q);
+        r.digests.push_back(fnv1a(t.data(), t.size_bytes()));
+      });
+    };
+    const Plus<double> plus;
+    run(true, [&](auto& b) { broadcast(cube, b, sc, 1); });
+    run(true, [&](auto& b) { broadcast_sag(cube, b, sc, 1, n_of); });
+    run(true, [&](auto& b) {
+      broadcast_pipelined(cube, b, sc, 1, n_of, kSegments);
+    });
+    run(false, [&](auto& b) { allreduce(cube, b, sc, plus); });
+    run(false, [&](auto& b) { allreduce_rsag(cube, b, sc, plus); });
+    run(false, [&](auto& b) {
+      allreduce_pipelined(cube, b, sc, plus, kSegments);
+    });
+  }
+  r.now_us = cube.clock().now_us();
+  r.stats = cube.clock().stats();
+  r.trace_paths = cube.clock().tracer().paths();
+  r.trace_events = cube.clock().tracer().events();
+  return r;
+}
+
+TEST(CollectiveSteps, BackendsBitIdenticalAcrossLaneCounts) {
+  for (const bool faulty : {false, true}) {
+    const CollectiveRun ref = run_collectives(1, faulty);
+    for (const std::uint64_t f : ref.fanned_out)
+      EXPECT_EQ(f, 0u) << "one lane never fans out";
+    if (faulty) {
+      EXPECT_GT(ref.stats.fault_retries, 0u) << "the plan must fire";
+    }
+    for (const unsigned threads : {2u, 3u}) {
+      const CollectiveRun got = run_collectives(threads, faulty);
+      const std::string what = std::string(faulty ? "faulty" : "fault-free") +
+                               " threads=" + std::to_string(threads);
+      EXPECT_EQ(ref.digests, got.digests) << what << " results";
+      EXPECT_EQ(ref.now_us, got.now_us) << what << " simulated clock";
+      EXPECT_TRUE(ref.stats == got.stats) << what << " SimStats diverge";
+      EXPECT_EQ(ref.trace_paths, got.trace_paths) << what;
+      EXPECT_TRUE(ref.trace_events == got.trace_events)
+          << what << " event traces diverge";
+      ASSERT_EQ(ref.fanned_out.size(), got.fanned_out.size()) << what;
+      for (std::size_t i = 0; i < got.fanned_out.size(); ++i)
+        EXPECT_GT(got.fanned_out[i], 0u) << what << " call " << i;
     }
   }
 }

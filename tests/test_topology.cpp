@@ -2528,5 +2528,33 @@ TEST(TopologyOptions, VmpTopologyEnvIsTheDefaultAndOptionsWin) {
     ASSERT_EQ(setenv("VMP_TOPOLOGY", saved.c_str(), 1), 0);
 }
 
+TEST(TopologyOptions, UnknownVmpTopologyIsRejected) {
+  // An unknown name fails in the parse, which runs when Cube::Options{} is
+  // built — before any team or topology is; unset or empty still means
+  // the hypercube.
+  std::string saved;
+  if (const char* prev = std::getenv("VMP_TOPOLOGY")) saved = prev;
+  for (const char* bad : {"banyan", "Mesh", "torus ", "dragonfly2"}) {
+    ASSERT_EQ(setenv("VMP_TOPOLOGY", bad, 1), 0);
+    try {
+      (void)env_topology();
+      ADD_FAILURE() << "VMP_TOPOLOGY=" << bad << " was accepted";
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("VMP_TOPOLOGY"), std::string::npos) << what;
+      EXPECT_NE(what.find(std::string("\"") + bad + "\""), std::string::npos)
+          << what;
+    }
+    EXPECT_THROW((void)Cube::Options{}, Error) << bad;
+    EXPECT_THROW({ Cube cube(3, CostParams::unit()); }, Error) << bad;
+  }
+  ASSERT_EQ(setenv("VMP_TOPOLOGY", "", 1), 0);
+  EXPECT_EQ(env_topology(), TopologyKind::Hypercube);
+  if (saved.empty())
+    ASSERT_EQ(unsetenv("VMP_TOPOLOGY"), 0);
+  else
+    ASSERT_EQ(setenv("VMP_TOPOLOGY", saved.c_str(), 1), 0);
+}
+
 }  // namespace
 }  // namespace vmp
