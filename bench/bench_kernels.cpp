@@ -10,6 +10,9 @@
 //   checksum                        fold of the outputs (defeats dead-code
 //                                   elimination; also a cheap cross-config
 //                                   sanity check)
+// axpy_rows also times the same update as one axpy call per panel row
+// (axpy_loop_ms, SIMD on) and reports loop_over_rows = axpy_loop_ms /
+// wall_simd_ms, the register-blocked kernel's gain over that loop.
 // The case labels carry the compiled backend name, so baselines recorded
 // on different ISAs are distinguishable at a glance.
 //
@@ -43,8 +46,9 @@ std::vector<double> make_data(std::size_t n, unsigned seed) {
 }
 
 /// Time `body` under both backend settings; record counters and a checksum.
+/// Returns the SIMD-on wall time.
 template <class Body>
-void time_both(bench::Case& c, std::size_t reps, Body body) {
+double time_both(bench::Case& c, std::size_t reps, Body body) {
   double sums[2] = {0.0, 0.0};
   double walls[2] = {0.0, 0.0};
   for (const int cfg : {0, 1}) {
@@ -59,6 +63,7 @@ void time_both(bench::Case& c, std::size_t reps, Body body) {
   c.counter("scalar_over_simd", walls[0] / walls[1]);
   c.counter("checksum", sums[0]);
   c.counter("checksum_simd", sums[1]);
+  return walls[1];
 }
 
 /// One trivial simulated step so --metrics reports carry the standard
@@ -215,5 +220,44 @@ int main(int argc, char** argv) {
       c.label(backend);
     });
   }
+
+  // One processor's hyper-systolic phase update in mm_dragonfly's solve:
+  // 48 C-partial rows of 384 (8 stored A copies of 6 rows), each adding the
+  // 6 rows of one streamed 6 × 384 B panel scaled by its A row's slice.
+  h.run("axpy_rows", {{"w", 6}, {"rows", 48}, {"n", 384}},
+        [&](bench::Case& c) {
+          const std::size_t w = 6, rows = 48, n = 384;
+          const std::size_t reps = (std::size_t{1} << 22) / (rows * n);
+          const std::vector<double> a = make_data(rows * w, 27);
+          const std::vector<double> panel = make_data(w * n, 28);
+          std::vector<double> cpart = make_data(rows * n, 29);
+          const std::span<double> cs(cpart);
+          const std::span<const double> as(a), ps(panel);
+          const double simd_ms = time_both(c, reps, [&] {
+            for (std::size_t r = 0; r < rows; ++r)
+              kern::axpy_rows(cs.subspan(r * n, n), as.subspan(r * w, w), ps,
+                              n);
+            clobber(cpart.data());
+            return cpart[rows * n - 1];
+          });
+          const bool prev = kern::simd::set_enabled(true);
+          double loop_sum = 0.0;
+          const auto t0 = std::chrono::steady_clock::now();
+          for (std::size_t rep = 0; rep < reps; ++rep) {
+            for (std::size_t r = 0; r < rows; ++r)
+              for (std::size_t t = 0; t < w; ++t)
+                kern::axpy(cs.subspan(r * n, n), a[r * w + t],
+                           ps.subspan(t * n, n));
+            clobber(cpart.data());
+            loop_sum += cpart[rows * n - 1];
+          }
+          const double loop_ms = wall_ms_of(t0);
+          kern::simd::set_enabled(prev);
+          c.counter("axpy_loop_ms", loop_ms);
+          c.counter("loop_over_rows", loop_ms / simd_ms);
+          c.counter("checksum_loop", loop_sum);
+          attach_metrics(h, c);
+          c.label(backend);
+        });
   return h.finish();
 }

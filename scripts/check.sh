@@ -5,7 +5,8 @@
 #   2. an address+undefined sanitizer build of the library, a set of test
 #      binaries (tracer, accounting, kernels, CG, sparse properties, the
 #      exchange-round tests, the collectives, the dense primitives and the
-#      mixed inline/fanned-out step sequences) and one benchmark,
+#      mixed inline/fanned-out step sequences and kernel steps) and one
+#      benchmark,
 #      with the tests re-run under ASan/UBSan;
 #   3. one benchmark in --quick mode (plus a --faults rerun), with its
 #      BENCH_*.json report and the exported Chrome trace validated against
@@ -57,10 +58,15 @@ echo "-- full suite --"
 echo "== kernel conformance with the SIMD backend disabled (VMP_SIMD=OFF) =="
 # The conformance suite just ran against the compiled backend inside the
 # tier-1 suite; this leg rebuilds the kernel layer with the scalar backend
-# so the OFF configuration of the VMP_SIMD option is exercised too.
+# so the OFF configuration of the VMP_SIMD option is exercised too, and
+# runs the matmul and matvec suites on it end to end (the accumulate-rows
+# kernel's scalar fallback under all three of its callers).
 cmake -B build-nosimd -S . -DVMP_SIMD=OFF >/dev/null
-cmake --build build-nosimd -j --target test_kernels >/dev/null
+cmake --build build-nosimd -j --target test_kernels test_matmul_hyper \
+  test_matvec >/dev/null
 ./build-nosimd/tests/test_kernels
+./build-nosimd/tests/test_matmul_hyper
+./build-nosimd/tests/test_matvec
 
 if [[ "$NO_SANITIZE" == 0 ]]; then
   echo "== sanitizer build (address,undefined) =="
@@ -106,10 +112,11 @@ if [[ "$NO_SANITIZE" == 0 ]]; then
   # per-call tables their rounds read).
   ./build-asan/tests/test_collectives
   # Steps above and below the inline cuts back to back at lanes 1-3: the
-  # staging step's partial merge and the one-round byte predictor, and
-  # every collective backend with rounds on both sides of the byte cut.
+  # staging step's partial merge and the one-round byte predictor, every
+  # collective backend with rounds on both sides of the byte cut, and the
+  # accumulate-rows kernel fanned out under its three callers.
   ./build-asan/tests/test_thread_invariance \
-    --gtest_filter='MixedSteps.*:CollectiveSteps.*'
+    --gtest_filter='MixedSteps.*:CollectiveSteps.*:KernelSteps.*'
 fi
 
 if [[ "$TSAN" == 1 ]]; then

@@ -102,9 +102,8 @@ DistMatrix<double> matmul_summa(const DistMatrix<double>& A,
                    const std::span<const double> ap = apanel.tile(q);
                    const std::span<const double> bp = bpanel.tile(q);
                    for (std::size_t lr = 0; lr < lrn; ++lr)
-                     for (std::size_t kk = 0; kk < w; ++kk)
-                       kern::axpy(cblk.subspan(lr * lcn, lcn), ap[lr * w + kk],
-                                  bp.subspan(kk * lcn, lcn));
+                     kern::axpy_rows(cblk.subspan(lr * lcn, lcn),
+                                     ap.subspan(lr * w, w), bp, lcn);
                  });
     k0 = k1;
   }
@@ -249,12 +248,9 @@ DistMatrix<double> matmul_hyper(const DistMatrix<double>& A,
           const std::size_t lra = A.rowmap().size(row_at(r + P - a));
           const std::span<const double> ap = acopy[a].tile(q);
           std::span<double> cp = cpart[a].tile(q);
-          for (std::size_t lr = 0; lr < lra; ++lr) {
-            const std::span<const double> arow = ap.subspan(lr * kk + c0, w);
-            std::span<double> crow = cp.subspan(lr * m, m);
-            for (std::size_t t = 0; t < w; ++t)
-              kern::axpy(crow, arow[t], bp.subspan(t * m, m));
-          }
+          for (std::size_t lr = 0; lr < lra; ++lr)
+            kern::axpy_rows(cp.subspan(lr * m, m), ap.subspan(lr * kk + c0, w),
+                            bp, m);
         }
       });
     }

@@ -58,8 +58,7 @@ DistVector<double> vecmat_fused(const DistVector<double>& x,
     const std::span<const double> xp = x.piece(q);
     const std::span<double> yp = y.data().tile(q);
     kern::fill(yp.first(lcn), 0.0);
-    for (std::size_t lr = 0; lr < lrn; ++lr)
-      kern::axpy(yp.first(lcn), xp[lr], blk.subspan(lr * lcn, lcn));
+    kern::axpy_rows(yp.first(lcn), xp.first(lrn), blk, lcn);
   });
   allreduce_auto(cube, y.data(), grid.within_col(), Plus<double>{});
   return y;

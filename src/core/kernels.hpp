@@ -20,10 +20,11 @@
 /// SIMD: kernels whose element operation the backend recognizes (fixed-size
 /// trivially-copyable fills and gathers; float/double zip/axpy/scale with a
 /// `kern::op_fn`-wrapped Plus/Multiply/Max/Min; the row-block fold_rows /
-/// dot_rows) dispatch to core/simd.hpp when `kern::simd::enabled()`.  Every
-/// default-mode dispatch is bit-identical to the scalar loop below it — the
-/// backend keeps per-element expressions, operand order and (for the
-/// row-block kernels) each row's combine chain exactly as written here.
+/// dot_rows / axpy_rows) dispatch to core/simd.hpp when
+/// `kern::simd::enabled()`.  Every default-mode dispatch is bit-identical to
+/// the scalar loop below it — the backend keeps per-element expressions,
+/// operand order and (for the row-block kernels) each row's combine chain
+/// exactly as written here.
 /// Only `Assoc::Relaxed`, an explicit per-call-site opt-in on fold/dot,
 /// permits reassociation, and even then the result is a deterministic
 /// function of the input for the compiled vector width (the runtime toggle
@@ -304,6 +305,27 @@ void axpy(std::span<T> y, const T& a, std::span<U> x) {
     }
   }
   for (std::size_t i = 0; i < y.size(); ++i) y[i] += a * x[i];
+}
+
+/// y[i] += a[t] · x[t·ldx + i] for t = 0 … a.size()−1 in turn — one output
+/// row plus a run of scaled panel rows (the GEMM and vecmat inner loops).
+/// Bit-identical to calling `axpy(y, a[t], x.subspan(t·ldx, y.size()))`
+/// for each t, which is what the scalar path does; the backend keeps a
+/// slice of y in registers across the rows instead.
+template <typename T, typename V, typename U>
+void axpy_rows(std::span<T> y, std::span<V> a, std::span<U> x,
+               std::size_t ldx) {
+  if constexpr (std::is_same_v<T, double> &&
+                std::is_same_v<std::remove_cv_t<V>, double> &&
+                std::is_same_v<std::remove_cv_t<U>, double>) {
+    if (simd::enabled()) {
+      simd::axpy_rows_f64(y.data(), a.data(), a.size(), x.data(), ldx,
+                          y.size());
+      return;
+    }
+  }
+  for (std::size_t t = 0; t < a.size(); ++t)
+    axpy(y, a[t], x.subspan(t * ldx, y.size()));
 }
 
 /// x[i] *= a.

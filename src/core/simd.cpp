@@ -27,6 +27,9 @@ namespace {
 
 /// Environment override: VMP_SIMD=0|off|OFF disables the backend at
 /// startup (the CMake option of the same name selects what is compiled).
+/// Static initialization cannot report a bad value, so every other value
+/// leaves the backend on here; vmp::env_simd (hypercube/machine.cpp) parses
+/// the variable strictly and makes Cube construction throw on a bad one.
 bool env_allows_simd() {
   const char* e = std::getenv("VMP_SIMD");
   if (e == nullptr) return true;
@@ -281,6 +284,63 @@ void axpy_f64(double* y, double a, const double* x, std::size_t n) {
   for (; i < n; ++i) y[i] += a * x[i];
 }
 
+namespace {
+/// One axpy_f64 step on a register-held slice c of y: c + a·x, with the
+/// product as the add's first source.  When both sources are NaN, x86
+/// returns the first one's payload.  axpy_f64's compiled add takes y from
+/// memory, which makes the product its first source; GCC commutes an
+/// _mm256_add_pd whose result overwrites c so that c comes first, so the
+/// add is spelled out to keep NaN payloads bit-identical as well.
+inline __m256d axpy_step_pd(__m256d c, __m256d av, const double* x) {
+  const __m256d prod = _mm256_mul_pd(av, _mm256_loadu_pd(x));
+  __m256d sum;
+  asm("vaddpd {%2, %1, %0|%0, %1, %2}" : "=x"(sum) : "x"(prod), "x"(c));
+  return sum;
+}
+}  // namespace
+
+void axpy_rows_f64(double* y, const double* a, std::size_t w,
+                   const double* x, std::size_t ldx, std::size_t n) {
+  std::size_t i = 0;
+  // 32 columns of y stay in eight accumulators across all w rows.
+  for (; i + 32 <= n; i += 32) {
+    __m256d c0 = _mm256_loadu_pd(y + i), c1 = _mm256_loadu_pd(y + i + 4),
+            c2 = _mm256_loadu_pd(y + i + 8), c3 = _mm256_loadu_pd(y + i + 12),
+            c4 = _mm256_loadu_pd(y + i + 16), c5 = _mm256_loadu_pd(y + i + 20),
+            c6 = _mm256_loadu_pd(y + i + 24), c7 = _mm256_loadu_pd(y + i + 28);
+    for (std::size_t t = 0; t < w; ++t) {
+      const __m256d av = _mm256_set1_pd(a[t]);
+      const double* xr = x + t * ldx + i;
+      c0 = axpy_step_pd(c0, av, xr);
+      c1 = axpy_step_pd(c1, av, xr + 4);
+      c2 = axpy_step_pd(c2, av, xr + 8);
+      c3 = axpy_step_pd(c3, av, xr + 12);
+      c4 = axpy_step_pd(c4, av, xr + 16);
+      c5 = axpy_step_pd(c5, av, xr + 20);
+      c6 = axpy_step_pd(c6, av, xr + 24);
+      c7 = axpy_step_pd(c7, av, xr + 28);
+    }
+    _mm256_storeu_pd(y + i, c0);
+    _mm256_storeu_pd(y + i + 4, c1);
+    _mm256_storeu_pd(y + i + 8, c2);
+    _mm256_storeu_pd(y + i + 12, c3);
+    _mm256_storeu_pd(y + i + 16, c4);
+    _mm256_storeu_pd(y + i + 20, c5);
+    _mm256_storeu_pd(y + i + 24, c6);
+    _mm256_storeu_pd(y + i + 28, c7);
+  }
+  for (; i + 4 <= n; i += 4) {
+    __m256d c = _mm256_loadu_pd(y + i);
+    for (std::size_t t = 0; t < w; ++t)
+      c = axpy_step_pd(c, _mm256_set1_pd(a[t]), x + t * ldx + i);
+    _mm256_storeu_pd(y + i, c);
+  }
+  // Fewer than 4 columns left: axpy_f64's own scalar tail, row by row.
+  if (i < n)
+    for (std::size_t t = 0; t < w; ++t)
+      axpy_f64(y + i, a[t], x + t * ldx + i, n - i);
+}
+
 void axpy_f32(float* y, float a, const float* x, std::size_t n) {
   const __m256 av = _mm256_set1_ps(a);
   std::size_t i = 0;
@@ -531,6 +591,57 @@ void axpy_f64(double* y, double a, const double* x, std::size_t n) {
   for (; i < n; ++i) y[i] += a * x[i];
 }
 
+namespace {
+/// One axpy_f64 step on a register-held slice of y, operands in
+/// axpy_f64's order (y first in the add, a first in the mul).
+inline float64x2_t axpy_step_pd(float64x2_t c, float64x2_t av,
+                                const double* x) {
+  return vaddq_f64(c, vmulq_f64(av, vld1q_f64(x)));
+}
+}  // namespace
+
+void axpy_rows_f64(double* y, const double* a, std::size_t w,
+                   const double* x, std::size_t ldx, std::size_t n) {
+  std::size_t i = 0;
+  // 16 columns of y stay in eight accumulators across all w rows.
+  for (; i + 16 <= n; i += 16) {
+    float64x2_t c0 = vld1q_f64(y + i), c1 = vld1q_f64(y + i + 2),
+                c2 = vld1q_f64(y + i + 4), c3 = vld1q_f64(y + i + 6),
+                c4 = vld1q_f64(y + i + 8), c5 = vld1q_f64(y + i + 10),
+                c6 = vld1q_f64(y + i + 12), c7 = vld1q_f64(y + i + 14);
+    for (std::size_t t = 0; t < w; ++t) {
+      const float64x2_t av = vdupq_n_f64(a[t]);
+      const double* xr = x + t * ldx + i;
+      c0 = axpy_step_pd(c0, av, xr);
+      c1 = axpy_step_pd(c1, av, xr + 2);
+      c2 = axpy_step_pd(c2, av, xr + 4);
+      c3 = axpy_step_pd(c3, av, xr + 6);
+      c4 = axpy_step_pd(c4, av, xr + 8);
+      c5 = axpy_step_pd(c5, av, xr + 10);
+      c6 = axpy_step_pd(c6, av, xr + 12);
+      c7 = axpy_step_pd(c7, av, xr + 14);
+    }
+    vst1q_f64(y + i, c0);
+    vst1q_f64(y + i + 2, c1);
+    vst1q_f64(y + i + 4, c2);
+    vst1q_f64(y + i + 6, c3);
+    vst1q_f64(y + i + 8, c4);
+    vst1q_f64(y + i + 10, c5);
+    vst1q_f64(y + i + 12, c6);
+    vst1q_f64(y + i + 14, c7);
+  }
+  for (; i + 2 <= n; i += 2) {
+    float64x2_t c = vld1q_f64(y + i);
+    for (std::size_t t = 0; t < w; ++t)
+      c = axpy_step_pd(c, vdupq_n_f64(a[t]), x + t * ldx + i);
+    vst1q_f64(y + i, c);
+  }
+  // One column left: axpy_f64's own scalar tail, row by row.
+  if (i < n)
+    for (std::size_t t = 0; t < w; ++t)
+      axpy_f64(y + i, a[t], x + t * ldx + i, n - i);
+}
+
 void axpy_f32(float* y, float a, const float* x, std::size_t n) {
   const float32x4_t av = vdupq_n_f32(a);
   std::size_t i = 0;
@@ -668,6 +779,10 @@ void zip_into_f32(const float* a, const float* b, float* out, std::size_t n,
 
 void axpy_f64(double* y, double a, const double* x, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) y[i] += a * x[i];
+}
+void axpy_rows_f64(double* y, const double* a, std::size_t w,
+                   const double* x, std::size_t ldx, std::size_t n) {
+  for (std::size_t t = 0; t < w; ++t) axpy_f64(y, a[t], x + t * ldx, n);
 }
 void axpy_f32(float* y, float a, const float* x, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) y[i] += a * x[i];

@@ -29,7 +29,9 @@
 ///
 /// The backend can also be disabled at runtime (per process) so twin tests
 /// and benches can compare SIMD-on vs SIMD-off inside one binary:
-/// `set_enabled(false)`, or environment `VMP_SIMD=0|off` at startup.
+/// `set_enabled(false)`, or environment `VMP_SIMD=0|off|OFF` at startup
+/// (`1|on|ON`, empty or unset leave it on; any other value makes Cube
+/// construction throw — see vmp::env_simd).
 #pragma once
 
 #include <atomic>
@@ -97,6 +99,14 @@ void zip_into_f32(const float* a, const float* b, float* out, std::size_t n,
 /// y[i] += a · x[i], evaluated exactly as mul-then-add (no FMA).
 void axpy_f64(double* y, double a, const double* x, std::size_t n);
 void axpy_f32(float* y, float a, const float* x, std::size_t n);
+
+/// y[i] += a[t] · x[t·ldx + i] for t = 0 … w−1 in turn (i < n): the w
+/// successive axpy_f64 calls of a row-times-panel update, each element's
+/// chain in the same order with the same mul-then-add.  The wide backends
+/// keep a slice of y in registers across all w rows instead of loading and
+/// storing it once per row.
+void axpy_rows_f64(double* y, const double* a, std::size_t w,
+                   const double* x, std::size_t ldx, std::size_t n);
 
 /// x[i] *= a.
 void scale_f64(double* x, double a, std::size_t n);

@@ -1,5 +1,7 @@
 #include "hypercube/machine.hpp"
 
+#include <cstdlib>
+
 namespace vmp {
 
 namespace {
@@ -13,6 +15,17 @@ unsigned team_lanes(unsigned threads, proc_t procs) {
 
 }  // namespace
 
+bool env_simd() {
+  const char* s = std::getenv("VMP_SIMD");
+  if (s == nullptr) return true;
+  const std::string v = s;
+  if (v.empty() || v == "1" || v == "on" || v == "ON") return true;
+  if (v == "0" || v == "off" || v == "OFF") return false;
+  throw Error("VMP_SIMD=\"" + v +
+              "\" is not a SIMD switch (0, off or OFF turn the kernel "
+              "backend off; 1, on or ON, empty or unset leave it on)");
+}
+
 Cube::Cube(int dim, CostParams params) : Cube(dim, params, Options{}) {}
 
 Cube::Cube(int dim, CostParams params, Options opts)
@@ -22,6 +35,7 @@ Cube::Cube(int dim, CostParams params, Options opts)
                                  : nullptr),
       clock_(params),
       team_(team_lanes(opts.threads, procs_)) {
+  (void)env_simd();
   VMP_REQUIRE(dim >= 0 && dim < 31, "cube dimension must be in [0, 31)");
   unit_hop_ = topo_->unit_hop();
   clock_.set_topology(topo_->name(), topo_->axis_count());

@@ -184,6 +184,14 @@ struct DimRoutes {
 
 }  // namespace detail
 
+/// Whether the VMP_SIMD environment variable lets the kernel backend run:
+/// unset, empty, "1", "on" or "ON" mean yes; "0", "off" or "OFF" mean no
+/// (core/simd.cpp applies that switch once, at startup).  Any other value
+/// throws vmp::Error naming the variable and its value.  Every Cube calls
+/// this when it is built, so a value such as "no" or "false" fails loudly
+/// instead of leaving the backend on.
+[[nodiscard]] bool env_simd();
+
 class Cube {
  public:
   struct Options {

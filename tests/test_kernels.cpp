@@ -362,6 +362,93 @@ TEST(Kernels, AxpyAndScaleMatchReference) {
   check_axpy_scale<std::int32_t>(43);  // scalar path in both configurations
 }
 
+// axpy_rows is w successive axpy calls, one per panel row.  The lengths
+// cover every remainder class of the AVX2 body's 32-column block and its
+// 4-wide tail (and of NEON's 16 / 2); ldx = n + 3 puts the panel rows off
+// the output's alignment.
+const std::vector<std::size_t> kRowLens = {0,  1,  3,  4,  5,  31,  32, 33,
+                                           35, 36, 63, 64, 65, 133, 384};
+
+/// Run axpy_rows on y and the w-call axpy loop it replaces on a copy; the
+/// two must match bit for bit.
+void expect_axpy_rows_matches_axpy_loop(std::span<double> y,
+                                        std::span<const double> a,
+                                        std::span<const double> x,
+                                        std::size_t ldx, const char* what) {
+  std::vector<double> loop(y.begin(), y.end());
+  for (std::size_t t = 0; t < a.size(); ++t)
+    kern::axpy(std::span<double>(loop), a[t], x.subspan(t * ldx, y.size()));
+  kern::axpy_rows(y, a, x, ldx);
+  expect_bits_eq<double>(y, std::span<const double>(loop), what);
+}
+
+TEST(Kernels, AxpyRowsMatchesAxpyLoopBitExactly) {
+  for_each_config([&](bool on, bool mis) {
+    for (const std::size_t n : kRowLens) {
+      for (const std::size_t w : {0ul, 1ul, 2ul, 6ul, 17ul}) {
+        for (const std::size_t ldx : {n, n + 3}) {
+          Rng r(n * 1000 + w * 10 + ldx - n + 151);
+          TestBuf<double> y(n, mis, r), a(w, mis, r);
+          TestBuf<double> x(w * ldx, mis, r);
+          const std::span<const double> xs(x.span(w * ldx));
+          // The plain scalar chain, row by row.
+          std::vector<double> want(y.span(n).begin(), y.span(n).end());
+          for (std::size_t t = 0; t < w; ++t)
+            for (std::size_t i = 0; i < n; ++i)
+              want[i] += a.span(w)[t] * xs[t * ldx + i];
+          expect_axpy_rows_matches_axpy_loop(
+              y.span(n), std::span<const double>(a.span(w)), xs, ldx,
+              on ? "axpy_rows simd" : "axpy_rows scalar");
+          expect_bits_eq<double>(y.span(n), std::span<const double>(want),
+                                 "axpy_rows vs scalar chain");
+        }
+      }
+    }
+  });
+}
+
+TEST(Kernels, AxpyRowsKeepsOperandOrderOnSpecialValues) {
+  // Quiet NaNs with distinct payloads (and signs) in y, a and x: when two
+  // NaNs meet, the result's payload names the operand the machine took
+  // first, so a kernel that multiplies x·a or adds y before the product
+  // where axpy does the opposite diverges here.  Signed zeros, infinities
+  // (Inf · 0 and Inf − Inf make fresh NaNs) and subnormals ride along.
+  const auto nan_with = [](std::uint64_t payload, bool negative) {
+    const std::uint64_t bits =
+        (negative ? 0xfff8000000000000ULL : 0x7ff8000000000000ULL) | payload;
+    double v;
+    std::memcpy(&v, &bits, 8);
+    return v;
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  const double sub = std::numeric_limits<double>::denorm_min();
+  const double sub_max = std::numeric_limits<double>::min() - sub;
+  const std::vector<double> special = {
+      nan_with(1, false), nan_with(2, true), nan_with(0x3ff, false),
+      nan_with(0x51, true), +0.0, -0.0, inf, -inf, sub, -sub, sub_max,
+      -sub_max, 1.0, -2.5, 0.5};
+  for_each_config([&](bool on, bool mis) {
+    for (const std::size_t n : {5ul, 36ul, 133ul}) {
+      const std::size_t w = 6, ldx = n + 3;
+      Rng r(n + 161);
+      TestBuf<double> y(n, mis, r), a(w, mis, r), x(w * ldx, mis, r);
+      // a's NaN payloads differ from every payload in y and x.
+      const double as[] = {nan_with(0x1234, false), -0.0, inf,
+                           nan_with(0x77, true),    sub,  -2.5};
+      std::memcpy(a.span(w).data(), as, sizeof as);
+      // Every value meets every other: special[k] sits at varying offsets.
+      for (std::size_t i = 0; i < n; ++i)
+        y.span(n)[i] = special[(i * 7) % special.size()];
+      for (std::size_t j = 0; j < w * ldx; ++j)
+        x.span(w * ldx)[j] = special[(j * 3 + j / 11) % special.size()];
+      expect_axpy_rows_matches_axpy_loop(
+          y.span(n), std::span<const double>(a.span(w)),
+          std::span<const double>(x.span(w * ldx)), ldx,
+          on ? "axpy_rows specials simd" : "axpy_rows specials scalar");
+    }
+  });
+}
+
 // ---------------------------------------------------------------------------
 // fold / dot (strict default) and the row-block kernels
 // ---------------------------------------------------------------------------

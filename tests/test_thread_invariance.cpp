@@ -17,10 +17,12 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdlib>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "algorithms/matmul.hpp"
 #include "algorithms/matvec.hpp"
 #include "comm/collectives.hpp"
 #include "comm/dist_buffer.hpp"
@@ -293,6 +295,44 @@ TEST(ThreadOptions, MalformedVmpThreadsIsRejected) {
   ASSERT_EQ(unsetenv("VMP_THREADS"), 0);
 }
 
+TEST(SimdOptions, MalformedVmpSimdIsRejected) {
+  // VMP_SIMD takes 0/off/OFF or 1/on/ON; unset or empty leaves the backend
+  // on.  Any other value — "no", "false", another case, a blank — makes
+  // Cube construction throw instead of quietly leaving the backend on.
+  const char* orig = std::getenv("VMP_SIMD");
+  const std::string saved = orig == nullptr ? "" : orig;
+  for (const char* bad :
+       {"no", "false", "yes", "true", "2", "Off", "On", " 0", "1 ", "avx2"}) {
+    ASSERT_EQ(setenv("VMP_SIMD", bad, 1), 0);
+    try {
+      (void)env_simd();
+      ADD_FAILURE() << "VMP_SIMD=" << bad << " was accepted";
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("VMP_SIMD"), std::string::npos) << what;
+      EXPECT_NE(what.find(std::string("\"") + bad + "\""), std::string::npos)
+          << what;
+    }
+    EXPECT_THROW({ Cube cube(2, CostParams::unit()); }, Error) << bad;
+    EXPECT_THROW({ Cube cube(2, CostParams::unit(), Cube::Options{1}); },
+                 Error)
+        << bad;
+  }
+  for (const char* off : {"0", "off", "OFF"}) {
+    ASSERT_EQ(setenv("VMP_SIMD", off, 1), 0);
+    EXPECT_FALSE(env_simd()) << off;
+    EXPECT_NO_THROW({ Cube cube(2, CostParams::unit()); }) << off;
+  }
+  for (const char* on : {"", "1", "on", "ON"}) {
+    ASSERT_EQ(setenv("VMP_SIMD", on, 1), 0);
+    EXPECT_TRUE(env_simd()) << on;
+    EXPECT_NO_THROW({ Cube cube(2, CostParams::unit()); }) << on;
+  }
+  ASSERT_EQ(unsetenv("VMP_SIMD"), 0);
+  EXPECT_TRUE(env_simd());
+  if (orig != nullptr) ASSERT_EQ(setenv("VMP_SIMD", saved.c_str(), 1), 0);
+}
+
 TEST(ThreadOptions, LanesNeverExceedProcessors) {
   // A lane beyond one per processor would own nothing in any step: a
   // 4-processor cube asked for 64 lanes runs 4.
@@ -519,6 +559,78 @@ TEST(CollectiveSteps, BackendsBitIdenticalAcrossLaneCounts) {
         EXPECT_GT(got.fanned_out[i], 0u) << what << " call " << i;
     }
   }
+}
+
+// Accumulate-rows invariance.  matmul_hyper's phase update, matmul_summa's
+// local GEMM and vecmat_fused add a run of scaled panel rows into each
+// output row with one kern::axpy_rows call.  At these sizes each of their
+// update steps passes the 131072-flop inline cut, so at 2 and 3 lanes worker
+// lanes run the kernel; summa and vecmat have 37 or 38 local columns, so
+// the kernel's 32-column blocks and both tails run.  With the SIMD backend
+// on and off, results, clock and SimStats must match the 1-lane run with
+// the backend off.
+struct KernelRun {
+  std::vector<std::uint64_t> digests;  ///< result bits per call
+  double now_us = 0.0;
+  SimStats stats;
+  std::vector<std::uint64_t> fanned_out;  ///< fanned-out steps per call
+};
+
+[[nodiscard]] KernelRun run_accumulate_rows(unsigned threads) {
+  Cube cube(6, CostParams::cm2(),
+            Cube::Options{threads, TopologyKind::Dragonfly});
+  KernelRun r;
+  const auto call = [&](auto body) {
+    const std::uint64_t before = cube.team().fanned_out();
+    const std::vector<double> c = body();
+    r.digests.push_back(fnv1a(c.data(), c.size() * sizeof(double)));
+    r.fanned_out.push_back(cube.team().fanned_out() - before);
+  };
+  // 64 × 1 ring: 3 rows per processor, 8 stored A copies, 3 B rows a phase.
+  Grid ring(cube, 6, 0);
+  const std::size_t n = 192;
+  DistMatrix<double> Ah(ring, n, n), Bh(ring, n, n);
+  Ah.load(random_matrix(n, n, 501));
+  Bh.load(random_matrix(n, n, 502));
+  call([&] { return matmul_hyper(Ah, Bh).to_host(); });
+  // 8 × 8 grid: panels of 10, C and A tiles 37 or 38 columns wide.
+  Grid grid(cube, 3, 3);
+  DistMatrix<double> As(grid, 96, 80), Bs(grid, 80, 300);
+  As.load(random_matrix(96, 80, 503));
+  Bs.load(random_matrix(80, 300, 504));
+  call([&] { return matmul_summa(As, Bs).to_host(); });
+  DistMatrix<double> Av(grid, 300, 300);
+  Av.load(random_matrix(300, 300, 505));
+  DistVector<double> x(grid, 300, Align::Rows, Part::Block);
+  x.load(random_vector(300, 506));
+  call([&] { return vecmat_fused(x, Av).to_host(); });
+  r.now_us = cube.clock().now_us();
+  r.stats = cube.clock().stats();
+  return r;
+}
+
+TEST(KernelSteps, AccumulateRowsBitIdenticalAcrossLanesAndSimd) {
+  const bool prev = kern::simd::set_enabled(false);
+  const KernelRun ref = run_accumulate_rows(1);
+  for (const bool simd : {false, true}) {
+    kern::simd::set_enabled(simd);
+    for (const unsigned threads : {1u, 2u, 3u}) {
+      const KernelRun got = run_accumulate_rows(threads);
+      const std::string what = std::string(simd ? "simd-on" : "simd-off") +
+                               " threads=" + std::to_string(threads);
+      EXPECT_EQ(ref.digests, got.digests) << what << " results";
+      EXPECT_EQ(ref.now_us, got.now_us) << what << " simulated clock";
+      EXPECT_TRUE(ref.stats == got.stats) << what << " SimStats diverge";
+      ASSERT_EQ(got.fanned_out.size(), 3u) << what;
+      for (std::size_t i = 0; i < got.fanned_out.size(); ++i) {
+        if (threads == 1)
+          EXPECT_EQ(got.fanned_out[i], 0u) << what << " call " << i;
+        else
+          EXPECT_GT(got.fanned_out[i], 0u) << what << " call " << i;
+      }
+    }
+  }
+  kern::simd::set_enabled(prev);
 }
 
 }  // namespace
