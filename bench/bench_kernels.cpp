@@ -193,17 +193,6 @@ int main(int argc, char** argv) {
       c.label(backend);
     });
 
-    h.run("dot_relaxed", {{"n", nn}}, [&](bench::Case& c) {
-      const std::vector<double> a = make_data(n, 24);
-      const std::vector<double> b = make_data(n, 25);
-      time_both(c, reps, [&] {
-        return kern::dot(std::span<const double>(a),
-                         std::span<const double>(b), kern::Assoc::Relaxed);
-      });
-      attach_metrics(h, c);
-      c.label(backend);
-    });
-
     h.run("gather_scatter", {{"n", nn}}, [&](bench::Case& c) {
       const std::size_t stride = 8;
       const std::vector<double> src = make_data(n * stride, 26);

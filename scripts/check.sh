@@ -55,12 +55,12 @@ fi
 echo "-- full suite --"
 (cd build && ctest --output-on-failure -j "$(nproc)")
 
-echo "== kernel conformance with the SIMD backend disabled (VMP_SIMD=OFF) =="
+echo "== kernel conformance with no SIMD backend compiled (VMP_SIMD=OFF) =="
 # The conformance suite just ran against the compiled backend inside the
-# tier-1 suite; this leg rebuilds the kernel layer with the scalar backend
-# so the OFF configuration of the VMP_SIMD option is exercised too, and
-# runs the matmul and matvec suites on it end to end (the accumulate-rows
-# kernel's scalar fallback under all three of its callers).
+# tier-1 suite; this leg rebuilds the kernel layer with no backend, so
+# every kernel is its scalar loop, and runs the matmul and matvec suites
+# on it end to end (the accumulate-rows kernel's scalar path under all
+# three of its callers).
 cmake -B build-nosimd -S . -DVMP_SIMD=OFF >/dev/null
 cmake --build build-nosimd -j --target test_kernels test_matmul_hyper \
   test_matvec >/dev/null
@@ -70,7 +70,10 @@ cmake --build build-nosimd -j --target test_kernels test_matmul_hyper \
 
 if [[ "$NO_SANITIZE" == 0 ]]; then
   echo "== sanitizer build (address,undefined) =="
-  cmake -B build-asan -S . -DVMP_SANITIZE=address,undefined >/dev/null
+  # -fno-sanitize-recover makes every UBSan report abort its test binary,
+  # so a report fails this stage instead of scrolling past.
+  cmake -B build-asan -S . -DVMP_SANITIZE=address,undefined \
+    -DCMAKE_CXX_FLAGS=-fno-sanitize-recover=undefined >/dev/null
   cmake --build build-asan -j --target test_trace test_accounting \
     test_kernels test_cg test_properties_random test_allport_shift \
     test_fault_recovery test_topology test_matmul_hyper test_buffer_pool \

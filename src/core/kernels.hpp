@@ -18,17 +18,15 @@
 /// these are pure host-side loops.
 ///
 /// SIMD: kernels whose element operation the backend recognizes (fixed-size
-/// trivially-copyable fills and gathers; float/double zip/axpy/scale with a
+/// trivially-copyable fills and gathers; double zip/axpy/scale with a
 /// `kern::op_fn`-wrapped Plus/Multiply/Max/Min; the row-block fold_rows /
 /// dot_rows / axpy_rows) dispatch to core/simd.hpp when
-/// `kern::simd::enabled()`.  Every default-mode dispatch is bit-identical to
-/// the scalar loop below it — the backend keeps per-element expressions,
-/// operand order and (for the row-block kernels) each row's combine chain
-/// exactly as written here.
-/// Only `Assoc::Relaxed`, an explicit per-call-site opt-in on fold/dot,
-/// permits reassociation, and even then the result is a deterministic
-/// function of the input for the compiled vector width (the runtime toggle
-/// does not affect it).  See docs/kernels.md.
+/// `kern::simd::enabled()`.  Every dispatch is bit-identical to the scalar
+/// loop below it — the backend keeps per-element expressions, operand order
+/// and (for the row-block kernels) each row's combine chain exactly as
+/// written here.  Each dispatch sits in an `if constexpr` that is false
+/// unless a wide backend is compiled (`simd::kCompiled`), so a VMP_SIMD=OFF
+/// build runs these scalar loops and nothing else.  See docs/kernels.md.
 ///
 /// Indexed kernels exploit that both embeddings (Block, Cyclic) are affine
 /// in the local slot: global = g0 + s·gstep (see AxisMap::global_begin).
@@ -44,13 +42,6 @@
 #include "core/simd.hpp"
 
 namespace vmp::kern {
-
-/// Floating-point association contract for fold/dot.  Strict (the default)
-/// keeps the ascending-index left-fold chain bit-for-bit; Relaxed lets the
-/// backend stripe the chain across `simd::width_f64()` lane accumulators
-/// folded in a fixed order — same input ⇒ same bits for a given compiled
-/// width, but not the scalar chain's bits.
-enum class Assoc { Strict, Relaxed };
 
 /// Transparent functor over a comm/ops.hpp reduction op: calls
 /// `op.combine(a, b)` and carries the op's type so the kernel dispatchers
@@ -73,52 +64,33 @@ template <class Op>
 
 namespace detail {
 
+/// True when a wide backend is compiled and every T is (const) double: the
+/// condition under which a kernel may call an f64 backend entry point.
+template <class... Ts>
+inline constexpr bool wide_f64 =
+    simd::kCompiled && (std::is_same_v<std::remove_cv_t<Ts>, double> && ...);
+
 /// Map a comm op type to the backend's combine code.  Only the four
-/// arithmetic ops over float/double vectorize; everything else (MinLoc,
-/// LogicalAnd, user functors, ...) stays on the scalar loops.
+/// arithmetic ops over double vectorize; everything else (MinLoc,
+/// LogicalAnd, user functors, float, ...) stays on the scalar loops.
 template <class Op>
 struct op2_of {
   static constexpr bool known = false;
-  using elem = void;
 };
 template <> struct op2_of<Plus<double>> {
   static constexpr bool known = true;
-  using elem = double;
   static constexpr simd::Op2 code = simd::Op2::add;
 };
 template <> struct op2_of<Multiply<double>> {
   static constexpr bool known = true;
-  using elem = double;
   static constexpr simd::Op2 code = simd::Op2::mul;
 };
 template <> struct op2_of<Max<double>> {
   static constexpr bool known = true;
-  using elem = double;
   static constexpr simd::Op2 code = simd::Op2::max;
 };
 template <> struct op2_of<Min<double>> {
   static constexpr bool known = true;
-  using elem = double;
-  static constexpr simd::Op2 code = simd::Op2::min;
-};
-template <> struct op2_of<Plus<float>> {
-  static constexpr bool known = true;
-  using elem = float;
-  static constexpr simd::Op2 code = simd::Op2::add;
-};
-template <> struct op2_of<Multiply<float>> {
-  static constexpr bool known = true;
-  using elem = float;
-  static constexpr simd::Op2 code = simd::Op2::mul;
-};
-template <> struct op2_of<Max<float>> {
-  static constexpr bool known = true;
-  using elem = float;
-  static constexpr simd::Op2 code = simd::Op2::max;
-};
-template <> struct op2_of<Min<float>> {
-  static constexpr bool known = true;
-  using elem = float;
   static constexpr simd::Op2 code = simd::Op2::min;
 };
 
@@ -126,30 +98,26 @@ template <> struct op2_of<Min<float>> {
 template <class F>
 struct fn_op2 {
   static constexpr bool known = false;
-  using elem = void;
 };
 template <class Op>
 struct fn_op2<OpFn<Op>> : op2_of<Op> {};
 
-/// True when functor F is a recognized op over exactly the element type of
-/// every span involved.
+/// True when functor F is a recognized op and every span involved holds
+/// double (and a wide backend is compiled).
 template <class F, class... Ts>
 inline constexpr bool vectorizable =
-    fn_op2<std::decay_t<F>>::known &&
-    (std::is_same_v<std::remove_cv_t<Ts>,
-                    typename fn_op2<std::decay_t<F>>::elem> &&
-     ...);
+    fn_op2<std::decay_t<F>>::known && wide_f64<Ts...>;
 
 template <class F>
 inline constexpr simd::Op2 op2_code = fn_op2<std::decay_t<F>>::code;
 
 /// Fixed-size trivially-copyable elements move through the type-erased
-/// 8/4-byte backend entry points.
+/// 8/4-byte backend entry points (when a wide backend is compiled).
 template <class T>
-inline constexpr bool word64 =
+inline constexpr bool word64 = simd::kCompiled &&
     std::is_trivially_copyable_v<std::remove_cv_t<T>> && sizeof(T) == 8;
 template <class T>
-inline constexpr bool word32 =
+inline constexpr bool word32 = simd::kCompiled &&
     std::is_trivially_copyable_v<std::remove_cv_t<T>> && sizeof(T) == 4;
 
 template <class T>
@@ -224,13 +192,8 @@ template <typename T, typename U, typename F>
 void zip(std::span<T> dst, std::span<U> src, F&& f) {
   if constexpr (detail::vectorizable<F, T, U>) {
     if (simd::enabled()) {
-      if constexpr (std::is_same_v<T, double>) {
-        simd::zip_f64(dst.data(), src.data(), dst.size(),
-                      detail::op2_code<F>, /*swapped=*/false);
-      } else {
-        simd::zip_f32(dst.data(), src.data(), dst.size(),
-                      detail::op2_code<F>, /*swapped=*/false);
-      }
+      simd::zip_f64(dst.data(), src.data(), dst.size(), detail::op2_code<F>,
+                    /*swapped=*/false);
       return;
     }
   }
@@ -245,13 +208,8 @@ template <typename T, typename U, typename F>
 void zip_swapped(std::span<T> dst, std::span<U> src, F&& f) {
   if constexpr (detail::vectorizable<F, T, U>) {
     if (simd::enabled()) {
-      if constexpr (std::is_same_v<T, double>) {
-        simd::zip_f64(dst.data(), src.data(), dst.size(),
-                      detail::op2_code<F>, /*swapped=*/true);
-      } else {
-        simd::zip_f32(dst.data(), src.data(), dst.size(),
-                      detail::op2_code<F>, /*swapped=*/true);
-      }
+      simd::zip_f64(dst.data(), src.data(), dst.size(), detail::op2_code<F>,
+                    /*swapped=*/true);
       return;
     }
   }
@@ -264,13 +222,8 @@ void zip_into(std::span<U> a, std::span<V> b, std::span<T> out,
               F&& f) {
   if constexpr (detail::vectorizable<F, U, V, T>) {
     if (simd::enabled()) {
-      if constexpr (std::is_same_v<T, double>) {
-        simd::zip_into_f64(a.data(), b.data(), out.data(), out.size(),
-                           detail::op2_code<F>);
-      } else {
-        simd::zip_into_f32(a.data(), b.data(), out.data(), out.size(),
-                           detail::op2_code<F>);
-      }
+      simd::zip_into_f64(a.data(), b.data(), out.data(), out.size(),
+                         detail::op2_code<F>);
       return;
     }
   }
@@ -291,16 +244,9 @@ void zip_indexed(std::span<T> dst, std::span<U> src, std::size_t g0,
 /// y[i] += a · x[i] — the rank-1 update's row kernel.
 template <typename T, typename U>
 void axpy(std::span<T> y, const T& a, std::span<U> x) {
-  if constexpr (std::is_same_v<T, double> &&
-                std::is_same_v<std::remove_cv_t<U>, double>) {
+  if constexpr (detail::wide_f64<T, U>) {
     if (simd::enabled()) {
       simd::axpy_f64(y.data(), a, x.data(), y.size());
-      return;
-    }
-  } else if constexpr (std::is_same_v<T, float> &&
-                       std::is_same_v<std::remove_cv_t<U>, float>) {
-    if (simd::enabled()) {
-      simd::axpy_f32(y.data(), a, x.data(), y.size());
       return;
     }
   }
@@ -315,9 +261,7 @@ void axpy(std::span<T> y, const T& a, std::span<U> x) {
 template <typename T, typename V, typename U>
 void axpy_rows(std::span<T> y, std::span<V> a, std::span<U> x,
                std::size_t ldx) {
-  if constexpr (std::is_same_v<T, double> &&
-                std::is_same_v<std::remove_cv_t<V>, double> &&
-                std::is_same_v<std::remove_cv_t<U>, double>) {
+  if constexpr (detail::wide_f64<T, V, U>) {
     if (simd::enabled()) {
       simd::axpy_rows_f64(y.data(), a.data(), a.size(), x.data(), ldx,
                           y.size());
@@ -331,14 +275,9 @@ void axpy_rows(std::span<T> y, std::span<V> a, std::span<U> x,
 /// x[i] *= a.
 template <typename T>
 void scale(std::span<T> x, const T& a) {
-  if constexpr (std::is_same_v<T, double>) {
+  if constexpr (detail::wide_f64<T>) {
     if (simd::enabled()) {
       simd::scale_f64(x.data(), a, x.size());
-      return;
-    }
-  } else if constexpr (std::is_same_v<T, float>) {
-    if (simd::enabled()) {
-      simd::scale_f32(x.data(), a, x.size());
       return;
     }
   }
@@ -346,42 +285,19 @@ void scale(std::span<T> x, const T& a) {
 }
 
 /// Left fold in ascending index order: combine(...combine(init, x[0])...).
-///
-/// `Assoc::Relaxed` is a per-call-site opt-in that only changes behaviour
-/// for a Plus<double> fold: the backend stripes the chain across its
-/// compiled lane count regardless of the runtime toggle, so the relaxed
-/// result is a fixed function of the input for a given build.  Every other
-/// (op, type) combination folds strictly even when Relaxed is requested.
+/// A single chain cannot be vectorized without reassociating it, so this
+/// stays a scalar loop on every backend.
 template <typename U, typename Acc, typename F>
-[[nodiscard]] Acc fold(std::span<U> x, Acc init, F&& combine,
-                       Assoc assoc = Assoc::Strict) {
-  if constexpr (detail::vectorizable<F, U> &&
-                std::is_same_v<Acc, double> &&
-                std::is_same_v<std::remove_cv_t<U>, double>) {
-    if (assoc == Assoc::Relaxed &&
-        detail::op2_code<F> == simd::Op2::add) {
-      return simd::sum_relaxed_f64(x.data(), x.size(), init);
-    }
-  }
-  (void)assoc;
+[[nodiscard]] Acc fold(std::span<U> x, Acc init, F&& combine) {
   Acc acc = init;
   for (const auto& v : x) acc = combine(acc, v);
   return acc;
 }
 
-/// Ascending-order dot product: sum += a[i] · b[i].  `Assoc::Relaxed`
-/// (double only) stripes the accumulation across the compiled lane count —
-/// deterministic per build, independent of the runtime toggle.
+/// Ascending-order dot product: sum += a[i] · b[i].  Scalar on every
+/// backend, like fold.
 template <typename U, typename V>
-[[nodiscard]] std::remove_const_t<U> dot(std::span<U> a, std::span<V> b,
-                                         Assoc assoc = Assoc::Strict) {
-  if constexpr (std::is_same_v<std::remove_cv_t<U>, double> &&
-                std::is_same_v<std::remove_cv_t<V>, double>) {
-    if (assoc == Assoc::Relaxed) {
-      return simd::dot_relaxed_f64(a.data(), b.data(), a.size());
-    }
-  }
-  (void)assoc;
+[[nodiscard]] std::remove_const_t<U> dot(std::span<U> a, std::span<V> b) {
   std::remove_const_t<U> s{};
   for (std::size_t i = 0; i < a.size(); ++i) s += a[i] * b[i];
   return s;
@@ -394,8 +310,7 @@ template <typename U, typename V>
 template <typename U, typename Acc, typename F>
 void fold_rows(std::span<U> blk, std::size_t lrn, std::size_t lcn,
                Acc init, std::span<Acc> out, F&& combine) {
-  if constexpr (detail::vectorizable<F, U> && std::is_same_v<Acc, double> &&
-                std::is_same_v<std::remove_cv_t<U>, double>) {
+  if constexpr (detail::vectorizable<F, U, Acc>) {
     if (simd::enabled()) {
       simd::fold_rows_f64(blk.data(), lrn, lcn, init, out.data(),
                           detail::op2_code<F>);
@@ -416,9 +331,7 @@ void fold_rows(std::span<U> blk, std::size_t lrn, std::size_t lcn,
 template <typename U, typename V, typename T>
 void dot_rows(std::span<U> blk, std::size_t lrn, std::size_t lcn,
               std::span<V> x, std::span<T> out) {
-  if constexpr (std::is_same_v<std::remove_cv_t<U>, double> &&
-                std::is_same_v<std::remove_cv_t<V>, double> &&
-                std::is_same_v<T, double>) {
+  if constexpr (detail::wide_f64<U, V, T>) {
     if (simd::enabled()) {
       simd::dot_rows_f64(blk.data(), lrn, lcn, x.data(), out.data());
       return;

@@ -1,14 +1,14 @@
 /// \file simd.cpp
 /// \brief The one translation unit compiled with wide-vector flags (see
-///        src/CMakeLists.txt): AVX2 (-mavx2 -ffp-contract=off), NEON
-///        (-ffp-contract=off), or plain scalar when VMP_SIMD=OFF.
+///        src/CMakeLists.txt): AVX2 (-mavx2 -ffp-contract=off) or NEON
+///        (-ffp-contract=off).  With VMP_SIMD=OFF it holds only the runtime
+///        switch: the kernels in core/kernels.hpp never call into a backend
+///        there.
 ///
 /// The kernels here must keep the exact per-element expression of the
 /// scalar loops in core/kernels.hpp: mul then add (never FMA — hence
 /// -ffp-contract=off on this file), Max as compare+blend `a < b ? b : a`,
-/// Min as `b < a ? b : a`.  Only the *_relaxed reductions may reassociate,
-/// and they do so in the fixed striped-lane order documented in
-/// docs/kernels.md.
+/// Min as `b < a ? b : a` (docs/kernels.md).
 
 #include "core/simd.hpp"
 
@@ -37,6 +37,44 @@ bool env_allows_simd() {
            std::strcmp(e, "OFF") == 0);
 }
 
+}  // namespace
+
+namespace detail {
+std::atomic<bool> g_enabled{kCompiled};
+}  // namespace detail
+
+namespace {
+/// Apply the environment override exactly once, before main() touches the
+/// kernels (static init of this TU).
+const bool g_env_applied = [] {
+  if (!env_allows_simd()) detail::g_enabled.store(false);
+  return true;
+}();
+}  // namespace
+
+bool compiled() { return kCompiled; }
+
+const char* backend() {
+#if defined(VMP_SIMD_BACKEND_AVX2)
+  return "avx2";
+#elif defined(VMP_SIMD_BACKEND_NEON)
+  return "neon";
+#else
+  return "scalar";
+#endif
+}
+
+bool set_enabled(bool on) {
+  (void)g_env_applied;
+  const bool prev = detail::g_enabled.load();
+  detail::g_enabled.store(on && kCompiled);
+  return prev;
+}
+
+#if defined(VMP_SIMD_BACKEND_AVX2) || defined(VMP_SIMD_BACKEND_NEON)
+
+namespace {
+
 template <class T>
 T load_raw(const void* p) {
   T v;
@@ -49,46 +87,7 @@ void store_raw(void* p, T v) {
   std::memcpy(p, &v, sizeof(T));
 }
 
-/// Scalar reference bodies — the OFF backend, and every backend's tail
-/// loops.  These mirror core/kernels.hpp expression for expression.
-template <class T>
-void zip_scalar(T* dst, const T* src, std::size_t i, std::size_t n, Op2 op,
-                bool swapped) {
-  const auto comb = [op](T a, T b) -> T {
-    switch (op) {
-      case Op2::add: return a + b;
-      case Op2::mul: return a * b;
-      case Op2::max: return a < b ? b : a;
-      case Op2::min: return b < a ? b : a;
-    }
-    return a;
-  };
-  if (swapped) {
-    for (; i < n; ++i) dst[i] = comb(src[i], dst[i]);
-  } else {
-    for (; i < n; ++i) dst[i] = comb(dst[i], src[i]);
-  }
-}
-
-template <class T>
-void zip_into_scalar(const T* a, const T* b, T* out, std::size_t i,
-                     std::size_t n, Op2 op) {
-  switch (op) {
-    case Op2::add:
-      for (; i < n; ++i) out[i] = a[i] + b[i];
-      break;
-    case Op2::mul:
-      for (; i < n; ++i) out[i] = a[i] * b[i];
-      break;
-    case Op2::max:
-      for (; i < n; ++i) out[i] = a[i] < b[i] ? b[i] : a[i];
-      break;
-    case Op2::min:
-      for (; i < n; ++i) out[i] = b[i] < a[i] ? b[i] : a[i];
-      break;
-  }
-}
-
+/// op(acc, x) on one element, with the scalar semantics of Op2.
 double fold1(double acc, double x, Op2 op) {
   switch (op) {
     case Op2::add: return acc + x;
@@ -99,71 +98,19 @@ double fold1(double acc, double x, Op2 op) {
   return acc;
 }
 
+/// The scalar tails of zip_f64 and zip_into_f64, from element i on.
+void zip_scalar(double* dst, const double* src, std::size_t i, std::size_t n,
+                Op2 op, bool swapped) {
+  for (; i < n; ++i)
+    dst[i] = swapped ? fold1(src[i], dst[i], op) : fold1(dst[i], src[i], op);
+}
+
+void zip_into_scalar(const double* a, const double* b, double* out,
+                     std::size_t i, std::size_t n, Op2 op) {
+  for (; i < n; ++i) out[i] = fold1(a[i], b[i], op);
+}
+
 }  // namespace
-
-namespace detail {
-std::atomic<bool> g_enabled{
-#if defined(VMP_SIMD_BACKEND_AVX2) || defined(VMP_SIMD_BACKEND_NEON)
-    true
-#else
-    false
-#endif
-};
-}  // namespace detail
-
-namespace {
-/// Apply the environment override exactly once, before main() touches the
-/// kernels (static init of this TU).
-const bool g_env_applied = [] {
-  if (!env_allows_simd()) detail::g_enabled.store(false);
-  return true;
-}();
-}  // namespace
-
-bool compiled() {
-#if defined(VMP_SIMD_BACKEND_AVX2) || defined(VMP_SIMD_BACKEND_NEON)
-  return true;
-#else
-  return false;
-#endif
-}
-
-const char* backend() {
-#if defined(VMP_SIMD_BACKEND_AVX2)
-  return "avx2";
-#elif defined(VMP_SIMD_BACKEND_NEON)
-  return "neon";
-#else
-  return "scalar";
-#endif
-}
-
-std::size_t width_f64() {
-#if defined(VMP_SIMD_BACKEND_AVX2)
-  return 4;
-#elif defined(VMP_SIMD_BACKEND_NEON)
-  return 2;
-#else
-  return 1;
-#endif
-}
-
-std::size_t width_f32() {
-#if defined(VMP_SIMD_BACKEND_AVX2)
-  return 8;
-#elif defined(VMP_SIMD_BACKEND_NEON)
-  return 4;
-#else
-  return 1;
-#endif
-}
-
-bool set_enabled(bool on) {
-  (void)g_env_applied;
-  const bool prev = detail::g_enabled.load();
-  detail::g_enabled.store(on && compiled());
-  return prev;
-}
 
 // ===========================================================================
 // AVX2 backend
@@ -184,16 +131,6 @@ inline __m256d comb_pd(__m256d a, __m256d b, Op2 op) {
   return a;
 }
 
-inline __m256 comb_ps(__m256 a, __m256 b, Op2 op) {
-  switch (op) {
-    case Op2::add: return _mm256_add_ps(a, b);
-    case Op2::mul: return _mm256_mul_ps(a, b);
-    case Op2::max: return _mm256_blendv_ps(a, b, _mm256_cmp_ps(a, b, _CMP_LT_OQ));
-    case Op2::min: return _mm256_blendv_ps(a, b, _mm256_cmp_ps(b, a, _CMP_LT_OQ));
-  }
-  return a;
-}
-
 /// Column j of four consecutive rows of a row-major block (stride lcn).
 inline __m256d column_pd(const double* row0, std::size_t lcn, std::size_t j) {
   return _mm256_setr_pd(row0[j], row0[lcn + j], row0[2 * lcn + j],
@@ -201,20 +138,6 @@ inline __m256d column_pd(const double* row0, std::size_t lcn, std::size_t j) {
 }
 
 }  // namespace
-
-void fill_f64(double* dst, std::size_t n, double v) {
-  const __m256d vv = _mm256_set1_pd(v);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) _mm256_storeu_pd(dst + i, vv);
-  for (; i < n; ++i) dst[i] = v;
-}
-
-void fill_f32(float* dst, std::size_t n, float v) {
-  const __m256 vv = _mm256_set1_ps(v);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) _mm256_storeu_ps(dst + i, vv);
-  for (; i < n; ++i) dst[i] = v;
-}
 
 void fill_u64(void* dst, std::size_t n, std::uint64_t bits) {
   char* d = static_cast<char*>(dst);
@@ -245,32 +168,12 @@ void zip_f64(double* dst, const double* src, std::size_t n, Op2 op,
   zip_scalar(dst, src, i, n, op, swapped);
 }
 
-void zip_f32(float* dst, const float* src, std::size_t n, Op2 op,
-             bool swapped) {
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 d = _mm256_loadu_ps(dst + i);
-    const __m256 s = _mm256_loadu_ps(src + i);
-    _mm256_storeu_ps(dst + i, swapped ? comb_ps(s, d, op) : comb_ps(d, s, op));
-  }
-  zip_scalar(dst, src, i, n, op, swapped);
-}
-
 void zip_into_f64(const double* a, const double* b, double* out,
                   std::size_t n, Op2 op) {
   std::size_t i = 0;
   for (; i + 4 <= n; i += 4)
     _mm256_storeu_pd(out + i, comb_pd(_mm256_loadu_pd(a + i),
                                       _mm256_loadu_pd(b + i), op));
-  zip_into_scalar(a, b, out, i, n, op);
-}
-
-void zip_into_f32(const float* a, const float* b, float* out, std::size_t n,
-                  Op2 op) {
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8)
-    _mm256_storeu_ps(out + i, comb_ps(_mm256_loadu_ps(a + i),
-                                      _mm256_loadu_ps(b + i), op));
   zip_into_scalar(a, b, out, i, n, op);
 }
 
@@ -341,29 +244,11 @@ void axpy_rows_f64(double* y, const double* a, std::size_t w,
       axpy_f64(y + i, a[t], x + t * ldx + i, n - i);
 }
 
-void axpy_f32(float* y, float a, const float* x, std::size_t n) {
-  const __m256 av = _mm256_set1_ps(a);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 prod = _mm256_mul_ps(av, _mm256_loadu_ps(x + i));
-    _mm256_storeu_ps(y + i, _mm256_add_ps(_mm256_loadu_ps(y + i), prod));
-  }
-  for (; i < n; ++i) y[i] += a * x[i];
-}
-
 void scale_f64(double* x, double a, std::size_t n) {
   const __m256d av = _mm256_set1_pd(a);
   std::size_t i = 0;
   for (; i + 4 <= n; i += 4)
     _mm256_storeu_pd(x + i, _mm256_mul_pd(_mm256_loadu_pd(x + i), av));
-  for (; i < n; ++i) x[i] *= a;
-}
-
-void scale_f32(float* x, float a, std::size_t n) {
-  const __m256 av = _mm256_set1_ps(a);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8)
-    _mm256_storeu_ps(x + i, _mm256_mul_ps(_mm256_loadu_ps(x + i), av));
   for (; i < n; ++i) x[i] *= a;
 }
 
@@ -407,40 +292,6 @@ void dot_rows_f64(const double* blk, std::size_t lrn, std::size_t lcn,
   }
 }
 
-namespace {
-/// Fixed-order horizontal sum: ((l0+l2)+(l1+l3)) via one 128-bit fold then
-/// one scalar add — the documented lane-combine order of the relaxed
-/// reductions.
-inline double hsum_pd(__m256d v) {
-  const __m128d lo = _mm256_castpd256_pd128(v);
-  const __m128d hi = _mm256_extractf128_pd(v, 1);
-  const __m128d pair = _mm_add_pd(lo, hi);  // {l0+l2, l1+l3}
-  return _mm_cvtsd_f64(pair) + _mm_cvtsd_f64(_mm_unpackhi_pd(pair, pair));
-}
-}  // namespace
-
-double dot_relaxed_f64(const double* a, const double* b, std::size_t n) {
-  __m256d acc = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4)
-    acc = _mm256_add_pd(acc,
-                        _mm256_mul_pd(_mm256_loadu_pd(a + i),
-                                      _mm256_loadu_pd(b + i)));
-  double s = hsum_pd(acc);
-  for (; i < n; ++i) s += a[i] * b[i];
-  return s;
-}
-
-double sum_relaxed_f64(const double* x, std::size_t n, double init) {
-  __m256d acc = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4)
-    acc = _mm256_add_pd(acc, _mm256_loadu_pd(x + i));
-  double s = init + hsum_pd(acc);
-  for (; i < n; ++i) s += x[i];
-  return s;
-}
-
 void gather64(const void* src, std::size_t stride, void* dst, std::size_t n) {
   const char* s = static_cast<const char*>(src);
   char* d = static_cast<char*>(dst);
@@ -478,7 +329,7 @@ void gather32(const void* src, std::size_t stride, void* dst, std::size_t n) {
 #elif defined(VMP_SIMD_BACKEND_NEON)
 
 // ===========================================================================
-// NEON backend (aarch64: 128-bit lanes, 2 f64 / 4 f32)
+// NEON backend (aarch64: 128-bit lanes, 2 f64)
 // ===========================================================================
 
 namespace {
@@ -493,16 +344,6 @@ inline float64x2_t comb_pd(float64x2_t a, float64x2_t b, Op2 op) {
   return a;
 }
 
-inline float32x4_t comb_ps(float32x4_t a, float32x4_t b, Op2 op) {
-  switch (op) {
-    case Op2::add: return vaddq_f32(a, b);
-    case Op2::mul: return vmulq_f32(a, b);
-    case Op2::max: return vbslq_f32(vcltq_f32(a, b), b, a);
-    case Op2::min: return vbslq_f32(vcltq_f32(b, a), b, a);
-  }
-  return a;
-}
-
 inline float64x2_t column_pd(const double* row0, std::size_t lcn,
                              std::size_t j) {
   float64x2_t v = vdupq_n_f64(row0[j]);
@@ -510,20 +351,6 @@ inline float64x2_t column_pd(const double* row0, std::size_t lcn,
 }
 
 }  // namespace
-
-void fill_f64(double* dst, std::size_t n, double v) {
-  const float64x2_t vv = vdupq_n_f64(v);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) vst1q_f64(dst + i, vv);
-  for (; i < n; ++i) dst[i] = v;
-}
-
-void fill_f32(float* dst, std::size_t n, float v) {
-  const float32x4_t vv = vdupq_n_f32(v);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) vst1q_f32(dst + i, vv);
-  for (; i < n; ++i) dst[i] = v;
-}
 
 void fill_u64(void* dst, std::size_t n, std::uint64_t bits) {
   char* d = static_cast<char*>(dst);
@@ -554,30 +381,11 @@ void zip_f64(double* dst, const double* src, std::size_t n, Op2 op,
   zip_scalar(dst, src, i, n, op, swapped);
 }
 
-void zip_f32(float* dst, const float* src, std::size_t n, Op2 op,
-             bool swapped) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const float32x4_t d = vld1q_f32(dst + i);
-    const float32x4_t s = vld1q_f32(src + i);
-    vst1q_f32(dst + i, swapped ? comb_ps(s, d, op) : comb_ps(d, s, op));
-  }
-  zip_scalar(dst, src, i, n, op, swapped);
-}
-
 void zip_into_f64(const double* a, const double* b, double* out,
                   std::size_t n, Op2 op) {
   std::size_t i = 0;
   for (; i + 2 <= n; i += 2)
     vst1q_f64(out + i, comb_pd(vld1q_f64(a + i), vld1q_f64(b + i), op));
-  zip_into_scalar(a, b, out, i, n, op);
-}
-
-void zip_into_f32(const float* a, const float* b, float* out, std::size_t n,
-                  Op2 op) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4)
-    vst1q_f32(out + i, comb_ps(vld1q_f32(a + i), vld1q_f32(b + i), op));
   zip_into_scalar(a, b, out, i, n, op);
 }
 
@@ -642,27 +450,10 @@ void axpy_rows_f64(double* y, const double* a, std::size_t w,
       axpy_f64(y + i, a[t], x + t * ldx + i, n - i);
 }
 
-void axpy_f32(float* y, float a, const float* x, std::size_t n) {
-  const float32x4_t av = vdupq_n_f32(a);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const float32x4_t prod = vmulq_f32(av, vld1q_f32(x + i));
-    vst1q_f32(y + i, vaddq_f32(vld1q_f32(y + i), prod));
-  }
-  for (; i < n; ++i) y[i] += a * x[i];
-}
-
 void scale_f64(double* x, double a, std::size_t n) {
   const float64x2_t av = vdupq_n_f64(a);
   std::size_t i = 0;
   for (; i + 2 <= n; i += 2) vst1q_f64(x + i, vmulq_f64(vld1q_f64(x + i), av));
-  for (; i < n; ++i) x[i] *= a;
-}
-
-void scale_f32(float* x, float a, std::size_t n) {
-  const float32x4_t av = vdupq_n_f32(a);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) vst1q_f32(x + i, vmulq_f32(vld1q_f32(x + i), av));
   for (; i < n; ++i) x[i] *= a;
 }
 
@@ -704,25 +495,6 @@ void dot_rows_f64(const double* blk, std::size_t lrn, std::size_t lcn,
   }
 }
 
-double dot_relaxed_f64(const double* a, const double* b, std::size_t n) {
-  float64x2_t acc = vdupq_n_f64(0.0);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2)
-    acc = vaddq_f64(acc, vmulq_f64(vld1q_f64(a + i), vld1q_f64(b + i)));
-  double s = vgetq_lane_f64(acc, 0) + vgetq_lane_f64(acc, 1);
-  for (; i < n; ++i) s += a[i] * b[i];
-  return s;
-}
-
-double sum_relaxed_f64(const double* x, std::size_t n, double init) {
-  float64x2_t acc = vdupq_n_f64(0.0);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) acc = vaddq_f64(acc, vld1q_f64(x + i));
-  double s = init + (vgetq_lane_f64(acc, 0) + vgetq_lane_f64(acc, 1));
-  for (; i < n; ++i) s += x[i];
-  return s;
-}
-
 void gather64(const void* src, std::size_t stride, void* dst, std::size_t n) {
   const char* s = static_cast<const char*>(src);
   char* d = static_cast<char*>(dst);
@@ -739,109 +511,7 @@ void gather32(const void* src, std::size_t stride, void* dst, std::size_t n) {
     store_raw(d + i * 4, load_raw<std::uint32_t>(s + i * sb));
 }
 
-#else
-
-// ===========================================================================
-// Scalar backend (VMP_SIMD=OFF): reference loops, compiled() == false.
-// ===========================================================================
-
-void fill_f64(double* dst, std::size_t n, double v) {
-  for (std::size_t i = 0; i < n; ++i) dst[i] = v;
-}
-void fill_f32(float* dst, std::size_t n, float v) {
-  for (std::size_t i = 0; i < n; ++i) dst[i] = v;
-}
-void fill_u64(void* dst, std::size_t n, std::uint64_t bits) {
-  char* d = static_cast<char*>(dst);
-  for (std::size_t i = 0; i < n; ++i) store_raw(d + i * 8, bits);
-}
-void fill_u32(void* dst, std::size_t n, std::uint32_t bits) {
-  char* d = static_cast<char*>(dst);
-  for (std::size_t i = 0; i < n; ++i) store_raw(d + i * 4, bits);
-}
-
-void zip_f64(double* dst, const double* src, std::size_t n, Op2 op,
-             bool swapped) {
-  zip_scalar(dst, src, 0, n, op, swapped);
-}
-void zip_f32(float* dst, const float* src, std::size_t n, Op2 op,
-             bool swapped) {
-  zip_scalar(dst, src, 0, n, op, swapped);
-}
-void zip_into_f64(const double* a, const double* b, double* out,
-                  std::size_t n, Op2 op) {
-  zip_into_scalar(a, b, out, 0, n, op);
-}
-void zip_into_f32(const float* a, const float* b, float* out, std::size_t n,
-                  Op2 op) {
-  zip_into_scalar(a, b, out, 0, n, op);
-}
-
-void axpy_f64(double* y, double a, const double* x, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) y[i] += a * x[i];
-}
-void axpy_rows_f64(double* y, const double* a, std::size_t w,
-                   const double* x, std::size_t ldx, std::size_t n) {
-  for (std::size_t t = 0; t < w; ++t) axpy_f64(y, a[t], x + t * ldx, n);
-}
-void axpy_f32(float* y, float a, const float* x, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) y[i] += a * x[i];
-}
-void scale_f64(double* x, double a, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) x[i] *= a;
-}
-void scale_f32(float* x, float a, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) x[i] *= a;
-}
-
-void fold_rows_f64(const double* blk, std::size_t lrn, std::size_t lcn,
-                   double init, double* out, Op2 op) {
-  for (std::size_t r = 0; r < lrn; ++r) {
-    double acc = init;
-    const double* row = blk + r * lcn;
-    for (std::size_t j = 0; j < lcn; ++j) acc = fold1(acc, row[j], op);
-    out[r] = acc;
-  }
-}
-
-void dot_rows_f64(const double* blk, std::size_t lrn, std::size_t lcn,
-                  const double* x, double* out) {
-  for (std::size_t r = 0; r < lrn; ++r) {
-    double s = 0.0;
-    const double* row = blk + r * lcn;
-    for (std::size_t j = 0; j < lcn; ++j) s += row[j] * x[j];
-    out[r] = s;
-  }
-}
-
-double dot_relaxed_f64(const double* a, const double* b, std::size_t n) {
-  // Width 1: the striped-lane order degenerates to the strict chain.
-  double s = 0.0;
-  for (std::size_t i = 0; i < n; ++i) s += a[i] * b[i];
-  return s;
-}
-
-double sum_relaxed_f64(const double* x, std::size_t n, double init) {
-  double s = init;
-  for (std::size_t i = 0; i < n; ++i) s += x[i];
-  return s;
-}
-
-void gather64(const void* src, std::size_t stride, void* dst, std::size_t n) {
-  const char* s = static_cast<const char*>(src);
-  char* d = static_cast<char*>(dst);
-  for (std::size_t i = 0; i < n; ++i)
-    store_raw(d + i * 8, load_raw<std::uint64_t>(s + i * stride * 8));
-}
-
-void gather32(const void* src, std::size_t stride, void* dst, std::size_t n) {
-  const char* s = static_cast<const char*>(src);
-  char* d = static_cast<char*>(dst);
-  for (std::size_t i = 0; i < n; ++i)
-    store_raw(d + i * 4, load_raw<std::uint32_t>(s + i * stride * 4));
-}
-
-#endif
+#endif  // VMP_SIMD_BACKEND_AVX2 / VMP_SIMD_BACKEND_NEON
 
 // Scatter has no pre-AVX-512 instruction; every backend uses the same
 // store-side loop (vector loads would not help: the stores dominate).
@@ -874,5 +544,7 @@ void scatter32(const void* src, void* dst, std::size_t stride,
   }
   for (; i < n; ++i) store_raw(d + i * sb, load_raw<std::uint32_t>(s + i * 4));
 }
+
+#endif  // a wide backend
 
 }  // namespace vmp::kern::simd

@@ -1,31 +1,26 @@
 /// \file simd.hpp
 /// \brief Portable explicit-SIMD backend for the strided-kernel layer.
 ///
-/// One compiled backend per build, selected at configure time by the
-/// `VMP_SIMD` CMake option (AUTO detects the target architecture):
+/// One backend per build, selected at configure time by the `VMP_SIMD`
+/// CMake option (AUTO detects the target architecture):
 ///
-///   AVX2    x86-64, 256-bit lanes (4 f64 / 8 f32), simd.cpp compiled with
+///   AVX2    x86-64, 256-bit lanes (4 f64), simd.cpp compiled with
 ///           -mavx2 -ffp-contract=off
-///   NEON    aarch64, 128-bit lanes (2 f64 / 4 f32), -ffp-contract=off
-///   OFF     scalar reference loops only; compiled() reports false
+///   NEON    aarch64, 128-bit lanes (2 f64), -ffp-contract=off
+///   OFF     no backend: compiled() reports false, and every kernel in
+///           core/kernels.hpp is its scalar loop alone
 ///
 /// Only simd.cpp is compiled with wide-vector flags — the rest of the tree
 /// stays on the baseline ISA, so enabling SIMD cannot change codegen (and
 /// therefore floating-point results) anywhere outside this backend.
 ///
-/// FP-DETERMINISM CONTRACT (see docs/kernels.md):
-///
-///  * Every entry point here that the default kernel mode dispatches to is
-///    bit-identical to the scalar loop it replaces: elementwise kernels
-///    (fill/zip/axpy/scale/...) evaluate the same per-element expression
-///    with the same operand order and no FMA contraction, and the row-block
-///    kernels (fold_rows/dot_rows) vectorize ACROSS rows so each row's
-///    combine chain keeps the exact ascending-index scalar association.
-///  * The `*_relaxed` reductions (dot_relaxed/sum_relaxed) reassociate into
-///    `width_f64()` striped lane accumulators folded in a fixed order —
-///    deterministic for a fixed vector width, but NOT bit-identical to the
-///    scalar chain.  Kernel callers reach them only through an explicit
-///    `kern::Assoc::Relaxed` argument.
+/// FP-DETERMINISM CONTRACT (see docs/kernels.md): every kernel entry point
+/// here is bit-identical to the scalar loop it replaces.  Elementwise
+/// kernels (fill/zip/axpy/scale/...) evaluate the same per-element
+/// expression with the same operand order and no FMA contraction, and the
+/// row-block kernels (fold_rows/dot_rows/axpy_rows) vectorize ACROSS rows
+/// or keep each row's chain in registers, so every element sees the exact
+/// ascending-index scalar association.
 ///
 /// The backend can also be disabled at runtime (per process) so twin tests
 /// and benches can compare SIMD-on vs SIMD-off inside one binary:
@@ -47,16 +42,22 @@ namespace vmp::kern::simd {
 /// differ).
 enum class Op2 : int { add = 0, mul = 1, max = 2, min = 3 };
 
-/// True when a wide backend (AVX2 or NEON) was compiled in.
+/// True when a wide backend (AVX2 or NEON) is compiled in.  The build
+/// defines VMP_SIMD_BACKEND_AVX2 or VMP_SIMD_BACKEND_NEON on the library
+/// target and everything linking it (src/CMakeLists.txt).  Each kernel
+/// dispatch tests this in its `if constexpr`, so a build without a backend
+/// discards every call into the kernels declared below.
+#if defined(VMP_SIMD_BACKEND_AVX2) || defined(VMP_SIMD_BACKEND_NEON)
+inline constexpr bool kCompiled = true;
+#else
+inline constexpr bool kCompiled = false;
+#endif
+
+/// kCompiled as a function (the reports and benches print it).
 [[nodiscard]] bool compiled();
 
 /// "avx2", "neon" or "scalar".
 [[nodiscard]] const char* backend();
-
-/// Accumulator lanes of the relaxed reductions (and the row-block width):
-/// 4/8 for AVX2 f64/f32, 2/4 for NEON, 1/1 for the scalar build.
-[[nodiscard]] std::size_t width_f64();
-[[nodiscard]] std::size_t width_f32();
 
 namespace detail {
 /// Single process-wide switch; false forever when compiled() is false.
@@ -74,10 +75,8 @@ extern std::atomic<bool> g_enabled;
 /// returns the previous setting.  Used by the SIMD-on/off twin sweeps.
 bool set_enabled(bool on);
 
-// --- elementwise kernels (default mode: bit-identical to scalar) ----------
+// --- elementwise kernels --------------------------------------------------
 
-void fill_f64(double* dst, std::size_t n, double v);
-void fill_f32(float* dst, std::size_t n, float v);
 /// Splat a raw 8/4-byte pattern (kern::fill for any trivially-copyable
 /// element of that size routes here through a bit cast).
 void fill_u64(void* dst, std::size_t n, std::uint64_t bits);
@@ -87,18 +86,13 @@ void fill_u32(void* dst, std::size_t n, std::uint32_t bits);
 /// instead (the high-rank side of a combining exchange).
 void zip_f64(double* dst, const double* src, std::size_t n, Op2 op,
              bool swapped);
-void zip_f32(float* dst, const float* src, std::size_t n, Op2 op,
-             bool swapped);
 
 /// out[i] = op(a[i], b[i]) into a third range.
 void zip_into_f64(const double* a, const double* b, double* out,
                   std::size_t n, Op2 op);
-void zip_into_f32(const float* a, const float* b, float* out, std::size_t n,
-                  Op2 op);
 
 /// y[i] += a · x[i], evaluated exactly as mul-then-add (no FMA).
 void axpy_f64(double* y, double a, const double* x, std::size_t n);
-void axpy_f32(float* y, float a, const float* x, std::size_t n);
 
 /// y[i] += a[t] · x[t·ldx + i] for t = 0 … w−1 in turn (i < n): the w
 /// successive axpy_f64 calls of a row-times-panel update, each element's
@@ -110,7 +104,6 @@ void axpy_rows_f64(double* y, const double* a, std::size_t w,
 
 /// x[i] *= a.
 void scale_f64(double* x, double a, std::size_t n);
-void scale_f32(float* x, float a, std::size_t n);
 
 // --- row-block kernels (lane-per-row: strict order, still vector) ---------
 
@@ -124,19 +117,6 @@ void fold_rows_f64(const double* blk, std::size_t lrn, std::size_t lcn,
 /// chain of the scalar loop (each lane owns one row).
 void dot_rows_f64(const double* blk, std::size_t lrn, std::size_t lcn,
                   const double* x, double* out);
-
-// --- relaxed reductions (opt-in via kern::Assoc::Relaxed) ------------------
-
-/// Striped-lane dot: lane l accumulates elements i with i/W-th chunk lane l
-/// (W = width_f64()), lanes folded pairwise in a fixed order, scalar tail
-/// added last.  Same input => same bits for a fixed width.
-[[nodiscard]] double dot_relaxed_f64(const double* a, const double* b,
-                                     std::size_t n);
-
-/// Striped-lane sum with carry-in `init` (same lane order as
-/// dot_relaxed_f64).
-[[nodiscard]] double sum_relaxed_f64(const double* x, std::size_t n,
-                                     double init);
 
 // --- strided data movement -------------------------------------------------
 

@@ -105,20 +105,17 @@ template <class T, class Op>
   return acc.tile(0)[0];
 }
 
-/// Dot product of two identically-embedded vectors (local multiply-add,
-/// one-element all-reduce).  `assoc` forwards to kern::dot: the default
-/// keeps the strict ascending-index chain; `kern::Assoc::Relaxed` opts this
-/// call site into the striped fixed-width reduction (see docs/kernels.md).
+/// Dot product of two identically-embedded vectors (local multiply-add in
+/// ascending index order, one-element all-reduce).
 template <class T>
-[[nodiscard]] T dot(const DistVector<T>& a, const DistVector<T>& b,
-                    kern::Assoc assoc = kern::Assoc::Strict) {
+[[nodiscard]] T dot(const DistVector<T>& a, const DistVector<T>& b) {
   VMP_REQUIRE(a.aligned_with(b), "dot operands must be aligned");
   Grid& grid = a.grid();
   Cube& cube = grid.cube();
   DistBuffer<T> acc(cube, 1);
   const std::size_t mx = max_local_len(cube, a.data());
   cube.compute(2 * mx, 2 * a.n(), [&](proc_t q) {
-    acc.tile(q)[0] = kern::dot(a.data().tile(q), b.data().tile(q), assoc);
+    acc.tile(q)[0] = kern::dot(a.data().tile(q), b.data().tile(q));
   });
   allreduce(cube, acc, a.partitioned_over(), Plus<T>{});
   return acc.tile(0)[0];

@@ -2,20 +2,7 @@
 
 namespace vmp {
 
-namespace {
-
-/// SplitMix64 finalizer — deterministic Valiant intermediate selection.
-[[nodiscard]] std::uint64_t mix64(std::uint64_t z) {
-  z += 0x9e3779b97f4a7c15ull;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
-
-}  // namespace
-
-DragonflyTopology::DragonflyTopology(int dim, RouteMode mode)
-    : dim_(dim), mode_(mode) {
+DragonflyTopology::DragonflyTopology(int dim) {
   VMP_REQUIRE(dim >= 0 && dim <= 20,
               "dragonfly preset supports dim in [0, 20]");
   const int rbits = dim - dim / 2;  // ceil(dim/2) router bits per group
@@ -55,8 +42,8 @@ proc_t DragonflyTopology::port_neighbor(proc_t node, int port) const {
   return gj * routers_ + rb;
 }
 
-void DragonflyTopology::route_minimal(proc_t src, proc_t dst,
-                                      std::vector<Hop>& out) const {
+void DragonflyTopology::route(proc_t src, proc_t dst,
+                              std::vector<Hop>& out) const {
   if (src == dst) return;
   const proc_t gi = group_of(src), gj = group_of(dst);
   proc_t at = src;
@@ -77,24 +64,6 @@ void DragonflyTopology::route_minimal(proc_t src, proc_t dst,
   if (at != dst) {
     out.push_back(Hop{at, dst, 0, local_port(router_of(at), router_of(dst))});
   }
-}
-
-void DragonflyTopology::route(proc_t src, proc_t dst,
-                              std::vector<Hop>& out) const {
-  if (src == dst) return;
-  const proc_t gi = group_of(src), gj = group_of(dst);
-  if (mode_ == RouteMode::Valiant && gi != gj && groups_ > 2) {
-    const std::uint64_t h =
-        mix64((static_cast<std::uint64_t>(src) << 32) | dst);
-    proc_t gv = static_cast<proc_t>(h & (groups_ - 1));
-    while (gv == gi || gv == gj) gv = (gv + 1) & (groups_ - 1);
-    const proc_t via =
-        gv * routers_ + static_cast<proc_t>((h >> 32) & (routers_ - 1));
-    route_minimal(src, via, out);
-    route_minimal(via, dst, out);
-    return;
-  }
-  route_minimal(src, dst, out);
 }
 
 Hop DragonflyTopology::first_hop(proc_t from, proc_t dst) const {

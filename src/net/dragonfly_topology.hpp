@@ -9,14 +9,10 @@
 /// k ∈ [0, g-1) reaches group (i+k+1) mod g and is hosted at router
 /// k / h, h = ceil((g-1)/a) channels per router.
 ///
-/// Routing is minimal l-g-l (at most local → global → local, diameter 3)
-/// by default; `RouteMode::Valiant` detours lockstep rounds through a
-/// deterministically hashed intermediate group, the classic non-minimal
-/// load-spreading scheme (the packet router always steps minimally —
-/// Valiant affects `route()` and therefore the machine's round charges).
-/// Global links charge `global_charge()` multipliers per hop (default
-/// 2× start-up, 1× bandwidth): the long inter-group cables are latency,
-/// not throughput, bound.
+/// Routing is minimal l-g-l (at most local → global → local, diameter 3).
+/// Global links charge `kGlobalCharge` multipliers per hop (2× start-up,
+/// 1× bandwidth): the long inter-group cables are latency, not
+/// throughput, bound.
 #pragma once
 
 #include <vector>
@@ -27,9 +23,7 @@ namespace vmp {
 
 class DragonflyTopology final : public Topology {
  public:
-  enum class RouteMode { Minimal, Valiant };
-
-  explicit DragonflyTopology(int dim, RouteMode mode = RouteMode::Minimal);
+  explicit DragonflyTopology(int dim);
 
   [[nodiscard]] const char* name() const override { return "dragonfly"; }
   [[nodiscard]] TopologyKind kind() const override {
@@ -51,19 +45,13 @@ class DragonflyTopology final : public Topology {
     return port < static_cast<int>(routers_ - 1) ? 0 : 1;
   }
   [[nodiscard]] AxisCharge axis_charge(int axis) const override {
-    return axis == 1 ? global_charge_ : AxisCharge{};
+    return axis == 1 ? kGlobalCharge : AxisCharge{};
   }
 
   void route(proc_t src, proc_t dst, std::vector<Hop>& out) const override;
   [[nodiscard]] Hop first_hop(proc_t from, proc_t dst) const override;
   void min_first_ports(proc_t from, proc_t dst,
                        std::vector<int>& out) const override;
-
-  [[nodiscard]] proc_t groups() const { return groups_; }
-  [[nodiscard]] proc_t group_size() const { return routers_; }
-  [[nodiscard]] RouteMode route_mode() const { return mode_; }
-  [[nodiscard]] AxisCharge global_charge() const { return global_charge_; }
-  void set_global_charge(AxisCharge c) { global_charge_ = c; }
 
  private:
   [[nodiscard]] proc_t group_of(proc_t node) const { return node / routers_; }
@@ -78,15 +66,13 @@ class DragonflyTopology final : public Topology {
   /// channel index at gi.
   void global_link(proc_t gi, proc_t gj, proc_t& ra, proc_t& rb,
                    proc_t& chan) const;
-  void route_minimal(proc_t src, proc_t dst, std::vector<Hop>& out) const;
 
-  int dim_;
-  RouteMode mode_;
+  static constexpr AxisCharge kGlobalCharge{2.0, 1.0};
+
   proc_t nodes_;
   proc_t groups_;
   proc_t routers_;
   proc_t chans_per_router_;
-  AxisCharge global_charge_{2.0, 1.0};
 };
 
 }  // namespace vmp

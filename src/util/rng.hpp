@@ -7,9 +7,14 @@
 ///        reproducible by exporting the printed seed.
 #pragma once
 
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <string>
+
+#include "hypercube/check.hpp"
 
 namespace vmp {
 
@@ -41,20 +46,31 @@ class SplitMix64 {
   std::uint64_t state_;
 };
 
-/// The process-wide base seed: the value of the VMP_SEED environment
-/// variable when set (decimal, or hex with a 0x prefix), else a fixed
-/// default.  Read once; the same value is returned for the process's
-/// lifetime, so every consumer in a run agrees on it.
+/// The VMP_SEED environment variable, read afresh on every call: a decimal
+/// number, or a hex one with a 0x/0X prefix, gives that seed; unset or
+/// empty gives a fixed default.  Anything else (a sign, a blank, trailing
+/// text, more than 64 bits) throws vmp::Error naming the variable and its
+/// value.
+[[nodiscard]] inline std::uint64_t env_seed() {
+  const char* s = std::getenv("VMP_SEED");
+  if (s == nullptr || *s == '\0') return 20260806;
+  const bool hex = s[0] == '0' && (s[1] == 'x' || s[1] == 'X');
+  std::uint64_t v = 0;
+  const char* end = s + std::strlen(s);
+  const auto [ptr, ec] =
+      std::from_chars(hex ? s + 2 : s, end, v, hex ? 16 : 10);
+  if (ec != std::errc{} || ptr != end)
+    throw Error("VMP_SEED=\"" + std::string(s) +
+                "\" is not a seed (a decimal number, or hex with a 0x "
+                "prefix)");
+  return v;
+}
+
+/// The process-wide base seed: env_seed(), read once; the same value is
+/// returned for the process's lifetime, so every consumer in a run agrees
+/// on it.
 [[nodiscard]] inline std::uint64_t global_seed() {
-  static const std::uint64_t seed = [] {
-    if (const char* env = std::getenv("VMP_SEED")) {
-      char* end = nullptr;
-      const unsigned long long v = std::strtoull(env, &end, 0);
-      if (end != env && *end == '\0') return static_cast<std::uint64_t>(v);
-      std::fprintf(stderr, "[vmp] ignoring unparsable VMP_SEED=%s\n", env);
-    }
-    return std::uint64_t{20260806};
-  }();
+  static const std::uint64_t seed = env_seed();
   return seed;
 }
 

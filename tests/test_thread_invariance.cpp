@@ -295,6 +295,38 @@ TEST(ThreadOptions, MalformedVmpThreadsIsRejected) {
   ASSERT_EQ(unsetenv("VMP_THREADS"), 0);
 }
 
+TEST(SeedOptions, MalformedVmpSeedIsRejected) {
+  // VMP_SEED takes a decimal number or 0x-prefixed hex; unset or empty
+  // means the default seed.  Any other value throws, naming the variable
+  // and its value, instead of quietly running the default seed.
+  const char* orig = std::getenv("VMP_SEED");
+  const std::string saved = orig == nullptr ? "" : orig;
+  for (const char* bad : {"abc", "12x", "-1", "+2", " 3", "1e3", "0x", "0xg",
+                          "18446744073709551616"}) {
+    ASSERT_EQ(setenv("VMP_SEED", bad, 1), 0);
+    try {
+      (void)env_seed();
+      ADD_FAILURE() << "VMP_SEED=" << bad << " was accepted";
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("VMP_SEED"), std::string::npos) << what;
+      EXPECT_NE(what.find(std::string("\"") + bad + "\""), std::string::npos)
+          << what;
+    }
+  }
+  ASSERT_EQ(setenv("VMP_SEED", "42", 1), 0);
+  EXPECT_EQ(env_seed(), 42u);
+  ASSERT_EQ(setenv("VMP_SEED", "0x2A", 1), 0);
+  EXPECT_EQ(env_seed(), 42u);
+  ASSERT_EQ(setenv("VMP_SEED", "18446744073709551615", 1), 0);
+  EXPECT_EQ(env_seed(), 18446744073709551615u);
+  ASSERT_EQ(setenv("VMP_SEED", "", 1), 0);
+  EXPECT_EQ(env_seed(), 20260806u);
+  ASSERT_EQ(unsetenv("VMP_SEED"), 0);
+  EXPECT_EQ(env_seed(), 20260806u);
+  if (orig != nullptr) ASSERT_EQ(setenv("VMP_SEED", saved.c_str(), 1), 0);
+}
+
 TEST(SimdOptions, MalformedVmpSimdIsRejected) {
   // VMP_SIMD takes 0/off/OFF or 1/on/ON; unset or empty leaves the backend
   // on.  Any other value — "no", "false", another case, a blank — makes
