@@ -4,7 +4,8 @@
 #      inner loop), then the complete test suite;
 #   2. an address+undefined sanitizer build of the library, a set of test
 #      binaries (tracer, accounting, kernels, CG, sparse properties, the
-#      exchange-round tests, the collectives, the dense primitives and the
+#      exchange-round tests, the slab arena, the collectives, the dense
+#      primitives and the
 #      mixed inline/fanned-out step sequences and kernel steps) and one
 #      benchmark,
 #      with the tests re-run under ASan/UBSan;
@@ -14,8 +15,10 @@
 #   4. the perf-regression gate: every bench re-run with the baseline
 #      recipe and diffed against bench/baselines/ by scripts/perf_gate.py
 #      (machine-speed-normalized, per-case thresholds) — a regression past
-#      threshold FAILS the check.  The same sweep's vmp-metrics-v1
-#      sidecars and collapsed-stack exports are schema-validated.
+#      threshold, or a baseline case no report has, FAILS the check (the
+#      latter is checked on a copy with one case removed).  The same
+#      sweep's vmp-metrics-v1 sidecars and collapsed-stack exports are
+#      schema-validated.
 #
 # Usage: scripts/check.sh [--no-sanitize] [--quick-only] [--tsan]
 #                         [--no-perf-gate]
@@ -77,7 +80,7 @@ if [[ "$NO_SANITIZE" == 0 ]]; then
   cmake --build build-asan -j --target test_trace test_accounting \
     test_kernels test_cg test_properties_random test_allport_shift \
     test_fault_recovery test_topology test_matmul_hyper test_buffer_pool \
-    test_contracts test_primitives test_exhaustive_small \
+    test_slab test_contracts test_primitives test_exhaustive_small \
     test_collectives test_thread_invariance bench_naive_vs_primitive \
     >/dev/null
   ./build-asan/tests/test_trace
@@ -92,16 +95,20 @@ if [[ "$NO_SANITIZE" == 0 ]]; then
   ./build-asan/tests/test_properties_random \
     --gtest_filter='*Sparse*:*Reembed*'
   # The round core under ASan/UBSan: all three round kinds (exchange,
-  # exchange_allport, relay), their argument checks, the fault-recovery
-  # delivery path (shift legs included), the round-, shift- and
+  # exchange_allport, relay), their argument checks, the relabeled Gray
+  # shifts against their staged-relay twin, the fault-recovery delivery
+  # path (shift legs over the tiles included), the round-, shift- and
   # primitive-charge pins on every topology preset, the hyper-systolic
-  # matmul built on relay shifts, and the staging-slot reuse checks.
+  # matmul built on those shifts, and the staging-slot reuse checks.
   ./build-asan/tests/test_allport_shift
   ./build-asan/tests/test_fault_recovery
   ./build-asan/tests/test_topology \
     --gtest_filter='*RoundCharges*:*ShiftCharges*:*PrimitiveCharges*'
   ./build-asan/tests/test_matmul_hyper
   ./build-asan/tests/test_buffer_pool
+  # The slab arena: tile relabeling (permute_tiles), and the growth, copies,
+  # swaps and moves that keep or restore the layout.
+  ./build-asan/tests/test_slab
   # Host input validation: malformed CSR triples must be rejected before
   # load_csr reads through rowptr; the primitives' contract table.
   ./build-asan/tests/test_contracts
@@ -295,6 +302,32 @@ print(f"  gauss_flame.collapsed: {len(lines)} stacks ok")
 EOF
 
   python3 scripts/perf_gate.py "$workdir" --prefix=GATE_ --prefix=GATE2_
+
+  # A baseline case that no current report has must fail the gate by name:
+  # rerun it on copies of the first sweep's reports with one case of
+  # bench_kernels removed.
+  negdir="$workdir/missing_case"
+  mkdir "$negdir"
+  cp "$workdir"/GATE_*.json "$negdir"/
+  dropped="$(python3 -c '
+import json, sys
+path = sys.argv[1]
+d = json.loads(open(path).read())
+gone = d["cases"].pop(0)
+open(path, "w").write(json.dumps(d))
+print("bench_kernels/" + gone["name"] + "/")
+' "$negdir/GATE_bench_kernels.json")"
+  if python3 scripts/perf_gate.py "$negdir" --prefix=GATE_ \
+      > "$negdir/gate.txt"; then
+    echo "perf gate passed although ${dropped} is missing" >&2
+    exit 1
+  fi
+  if ! grep -qF -- "- ${dropped}" "$negdir/gate.txt"; then
+    cat "$negdir/gate.txt" >&2
+    echo "perf gate failed without naming ${dropped}" >&2
+    exit 1
+  fi
+  echo "  perf gate fails on the missing case ${dropped} ok"
 else
   echo "== perf-regression gate skipped (--no-perf-gate) =="
 fi

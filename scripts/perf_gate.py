@@ -10,9 +10,11 @@ its threshold.  Usage:
 
 WORKDIR holds the current reports, named <prefix><bench>.json (the prefix
 keeps gate sweeps apart from ad-hoc BENCH_*.json runs in the same
-directory).  Cases are matched on (case name, args); cases present on only
-one side simply don't participate, so adding a bench case does not require
-re-recording every baseline.
+directory).  Cases are matched on (case name, args).  A case only the
+current reports have (a new one) does not participate, so adding a bench
+case does not require re-recording every baseline.  A baseline case that no
+current report has FAILS the gate, by name: a removed or renamed case would
+otherwise shrink the gate without notice.
 
 Machine-speed normalization: baselines are recorded on SOME machine, the
 gate runs on ANOTHER (a CI runner, a laptop).  The gate therefore computes
@@ -51,6 +53,8 @@ from pathlib import Path
 
 DEFAULTS = {"case_ratio": 1.75, "bench_ratio": 1.6, "min_case_ms": 1.0,
             "min_bench_ms": 1.0}
+RERECORD_HINT = ("re-record with scripts/record_baselines.sh and commit the "
+                 "new baselines")
 
 
 def case_key(case):
@@ -109,6 +113,7 @@ def main():
     # machine-speed factor.
     matched = []  # (bench, label, base_ms, cur_ms)
     missing_current = []
+    unmatched = []  # labels of baseline cases no current report has
     for base_path in baselines:
         bench = base_path.stem.removeprefix("BENCH_")
         cur_paths = [p for prefix in prefixes
@@ -124,12 +129,21 @@ def main():
                 cur_ms[k] = min(cur_ms.get(k, c["wall_ms"]), c["wall_ms"])
         for bc in base["cases"]:
             ms = cur_ms.get(case_key(bc))
-            if ms is None or bc["wall_ms"] <= 0.0:
+            if ms is None:
+                unmatched.append(case_label(bench, bc))
+                continue
+            if bc["wall_ms"] <= 0.0:
                 continue
             matched.append((bench, case_label(bench, bc), bc["wall_ms"], ms))
     if missing_current:
         print("perf gate: FAIL — baselines exist but no current report for: "
               + ", ".join(missing_current))
+        return 1
+    if unmatched:
+        print("perf gate: FAIL — baseline cases that no current report has:")
+        for label in unmatched:
+            print(f"  - {label}")
+        print(f"({RERECORD_HINT})")
         return 1
     if not matched:
         print("perf gate: FAIL — no cases matched any baseline")
@@ -189,8 +203,8 @@ def main():
         print("perf gate: FAIL — regressions past threshold:")
         for f in failures:
             print(f"  - {f}")
-        print("(if intentional — e.g. an accepted trade-off — re-record with "
-              "scripts/record_baselines.sh and commit the new baselines)")
+        print("(if intentional — e.g. an accepted trade-off — "
+              f"{RERECORD_HINT})")
         return 1
     print("perf gate: ok")
     return 0

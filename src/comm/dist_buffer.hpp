@@ -11,15 +11,24 @@
 /// steady state.  Callers see processor q's tile only as a std::span via
 /// tile(q) / on(q).
 ///
-/// Layout: tile q starts at base + q · stride where stride (in elements) is
-/// rounded so every tile begins on a 64-byte boundary; len(q) ≤ stride is
-/// the live length.  Tiles never overlap and the per-tile spans jointly
-/// cover disjoint arena ranges, so concurrent delivery callbacks (one per
-/// destination processor, see hypercube/machine.hpp) may mutate different
-/// tiles' ELEMENTS and LENGTHS freely — as long as no tile outgrows the
-/// stride.  Growing the stride reallocates the arena and is therefore only
-/// legal on the host thread (guarded by WorkerTeam::in_step); hot paths
-/// pre-reserve with reserve_each before entering compute/exchange.
+/// Layout: processor q's tile starts at base + slot(q) · stride where
+/// stride (in elements) is rounded so every tile begins on a 64-byte
+/// boundary; len(q) ≤ stride is the live length.  Slot and length share
+/// one per-tile entry, so the slot table costs no allocation of its own.
+/// It is the identity until permute_tiles hands tiles to new owners by
+/// rewriting it: a Gray ring shift (comm/shift.hpp) moves whole tiles this
+/// way without copying a byte.  Growing the stride and copy construction
+/// (and so copy assignment) lay the tiles out in processor order again;
+/// swap and move carry the table along.
+///
+/// Tiles never overlap and the per-tile spans jointly cover disjoint arena
+/// ranges, so concurrent delivery callbacks (one per destination
+/// processor, see hypercube/machine.hpp) may mutate different tiles'
+/// ELEMENTS and LENGTHS freely — as long as no tile outgrows the stride.
+/// Growing the stride reallocates the arena and permute_tiles rewrites the
+/// table, so both are only legal on the host thread (guarded by
+/// WorkerTeam::in_step); hot paths pre-reserve with reserve_each before
+/// entering compute/exchange.
 ///
 /// The simulated machine is oblivious to all of this: charges, SimStats and
 /// event traces depend only on element counts and exchange shapes, so the
@@ -54,7 +63,9 @@ class DistBuffer {
 
   /// One (initially empty) tile per processor; no arena until first growth.
   explicit DistBuffer(Cube& cube)
-      : cube_(&cube), procs_(cube.procs()), len_(cube.procs(), 0) {}
+      : cube_(&cube), procs_(cube.procs()), tiles_(cube.procs()) {
+    reset_slots();
+  }
 
   /// One tile of `elems_each` value-initialized elements per processor.
   DistBuffer(Cube& cube, std::size_t elems_each) : DistBuffer(cube) {
@@ -66,12 +77,13 @@ class DistBuffer {
       : cube_(other.cube_),
         procs_(other.procs_),
         stride_(other.stride_),
-        len_(other.len_) {
+        tiles_(other.tiles_) {
+    reset_slots();
     if (stride_ > 0) {
       block_ = cube_->buffers().acquire_slab(arena_bytes(procs_, stride_));
       base_ = aligned_base(block_);
       for (proc_t q = 0; q < procs_; ++q)
-        kern::copy(other.tile(q), std::span<T>(tile_ptr(q), len_[q]));
+        kern::copy(other.tile(q), std::span<T>(tile_ptr(q), tiles_[q].len));
     }
   }
   DistBuffer& operator=(const DistBuffer& other) {
@@ -96,7 +108,7 @@ class DistBuffer {
     std::swap(cube_, other.cube_);
     std::swap(procs_, other.procs_);
     std::swap(stride_, other.stride_);
-    len_.swap(other.len_);
+    tiles_.swap(other.tiles_);
     std::swap(block_, other.block_);
     std::swap(base_, other.base_);
   }
@@ -106,7 +118,7 @@ class DistBuffer {
   /// Live element count of processor q's tile.
   [[nodiscard]] std::size_t len(proc_t q) const {
     VMP_REQUIRE(q < procs_, "processor id out of range");
-    return len_[q];
+    return tiles_[q].len;
   }
 
   /// Per-tile capacity in elements (uniform across processors).
@@ -115,11 +127,11 @@ class DistBuffer {
   /// Span view of processor q's tile — the only element access there is.
   [[nodiscard]] std::span<T> tile(proc_t q) {
     VMP_REQUIRE(q < procs_, "processor id out of range");
-    return {tile_ptr(q), len_[q]};
+    return {tile_ptr(q), tiles_[q].len};
   }
   [[nodiscard]] std::span<const T> tile(proc_t q) const {
     VMP_REQUIRE(q < procs_, "processor id out of range");
-    return {tile_ptr(q), len_[q]};
+    return {tile_ptr(q), tiles_[q].len};
   }
   [[nodiscard]] std::span<T> on(proc_t q) { return tile(q); }
   [[nodiscard]] std::span<const T> on(proc_t q) const { return tile(q); }
@@ -142,9 +154,9 @@ class DistBuffer {
   void resize(proc_t q, std::size_t n, const T& fill_v) {
     VMP_REQUIRE(q < procs_, "processor id out of range");
     ensure_stride(n);
-    if (n > len_[q])
-      kern::fill(std::span<T>(tile_ptr(q) + len_[q], n - len_[q]), fill_v);
-    len_[q] = n;
+    std::size_t& len = tiles_[q].len;
+    if (n > len) kern::fill(std::span<T>(tile_ptr(q) + len, n - len), fill_v);
+    len = n;
   }
 
   /// tile(q) = n copies of v.
@@ -152,7 +164,7 @@ class DistBuffer {
     VMP_REQUIRE(q < procs_, "processor id out of range");
     ensure_stride(n);
     kern::fill(std::span<T>(tile_ptr(q), n), v);
-    len_[q] = n;
+    tiles_[q].len = n;
   }
 
   /// tile(q) = src (overlap with this arena is fine; memmove semantics).
@@ -160,38 +172,74 @@ class DistBuffer {
     VMP_REQUIRE(q < procs_, "processor id out of range");
     ensure_stride(src.size());
     kern::copy(src, std::span<T>(tile_ptr(q), src.size()));
-    len_[q] = src.size();
+    tiles_[q].len = src.size();
   }
 
   void clear(proc_t q) {
     VMP_REQUIRE(q < procs_, "processor id out of range");
-    len_[q] = 0;
+    tiles_[q].len = 0;
+  }
+
+  /// Give tile q, with its length, to processor to[q] for every q: only
+  /// the per-tile entries move — no element moves, the arena does not grow
+  /// and nothing is allocated.  `to` must be a bijection on the processors
+  /// (ContractError otherwise, leaving the buffer as it was).  Host-thread
+  /// only, like slab growth.
+  void permute_tiles(std::span<const proc_t> to) {
+    VMP_REQUIRE(to.size() == procs_,
+                "permute_tiles needs one destination per processor");
+    VMP_REQUIRE(cube_ == nullptr || !cube_->team().in_step(),
+                "permute_tiles is host-thread only: call it outside "
+                "compute/exchange");
+    // Mark every destination once; meeting a mark twice (or a destination
+    // outside the cube) means `to` is no bijection.
+    bool bijection = true;
+    for (proc_t q = 0; q < procs_ && bijection; ++q) {
+      const proc_t d = to[q];
+      bijection = d < procs_ && (tiles_[d].slot & kMoving) == 0;
+      if (bijection) tiles_[d].slot |= kMoving;
+    }
+    if (!bijection)
+      for (Tile& t : tiles_) t.slot &= ~kMoving;
+    VMP_REQUIRE(bijection, "permute_tiles destinations must be a bijection "
+                           "on the processors");
+    // Rotate each cycle of `to` once; an entry is in place when its mark
+    // is cleared.
+    for (proc_t q = 0; q < procs_; ++q) {
+      if ((tiles_[q].slot & kMoving) == 0) continue;
+      Tile carry = tiles_[q];
+      for (proc_t j = to[q];; j = to[j]) {
+        std::swap(carry, tiles_[j]);
+        tiles_[j].slot &= ~kMoving;
+        if (j == q) break;
+      }
+    }
   }
 
   void push_back(proc_t q, const T& v) {
     VMP_REQUIRE(q < procs_, "processor id out of range");
-    ensure_stride(len_[q] + 1);
-    tile_ptr(q)[len_[q]] = v;
-    ++len_[q];
+    ensure_stride(tiles_[q].len + 1);
+    tile_ptr(q)[tiles_[q].len] = v;
+    ++tiles_[q].len;
   }
 
   /// Append src to the end of tile q.
   void append(proc_t q, std::span<const T> src) {
     VMP_REQUIRE(q < procs_, "processor id out of range");
-    ensure_stride(len_[q] + src.size());
-    kern::copy(src, std::span<T>(tile_ptr(q) + len_[q], src.size()));
-    len_[q] += src.size();
+    ensure_stride(tiles_[q].len + src.size());
+    kern::copy(src, std::span<T>(tile_ptr(q) + tiles_[q].len, src.size()));
+    tiles_[q].len += src.size();
   }
 
   /// Insert src before the existing elements of tile q (shifts them up).
   void prepend(proc_t q, std::span<const T> src) {
     VMP_REQUIRE(q < procs_, "processor id out of range");
-    ensure_stride(len_[q] + src.size());
+    ensure_stride(tiles_[q].len + src.size());
     T* t = tile_ptr(q);
-    kern::copy(std::span<const T>(t, len_[q]),
-               std::span<T>(t + src.size(), len_[q]));
+    kern::copy(std::span<const T>(t, tiles_[q].len),
+               std::span<T>(t + src.size(), tiles_[q].len));
     kern::copy(src, std::span<T>(t, src.size()));
-    len_[q] += src.size();
+    tiles_[q].len += src.size();
   }
 
  private:
@@ -216,16 +264,31 @@ class DistBuffer {
     return reinterpret_cast<T*>(addr);
   }
 
+  /// One tile's entry: its live length and the arena slot holding it.
+  struct Tile {
+    std::size_t len = 0;
+    std::size_t slot = 0;
+  };
+  /// permute_tiles' mark on an entry that has not reached its place yet:
+  /// the top bit (slots are below 2^30).
+  static constexpr std::size_t kMoving = ~(~std::size_t{0} >> 1);
+
+  /// Processor order: tile q in arena slot q.
+  void reset_slots() {
+    for (proc_t q = 0; q < procs_; ++q) tiles_[q].slot = q;
+  }
+
   [[nodiscard]] T* tile_ptr(proc_t q) {
-    return base_ + std::size_t{q} * stride_;
+    return base_ + tiles_[q].slot * stride_;
   }
   [[nodiscard]] const T* tile_ptr(proc_t q) const {
-    return base_ + std::size_t{q} * stride_;
+    return base_ + tiles_[q].slot * stride_;
   }
 
   /// Reallocate the arena if any tile needs capacity `min_elems`.  Doubles
   /// the stride geometrically so repeated push_backs stay amortized O(1);
-  /// the old block's RAII release feeds the pool for the next object.
+  /// the old block's RAII release feeds the pool for the next object.  The
+  /// new arena holds the tiles in processor order.
   void ensure_stride(std::size_t min_elems) {
     if (min_elems <= stride_) return;
     VMP_REQUIRE(cube_ != nullptr, "DistBuffer not bound to a cube");
@@ -238,17 +301,18 @@ class DistBuffer {
         cube_->buffers().acquire_slab(arena_bytes(procs_, want));
     T* nbase = aligned_base(nb);
     for (proc_t q = 0; q < procs_; ++q)
-      kern::copy(std::span<const T>(tile_ptr(q), len_[q]),
-                 std::span<T>(nbase + std::size_t{q} * want, len_[q]));
+      kern::copy(std::span<const T>(tile_ptr(q), tiles_[q].len),
+                 std::span<T>(nbase + std::size_t{q} * want, tiles_[q].len));
     block_ = std::move(nb);
     base_ = nbase;
     stride_ = want;
+    reset_slots();
   }
 
   Cube* cube_ = nullptr;
   proc_t procs_ = 0;
   std::size_t stride_ = 0;  ///< per-tile capacity, in elements
-  std::vector<std::size_t> len_;
+  std::vector<Tile> tiles_;  ///< per processor: length and arena slot
   BufferPool::Block block_;
   T* base_ = nullptr;
 };

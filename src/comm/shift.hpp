@@ -8,15 +8,17 @@
 /// algorithms/matmul.cpp: a shift base {0, 1, …, K−1} of unit strides plus
 /// K-stride streaming shifts, K ≈ √p.  With processors ordered by the
 /// binary-reflected Gray code a unit shift is ONE lockstep round (ring
-/// neighbours are cube neighbours); a stride-s shift is one Cube::relay,
-/// charged as the store-and-forward dimension-order relay it is on the
-/// wire — H lockstep rounds, H = max Hamming distance of any (src, dest)
-/// pair, round j carrying leg j of every in-flight message's
-/// dimension-order path, with per-processor (and, on routed topologies,
-/// per-link) combining.  With the
-/// natural binary ordering even a unit shift degrades to a full
-/// dimension-order routing sweep.  bench_collectives measures both gaps —
-/// the reason every mesh embedding in the hypercube era was Gray-coded.
+/// neighbours are cube neighbours); a stride-s shift is one
+/// Cube::relay_views, charged as the store-and-forward dimension-order
+/// relay it is on the wire — H lockstep rounds, H = max Hamming distance of
+/// any (src, dest) pair, round j carrying leg j of every in-flight
+/// message's dimension-order path, with per-processor (and, on routed
+/// topologies, per-link) combining.  On the host no byte moves: the legs
+/// are walked over the tiles where they lie, and DistBuffer::permute_tiles
+/// then hands every tile to its destination.  With the natural binary
+/// ordering even a unit shift degrades to a full dimension-order routing
+/// sweep.  bench_collectives measures both gaps — the reason every mesh
+/// embedding in the hypercube era was Gray-coded.
 #pragma once
 
 #include "comm/collectives.hpp"
@@ -67,10 +69,11 @@ namespace shift_detail {
 
 /// Cyclically shift each processor's whole local array `by` ring positions
 /// (negative = backward) within each subcube of `sc`.  Gray order: one
-/// Cube::relay, charged as H store-and-forward dimension-order rounds
-/// (H = 1 for unit strides); if a fault plan's recovery fails, the
-/// FaultError leaves every tile of `buf` empty.  Binary order: a full
-/// dimension-order combining-router sweep.
+/// Cube::relay_views over the tiles, charged as H store-and-forward
+/// dimension-order rounds (H = 1 for unit strides), then a relabeling of
+/// the tiles (DistBuffer::permute_tiles) — no team step, no copy; if a
+/// fault plan's recovery fails, the FaultError leaves `buf` exactly as it
+/// was.  Binary order: a full dimension-order combining-router sweep.
 template <class T>
 void shift_blocks(Cube& cube, DistBuffer<T>& buf, const SubcubeSet& sc,
                   int by, RingOrder order) {
@@ -87,18 +90,13 @@ void shift_blocks(Cube& cube, DistBuffer<T>& buf, const SubcubeSet& sc,
   };
 
   if (order == RingOrder::Gray) {
-    // Every tile leaves its processor and the arriving tile, if any, takes
-    // its place: send empties the tile (clear only resets its length, so
-    // the view stays valid while relay stages it).  Tiles never outgrow
-    // the buffer's stride, so delivery assigns in place on the team lanes.
-    const int rounds = cube.relay<T>(
-        dest_of,
-        [&](proc_t q) {
-          const std::span<const T> mine = buf.tile(q);
-          buf.clear(q);
-          return mine;
-        },
-        [&](proc_t q, std::span<const T> in) { buf.assign(q, in); });
+    // Every tile, empty ones included, goes to its destination whole: the
+    // legs are charged over the tiles where they lie, and only once they
+    // all got through are the tiles relabeled to their new owners.
+    const int rounds = cube.relay_views<T>(dest_of, [&](proc_t q) {
+      return std::span<const T>(buf.tile(q));
+    });
+    buf.permute_tiles(cube.relay_dest());
     if (MetricsRegistry& mx = cube.metrics(); mx.enabled()) {
       mx.counter("shift.calls", MetricClass::Sim).add(1);
       mx.counter("shift.rounds", MetricClass::Sim)

@@ -13,10 +13,14 @@
 ///                       offers data receives it; charged `τ + max_n · t_c`.
 ///
 /// `exchange_allport` (one message per port over several dimensions at
-/// once) and `relay` (any permutation — ring shifts, irregular neighbour
-/// pairings) are the same lockstep cube-edge round: all three stage every
-/// send in one team step, deliver in one team step, and charge through
-/// `charge_round`, one lockstep round per store-and-forward leg.
+/// once) and `relay` (any permutation — irregular neighbour pairings,
+/// combining relays) are the same lockstep cube-edge round: all three stage
+/// every send in one team step, deliver in one team step, and charge
+/// through `charge_round`, one lockstep round per store-and-forward leg.
+/// `relay_views` walks and charges relay's legs over the senders' own
+/// memory and moves nothing: Gray ring shifts (comm/shift.hpp) pair it with
+/// DistBuffer::permute_tiles, which hands every tile to its new owner by
+/// relabeling, so a shift runs no team step and copies no payload.
 ///
 /// Correctness never depends on host threading: the per-processor loops run
 /// on a persistent SPMD worker team (hypercube/team.hpp, Options::threads /
@@ -59,12 +63,12 @@
 namespace vmp {
 // proc_t (processor id, dense in [0, 2^dim)) lives in net/topology.hpp.
 
-/// One staged message of a lockstep round, as seen by the fault-recovery
-/// engine: the (src, dst) LOGICAL cube edge, the cube dimension it
-/// crosses, the round-core port it was sent on, and a view of the staged
-/// payload in its persistent staging slot.  On a non-unit-hop topology the
-/// logical edge resolves to a multi-hop physical route at
-/// delivery/charging time.
+/// One message of a lockstep round, as seen by the fault-recovery engine:
+/// the (src, dst) LOGICAL cube edge, the cube dimension it crosses, the
+/// round-core port it was sent on, and a view of the payload — in its
+/// persistent staging slot, or, for Cube::relay_views, in the sender's own
+/// memory.  On a non-unit-hop topology the logical edge resolves to a
+/// multi-hop physical route at delivery/charging time.
 template <class T>
 struct FaultMsg {
   proc_t src = 0;
@@ -363,41 +367,44 @@ class Cube {
   int relay(DestFn&& dest, SendFn&& send, RecvFn&& recv) {
     tabulate_relay(dest);
     const proc_t* to = relay_to_.data();
-    const proc_t* from = relay_from_.data();
     const auto to_fn = [to](proc_t q, std::size_t) { return to[q]; };
     const auto send_fn = [&](proc_t q, std::size_t) -> std::span<const T> {
       return send(q);
     };
-    if (stage_round<T>(1, to_fn, send_fn).messages == 0) return 0;
+    stage_round<T>(1, to_fn, send_fn);
     const detail::StageBuf* slot = stage_.data();
-    const int legs = relay_legs(
-        [slot](proc_t q) { return slot[q].len; },
-        [&](std::size_t max_elems, std::size_t messages, std::size_t total,
-            auto&& each) {
-          if (!faults_) {
-            charge_round(max_elems, messages, total, -1, [&](auto&& add) {
-              each([&](int d, proc_t node, proc_t q) {
-                add(d, node, slot[q].len);
-              });
-            });
-            return;
-          }
-          std::vector<FaultMsg<T>> msgs;
-          msgs.reserve(messages);
-          each([&](int d, proc_t node, proc_t q) {
-            msgs.push_back(FaultMsg<T>{node, node ^ (proc_t{1} << d), d, 0,
-                                       slot[q].template data<T>(),
-                                       slot[q].len});
-          });
-          deliver_with_faults<T>(std::move(msgs), max_elems, messages, total,
-                                 -1, [](const FaultMsg<T>&) {});
-        });
+    const int legs = walk_relay<T>(
+        [slot](proc_t q) { return slot[q].template view<T>(); });
+    if (legs == 0) return 0;
+    const proc_t* from = relay_from_.data();
     const auto from_fn = [from](proc_t q, std::size_t) { return from[q]; };
     const auto recv_fn = [&](proc_t q, std::size_t, std::span<const T> in) {
       recv(q, in);
     };
     deliver_round<T>(1, from_fn, recv_fn);
     return legs;
+  }
+
+  /// The same permutation round with nothing staged and nothing delivered:
+  /// the message from q is the span `view(q)`, which must stay valid and
+  /// unchanged for the whole call.  Checks and tabulates `dest` like relay
+  /// and walks, charges and (under a fault plan) recovers the same legs
+  /// over the viewed memory, so clock, statistics and trace advance exactly
+  /// as relay's do; only the pool counters differ, because no slot is
+  /// staged.  Moving the payloads is left to the caller — shift_blocks
+  /// relabels its tiles (DistBuffer::permute_tiles with relay_dest()) —
+  /// and runs only if this returns: a FaultError has moved nothing.
+  /// Returns H, like relay.
+  template <class T, class DestFn, class ViewFn>
+  int relay_views(DestFn&& dest, ViewFn&& view) {
+    tabulate_relay(dest);
+    return walk_relay<T>(view);
+  }
+
+  /// The permutation the latest relay, relay_views or relay_cost
+  /// tabulated: entry q is dest(q).
+  [[nodiscard]] std::span<const proc_t> relay_dest() const {
+    return relay_to_;
   }
 
   /// Simulated cost of a relay() in which every processor q with
@@ -609,6 +616,38 @@ class Cube {
     }
   }
 
+  /// The leg walk of relay and relay_views over the tabulated permutation:
+  /// the message from q is `view(q)` (empty = none).  Each leg is charged
+  /// through charge_round or, under a fault plan, handed to
+  /// deliver_with_faults with FaultMsgs pointing into the viewed spans
+  /// (their no-op deliver leaves the payloads where they are).  Returns
+  /// the number of legs.
+  template <class T, class ViewFn>
+  int walk_relay(ViewFn&& view) {
+    return relay_legs(
+        [&view](proc_t q) { return view(q).size(); },
+        [&](std::size_t max_elems, std::size_t messages, std::size_t total,
+            auto&& each) {
+          if (!faults_) {
+            charge_round(max_elems, messages, total, -1, [&](auto&& add) {
+              each([&](int d, proc_t node, proc_t q) {
+                add(d, node, view(q).size());
+              });
+            });
+            return;
+          }
+          std::vector<FaultMsg<T>> msgs;
+          msgs.reserve(messages);
+          each([&](int d, proc_t node, proc_t q) {
+            const std::span<const T> payload = view(q);
+            msgs.push_back(FaultMsg<T>{node, node ^ (proc_t{1} << d), d, 0,
+                                       payload.data(), payload.size()});
+          });
+          deliver_with_faults<T>(std::move(msgs), max_elems, messages, total,
+                                 -1, [](const FaultMsg<T>&) {});
+        });
+  }
+
   /// Walk the store-and-forward legs of the tabulated relay, in which the
   /// message from q carries `len(q)` elements (0 = none).  Leg j moves
   /// every message still in flight across the j-th lowest bit of
@@ -730,7 +769,8 @@ class Cube {
   /// then src-ascending) order; each destination port receives its payload
   /// exactly once, so results match the fault-free delivery bit for bit.
   /// A relay leg passes a no-op `deliver`: its messages are still in
-  /// flight, and relay delivers them in one step after the last leg.
+  /// flight, and relay delivers them in one step after the last leg
+  /// (relay_views leaves moving them to its caller).
   template <class T, class DeliverFn>
   void deliver_with_faults(std::vector<FaultMsg<T>> pending,
                            std::size_t max_elems, std::size_t messages,

@@ -5,6 +5,8 @@
 #include <memory>
 #include <numeric>
 #include <random>
+#include <string>
+#include <vector>
 
 #include "comm/allport.hpp"
 #include "comm/shift.hpp"
@@ -366,6 +368,157 @@ TEST(Shift, GrayIsOneStepBinaryIsManySteps) {
   EXPECT_LT(t_gray, t_binary);
   EXPECT_GT(t_binary / t_gray, 2.0);
 }
+
+// ---------------------------------------------------------------------------
+// ShiftTwin: a Gray shift_blocks charges its legs over the tiles where they
+// lie (Cube::relay_views) and then relabels them (permute_tiles).  Its twin
+// runs the same shift through the staged Cube::relay — send buf.tile(q),
+// receive into a second buffer — inside the same "shift" region, on a
+// second cube with the same options and fault plan.  After every shift the
+// tiles, their lengths, the clock and whether the shift threw must agree;
+// at the end, the whole trace and every SimStats field except the three
+// pool counters (a relay stages through the pool, a relabeling does not).
+
+enum class TwinPlan { None, Transient, DeadFirstRingLink };
+
+[[nodiscard]] SimStats without_pool_counters(SimStats s) {
+  s.pool_hits = s.pool_misses = s.alloc_bytes = 0;
+  return s;
+}
+
+/// Shift strides {1, −1, 2, 2^⌈k/2⌉, P/2+1, −P/2} of a P = 2^k ring.
+[[nodiscard]] std::vector<int> twin_strides(const SubcubeSet& sc) {
+  const int P = static_cast<int>(sc.size());
+  return {1, -1, 2, 1 << ((sc.k() + 1) / 2), P / 2 + 1, -P / 2};
+}
+
+/// What a twin sweep exercised: shifts that threw, retried messages and
+/// rerouted messages, summed over the runs.
+struct TwinTally {
+  int throws = 0;
+  std::uint64_t retries = 0;
+  std::uint64_t reroutes = 0;
+};
+
+void run_shift_twin(TopologyKind kind, int d, const SubcubeSet& sc,
+                    TwinPlan plan, unsigned lanes, TwinTally& tally) {
+  Cube::Options opts;
+  opts.threads = lanes;
+  opts.topology = kind;
+  Cube moved(d, CostParams::cm2(), opts);
+  Cube staged(d, CostParams::cm2(), opts);
+  for (Cube* cube : {&moved, &staged}) {
+    if (plan == TwinPlan::Transient)
+      cube->enable_faults(FaultPlan::transient(
+          0x7a1bu + static_cast<unsigned>(d), 0.1, 0.1, 0.1, 2.5));
+    if (plan == TwinPlan::DeadFirstRingLink) {
+      // The physical link the ring's first message (0 → 1) leaves on.
+      std::vector<Hop> hops;
+      cube->topology().route(0, 1, hops);
+      FaultPlan fp;
+      fp.link_kills.push_back({/*from_round=*/0, hops.front().from,
+                               hops.front().port});
+      cube->enable_faults(fp);
+    }
+    cube->clock().tracer().set_recording(true);
+  }
+  // Ragged tiles, some empty, of distinct values.
+  const auto fill = [d](Cube& cube, DistBuffer<double>& buf) {
+    buf.reserve_each(7);
+    for (proc_t q = 0; q < cube.procs(); ++q)
+      for (std::size_t j = 0; j < (q * 5u + static_cast<unsigned>(d)) % 7u;
+           ++j)
+        buf.push_back(q, q + 0.125 * static_cast<double>(j));
+  };
+  DistBuffer<double> buf(moved), ref(staged), inbox(staged);
+  fill(moved, buf);
+  fill(staged, ref);
+  inbox.reserve_each(ref.stride());
+  const SimStats moved0 = moved.clock().stats();
+  const SimStats staged0 = staged.clock().stats();
+
+  const std::uint32_t P = sc.size();
+  for (const int by : twin_strides(sc)) {
+    SCOPED_TRACE("by=" + std::to_string(by));
+    bool moved_threw = false, staged_threw = false;
+    try {
+      shift_blocks(moved, buf, sc, by, RingOrder::Gray);
+    } catch (const FaultError&) {
+      moved_threw = true;
+    }
+    const std::uint32_t step = shift_detail::norm_step(by, P);
+    if (sc.k() != 0 && step != 0) {
+      try {
+        VMP_TRACE(staged, "shift");
+        staged.each_proc([&](proc_t q) { inbox.clear(q); });
+        staged.relay<double>(
+            [&](proc_t q) {
+              const std::uint32_t pos = ring_pos(RingOrder::Gray, sc.rank(q));
+              return sc.with_rank(q,
+                                  ring_proc(RingOrder::Gray, (pos + step) % P));
+            },
+            [&](proc_t q) { return std::span<const double>(ref.tile(q)); },
+            [&](proc_t q, std::span<const double> in) { inbox.assign(q, in); });
+        ref.swap(inbox);
+      } catch (const FaultError&) {
+        staged_threw = true;
+      }
+    }
+    EXPECT_EQ(moved_threw, staged_threw);
+    tally.throws += moved_threw ? 1 : 0;
+    for (proc_t q = 0; q < moved.procs(); ++q) {
+      ASSERT_EQ(buf.len(q), ref.len(q)) << "q=" << q;
+      EXPECT_EQ(buf.host_vec(q), ref.host_vec(q)) << "q=" << q;
+    }
+    ASSERT_EQ(moved.clock().now_us(), staged.clock().now_us());
+  }
+  const Tracer& tm = moved.clock().tracer();
+  const Tracer& ts = staged.clock().tracer();
+  EXPECT_TRUE(tm.paths() == ts.paths());
+  EXPECT_TRUE(tm.events() == ts.events());
+  EXPECT_TRUE(tm.spans() == ts.spans());
+  EXPECT_TRUE(tm.self_profiles() == ts.self_profiles());
+  EXPECT_TRUE(without_pool_counters(moved.clock().stats() - moved0) ==
+              without_pool_counters(staged.clock().stats() - staged0));
+  tally.retries += moved.clock().stats().fault_retries;
+  tally.reroutes += moved.clock().stats().fault_reroutes;
+}
+
+class ShiftTwin : public ::testing::TestWithParam<TopologyKind> {};
+
+TEST_P(ShiftTwin, RelabeledShiftMatchesTheStagedRelay) {
+  TwinTally tally;
+  for (const int d : {1, 3, 4, 6}) {
+    const std::uint32_t all = (proc_t{1} << d) - 1;
+    // The whole cube, and a proper family: every dimension but d/2
+    // (non-contiguous from d = 3 on; d = 1 leaves one-processor subcubes).
+    const SubcubeSet families[] = {SubcubeSet(all),
+                                   SubcubeSet(all & ~(1u << (d / 2)))};
+    for (const SubcubeSet& sc : families)
+      for (const TwinPlan plan : {TwinPlan::None, TwinPlan::Transient,
+                                  TwinPlan::DeadFirstRingLink})
+        for (const unsigned lanes : {1u, 3u}) {
+          SCOPED_TRACE("d=" + std::to_string(d) +
+                       " mask=" + std::to_string(sc.mask()) +
+                       " plan=" + std::to_string(static_cast<int>(plan)) +
+                       " lanes=" + std::to_string(lanes));
+          run_shift_twin(GetParam(), d, sc, plan, lanes, tally);
+        }
+  }
+  // The sweep reaches every recovery outcome: retries, detours, and (on
+  // the d = 1 cube, whose only link is the dead one) shifts that throw.
+  EXPECT_GT(tally.retries, 0u);
+  EXPECT_GT(tally.reroutes, 0u);
+  EXPECT_GT(tally.throws, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Presets, ShiftTwin,
+    ::testing::Values(TopologyKind::Hypercube, TopologyKind::Mesh,
+                      TopologyKind::Torus, TopologyKind::Dragonfly),
+    [](const ::testing::TestParamInfo<TopologyKind>& info) {
+      return std::string(to_string(info.param));
+    });
 
 }  // namespace
 }  // namespace vmp

@@ -1,10 +1,13 @@
 // BufferPool and the machine's pooled staging slots: block reuse, bucket
 // rounding, statistics plumbing into SimClock, and the zero-allocation
-// guarantee on a steady-state exchange hot loop.
+// guarantee on steady-state exchange and Gray-shift hot loops.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
+#include <new>
 #include <vector>
 
 #include "comm/shift.hpp"
@@ -14,6 +17,21 @@
 #include "hypercube/buffer_pool.hpp"
 #include "hypercube/machine.hpp"
 #include "util/workloads.hpp"
+
+// Every heap allocation this test binary makes through operator new (and
+// so through new[], std::vector and std::make_unique), counted so that a
+// hot loop can assert it makes none.
+namespace {
+std::atomic<std::uint64_t> g_heap_allocs{0};
+}  // namespace
+
+void* operator new(std::size_t n) {
+  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace vmp {
 namespace {
@@ -108,10 +126,12 @@ TEST(PooledStaging, SteadyStateExchangeLoopNeverTouchesTheHeap) {
 }
 
 TEST(PooledStaging, SteadyStateGrayShiftLoopNeverTouchesTheHeap) {
-  // The Gray shift is one relay round, staged through the round core's
-  // persistent per-processor slots (no per-call DistBuffer copy, whose
-  // length vector would hit the heap every shift): after one warm pass, a
-  // repeated-shift loop at any mix of strides must be 100% pool hits.
+  // A Gray shift charges its relay legs over the tiles where they lie
+  // (Cube::relay_views) and then relabels them (permute_tiles): nothing is
+  // staged, so there is no pool traffic at all, and once one warm pass of
+  // the loop has sized the cube's relay tables (and, on routed presets,
+  // cached the routes of every dimension its legs cross), a repeated-shift
+  // loop at any mix of strides makes no heap allocation.
   Cube cube(4, CostParams::cm2());
   const SubcubeSet sc = SubcubeSet::contiguous(0, 4);
   DistBuffer<double> buf(cube, 64);
@@ -119,17 +139,23 @@ TEST(PooledStaging, SteadyStateGrayShiftLoopNeverTouchesTheHeap) {
     for (std::size_t t = 0; t < 64; ++t)
       buf.tile(q)[t] = static_cast<double>(q * 64 + t);
   });
-  shift_blocks(cube, buf, sc, 1, RingOrder::Gray);  // warm: lease bucket
+  // Reset first: a reset clears the tracer's per-region profiles, which the
+  // warm pass's first charge then recreates.
   cube.clock().reset();
-  for (int it = 0; it < 16; ++it) {
+  const auto pass = [&] {
     shift_blocks(cube, buf, sc, 1, RingOrder::Gray);
     shift_blocks(cube, buf, sc, 5, RingOrder::Gray);
     shift_blocks(cube, buf, sc, -6, RingOrder::Gray);
-  }
+  };
+  pass();  // warm
+  const std::uint64_t allocs0 = g_heap_allocs.load();
+  for (int it = 0; it < 16; ++it) pass();
+  const std::uint64_t allocs = g_heap_allocs.load() - allocs0;
+  EXPECT_EQ(allocs, 0u) << "steady-state shift loop allocated";
   const SimStats& st = cube.clock().stats();
-  EXPECT_EQ(st.pool_misses, 0u) << "steady-state shift loop allocated";
+  EXPECT_EQ(st.pool_misses, 0u);
   EXPECT_EQ(st.alloc_bytes, 0u);
-  EXPECT_GT(st.pool_hits, 0u);
+  EXPECT_EQ(st.pool_hits, 0u) << "a shift staged through the pool";
 }
 
 TEST(PooledStaging, SteadyStatePrimitiveLoopIsAllPoolHits) {

@@ -383,6 +383,50 @@ TEST_P(ShiftFaults, DropsAndCorruptionAreRetried) {
   EXPECT_GT(faulty.clock().stats().fault_chksum_fails, 0u);
 }
 
+TEST_P(ShiftFaults, FailedShiftLeavesTheBufferAndTheCubeReusable) {
+  // A node that dies after the first leg: the stride-3 shift, several legs
+  // on the 16-ring, charges leg 0 and then throws on a later leg.  The
+  // FaultError must leave every tile and length exactly as before the call.
+  const auto product = [](Cube& cube) {
+    Grid grid(cube, cube.dim(), 0);
+    DistMatrix<double> A(grid, 40, 24);
+    DistMatrix<double> B(grid, 24, 18);
+    A.load(random_matrix(40, 24, 41));
+    B.load(random_matrix(24, 18, 42));
+    return matmul_hyper(A, B).to_host();
+  };
+  FaultPlan plan;
+  plan.node_kills.push_back({/*from_round=*/1, /*node=*/5});
+  Cube cube(4, CostParams::cm2(), preset_opts(GetParam()));
+  cube.enable_faults(plan);
+  DistBuffer<double> buf(cube);
+  buf.reserve_each(6);
+  cube.each_proc([&](proc_t q) {
+    for (std::size_t j = 0; j < (std::size_t{q} * 3) % 7; ++j)
+      buf.push_back(q, static_cast<double>(q) + 0.5 * static_cast<double>(j));
+  });
+  std::vector<std::vector<double>> before;
+  cube.each_proc([&](proc_t q) { before.push_back(buf.host_vec(q)); });
+  const SubcubeSet ring = SubcubeSet::contiguous(0, cube.dim());
+  ASSERT_GT(shift_rounds(ring, 3), 1);
+  EXPECT_THROW(shift_blocks(cube, buf, ring, 3, RingOrder::Gray), FaultError);
+  EXPECT_GT(cube.clock().stats().comm_steps, 0u)
+      << "no leg ran before the throw";
+  cube.each_proc([&](proc_t q) {
+    EXPECT_EQ(buf.host_vec(q), before[q]) << "q=" << q;
+  });
+
+  // The same cube, its fault plan detached, then runs matmul_hyper exactly
+  // like a fresh cube: the same result, and the same clock and SimStats
+  // from the reset on (buf stays alive, so neither pool holds a spare).
+  cube.disable_faults();
+  cube.clock().reset();
+  Cube fresh(4, CostParams::cm2(), preset_opts(GetParam()));
+  EXPECT_EQ(product(cube), product(fresh));
+  EXPECT_EQ(cube.clock().now_us(), fresh.clock().now_us());
+  EXPECT_TRUE(cube.clock().stats() == fresh.clock().stats());
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Presets, ShiftFaults,
     ::testing::Values(TopologyKind::Hypercube, TopologyKind::Mesh,

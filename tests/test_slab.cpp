@@ -1,6 +1,7 @@
 // Unit tests for the slab arena behind DistBuffer: tile offset and
 // alignment invariants, span aliasing (disjoint tiles, full coverage),
-// move semantics (O(1) arena transfer), pool recycling across
+// move semantics (O(1) arena transfer), tile relabeling (permute_tiles and
+// what lays the tiles out in processor order again), pool recycling across
 // construct/destroy cycles, and the host round-trip copies built on the
 // strided kernels (DistVector/DistMatrix load → to_host).
 #include <gtest/gtest.h>
@@ -151,6 +152,159 @@ TEST(Slab, CopyIsDeepAndIndependent) {
   EXPECT_EQ(a.tile(0)[0], 0.0) << "copies must not alias";
   for (proc_t q = 0; q < cube.procs(); ++q)
     for (std::size_t s = 1; s < 6; ++s) EXPECT_EQ(b.tile(q)[s], a.tile(q)[s]);
+}
+
+// ---------------------------------------------------------------------------
+// permute_tiles: tiles change owners through the slot table, bytes stay put
+// ---------------------------------------------------------------------------
+
+/// A buffer with ragged tiles (tile 0 and tile 3 empty) of distinct values.
+[[nodiscard]] DistBuffer<double> ragged_buffer(Cube& cube) {
+  DistBuffer<double> buf(cube);
+  buf.reserve_each(9);
+  for (proc_t q = 0; q < cube.procs(); ++q)
+    for (std::size_t s = 0; s < (std::size_t{q} * 5) % 9; ++s)
+      buf.push_back(q, q * 100.0 + static_cast<double>(s));
+  return buf;
+}
+
+/// Every tile's contents, in processor order.
+[[nodiscard]] std::vector<std::vector<double>> tiles_of(
+    const DistBuffer<double>& buf) {
+  std::vector<std::vector<double>> t;
+  for (proc_t q = 0; q < buf.procs(); ++q) t.push_back(buf.host_vec(q));
+  return t;
+}
+
+/// A permutation of the 8 processors with no fixed point.
+const std::vector<proc_t> kTo = {5, 0, 7, 1, 6, 2, 3, 4};
+
+TEST(Slab, PermuteTilesMovesOwnershipNotBytes) {
+  Cube cube(3, CostParams::cm2());
+  DistBuffer<double> buf = ragged_buffer(cube);
+  const std::vector<std::vector<double>> before = tiles_of(buf);
+  std::vector<std::uintptr_t> ptr;
+  for (proc_t q = 0; q < cube.procs(); ++q) ptr.push_back(addr(buf.tile(q)));
+  const std::size_t stride = buf.stride();
+  const SimStats st0 = cube.clock().stats();
+
+  buf.permute_tiles(kTo);
+  for (proc_t q = 0; q < cube.procs(); ++q) {
+    EXPECT_EQ(addr(buf.tile(kTo[q])), ptr[q]) << "tile " << q << " moved";
+    EXPECT_EQ(buf.host_vec(kTo[q]), before[q]);
+  }
+  EXPECT_EQ(buf.stride(), stride);
+  EXPECT_EQ(cube.clock().stats(), st0) << "a relabeling touched the pool";
+
+  // Tiles keep their capacity under their new owner: appending within the
+  // stride writes into the tile's own arena slot.
+  buf.push_back(kTo[0], -1.0);
+  EXPECT_EQ(addr(buf.tile(kTo[0])), ptr[0]);
+  EXPECT_EQ(buf.tile(kTo[0]).back(), -1.0);
+  EXPECT_EQ(buf.stride(), stride);
+
+  // The inverse permutation brings every tile home.
+  buf.resize(kTo[0], before[0].size());
+  std::vector<proc_t> inv(cube.procs());
+  for (proc_t q = 0; q < cube.procs(); ++q) inv[kTo[q]] = q;
+  buf.permute_tiles(inv);
+  EXPECT_EQ(tiles_of(buf), before);
+  for (proc_t q = 0; q < cube.procs(); ++q)
+    EXPECT_EQ(addr(buf.tile(q)), ptr[q]);
+}
+
+TEST(Slab, PermuteTilesRejectsANonBijectionAndLeavesTheBuffer) {
+  Cube cube(3, CostParams::cm2());
+  DistBuffer<double> buf = ragged_buffer(cube);
+  const std::vector<std::vector<double>> before = tiles_of(buf);
+  std::vector<proc_t> twice = kTo;
+  twice[6] = twice[2];  // two tiles for processor 7
+  EXPECT_THROW(buf.permute_tiles(twice), ContractError);
+  std::vector<proc_t> outside = kTo;
+  outside[4] = cube.procs();
+  EXPECT_THROW(buf.permute_tiles(outside), ContractError);
+  EXPECT_THROW(buf.permute_tiles(std::span<const proc_t>(kTo).first(7)),
+               ContractError);
+  EXPECT_EQ(tiles_of(buf), before);
+  buf.permute_tiles(kTo);
+  EXPECT_THROW(buf.permute_tiles(twice), ContractError);
+  for (proc_t q = 0; q < cube.procs(); ++q)
+    EXPECT_EQ(buf.host_vec(kTo[q]), before[q]);
+}
+
+/// True when the tiles sit at base + q·stride in processor order.
+[[nodiscard]] bool in_processor_order(DistBuffer<double>& buf) {
+  for (proc_t q = 0; q + 1 < buf.procs(); ++q)
+    if (addr(buf.tile(q + 1)) - addr(buf.tile(q)) !=
+        buf.stride() * sizeof(double))
+      return false;
+  return true;
+}
+
+TEST(Slab, GrowthAndCopiesOfAPermutedBufferRestoreProcessorOrder) {
+  Cube cube(3, CostParams::cm2());
+  DistBuffer<double> buf = ragged_buffer(cube);
+  buf.permute_tiles(kTo);
+  ASSERT_FALSE(in_processor_order(buf));
+  const std::vector<std::vector<double>> permuted = tiles_of(buf);
+
+  DistBuffer<double> copy(buf);
+  EXPECT_TRUE(in_processor_order(copy));
+  EXPECT_EQ(tiles_of(copy), permuted);
+
+  DistBuffer<double> assigned(cube, 3);
+  assigned = buf;
+  EXPECT_TRUE(in_processor_order(assigned));
+  EXPECT_EQ(tiles_of(assigned), permuted);
+  EXPECT_FALSE(in_processor_order(buf)) << "copying changed the source";
+
+  // Growth past the stride re-lays the arena in processor order; later
+  // permutations start again from there.
+  const std::size_t stride = buf.stride();
+  buf.reserve_each(stride + 1);
+  EXPECT_GT(buf.stride(), stride);
+  EXPECT_TRUE(in_processor_order(buf));
+  EXPECT_EQ(tiles_of(buf), permuted);
+  buf.permute_tiles(kTo);
+  for (proc_t q = 0; q < cube.procs(); ++q)
+    EXPECT_EQ(buf.host_vec(kTo[q]), permuted[q]);
+}
+
+TEST(Slab, SwapAndMoveCarryThePermutedLayout) {
+  Cube cube(3, CostParams::cm2());
+  DistBuffer<double> a = ragged_buffer(cube);
+  a.permute_tiles(kTo);
+  const std::vector<std::vector<double>> tiles = tiles_of(a);
+  std::vector<std::uintptr_t> ptr;
+  for (proc_t q = 0; q < cube.procs(); ++q) ptr.push_back(addr(a.tile(q)));
+
+  DistBuffer<double> b(std::move(a));
+  DistBuffer<double> c(cube, 2);
+  c.swap(b);
+  EXPECT_EQ(tiles_of(c), tiles);
+  for (proc_t q = 0; q < cube.procs(); ++q)
+    EXPECT_EQ(addr(c.tile(q)), ptr[q]) << "tile " << q;
+  DistBuffer<double> d;
+  d = std::move(c);
+  EXPECT_EQ(tiles_of(d), tiles);
+  for (proc_t q = 0; q < cube.procs(); ++q) EXPECT_EQ(addr(d.tile(q)), ptr[q]);
+  EXPECT_EQ(b.len(0), 2u) << "swap handed b the other buffer's tiles";
+}
+
+TEST(Slab, PermuteTilesInsideATeamStepIsRejected) {
+  Cube cube(3, CostParams::cm2());
+  DistBuffer<double> buf = ragged_buffer(cube);
+  const std::vector<std::vector<double>> before = tiles_of(buf);
+  // Like slab growth, a relabeling rewrites state every lane reads.
+  EXPECT_THROW(cube.compute(1, [&](proc_t q) {
+                 if (q == 0) buf.permute_tiles(kTo);
+               }),
+               ContractError);
+  EXPECT_THROW(cube.compute(1, [&](proc_t q) {
+                 if (q == 0) buf.reserve_each(buf.stride() + 1);
+               }),
+               ContractError);
+  EXPECT_EQ(tiles_of(buf), before);
 }
 
 // ---------------------------------------------------------------------------
