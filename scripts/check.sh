@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Full repository verification:
-#   1. tier-1: configure, build, run the quick label first (the sub-minute
-#      inner loop), then the complete test suite;
+#   1. tier-1: configure, build, check that no discovered test name prints
+#      a parameter as raw object bytes, run the quick label first (the
+#      sub-minute inner loop), then the complete test suite;
 #   2. an address+undefined sanitizer build of the library, a set of test
 #      binaries (tracer, accounting, kernels, CG, sparse properties, the
 #      exchange-round tests, the slab arena, the collectives, the dense
@@ -49,6 +50,17 @@ done
 echo "== tier-1: build + test suite =="
 cmake -B build -S . >/dev/null
 cmake --build build -j >/dev/null
+echo "-- test names print their parameters --"
+# GoogleTest prints a parameter type it has no printer for as raw object
+# bytes, struct padding included, so such a ctest name can change from
+# build to build.  Every swept type has a PrintTo (tests/param_printers.hpp
+# and next to each parameter struct).
+raw_names="$(cd build && ctest -N | grep -e '-byte object' || true)"
+if [[ -n "$raw_names" ]]; then
+  echo "test names print raw parameter bytes; give the type a PrintTo:" >&2
+  echo "$raw_names" | head -20 >&2
+  exit 1
+fi
 echo "-- quick label (ctest -L quick) --"
 (cd build && ctest -L quick --output-on-failure -j "$(nproc)")
 if [[ "$QUICK_ONLY" == 1 ]]; then

@@ -10,6 +10,11 @@
 /// round, so a round costs τ + (n/k)·t_c and the whole broadcast
 /// k·τ + ~n·t_c — the factor-k transfer-time speedup the paper reports
 /// for large payloads (bench_collectives reproduces it).
+///
+/// Like the other data-only broadcasts (comm/collectives.hpp), its rounds
+/// are charged over the roots' payloads with Cube::exchange_views and the
+/// payloads placed once; only the holder test, on rotated relative ranks,
+/// is its own.
 #pragma once
 
 #include "comm/collectives.hpp"
@@ -31,8 +36,13 @@ namespace detail {
 }  // namespace detail
 
 /// All-port broadcast over k = sc.k() rotated edge-disjoint spanning
-/// binomial trees; tree i carries block i of the payload.  `n_of(q)` must
-/// return q's subcube's payload length on every member.
+/// binomial trees; tree i carries block i of the payload.  `n_of(root)` is
+/// the payload length of each subcube, read at its root (which must hold
+/// at least that many elements), as in broadcast_pipelined.  Like the
+/// binomial and pipelined broadcasts it stages nothing: each round is one
+/// Cube::exchange_views over the roots' payloads, and one uncharged
+/// deliver step places them after the last round, so a FaultError leaves
+/// `buf` as it was.
 template <class T, class NFn>
 void broadcast_esbt(Cube& cube, DistBuffer<T>& buf, const SubcubeSet& sc,
                     std::uint32_t root_rank, NFn n_of) {
@@ -44,48 +54,33 @@ void broadcast_esbt(Cube& cube, DistBuffer<T>& buf, const SubcubeSet& sc,
   }
   VMP_REQUIRE(root_rank < sc.size(), "broadcast root rank out of range");
   const std::uint32_t K = static_cast<std::uint32_t>(k);
+  const detail::BroadcastRoots<T> roots(cube, buf, sc, root_rank, K, n_of);
 
-  // Non-roots receive segments out of order: size their tiles up front.
-  std::size_t cap = 0;
-  for (proc_t q = 0; q < cube.procs(); ++q)
-    cap = std::max(cap, static_cast<std::size_t>(n_of(q)));
-  buf.reserve_each(cap);
-  cube.each_proc([&](proc_t q) {
-    if (sc.rank(q) != root_rank) buf.assign(q, n_of(q), T{});
-  });
-
-  // holder[i] tracking is analytic: in tree i's ROTATED relative-rank
-  // space the holder set after processing bits {k-1..j+1} is exactly the
-  // ranks with no unprocessed bit set — the standard binomial invariant.
-  const auto batch = cube.session();
+  // Holder tracking is analytic: in tree i's ROTATED relative-rank space
+  // the holders after processing bits {k-1..j+1} are exactly the ranks
+  // with no unprocessed bit set — the standard binomial invariant.
+  // Rotated back, tree i's unprocessed bits are the unrotated ones turned
+  // left by i, deposited onto the subcube's dimensions.
+  const std::uint32_t full = (std::uint32_t{1} << k) - 1;
   std::uint32_t processed = 0;
-  std::vector<int> dims(K);
+  std::array<int, detail::kMaxPipelinePorts> dims{};
+  std::array<std::uint32_t, detail::kMaxPipelinePorts> uncovered{};
   for (int j = k - 1; j >= 0; --j) {
-    for (std::uint32_t i = 0; i < K; ++i)
-      dims[i] = sc.dim_of_rank_bit(static_cast<int>((j + i) % k));
-    const std::uint32_t snapshot = processed;
-    cube.exchange_allport<T>(
-        std::span<const int>(dims),
+    for (std::uint32_t i = 0; i < K; ++i) {
+      const int ii = static_cast<int>(i);
+      dims[i] = sc.dim_of_rank_bit((j + ii) % k);
+      uncovered[i] = deposit_bits(
+          detail::rotr_bits(full & ~processed, k - ii, k), sc.mask());
+    }
+    cube.exchange_views<T>(
+        std::span<const int>(dims.data(), K),
         [&](proc_t q, std::size_t i) -> std::span<const T> {
-          const std::uint32_t rr = sc.rank(q) ^ root_rank;
-          const std::uint32_t rrot =
-              detail::rotr_bits(rr, static_cast<int>(i), k);
-          if ((rrot & ~snapshot) != 0) return {};  // not a holder in tree i
-          const std::size_t n = n_of(q);
-          const std::size_t lo = block_begin(n, K, static_cast<std::uint32_t>(i));
-          const std::size_t hi =
-              block_begin(n, K, static_cast<std::uint32_t>(i) + 1);
-          return std::span<const T>(buf.tile(q)).subspan(lo, hi - lo);
-        },
-        [&](proc_t q, std::size_t i, std::span<const T> in) {
-          const std::size_t n = n_of(q);
-          const std::size_t lo = block_begin(n, K, static_cast<std::uint32_t>(i));
-          VMP_ASSERT(lo + in.size() <= buf.len(q),
-                     "esbt segment out of range");
-          kern::copy(in, buf.tile(q).subspan(lo, in.size()));
+          if (!roots.holds(q, uncovered[i])) return {};
+          return roots.segment(q, static_cast<std::uint32_t>(i));
         });
     processed |= 1u << j;
   }
+  roots.place(cube, buf);
 }
 
 }  // namespace vmp

@@ -37,11 +37,21 @@
 /// length concurrently but may not outgrow their stride off the host
 /// thread (see comm/dist_buffer.hpp).
 ///
-/// Per-processor geometry is tabulated once per call on the host thread,
-/// and the rounds' staging and delivery steps only read the tables:
-/// `broadcast_auto` calls `n_of` once per processor into a length table
-/// its backends read, and the two pipelines look up each processor's
-/// relative rank and segment cuts in a detail::SegmentTable.
+/// Geometry is tabulated once per call on the host thread, and the rounds
+/// only read the tables: `broadcast_auto` calls `n_of` once per subcube,
+/// at its root, into a length table its backends read, and the pipelines
+/// look up segment cuts in a detail::SegmentTable, per processor for
+/// `allreduce_pipelined` and per subcube for the broadcasts.
+///
+/// The broadcasts that only move data (`broadcast`, `broadcast_pipelined`
+/// and allport.hpp's `broadcast_esbt`) stage nothing: each round is one
+/// Cube::exchange_views over the roots' payloads — every holder's message
+/// is its segment of its subcube root's tile, the bytes it would hold by
+/// then — and after the last round one uncharged Cube::deliver step copies
+/// each root's payload to its members.  Charges, statistics and traces are
+/// those of the staged rounds; a FaultError leaves `buf` as it was.
+/// `broadcast_sag` is built from the public scatter and all-gather and
+/// stays staged.
 #pragma once
 
 #include <algorithm>
@@ -292,54 +302,45 @@ void allreduce_rsag(Cube& cube, DistBuffer<T>& buf, const SubcubeSet& sc,
 
 namespace detail {
 
-/// The per-call geometry of an S-segment pipeline, built on the host thread
-/// before the first round so that the rounds only read it: each
-/// processor's subcube rank relative to `root_rank`, and the S+1 cuts of
-/// its payload of `len(q)` elements into segments (segment s spans
-/// [cut(q, s), cut(q, s+1))).  Lengths agree within a subcube and the
-/// partitions give only a few distinct ones, so each distinct length's
-/// cuts are computed once and shared.
+/// The segment cuts of `count` payloads, payload i holding `len(i)`
+/// elements cut into `nseg` segments (segment s spans [cut(i, s),
+/// cut(i, s+1))), built on the host thread before the first round so that
+/// the rounds only read them.  Lengths repeat (they agree within a subcube
+/// and the partitions give only a few distinct ones), so each distinct
+/// length's cuts are computed once and shared.
 class SegmentTable {
  public:
   template <class LenFn>
-  SegmentTable(const Cube& cube, const SubcubeSet& sc, std::uint32_t root_rank,
-               std::uint32_t nseg, LenFn len)
-      : nseg_(nseg), proc_(cube.procs()) {
-    for (proc_t q = 0; q < cube.procs(); ++q) {
-      const std::size_t n = static_cast<std::size_t>(len(q));
+  SegmentTable(std::size_t count, std::uint32_t nseg, LenFn len)
+      : nseg_(nseg), row_(count) {
+    for (std::size_t i = 0; i < count; ++i) {
+      const std::size_t n = static_cast<std::size_t>(len(i));
       // A row's last cut is its length: block_begin(n, S, S) == n.
       std::size_t row = 0;
       while (row < cuts_.size() && cuts_[row + nseg_] != n) row += nseg_ + 1;
       if (row == cuts_.size())
         for (std::uint32_t s = 0; s <= nseg_; ++s)
           cuts_.push_back(block_begin(n, nseg_, s));
-      proc_[q] = {sc.rank(q) ^ root_rank, row};
+      row_[i] = row;
     }
   }
 
-  [[nodiscard]] std::uint32_t rel_rank(proc_t q) const {
-    return proc_[q].rel_rank;
+  [[nodiscard]] std::size_t cut(std::size_t i, std::uint32_t s) const {
+    return cuts_[row_[i] + s];
   }
-  [[nodiscard]] std::size_t cut(proc_t q, std::uint32_t s) const {
-    return cuts_[proc_[q].row + s];
-  }
-  [[nodiscard]] std::size_t len(proc_t q) const { return cut(q, nseg_); }
+  [[nodiscard]] std::size_t len(std::size_t i) const { return cut(i, nseg_); }
 
-  /// Segment s of `payload`, q's payload.
+  /// Segment s of `payload`, payload i.
   template <class T>
-  [[nodiscard]] std::span<T> segment(std::span<T> payload, proc_t q,
+  [[nodiscard]] std::span<T> segment(std::span<T> payload, std::size_t i,
                                      std::uint32_t s) const {
-    const std::size_t lo = cut(q, s);
-    return payload.subspan(lo, cut(q, s + 1) - lo);
+    const std::size_t lo = cut(i, s);
+    return payload.subspan(lo, cut(i, s + 1) - lo);
   }
 
  private:
-  struct Proc {
-    std::uint32_t rel_rank = 0;
-    std::size_t row = 0;  ///< offset of q's cuts in cuts_
-  };
   std::uint32_t nseg_;
-  std::vector<Proc> proc_;
+  std::vector<std::size_t> row_;  ///< per payload: offset of its cuts
   std::vector<std::size_t> cuts_;
 };
 
@@ -366,8 +367,9 @@ void allreduce_pipelined(Cube& cube, DistBuffer<T>& buf, const SubcubeSet& sc,
   const auto batch = cube.session();
   const int k = sc.k();
   const std::uint32_t S = nseg;
-  const detail::SegmentTable geo(cube, sc, 0, S,
-                                 [&](proc_t q) { return buf.len(q); });
+  const detail::SegmentTable geo(cube.procs(), S, [&](std::size_t q) {
+    return buf.len(static_cast<proc_t>(q));
+  });
   std::array<int, detail::kMaxPipelinePorts> dims{};
   std::array<std::uint32_t, detail::kMaxPipelinePorts> segs{};
   for (int t = 0; t < k + static_cast<int>(S) - 1; ++t) {
@@ -446,31 +448,145 @@ void allreduce_auto(Cube& cube, DistBuffer<T>& buf, const SubcubeSet& sc,
 // Broadcast.
 // ---------------------------------------------------------------------------
 
+namespace detail {
+
+/// Dense numbering of the subcubes of `sc` on `cube`: subcube s holds the
+/// processors whose address bits outside the mask spell s.
+class Subcubes {
+ public:
+  Subcubes(const Cube& cube, const SubcubeSet& sc)
+      : others_((cube.procs() - 1) & ~sc.mask()) {}
+
+  [[nodiscard]] std::size_t count() const {
+    return std::size_t{1} << popcount(others_);
+  }
+  /// The subcube holding q.
+  [[nodiscard]] std::size_t of(proc_t q) const {
+    return extract_bits(q, others_);
+  }
+  /// The member of subcube s whose mask bits are `bits`.
+  [[nodiscard]] proc_t member(std::size_t s, std::uint32_t bits) const {
+    return deposit_bits(static_cast<std::uint32_t>(s), others_) | bits;
+  }
+
+ private:
+  std::uint32_t others_;  ///< cube dimensions outside the mask
+};
+
+/// The per-call geometry of a data-only broadcast, one entry per subcube:
+/// the root's payload, the first n_of(root) elements of its tile, cut into
+/// `nseg` segments.  n_of runs once per subcube, at its root.  No
+/// per-processor rank is formed: q's address relative to its root is
+/// q ^ root_bits, so a holder test is a mask on it.  The payloads are read
+/// where they lie, so `buf` must not grow or be relabeled before place().
+template <class T>
+class BroadcastRoots {
+ public:
+  template <class NFn>
+  BroadcastRoots(const Cube& cube, const DistBuffer<T>& buf,
+                 const SubcubeSet& sc, std::uint32_t root_rank,
+                 std::uint32_t nseg, NFn n_of)
+      : subs_(cube, sc),
+        mask_(sc.mask()),
+        root_bits_(deposit_bits(root_rank, sc.mask())),
+        cuts_(subs_.count(), nseg,
+              [&](std::size_t s) { return n_of(subs_.member(s, root_bits_)); }),
+        data_(subs_.count()) {
+    for (std::size_t s = 0; s < data_.size(); ++s) {
+      const std::span<const T> tile = buf.tile(subs_.member(s, root_bits_));
+      VMP_REQUIRE(cuts_.len(s) <= tile.size(),
+                  "broadcast root holds less than its payload");
+      data_[s] = tile.data();
+      bytes_ += cuts_.len(s) * (sc.size() - 1) * sizeof(T);
+    }
+  }
+
+  /// Whether q's address relative to its root has none of the cube
+  /// dimensions in `uncovered` set: q holds what its root sent down them.
+  [[nodiscard]] bool holds(proc_t q, std::uint32_t uncovered) const {
+    return ((q ^ root_bits_) & uncovered) == 0;
+  }
+
+  /// Segment s of the payload of q's root.
+  [[nodiscard]] std::span<const T> segment(proc_t q, std::uint32_t s) const {
+    const std::size_t i = subs_.of(q);
+    const std::size_t lo = cuts_.cut(i, s);
+    return {data_[i] + lo, cuts_.cut(i, s + 1) - lo};
+  }
+
+  /// One uncharged deliver step after the last round: every member but
+  /// the root copies its root's payload; the root keeps its tile.
+  void place(Cube& cube, DistBuffer<T>& buf) const {
+    cube.deliver(bytes_, [&](proc_t q) {
+      if (holds(q, mask_)) return;
+      const std::size_t i = subs_.of(q);
+      buf.assign(q, std::span<const T>(data_[i], cuts_.len(i)));
+    });
+  }
+
+ private:
+  Subcubes subs_;
+  std::uint32_t mask_;
+  std::uint32_t root_bits_;  ///< every root's mask bits
+  SegmentTable cuts_;        ///< per subcube
+  std::vector<const T*> data_;  ///< per subcube: the root's tile
+  std::uint64_t bytes_ = 0;     ///< what place() copies
+};
+
+/// The schedule walker behind broadcast (one segment) and
+/// broadcast_pipelined: segment s runs binomial stage t−s in round t, and
+/// stage st crosses rank bit k−1−st, mirroring the binomial tree's
+/// high-to-low dimension order, so the active segments occupy distinct
+/// dimensions and each round is one exchange_views.  The holders of
+/// segment s before stage st are the members whose relative rank has no
+/// bit below k−st set; each sends its segment of the root's payload, the
+/// bytes it holds by then.  The payloads are placed once, after the last
+/// round, so a FaultError leaves `buf` as it was.
+template <class T, class NFn>
+void broadcast_rounds(Cube& cube, DistBuffer<T>& buf, const SubcubeSet& sc,
+                      std::uint32_t root_rank, NFn n_of, std::uint32_t nseg) {
+  const int k = sc.k();
+  const BroadcastRoots<T> roots(cube, buf, sc, root_rank, nseg, n_of);
+  std::array<int, kMaxPipelinePorts> dims{};
+  std::array<std::uint32_t, kMaxPipelinePorts> segs{};
+  std::array<std::uint32_t, kMaxPipelinePorts> uncovered{};
+  for (int t = 0; t < k + static_cast<int>(nseg) - 1; ++t) {
+    const std::uint32_t s_lo =
+        t >= k ? static_cast<std::uint32_t>(t - k + 1) : 0;
+    const std::uint32_t s_hi = std::min<std::uint32_t>(
+        nseg - 1, static_cast<std::uint32_t>(t));
+    std::size_t ports = 0;
+    for (std::uint32_t s = s_lo; s <= s_hi; ++s, ++ports) {
+      const int st = t - static_cast<int>(s);
+      dims[ports] = sc.dim_of_rank_bit(k - 1 - st);
+      segs[ports] = s;
+      uncovered[ports] =
+          deposit_bits((std::uint32_t{1} << (k - st)) - 1, sc.mask());
+    }
+    cube.exchange_views<T>(
+        std::span<const int>(dims.data(), ports),
+        [&](proc_t q, std::size_t idx) -> std::span<const T> {
+          if (!roots.holds(q, uncovered[idx])) return {};
+          return roots.segment(q, segs[idx]);
+        });
+  }
+  roots.place(cube, buf);
+}
+
+}  // namespace detail
+
 /// Spanning-binomial-tree broadcast: the member with rank `root_rank` of
-/// each subcube holds the payload; on exit every member holds a copy.
-/// k rounds of full-payload sends: best for short payloads.
+/// each subcube holds the payload, its whole tile; on exit every member
+/// holds a copy (an empty payload leaves every member empty).  k rounds of
+/// full-payload sends: best for short payloads.
 template <class T>
 void broadcast(Cube& cube, DistBuffer<T>& buf, const SubcubeSet& sc,
                std::uint32_t root_rank) {
   if (sc.k() == 0) return;
   VMP_TRACE(cube, "broadcast");
-  const auto batch = cube.session();
   VMP_REQUIRE(root_rank < sc.size(), "broadcast root rank out of range");
-  buf.reserve_each(max_local_len(cube, buf));  // non-roots receive in place
-  std::uint32_t processed = 0;  // relative-rank bits already covered
-  for (int j = sc.k() - 1; j >= 0; --j) {
-    const int d = sc.dim_of_rank_bit(j);
-    cube.exchange<T>(
-        d,
-        [&](proc_t q) -> std::span<const T> {
-          const std::uint32_t rr = sc.rank(q) ^ root_rank;
-          if ((rr & ~processed) == 0)  // current holder
-            return buf.tile(q);
-          return {};
-        },
-        [&](proc_t q, std::span<const T> in) { buf.assign(q, in); });
-    processed |= 1u << j;
-  }
+  detail::broadcast_rounds(
+      cube, buf, sc, root_rank, [&buf](proc_t q) { return buf.len(q); }, 1);
 }
 
 /// Scatter phase of broadcast_sag: the root's payload is split into
@@ -545,8 +661,9 @@ void broadcast_sag(Cube& cube, DistBuffer<T>& buf, const SubcubeSet& sc,
 /// exchange of ~n/S elements: (k+S-1)(τ + ⌈n/S⌉·t_c), sitting between the
 /// binomial tree (S=1) and scatter+all-gather in the τ vs n·t_c tradeoff.
 /// Pure data motion, so results are bit-identical to `broadcast`.
-/// `n_of(q)` as in broadcast_sag (every member needs its subcube's payload
-/// length to size its copy and locate segment boundaries).
+/// `n_of(root)` is the payload length of each subcube, read at its root
+/// (which must hold at least that many elements); every member ends with
+/// that many.
 template <class T, class NFn>
 void broadcast_pipelined(Cube& cube, DistBuffer<T>& buf, const SubcubeSet& sc,
                          std::uint32_t root_rank, NFn n_of,
@@ -555,49 +672,7 @@ void broadcast_pipelined(Cube& cube, DistBuffer<T>& buf, const SubcubeSet& sc,
   VMP_REQUIRE(root_rank < sc.size(), "broadcast root rank out of range");
   VMP_REQUIRE(nseg >= 1, "broadcast_pipelined needs at least one segment");
   VMP_TRACE(cube, "broadcast_pipelined");
-  const auto batch = cube.session();
-  const int k = sc.k();
-  const std::uint32_t S = nseg;
-  const detail::SegmentTable geo(cube, sc, root_rank, S, n_of);
-  std::size_t cap = 0;
-  for (proc_t q = 0; q < cube.procs(); ++q) cap = std::max(cap, geo.len(q));
-  buf.reserve_each(cap);
-  // Non-roots receive their segments in place: size them up front.
-  cube.each_proc([&](proc_t q) {
-    if (geo.rel_rank(q) != 0) buf.resize(q, geo.len(q));
-  });
-  std::array<int, detail::kMaxPipelinePorts> dims{};
-  std::array<std::uint32_t, detail::kMaxPipelinePorts> segs{};
-  std::array<std::uint32_t, detail::kMaxPipelinePorts> uncovered{};
-  for (int t = 0; t < k + static_cast<int>(S) - 1; ++t) {
-    const std::uint32_t s_lo =
-        t >= k ? static_cast<std::uint32_t>(t - k + 1) : 0;
-    const std::uint32_t s_hi = std::min<std::uint32_t>(
-        S - 1, static_cast<std::uint32_t>(t));
-    std::size_t ports = 0;
-    for (std::uint32_t s = s_lo; s <= s_hi; ++s, ++ports) {
-      // Stage st of the binomial tree crosses rank bit k-1-st, mirroring
-      // `broadcast`'s high-to-low dimension order.  Holders of segment s
-      // before stage st are the relative ranks whose bits below k-st are
-      // all zero.
-      const int st = t - static_cast<int>(s);
-      dims[ports] = sc.dim_of_rank_bit(k - 1 - st);
-      segs[ports] = s;
-      uncovered[ports] = (std::uint32_t{1} << (k - st)) - 1;
-    }
-    cube.exchange_allport<T>(
-        std::span<const int>(dims.data(), ports),
-        [&](proc_t q, std::size_t idx) -> std::span<const T> {
-          if ((geo.rel_rank(q) & uncovered[idx]) != 0) return {};
-          return geo.segment(std::span<const T>(buf.tile(q)), q, segs[idx]);
-        },
-        [&](proc_t q, std::size_t idx, std::span<const T> in) {
-          const std::span<T> seg = geo.segment(buf.tile(q), q, segs[idx]);
-          VMP_ASSERT(in.size() == seg.size(),
-                     "broadcast_pipelined segment length mismatch");
-          kern::copy(in, seg);
-        });
-  }
+  detail::broadcast_rounds(cube, buf, sc, root_rank, n_of, nseg);
 }
 
 /// Model-driven choice between binomial, scatter+all-gather, and the
@@ -608,14 +683,18 @@ template <class T, class NFn>
 void broadcast_auto(Cube& cube, DistBuffer<T>& buf, const SubcubeSet& sc,
                     std::uint32_t root_rank, NFn n_of) {
   if (sc.k() == 0) return;
-  // n_of runs once per processor, here; the backends read the table.
-  std::vector<std::size_t> len(cube.procs());
+  VMP_REQUIRE(root_rank < sc.size(), "broadcast root rank out of range");
+  // n_of runs once per subcube, at its root, here; the backends read the
+  // table.
+  const detail::Subcubes subs(cube, sc);
+  const std::uint32_t root_bits = deposit_bits(root_rank, sc.mask());
+  std::vector<std::size_t> len(subs.count());
   std::size_t nmax = 0;
-  for (proc_t q = 0; q < cube.procs(); ++q) {
-    len[q] = static_cast<std::size_t>(n_of(q));
-    nmax = std::max(nmax, len[q]);
+  for (std::size_t s = 0; s < len.size(); ++s) {
+    len[s] = static_cast<std::size_t>(n_of(subs.member(s, root_bits)));
+    nmax = std::max(nmax, len[s]);
   }
-  const auto len_of = [&len](proc_t q) { return len[q]; };
+  const auto len_of = [&](proc_t q) { return len[subs.of(q)]; };
   const double n = static_cast<double>(nmax);
   const double k = sc.k();
   const double frac =

@@ -21,6 +21,11 @@
 /// memory and moves nothing: Gray ring shifts (comm/shift.hpp) pair it with
 /// DistBuffer::permute_tiles, which hands every tile to its new owner by
 /// relabeling, so a shift runs no team step and copies no payload.
+/// `exchange_views` is the same for an exchange round: it charges the round
+/// over views of memory the senders already hold and moves nothing.  The
+/// data-only broadcasts (comm/collectives.hpp, comm/allport.hpp) walk their
+/// rounds with it over their roots' payloads and then run one uncharged
+/// `deliver` step in which every member copies its root's payload.
 ///
 /// Correctness never depends on host threading: the per-processor loops run
 /// on a persistent SPMD worker team (hypercube/team.hpp, Options::threads /
@@ -66,9 +71,10 @@ namespace vmp {
 /// One message of a lockstep round, as seen by the fault-recovery engine:
 /// the (src, dst) LOGICAL cube edge, the cube dimension it crosses, the
 /// round-core port it was sent on, and a view of the payload — in its
-/// persistent staging slot, or, for Cube::relay_views, in the sender's own
-/// memory.  On a non-unit-hop topology the logical edge resolves to a
-/// multi-hop physical route at delivery/charging time.
+/// persistent staging slot, or, for Cube::relay_views and
+/// Cube::exchange_views, in the sender's own memory.  On a non-unit-hop
+/// topology the logical edge resolves to a multi-hop physical route at
+/// delivery/charging time.
 template <class T>
 struct FaultMsg {
   proc_t src = 0;
@@ -144,14 +150,20 @@ struct alignas(64) ExPartial {
   std::uint64_t pool_misses = 0;
   std::uint64_t miss_bytes = 0;
 
-  /// Fold one staged send of `len` elements that freshly allocated `grew`
-  /// bytes (0 on slot reuse).  Empty sends count nothing, matching the
-  /// elided-message rule.
-  void note(std::size_t len, std::size_t grew) {
+  /// Fold one send of `len` elements into the message statistics.  Empty
+  /// sends count nothing, matching the elided-message rule.
+  void count(std::size_t len) {
     if (len == 0) return;
     ++messages;
     total += len;
     if (len > max_elems) max_elems = len;
+  }
+
+  /// Fold one staged send of `len` elements that freshly allocated `grew`
+  /// bytes (0 on slot reuse) into the statistics and the pool counters.
+  void note(std::size_t len, std::size_t grew) {
+    if (len == 0) return;
+    count(len);
     if (grew != 0) {
       ++pool_misses;
       miss_bytes += grew;
@@ -273,12 +285,7 @@ class Cube {
   /// processors when known, else `max_flops * procs()`.
   template <class F>
   void compute(std::uint64_t max_flops, std::uint64_t total_flops, F&& fn) {
-    team_.step(
-        procs_,
-        [&](unsigned, std::size_t lo, std::size_t hi) {
-          for (std::size_t q = lo; q < hi; ++q) fn(static_cast<proc_t>(q));
-        },
-        WorkerTeam::fans_out({.flops = total_flops}));
+    each_step({.flops = total_flops}, fn);
     clock_.charge_compute_step(max_flops, total_flops);
   }
 
@@ -333,18 +340,47 @@ class Cube {
   template <class T, class SendFn, class RecvFn>
   void exchange_allport(std::span<const int> dims, SendFn&& send,
                         RecvFn&& recv) {
-    for (std::size_t a = 0; a < dims.size(); ++a) {
-      VMP_REQUIRE(dims[a] >= 0 && dims[a] < dim_,
-                  "exchange dimension out of range");
-      for (std::size_t b = a + 1; b < dims.size(); ++b)
-        VMP_REQUIRE(dims[a] != dims[b], "all-port dims must be distinct");
-    }
+    check_dims(dims);
     run_round<T>(
         dims.size(), dims.size() == 1 ? dims[0] : -1,
         [dims](proc_t q, std::size_t idx) {
           return q ^ (proc_t{1} << dims[idx]);
         },
         send, recv);
+  }
+
+  /// The round of exchange_allport (one-port when `dims` has one entry)
+  /// with nothing staged and nothing delivered: the message q sends across
+  /// dims[idx] is the span `view(q, idx)` (empty = none), which must stay
+  /// valid and unchanged for the whole call.  Checks `dims` like
+  /// exchange_allport and charges, traces and (under a fault plan) recovers
+  /// the same round over the viewed memory, so clock, statistics and trace
+  /// advance exactly as exchange_allport's do; only the pool counters
+  /// differ, because no slot is staged.  Elided when nobody sends.  Moving
+  /// the payloads is left to the caller — a broadcast copies its root's
+  /// payload to every member in one `deliver` step after its last round —
+  /// and runs only if this returns: a FaultError has moved nothing.
+  template <class T, class ViewFn>
+  void exchange_views(std::span<const int> dims, ViewFn&& view) {
+    check_dims(dims);
+    const auto partner = [dims](proc_t q, std::size_t idx) {
+      return q ^ (proc_t{1} << dims[idx]);
+    };
+    detail::ExPartial r;
+    for (std::size_t i = 0; i < dims.size(); ++i)
+      for (proc_t q = 0; q < procs_; ++q) r.count(view(q, i).size());
+    if (r.messages == 0) return;
+    settle_round<T>(dims.size(), dims.size() == 1 ? dims[0] : -1, partner,
+                    view, r, [](const FaultMsg<T>&) {});
+  }
+
+  /// One uncharged delivery step: `fn(q)` runs on every processor, placing
+  /// data that rounds charged without moving it (exchange_views).  `bytes`
+  /// is what the step copies; like a staged round's delivery, it fans out
+  /// across the lanes only past the inline byte cut.
+  template <class F>
+  void deliver(std::uint64_t bytes, F&& fn) {
+    each_step({.bytes = bytes}, fn);
   }
 
   /// One lockstep permutation round: processor q's payload `send(q)` goes
@@ -474,44 +510,83 @@ class Cube {
   /// per port, and a processor that is its own partner sits the port out.
   /// `recv(q, i, data)` receives what q's partner on port i sent, if
   /// anything.  Staged by stage_round; then delivered by deliver_round and
-  /// charged once through charge_round (`charge_dim` is the dimension every
-  /// message crosses, or -1 when the round mixes dimensions), or, with a
-  /// fault plan attached, delivered and charged by deliver_with_faults on
-  /// the host thread.  If nobody sends, the round is elided: no delivery,
-  /// no charge.
+  /// charged by settle_round (`charge_dim` is the dimension every message
+  /// crosses, or -1 when the round mixes dimensions), or, with a fault plan
+  /// attached, delivered and charged by settle_round on the host thread.
+  /// If nobody sends, the round is elided: no delivery, no charge.
   template <class T, class PartnerFn, class SendFn, class RecvFn>
   void run_round(std::size_t ports, int charge_dim, PartnerFn&& partner,
                  SendFn&& send, RecvFn&& recv) {
     const detail::ExPartial r = stage_round<T>(ports, partner, send);
     if (r.messages == 0) return;
     const detail::StageBuf* stage = stage_.data();
+    const proc_t p = procs_;
+    const auto slot = [stage, p](proc_t q, std::size_t i) {
+      return stage[i * p + q].template view<T>();
+    };
+    if (!faults_) deliver_round<T>(ports, partner, recv);
+    settle_round<T>(ports, charge_dim, partner, slot, r,
+                    [&](const FaultMsg<T>& m) {
+                      recv(m.dst, m.port, m.payload());
+                    });
+  }
+
+  /// The charge of one exchange round, shared by run_round and
+  /// exchange_views: port i of q sends `view(q, i)` (empty = none) to
+  /// `partner(q, i)`, and `r` holds the round's message statistics.
+  /// Charged once through charge_round or, with a fault plan attached,
+  /// delivered and charged by deliver_with_faults over FaultMsgs pointing
+  /// into the views, each message that gets through going to `deliver`.
+  template <class T, class PartnerFn, class ViewFn, class DeliverFn>
+  void settle_round(std::size_t ports, int charge_dim, PartnerFn& partner,
+                    ViewFn& view, const detail::ExPartial& r,
+                    DeliverFn&& deliver) {
     if (faults_) {
       std::vector<FaultMsg<T>> msgs;
       msgs.reserve(r.messages);
       for (std::size_t i = 0; i < ports; ++i)
         for (proc_t q = 0; q < procs_; ++q) {
-          const detail::StageBuf& sb = stage[i * procs_ + q];
-          if (sb.len == 0) continue;
+          const std::span<const T> payload = view(q, i);
+          if (payload.empty()) continue;
           const proc_t pq = partner(q, i);
           msgs.push_back(FaultMsg<T>{q, pq, std::countr_zero(q ^ pq), i,
-                                     sb.template data<T>(), sb.len});
+                                     payload.data(), payload.size()});
         }
       deliver_with_faults<T>(std::move(msgs), r.max_elems, r.messages,
-                             r.total, charge_dim, [&](const FaultMsg<T>& m) {
-                               recv(m.dst, m.port, m.payload());
-                             });
+                             r.total, charge_dim, deliver);
       return;
     }
-    deliver_round<T>(ports, partner, recv);
     charge_round(r.max_elems, r.messages, r.total, charge_dim,
                  [&](auto&& add) {
                    for (std::size_t i = 0; i < ports; ++i)
                      for (proc_t q = 0; q < procs_; ++q) {
-                       const std::size_t len = stage[i * procs_ + q].len;
+                       const std::size_t len = view(q, i).size();
                        if (len != 0)
                          add(std::countr_zero(q ^ partner(q, i)), q, len);
                      }
                  });
+  }
+
+  /// exchange_allport's dimension checks: in range and distinct.
+  void check_dims(std::span<const int> dims) const {
+    for (std::size_t a = 0; a < dims.size(); ++a) {
+      VMP_REQUIRE(dims[a] >= 0 && dims[a] < dim_,
+                  "exchange dimension out of range");
+      for (std::size_t b = a + 1; b < dims.size(); ++b)
+        VMP_REQUIRE(dims[a] != dims[b], "all-port dims must be distinct");
+    }
+  }
+
+  /// One team step running `fn(q)` on every processor; `work` decides
+  /// whether it fans out.
+  template <class F>
+  void each_step(WorkerTeam::Work work, F& fn) {
+    team_.step(
+        procs_,
+        [&](unsigned, std::size_t lo, std::size_t hi) {
+          for (std::size_t q = lo; q < hi; ++q) fn(static_cast<proc_t>(q));
+        },
+        WorkerTeam::fans_out(work));
   }
 
   /// The staging step of every round: one team step copies each port's
@@ -770,7 +845,8 @@ class Cube {
   /// exactly once, so results match the fault-free delivery bit for bit.
   /// A relay leg passes a no-op `deliver`: its messages are still in
   /// flight, and relay delivers them in one step after the last leg
-  /// (relay_views leaves moving them to its caller).
+  /// (relay_views leaves moving them to its caller).  exchange_views
+  /// passes one too: its caller places the payloads after its last round.
   template <class T, class DeliverFn>
   void deliver_with_faults(std::vector<FaultMsg<T>> pending,
                            std::size_t max_elems, std::size_t messages,

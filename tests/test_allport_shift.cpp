@@ -2,8 +2,11 @@
 // relay / all-port machine rounds they are built on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <random>
 #include <string>
 #include <vector>
@@ -12,6 +15,7 @@
 #include "comm/shift.hpp"
 #include "fault/fault.hpp"
 #include "util/workloads.hpp"
+#include "param_printers.hpp"
 
 namespace vmp {
 namespace {
@@ -514,6 +518,255 @@ TEST_P(ShiftTwin, RelabeledShiftMatchesTheStagedRelay) {
 
 INSTANTIATE_TEST_SUITE_P(
     Presets, ShiftTwin,
+    ::testing::Values(TopologyKind::Hypercube, TopologyKind::Mesh,
+                      TopologyKind::Torus, TopologyKind::Dragonfly),
+    [](const ::testing::TestParamInfo<TopologyKind>& info) {
+      return std::string(to_string(info.param));
+    });
+
+
+// ---------------------------------------------------------------------------
+// BroadcastTwin: broadcast, broadcast_pipelined and broadcast_esbt charge
+// their rounds over their roots' payloads (Cube::exchange_views) and place
+// the payloads once.  The twin is the staged schedule they replaced, kept
+// here as the reference: non-roots sized to their root's payload, then the
+// same rounds through exchange_allport, every holder sending its own
+// segment and every receiver copying it in recv.  It runs over host copies
+// of the tiles, which replace the tiles only once every round got through:
+// under a FaultError both sides leave `buf` as it was.  After every call
+// the tiles, their lengths, the clock and whether the call threw must
+// agree; at the end, the whole trace and every SimStats field except the
+// three pool counters (staged rounds stage through the slots, views do
+// not).
+
+enum class BcastKind { Binomial, Pipelined, Esbt };
+enum class BcastPlan { None, Transient, DeadFirstLink, DeadNode };
+
+/// The staged reference of one broadcast call.  `n_of(root)` is the
+/// payload length of the pipelined and nESBT broadcasts; the binomial one
+/// sends the root's whole tile.
+template <class NFn>
+void staged_broadcast(Cube& cube, DistBuffer<double>& buf, const SubcubeSet& sc,
+                      std::uint32_t root, BcastKind kind, std::uint32_t nseg,
+                      NFn n_of) {
+  const int k = sc.k();
+  if (k == 0) return;
+  if (kind == BcastKind::Esbt && k == 1) kind = BcastKind::Binomial;
+  std::optional<TraceRegion> region;
+  if (kind == BcastKind::Binomial) region.emplace(cube, "broadcast");
+  if (kind == BcastKind::Pipelined) region.emplace(cube, "broadcast_pipelined");
+  const std::uint32_t S = kind == BcastKind::Binomial ? 1u
+                          : kind == BcastKind::Esbt
+                              ? static_cast<std::uint32_t>(k)
+                              : nseg;
+  const proc_t P = cube.procs();
+  std::vector<std::size_t> len(P);
+  std::vector<std::vector<double>> tile(P);
+  for (proc_t q = 0; q < P; ++q) {
+    const proc_t r = sc.with_rank(q, root);
+    len[q] = kind == BcastKind::Binomial ? buf.len(r) : n_of(r);
+    tile[q] = buf.host_vec(q);
+    if (q != r) tile[q].assign(len[q], 0.0);
+  }
+  const auto cut = [&](proc_t q, std::uint32_t s) {
+    return block_begin(len[q], S, s);
+  };
+  // One staged round: port i of every holder sends its segment seg(i).
+  const auto round = [&](std::span<const int> dims, auto holder, auto seg) {
+    cube.exchange_allport<double>(
+        dims,
+        [&](proc_t q, std::size_t i) -> std::span<const double> {
+          if (!holder(sc.rank(q) ^ root, i)) return {};
+          const std::uint32_t s = seg(i);
+          return std::span<const double>(tile[q]).subspan(
+              cut(q, s), cut(q, s + 1) - cut(q, s));
+        },
+        [&](proc_t q, std::size_t i, std::span<const double> in) {
+          std::copy(in.begin(), in.end(),
+                    tile[q].begin() +
+                        static_cast<std::ptrdiff_t>(cut(q, seg(i))));
+        });
+  };
+  if (kind == BcastKind::Esbt) {
+    std::vector<int> dims(static_cast<std::size_t>(k));
+    std::uint32_t processed = 0;
+    for (int j = k - 1; j >= 0; --j) {
+      for (int i = 0; i < k; ++i)
+        dims[static_cast<std::size_t>(i)] = sc.dim_of_rank_bit((j + i) % k);
+      const std::uint32_t snapshot = processed;
+      round(
+          dims,
+          [&](std::uint32_t rr, std::size_t i) {
+            return (detail::rotr_bits(rr, static_cast<int>(i), k) &
+                    ~snapshot) == 0;
+          },
+          [](std::size_t i) { return static_cast<std::uint32_t>(i); });
+      processed |= 1u << j;
+    }
+  } else {
+    for (int t = 0; t < k + static_cast<int>(S) - 1; ++t) {
+      const std::uint32_t s_lo =
+          t >= k ? static_cast<std::uint32_t>(t - k + 1) : 0;
+      const std::uint32_t s_hi =
+          std::min<std::uint32_t>(S - 1, static_cast<std::uint32_t>(t));
+      std::vector<int> dims;
+      std::vector<std::uint32_t> segs, uncovered;
+      for (std::uint32_t s = s_lo; s <= s_hi; ++s) {
+        const int st = t - static_cast<int>(s);
+        dims.push_back(sc.dim_of_rank_bit(k - 1 - st));
+        segs.push_back(s);
+        uncovered.push_back((std::uint32_t{1} << (k - st)) - 1);
+      }
+      round(
+          dims,
+          [&](std::uint32_t rr, std::size_t i) {
+            return (rr & uncovered[i]) == 0;
+          },
+          [&](std::size_t i) { return segs[i]; });
+    }
+  }
+  for (proc_t q = 0; q < P; ++q)
+    if (q != sc.with_rank(q, root)) buf.assign(q, tile[q]);
+}
+
+/// Subcube payload lengths, some 0, that differ between subcubes.
+[[nodiscard]] std::size_t twin_payload(const SubcubeSet& sc, int d, proc_t q) {
+  static constexpr std::size_t kLens[] = {0, 5, 13, 2, 9, 1};
+  const std::uint32_t id = sc.subcube_id(q);
+  return kLens[(static_cast<std::size_t>(std::popcount(id)) + id % 5 +
+                static_cast<std::size_t>(d)) %
+               6];
+}
+
+void run_broadcast_twin(TopologyKind kind, int d, const SubcubeSet& sc,
+                        BcastPlan plan, unsigned lanes, TwinTally& tally) {
+  Cube::Options opts;
+  opts.threads = lanes;
+  opts.topology = kind;
+  Cube moved(d, CostParams::cm2(), opts);
+  Cube staged(d, CostParams::cm2(), opts);
+  for (Cube* cube : {&moved, &staged}) {
+    FaultPlan fp;
+    if (plan == BcastPlan::Transient)
+      fp = FaultPlan::transient(0xb7cau + static_cast<unsigned>(d), 0.1, 0.1,
+                                0.1, 2.5);
+    if (plan == BcastPlan::DeadFirstLink) {
+      // The physical link the message 0 → 1 leaves on.
+      std::vector<Hop> hops;
+      cube->topology().route(0, 1, hops);
+      fp.link_kills.push_back({/*from_round=*/0, hops.front().from,
+                               hops.front().port});
+    }
+    if (plan == BcastPlan::DeadNode)
+      fp.node_kills.push_back({/*from_round=*/1, cube->procs() - 1});
+    if (plan != BcastPlan::None) cube->enable_faults(fp);
+    cube->clock().tracer().set_recording(true);
+  }
+  const auto n_of = [&](proc_t q) { return twin_payload(sc, d, q); };
+  // Roots hold their payload, sometimes one element more (the pipelined
+  // and nESBT broadcasts send the first n_of of it); every other member
+  // holds stale data of its own length.
+  const auto fill = [&](DistBuffer<double>& buf, std::uint32_t root) {
+    buf.reserve_each(16);
+    for (proc_t q = 0; q < buf.procs(); ++q) {
+      const bool is_root = sc.rank(q) == root;
+      const std::size_t n =
+          is_root ? n_of(q) + sc.subcube_id(q) % 2 : (q * 5u + 3u) % 7u;
+      std::vector<double> v(n);
+      for (std::size_t j = 0; j < n; ++j)
+        v[j] = (is_root ? 1.0 : -1.0) * (q + 0.125 * static_cast<double>(j));
+      buf.assign(q, v);
+    }
+  };
+  DistBuffer<double> buf(moved), ref(staged);
+  const SimStats moved0 = moved.clock().stats();
+  const SimStats staged0 = staged.clock().stats();
+
+  std::size_t nmax = 0;
+  for (proc_t q = 0; q < moved.procs(); ++q) nmax = std::max(nmax, n_of(q));
+  const std::uint32_t P = sc.size();
+  for (const std::uint32_t root : {0u, P / 2, P - 1}) {
+    std::vector<std::pair<BcastKind, std::uint32_t>> calls = {
+        {BcastKind::Binomial, 1}, {BcastKind::Esbt, 0}};
+    for (const std::size_t s :
+         {std::size_t{1}, std::size_t{2}, std::size_t{3},
+          static_cast<std::size_t>(sc.k()), nmax, nmax + 1})
+      if (s >= 1) calls.push_back({BcastKind::Pipelined,
+                                   static_cast<std::uint32_t>(s)});
+    for (const auto& [what, nseg] : calls) {
+      SCOPED_TRACE("root=" + std::to_string(root) +
+                   " kind=" + std::to_string(static_cast<int>(what)) +
+                   " S=" + std::to_string(nseg));
+      fill(buf, root);
+      fill(ref, root);
+      bool moved_threw = false, staged_threw = false;
+      try {
+        if (what == BcastKind::Binomial) broadcast(moved, buf, sc, root);
+        if (what == BcastKind::Esbt) broadcast_esbt(moved, buf, sc, root, n_of);
+        if (what == BcastKind::Pipelined)
+          broadcast_pipelined(moved, buf, sc, root, n_of, nseg);
+      } catch (const FaultError&) {
+        moved_threw = true;
+      }
+      try {
+        staged_broadcast(staged, ref, sc, root, what, nseg, n_of);
+      } catch (const FaultError&) {
+        staged_threw = true;
+      }
+      EXPECT_EQ(moved_threw, staged_threw);
+      tally.throws += moved_threw ? 1 : 0;
+      for (proc_t q = 0; q < moved.procs(); ++q) {
+        ASSERT_EQ(buf.len(q), ref.len(q)) << "q=" << q;
+        EXPECT_EQ(buf.host_vec(q), ref.host_vec(q)) << "q=" << q;
+      }
+      ASSERT_EQ(moved.clock().now_us(), staged.clock().now_us());
+    }
+  }
+  const Tracer& tm = moved.clock().tracer();
+  const Tracer& ts = staged.clock().tracer();
+  EXPECT_TRUE(tm.paths() == ts.paths());
+  EXPECT_TRUE(tm.events() == ts.events());
+  EXPECT_TRUE(tm.spans() == ts.spans());
+  EXPECT_TRUE(tm.self_profiles() == ts.self_profiles());
+  EXPECT_TRUE(without_pool_counters(moved.clock().stats() - moved0) ==
+              without_pool_counters(staged.clock().stats() - staged0));
+  tally.retries += moved.clock().stats().fault_retries;
+  tally.reroutes += moved.clock().stats().fault_reroutes;
+}
+
+class BroadcastTwin : public ::testing::TestWithParam<TopologyKind> {};
+
+TEST_P(BroadcastTwin, ViewChargedBroadcastsMatchTheStagedRounds) {
+  TwinTally tally;
+  for (const int d : {1, 3, 4, 6}) {
+    const std::uint32_t all = (proc_t{1} << d) - 1;
+    const int gr = (d + 1) / 2;  // Grid::square's split
+    // The whole cube, the grid's rows and columns, and every dimension but
+    // d/2 (non-contiguous from d = 3 on).
+    const SubcubeSet families[] = {
+        SubcubeSet(all), SubcubeSet::contiguous(0, d - gr),
+        SubcubeSet::contiguous(d - gr, gr), SubcubeSet(all & ~(1u << (d / 2)))};
+    for (const SubcubeSet& sc : families)
+      for (const BcastPlan plan : {BcastPlan::None, BcastPlan::Transient,
+                                   BcastPlan::DeadFirstLink,
+                                   BcastPlan::DeadNode})
+        for (const unsigned lanes : {1u, 3u}) {
+          SCOPED_TRACE("d=" + std::to_string(d) +
+                       " mask=" + std::to_string(sc.mask()) +
+                       " plan=" + std::to_string(static_cast<int>(plan)) +
+                       " lanes=" + std::to_string(lanes));
+          run_broadcast_twin(GetParam(), d, sc, plan, lanes, tally);
+        }
+  }
+  // The sweep reaches every recovery outcome: retries, detours, and calls
+  // that throw (the dead node, and the d = 1 cube's only link).
+  EXPECT_GT(tally.retries, 0u);
+  EXPECT_GT(tally.reroutes, 0u);
+  EXPECT_GT(tally.throws, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Presets, BroadcastTwin,
     ::testing::Values(TopologyKind::Hypercube, TopologyKind::Mesh,
                       TopologyKind::Torus, TopologyKind::Dragonfly),
     [](const ::testing::TestParamInfo<TopologyKind>& info) {

@@ -10,8 +10,10 @@
 #include <random>
 #include <vector>
 
+#include "comm/allport.hpp"
 #include "comm/collectives.hpp"
 #include "hypercube/machine.hpp"
+#include "param_printers.hpp"
 
 namespace vmp {
 namespace {
@@ -34,6 +36,11 @@ struct Case {
   int mask_k;
   std::size_t n;
 };
+
+void PrintTo(const Case& c, std::ostream* os) {
+  *os << "d" << c.cube_dim << " lo" << c.mask_lo << " k" << c.mask_k << " n"
+      << c.n;
+}
 
 class CollectiveSweep : public ::testing::TestWithParam<Case> {
  protected:
@@ -333,6 +340,53 @@ TEST_P(CollectiveSweep, BroadcastPipelinedMatchesBinomialFromEveryRoot) {
         });
       }
     }
+  }
+}
+
+// Every broadcast backend, from every root, over families in which some
+// subcubes' payloads are empty and every non-root member holds stale data
+// of its own length: each member ends with its root's payload, so an empty
+// payload leaves the whole subcube empty.  (The binomial tree used to skip
+// empty messages and let a later holder forward its stale tile.)
+TEST_P(CollectiveSweep, BroadcastsOverwriteStaleMembersEvenWithEmptyRoots) {
+  const std::size_t n = GetParam().n;
+  // Subcubes of odd popcount carry n + 1 elements, the others none (the
+  // whole cube is subcube 0).
+  const auto n_of = [&](proc_t q) -> std::size_t {
+    return std::popcount(sc->subcube_id(q)) % 2 == 1 ? n + 1 : 0;
+  };
+  bool every_payload_empty = true;
+  cube->each_proc([&](proc_t q) { every_payload_empty &= n_of(q) == 0; });
+  for (std::uint32_t root = 0; root < sc->size(); ++root) {
+    const auto seeded = [&] {
+      DistBuffer<double> buf(*cube);
+      buf.reserve_each(std::max<std::size_t>(n + 1, 5));
+      cube->each_proc([&](proc_t q) {
+        if (sc->rank(q) == root)
+          buf.assign(q, payload(q, n_of(q)));
+        else
+          buf.assign(q, 3 + q % 3, -1.0 - q);
+      });
+      return buf;
+    };
+    const auto run = [&](const char* what, auto collective) {
+      DistBuffer<double> buf = seeded();
+      const double before = cube->clock().now_us();
+      collective(buf);
+      cube->each_proc([&](proc_t q) {
+        const proc_t holder = sc->with_rank(q, root);
+        EXPECT_EQ(buf.host_vec(q), payload(holder, n_of(holder)))
+            << what << " q=" << q << " root=" << root;
+      });
+      if (every_payload_empty)
+        EXPECT_EQ(cube->clock().now_us(), before) << what << " root=" << root;
+    };
+    run("binomial", [&](auto& b) { broadcast(*cube, b, *sc, root); });
+    run("sag", [&](auto& b) { broadcast_sag(*cube, b, *sc, root, n_of); });
+    run("pipelined",
+        [&](auto& b) { broadcast_pipelined(*cube, b, *sc, root, n_of, 2); });
+    run("esbt", [&](auto& b) { broadcast_esbt(*cube, b, *sc, root, n_of); });
+    run("auto", [&](auto& b) { broadcast_auto(*cube, b, *sc, root, n_of); });
   }
 }
 

@@ -10,6 +10,7 @@
 #include "embed/grid.hpp"
 #include "embed/realign.hpp"
 #include "util/workloads.hpp"
+#include "param_printers.hpp"
 
 namespace vmp {
 namespace {
@@ -96,6 +97,12 @@ struct EmbedCase {
   std::size_t nrows, ncols;
   MatrixLayout layout;
 };
+
+void PrintTo(const EmbedCase& c, std::ostream* os) {
+  *os << "grid " << c.gr << "x" << c.gc << " " << c.nrows << "x" << c.ncols
+      << " ";
+  PrintTo(c.layout, os);
+}
 
 class MatrixEmbed : public ::testing::TestWithParam<EmbedCase> {
  protected:

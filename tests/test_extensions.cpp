@@ -11,6 +11,7 @@
 #include "algorithms/serial/lu.hpp"
 #include "core/transpose.hpp"
 #include "util/workloads.hpp"
+#include "param_printers.hpp"
 
 namespace vmp {
 namespace {
@@ -24,6 +25,12 @@ struct TCase {
   std::size_t nrows, ncols;
   MatrixLayout layout;
 };
+
+void PrintTo(const TCase& c, std::ostream* os) {
+  *os << "grid " << c.gr << "x" << c.gc << " " << c.nrows << "x" << c.ncols
+      << " ";
+  PrintTo(c.layout, os);
+}
 
 class TransposeSweep : public ::testing::TestWithParam<TCase> {};
 

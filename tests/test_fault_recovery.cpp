@@ -1,5 +1,6 @@
 // Machine-level fault recovery: the exchange variants, relay-based ring
-// shifts and the naive router under seeded fault plans.  The contract:
+// shifts, view-charged broadcasts and the naive router under seeded fault
+// plans.  The contract:
 // within-budget plans change *when* and *what is charged*, never the data
 // delivered; beyond-budget plans throw FaultError instead of degrading
 // silently.
@@ -9,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "algorithms/gauss.hpp"
 #include "algorithms/matmul.hpp"
 #include "comm/router.hpp"
 #include "comm/shift.hpp"
@@ -16,6 +18,7 @@
 #include "hypercube/machine.hpp"
 #include "obs/report.hpp"
 #include "util/workloads.hpp"
+#include "param_printers.hpp"
 
 namespace vmp {
 namespace {
@@ -429,6 +432,65 @@ TEST_P(ShiftFaults, FailedShiftLeavesTheBufferAndTheCubeReusable) {
 
 INSTANTIATE_TEST_SUITE_P(
     Presets, ShiftFaults,
+    ::testing::Values(TopologyKind::Hypercube, TopologyKind::Mesh,
+                      TopologyKind::Torus, TopologyKind::Dragonfly),
+    [](const ::testing::TestParamInfo<TopologyKind>& info) {
+      return std::string(to_string(info.param));
+    });
+
+// A data-only broadcast charges its rounds over its roots' payloads and
+// places them only after the last round, so a FaultError part-way leaves
+// the buffer exactly as it was, and the cube is reusable.
+class BroadcastFaults : public ::testing::TestWithParam<TopologyKind> {};
+
+TEST_P(BroadcastFaults, FailedBroadcastLeavesTheBufferAndTheCubeReusable) {
+  // Node 5 dies after round 0: the pipelined broadcast from processor 0
+  // reaches it only in round 3, so it charges rounds 0 to 2 and throws.
+  const auto solve = [](Cube& cube) {
+    Grid grid(cube, 2, 2);
+    const std::size_t n = 48;
+    const HostMatrix H = diag_dominant_matrix(n, 48);
+    DistMatrix<double> A(grid, n, n, MatrixLayout::cyclic());
+    A.load(H.data());
+    const DistLuResult lu = lu_factor(A);
+    return lu_solve(A, lu, random_vector(n, 49));
+  };
+  FaultPlan plan;
+  plan.node_kills.push_back({/*from_round=*/1, /*node=*/5});
+  Cube cube(4, CostParams::cm2(), preset_opts(GetParam()));
+  cube.enable_faults(plan);
+  const SubcubeSet whole = SubcubeSet::contiguous(0, cube.dim());
+  const std::size_t n = 10;
+  DistBuffer<double> buf(cube);
+  buf.reserve_each(n);
+  cube.each_proc([&](proc_t q) {
+    for (std::size_t j = 0; j < (q == 0 ? n : (std::size_t{q} * 3) % 7); ++j)
+      buf.push_back(q, static_cast<double>(q) + 0.5 * static_cast<double>(j));
+  });
+  std::vector<std::vector<double>> before;
+  cube.each_proc([&](proc_t q) { before.push_back(buf.host_vec(q)); });
+  EXPECT_THROW(broadcast_pipelined(cube, buf, whole, 0,
+                                   [n](proc_t) { return n; }, 3),
+               FaultError);
+  EXPECT_GT(cube.clock().stats().comm_steps, 0u)
+      << "no round ran before the throw";
+  cube.each_proc([&](proc_t q) {
+    EXPECT_EQ(buf.host_vec(q), before[q]) << "q=" << q;
+  });
+
+  // The same cube, its fault plan detached, then factors and solves
+  // exactly like a fresh cube: the same x, and the same clock and SimStats
+  // from the reset on (buf stays alive, so neither pool holds a spare).
+  cube.disable_faults();
+  cube.clock().reset();
+  Cube fresh(4, CostParams::cm2(), preset_opts(GetParam()));
+  EXPECT_EQ(solve(cube), solve(fresh));
+  EXPECT_EQ(cube.clock().now_us(), fresh.clock().now_us());
+  EXPECT_TRUE(cube.clock().stats() == fresh.clock().stats());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Presets, BroadcastFaults,
     ::testing::Values(TopologyKind::Hypercube, TopologyKind::Mesh,
                       TopologyKind::Torus, TopologyKind::Dragonfly),
     [](const ::testing::TestParamInfo<TopologyKind>& info) {

@@ -8,6 +8,7 @@
 #include "algorithms/gauss.hpp"
 #include "algorithms/serial/lu.hpp"
 #include "util/workloads.hpp"
+#include "param_printers.hpp"
 
 namespace vmp {
 namespace {
@@ -18,6 +19,12 @@ struct GeCase {
   MatrixLayout layout;
   std::uint64_t seed;
 };
+
+void PrintTo(const GeCase& c, std::ostream* os) {
+  *os << "grid " << c.gr << "x" << c.gc << " n" << c.n << " ";
+  PrintTo(c.layout, os);
+  *os << " seed" << c.seed;
+}
 
 class GaussSweep : public ::testing::TestWithParam<GeCase> {
  protected:

@@ -11,6 +11,7 @@
 #include "algorithms/simplex.hpp"
 #include "lp_oracle.hpp"
 #include "util/workloads.hpp"
+#include "param_printers.hpp"
 
 namespace vmp {
 namespace {

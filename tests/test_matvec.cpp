@@ -7,6 +7,7 @@
 #include "algorithms/matvec.hpp"
 #include "algorithms/serial/host_matrix.hpp"
 #include "util/workloads.hpp"
+#include "param_printers.hpp"
 
 namespace vmp {
 namespace {
@@ -16,6 +17,12 @@ struct MvCase {
   std::size_t nrows, ncols;
   MatrixLayout layout;
 };
+
+void PrintTo(const MvCase& c, std::ostream* os) {
+  *os << "grid " << c.gr << "x" << c.gc << " " << c.nrows << "x" << c.ncols
+      << " ";
+  PrintTo(c.layout, os);
+}
 
 class MatvecSweep : public ::testing::TestWithParam<MvCase> {
  protected:

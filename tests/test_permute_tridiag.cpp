@@ -10,6 +10,7 @@
 #include "algorithms/tridiag.hpp"
 #include "core/permute.hpp"
 #include "util/workloads.hpp"
+#include "param_printers.hpp"
 
 namespace vmp {
 namespace {
@@ -98,6 +99,10 @@ struct TriCase {
   std::size_t n;
   std::uint64_t seed;
 };
+
+void PrintTo(const TriCase& c, std::ostream* os) {
+  *os << "grid " << c.gr << "x" << c.gc << " n" << c.n << " seed" << c.seed;
+}
 
 class TridiagSweep : public ::testing::TestWithParam<TriCase> {
  protected:

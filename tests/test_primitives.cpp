@@ -9,6 +9,7 @@
 #include "core/swap.hpp"
 #include "embed/realign.hpp"
 #include "util/workloads.hpp"
+#include "param_printers.hpp"
 
 namespace vmp {
 namespace {
@@ -18,6 +19,12 @@ struct PrimCase {
   std::size_t nrows, ncols;
   MatrixLayout layout;
 };
+
+void PrintTo(const PrimCase& c, std::ostream* os) {
+  *os << "grid " << c.gr << "x" << c.gc << " " << c.nrows << "x" << c.ncols
+      << " ";
+  PrintTo(c.layout, os);
+}
 
 class PrimitiveSweep : public ::testing::TestWithParam<PrimCase> {
  protected:

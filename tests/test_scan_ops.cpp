@@ -6,6 +6,7 @@
 
 #include "core/scan_ops.hpp"
 #include "util/workloads.hpp"
+#include "param_printers.hpp"
 
 namespace vmp {
 namespace {

@@ -9,6 +9,7 @@
 #include "algorithms/serial/simplex.hpp"
 #include "algorithms/simplex.hpp"
 #include "util/workloads.hpp"
+#include "param_printers.hpp"
 
 namespace vmp {
 namespace {
@@ -99,6 +100,12 @@ struct DistCase {
   std::uint64_t seed;
   MatrixLayout layout;
 };
+
+void PrintTo(const DistCase& c, std::ostream* os) {
+  *os << "grid " << c.gr << "x" << c.gc << " " << c.ncons << "x" << c.nvars
+      << " seed" << c.seed << " ";
+  PrintTo(c.layout, os);
+}
 
 class SimplexSweep : public ::testing::TestWithParam<DistCase> {};
 

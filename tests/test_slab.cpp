@@ -17,6 +17,7 @@
 #include "embed/dist_vector.hpp"
 #include "embed/grid.hpp"
 #include "util/workloads.hpp"
+#include "param_printers.hpp"
 
 namespace vmp {
 namespace {

@@ -9,6 +9,7 @@
 #include "algorithms/histogram.hpp"
 #include "algorithms/sort.hpp"
 #include "util/workloads.hpp"
+#include "param_printers.hpp"
 
 namespace vmp {
 namespace {

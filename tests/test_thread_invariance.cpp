@@ -24,6 +24,7 @@
 
 #include "algorithms/matmul.hpp"
 #include "algorithms/matvec.hpp"
+#include "comm/allport.hpp"
 #include "comm/collectives.hpp"
 #include "comm/dist_buffer.hpp"
 #include "core/kernels.hpp"
@@ -496,14 +497,17 @@ TEST(MixedSteps, InlineAndFannedOutStepsBitIdenticalAcrossLaneCounts) {
 }
 
 // Collective invariance across lanes.  The collectives tabulate their
-// per-processor geometry (payload lengths, relative ranks, segment cuts)
-// on the host thread, and their rounds' staging and delivery steps only
-// read the tables.  Here every backend of broadcast_auto and of
-// allreduce_auto runs at payloads whose first rounds stay under the
+// geometry (payload lengths, segment cuts) on the host thread, and their
+// team steps only read the tables.  Here every backend of broadcast_auto
+// and of allreduce_auto runs at payloads whose first rounds stay under the
 // 524288-byte inline cut and whose later rounds pass it, over the whole
 // cube and over a family of 4-processor subcubes whose payload lengths
-// differ, so at 2 and 3 lanes worker lanes read the tables.  Results,
-// clock, SimStats and traces must match the 1-lane run.
+// differ, so at 2 and 3 lanes worker lanes read the tables.  The data-only
+// broadcasts (binomial, pipelined, nESBT) run one team step, the delivery
+// step that places their roots' payloads; they run again, with
+// broadcast_auto, at payloads past the byte cut on their own.  Results,
+// clock, SimStats and traces must match the 1-lane run, and at 2 and 3
+// lanes every call must fan out.
 struct CollectiveRun {
   std::vector<std::uint64_t> digests;  ///< per call and processor
   double now_us = 0.0;
@@ -522,11 +526,14 @@ struct CollectiveRun {
   // Half the byte cut per processor: a round with one sender stays inline,
   // a round in which every processor sends fans out.
   const std::size_t n = WorkerTeam::kInlineBytes / sizeof(double) / 2;
+  // Past the byte cut with a single root's payload.
+  const std::size_t big = WorkerTeam::kInlineBytes / sizeof(double) + 1;
   CollectiveRun r;
   for (const SubcubeSet sc : {SubcubeSet::contiguous(0, kDim),
                               SubcubeSet::contiguous(1, 2)}) {
+    std::size_t base = n;
     const auto n_of = [&](proc_t q) {
-      return n + static_cast<std::size_t>(sc.subcube_id(q) % 7);
+      return base + static_cast<std::size_t>(sc.subcube_id(q) % 7);
     };
     const auto filled = [&](bool roots_only) {
       DistBuffer<double> buf(cube);
@@ -560,6 +567,13 @@ struct CollectiveRun {
     run(false, [&](auto& b) {
       allreduce_pipelined(cube, b, sc, plus, kSegments);
     });
+    base = big;
+    run(true, [&](auto& b) { broadcast(cube, b, sc, 1); });
+    run(true, [&](auto& b) {
+      broadcast_pipelined(cube, b, sc, 1, n_of, kSegments);
+    });
+    run(true, [&](auto& b) { broadcast_esbt(cube, b, sc, 1, n_of); });
+    run(true, [&](auto& b) { broadcast_auto(cube, b, sc, 1, n_of); });
   }
   r.now_us = cube.clock().now_us();
   r.stats = cube.clock().stats();

@@ -51,6 +51,7 @@
 #include "net/topology.hpp"
 #include "util/rng.hpp"
 #include "util/workloads.hpp"
+#include "param_printers.hpp"
 
 namespace vmp {
 namespace {
@@ -1357,1156 +1358,1156 @@ struct PrimitiveGolden {
 const PrimitiveGolden kPrimitiveGoldens[] = {
     {{TopologyKind::Hypercube, 1, 0, 5, 3, Part::Block, false},
      "now=604 st=16,28,140,80,496,730,0,0,28,0,0,0,"
-     "4992,73,19,15,4608, tr=a740f7cd8ceddc72 pl=3db480d0facae76d thr="},
+     "4992,69,19,15,4608, tr=a740f7cd8ceddc72 pl=3db480d0facae76d thr="},
     {{TopologyKind::Hypercube, 1, 0, 5, 3, Part::Block, true},
      "now=899 st=29,38,190,125,496,730,0,0,38,10,6,0,"
-     "4992,73,19,15,4608, tr=6d90e4c444c9bbcd pl=3db480d0facae76d thr="},
+     "4992,69,19,15,4608, tr=6d90e4c444c9bbcd pl=3db480d0facae76d thr="},
     {{TopologyKind::Hypercube, 1, 0, 5, 3, Part::Cyclic, false},
      "now=600.75 st=16,28,140,80,483,730,0,0,28,0,0,0,"
-     "4992,73,19,15,4608, tr=3226a9c240f944f2 pl=7b25ffaf5f87d905 thr="},
+     "4992,69,19,15,4608, tr=3226a9c240f944f2 pl=7b25ffaf5f87d905 thr="},
     {{TopologyKind::Hypercube, 1, 0, 5, 3, Part::Cyclic, true},
      "now=929.25 st=31,39,195,130,483,730,0,0,39,11,6,0,"
-     "4992,73,19,15,4608, tr=0e0299d863e362c6 pl=7b25ffaf5f87d905 thr="},
+     "4992,69,19,15,4608, tr=0e0299d863e362c6 pl=7b25ffaf5f87d905 thr="},
     {{TopologyKind::Hypercube, 1, 0, 13, 13, Part::Block, false},
      "now=1369 st=16,28,364,208,3044,5454,0,0,28,0,0,0,"
-     "14592,75,21,17,13312, tr=b195b6db63777133 pl=24a85cadde3ae39d thr="},
+     "14592,71,21,17,13312, tr=b195b6db63777133 pl=24a85cadde3ae39d thr="},
     {{TopologyKind::Hypercube, 1, 0, 13, 13, Part::Block, true},
      "now=1736 st=29,38,494,325,3044,5454,0,0,38,10,6,0,"
-     "14592,75,21,17,13312, tr=2ac6041d86490868 pl=24a85cadde3ae39d thr="},
+     "14592,71,21,17,13312, tr=2ac6041d86490868 pl=24a85cadde3ae39d thr="},
     {{TopologyKind::Hypercube, 1, 0, 13, 13, Part::Cyclic, false},
      "now=1359.25 st=16,28,364,208,3005,5454,0,0,28,0,0,0,"
-     "14592,75,21,17,13312, tr=62d4e56f36da9bf6 pl=b2c654e3b5807ee2 thr="},
+     "14592,71,21,17,13312, tr=62d4e56f36da9bf6 pl=b2c654e3b5807ee2 thr="},
     {{TopologyKind::Hypercube, 1, 0, 13, 13, Part::Cyclic, true},
      "now=1765.25 st=30,39,507,338,3005,5454,0,0,39,11,6,0,"
-     "14592,75,21,17,13312, tr=984d3b1377954d71 pl=b2c654e3b5807ee2 thr="},
+     "14592,71,21,17,13312, tr=984d3b1377954d71 pl=b2c654e3b5807ee2 thr="},
     {{TopologyKind::Hypercube, 1, 0, 33, 20, Part::Block, false},
      "now=3454.75 st=16,28,924,528,10107,19641,0,0,28,0,0,0,"
-     "46592,76,22,18,43520, tr=9a77b13e1380d3bc pl=4c94f14a186c486f thr="},
+     "46592,72,22,18,43520, tr=9a77b13e1380d3bc pl=4c94f14a186c486f thr="},
     {{TopologyKind::Hypercube, 1, 0, 33, 20, Part::Block, true},
      "now=4004.25 st=30,38,1254,825,10107,19641,0,0,38,10,6,0,"
-     "46592,76,22,18,43520, tr=6d3383b4def8e8c0 pl=4c94f14a186c486f thr="},
+     "46592,72,22,18,43520, tr=6d3383b4def8e8c0 pl=4c94f14a186c486f thr="},
     {{TopologyKind::Hypercube, 1, 0, 33, 20, Part::Cyclic, false},
      "now=3461.25 st=16,28,924,528,10133,19641,0,0,28,0,0,0,"
-     "46592,76,22,18,43520, tr=52c30bfa30ce6824 pl=40daef477a74aebf thr="},
+     "46592,72,22,18,43520, tr=52c30bfa30ce6824 pl=40daef477a74aebf thr="},
     {{TopologyKind::Hypercube, 1, 0, 33, 20, Part::Cyclic, true},
      "now=4008.25 st=29,38,1254,825,10133,19641,0,0,38,10,6,0,"
-     "46592,76,22,18,43520, tr=56610cd74824e62a pl=40daef477a74aebf thr="},
+     "46592,72,22,18,43520, tr=56610cd74824e62a pl=40daef477a74aebf thr="},
     {{TopologyKind::Hypercube, 1, 1, 5, 3, Part::Block, false},
      "now=502.75 st=14,24,72,42,443,674,0,0,24,0,0,0,"
-     "4992,69,19,15,4608, tr=4070d7fd6f6b3974 pl=d9fffbd2bdf0a31d thr="},
+     "4992,65,19,15,4608, tr=4070d7fd6f6b3974 pl=d9fffbd2bdf0a31d thr="},
     {{TopologyKind::Hypercube, 1, 1, 5, 3, Part::Block, true},
      "now=747.25 st=25,33,99,66,443,674,0,0,33,9,5,0,"
-     "4992,69,19,15,4608, tr=7c3c934794548dfe pl=d9fffbd2bdf0a31d thr="},
+     "4992,65,19,15,4608, tr=7c3c934794548dfe pl=d9fffbd2bdf0a31d thr="},
     {{TopologyKind::Hypercube, 1, 1, 5, 3, Part::Cyclic, false},
      "now=496.25 st=14,24,72,42,417,674,0,0,24,0,0,0,"
-     "4992,69,19,15,4608, tr=72a4c47c7f44408b pl=24a5440881513275 thr="},
+     "4992,65,19,15,4608, tr=72a4c47c7f44408b pl=24a5440881513275 thr="},
     {{TopologyKind::Hypercube, 1, 1, 5, 3, Part::Cyclic, true},
      "now=802.25 st=28,35,105,72,417,674,0,0,35,11,6,0,"
-     "4992,69,19,15,4608, tr=99513135ef10b316 pl=24a5440881513275 thr="},
+     "4992,65,19,15,4608, tr=99513135ef10b316 pl=24a5440881513275 thr="},
     {{TopologyKind::Hypercube, 1, 1, 13, 13, Part::Block, false},
      "now=1391.25 st=16,28,364,208,3133,5454,0,0,28,0,0,0,"
-     "13824,77,19,15,12544, tr=9c194b4af96f53f7 pl=f1857f8f0d5b5109 thr="},
+     "13824,73,19,15,12544, tr=9c194b4af96f53f7 pl=f1857f8f0d5b5109 thr="},
     {{TopologyKind::Hypercube, 1, 1, 13, 13, Part::Block, true},
      "now=1715.75 st=27,37,481,312,3133,5454,0,0,37,9,5,0,"
-     "13824,77,19,15,12544, tr=596bb81a179df218 pl=f1857f8f0d5b5109 thr="},
+     "13824,73,19,15,12544, tr=596bb81a179df218 pl=f1857f8f0d5b5109 thr="},
     {{TopologyKind::Hypercube, 1, 1, 13, 13, Part::Cyclic, false},
      "now=1371.75 st=16,28,364,208,3055,5454,0,0,28,0,0,0,"
-     "14336,75,21,17,13056, tr=0365174482a5dee4 pl=d73daec82600da0c thr="},
+     "14336,71,21,17,13056, tr=0365174482a5dee4 pl=d73daec82600da0c thr="},
     {{TopologyKind::Hypercube, 1, 1, 13, 13, Part::Cyclic, true},
      "now=1777.75 st=30,39,507,338,3055,5454,0,0,39,11,6,0,"
-     "14336,75,21,17,13056, tr=30bd8f68b41511c3 pl=d73daec82600da0c thr="},
+     "14336,71,21,17,13056, tr=30bd8f68b41511c3 pl=d73daec82600da0c thr="},
     {{TopologyKind::Hypercube, 1, 1, 33, 20, Part::Block, false},
      "now=3226.25 st=14,24,480,280,10385,19275,0,0,24,0,0,0,"
-     "38400,73,19,15,36864, tr=9550e9ae3b508614 pl=2b977edd3c98e3db thr="},
+     "38400,69,19,15,36864, tr=9550e9ae3b508614 pl=2b977edd3c98e3db thr="},
     {{TopologyKind::Hypercube, 1, 1, 33, 20, Part::Block, true},
      "now=3606.75 st=25,33,660,440,10385,19275,0,0,33,9,5,0,"
-     "38400,73,19,15,36864, tr=0c65af7b58ab9535 pl=2b977edd3c98e3db thr="},
+     "38400,69,19,15,36864, tr=0c65af7b58ab9535 pl=2b977edd3c98e3db thr="},
     {{TopologyKind::Hypercube, 1, 1, 33, 20, Part::Cyclic, false},
      "now=3164.5 st=14,24,480,280,10138,19275,0,0,24,0,0,0,"
-     "39424,71,21,17,37888, tr=2094f59c64fc514d pl=2accccab40559c17 thr="},
+     "39424,67,21,17,37888, tr=2094f59c64fc514d pl=2accccab40559c17 thr="},
     {{TopologyKind::Hypercube, 1, 1, 33, 20, Part::Cyclic, true},
      "now=3640.5 st=28,35,700,480,10138,19275,0,0,35,11,6,0,"
-     "39424,71,21,17,37888, tr=0c2380151c65ed67 pl=2accccab40559c17 thr="},
+     "39424,67,21,17,37888, tr=0c2380151c65ed67 pl=2accccab40559c17 thr="},
     {{TopologyKind::Hypercube, 3, 1, 5, 3, Part::Block, false},
      "now=1290.75 st=45,276,582,107,235,1210,0,0,276,0,0,0,"
-     "18176,317,25,15,17408, tr=5cbcca4c253bddac pl=e10a54bc12f5510d thr="},
+     "18176,281,25,15,17408, tr=5cbcca4c253bddac pl=e10a54bc12f5510d thr="},
     {{TopologyKind::Hypercube, 3, 1, 5, 3, Part::Block, true},
      "now=2615.75 st=115,339,712,199,235,1210,0,0,339,63,29,0,"
-     "18176,317,25,15,17408, tr=4fccb3e1fc631a0a pl=e10a54bc12f5510d thr="},
+     "18176,281,25,15,17408, tr=4fccb3e1fc631a0a pl=e10a54bc12f5510d thr="},
     {{TopologyKind::Hypercube, 3, 1, 5, 3, Part::Cyclic, false},
      "now=1287.5 st=45,276,582,107,222,1210,0,0,276,0,0,0,"
-     "18176,317,25,15,17408, tr=2c71ccaa24f0627b pl=dcb11b86ddeb631d thr="},
+     "18176,281,25,15,17408, tr=2c71ccaa24f0627b pl=dcb11b86ddeb631d thr="},
     {{TopologyKind::Hypercube, 3, 1, 5, 3, Part::Cyclic, true},
      "now=2645 st=117,339,712,200,222,1210,0,0,339,63,29,0,"
-     "18176,317,25,15,17408, tr=09d0953710c2e4f1 pl=dcb11b86ddeb631d thr="},
+     "18176,281,25,15,17408, tr=09d0953710c2e4f1 pl=dcb11b86ddeb631d thr="},
     {{TopologyKind::Hypercube, 3, 1, 13, 13, Part::Block, false},
      "now=1788 st=48,320,1716,288,1200,6752,0,0,320,0,0,0,"
-     "31232,349,39,15,27648, tr=7dd7f6d701e18dcb pl=d0142bebbd74ffa2 thr="},
+     "31232,309,39,15,27648, tr=7dd7f6d701e18dcb pl=d0142bebbd74ffa2 thr="},
     {{TopologyKind::Hypercube, 3, 1, 13, 13, Part::Block, true},
      "now=3617.5 st=134,402,2149,579,1200,6752,0,0,402,82,44,0,"
-     "31232,349,39,15,27648, tr=3cdb345c2d85380c pl=d0142bebbd74ffa2 thr="},
+     "31232,309,39,15,27648, tr=3cdb345c2d85380c pl=d0142bebbd74ffa2 thr="},
     {{TopologyKind::Hypercube, 3, 1, 13, 13, Part::Cyclic, false},
      "now=1778.25 st=48,320,1716,288,1161,6752,0,0,320,0,0,0,"
-     "32256,347,41,17,28672, tr=7d830d1f36b3c2a6 pl=3fd4cda1faa13ba6 thr="},
+     "32256,307,41,17,28672, tr=7d830d1f36b3c2a6 pl=3fd4cda1faa13ba6 thr="},
     {{TopologyKind::Hypercube, 3, 1, 13, 13, Part::Cyclic, true},
      "now=3653.25 st=140,402,2153,583,1161,6752,0,0,402,82,44,0,"
-     "32256,347,41,17,28672, tr=2fca422e854b7387 pl=3fd4cda1faa13ba6 thr="},
+     "32256,307,41,17,28672, tr=2fca422e854b7387 pl=3fd4cda1faa13ba6 thr="},
     {{TopologyKind::Hypercube, 3, 1, 33, 20, Part::Block, false},
      "now=2551.25 st=46,304,3912,614,3149,22267,0,0,304,0,0,0,"
-     "58880,341,33,17,53248, tr=e7f7b31f298b57f2 pl=ec18f1a4d85cbc1b thr="},
+     "58880,301,33,17,53248, tr=e7f7b31f298b57f2 pl=ec18f1a4d85cbc1b thr="},
     {{TopologyKind::Hypercube, 3, 1, 33, 20, Part::Block, true},
      "now=4654.25 st=130,381,4883,1255,3149,22267,0,0,381,77,43,0,"
-     "58880,341,33,17,53248, tr=be073fbbd0b068bd pl=ec18f1a4d85cbc1b thr="},
+     "58880,301,33,17,53248, tr=be073fbbd0b068bd pl=ec18f1a4d85cbc1b thr="},
     {{TopologyKind::Hypercube, 3, 1, 33, 20, Part::Cyclic, false},
      "now=2541.5 st=46,304,3912,614,3110,22267,0,0,304,0,0,0,"
-     "54784,342,32,16,49152, tr=be080dbda23d7e26 pl=0b79810c8bd652d6 thr="},
+     "54784,302,32,16,49152, tr=be080dbda23d7e26 pl=0b79810c8bd652d6 thr="},
     {{TopologyKind::Hypercube, 3, 1, 33, 20, Part::Cyclic, true},
      "now=4681 st=132,380,4878,1260,3110,22267,0,0,380,76,42,0,"
-     "54784,342,32,16,49152, tr=44c0628c0ed888da pl=0b79810c8bd652d6 thr="},
+     "54784,302,32,16,49152, tr=44c0628c0ed888da pl=0b79810c8bd652d6 thr="},
     {{TopologyKind::Hypercube, 3, 3, 5, 3, Part::Block, false},
      "now=1180.25 st=40,246,738,120,241,1262,0,0,246,0,0,0,"
-     "18176,285,25,15,17408, tr=bab0fbc540d06d8c pl=4db6534c9b50f889 thr="},
+     "18176,257,25,15,17408, tr=bab0fbc540d06d8c pl=4db6534c9b50f889 thr="},
     {{TopologyKind::Hypercube, 3, 3, 5, 3, Part::Block, true},
      "now=2394.75 st=102,304,912,237,241,1262,0,0,304,58,34,0,"
-     "18176,285,25,15,17408, tr=72e802987f99ffed pl=4db6534c9b50f889 thr="},
+     "18176,257,25,15,17408, tr=72e802987f99ffed pl=4db6534c9b50f889 thr="},
     {{TopologyKind::Hypercube, 3, 3, 5, 3, Part::Cyclic, false},
      "now=1180.25 st=40,246,738,120,241,1262,0,0,246,0,0,0,"
-     "18176,285,25,15,17408, tr=bab0fbc540d06d8c pl=4db6534c9b50f889 thr="},
+     "18176,257,25,15,17408, tr=bab0fbc540d06d8c pl=4db6534c9b50f889 thr="},
     {{TopologyKind::Hypercube, 3, 3, 5, 3, Part::Cyclic, true},
      "now=2394.75 st=102,304,912,237,241,1262,0,0,304,58,34,0,"
-     "18176,285,25,15,17408, tr=72e802987f99ffed pl=4db6534c9b50f889 thr="},
+     "18176,257,25,15,17408, tr=72e802987f99ffed pl=4db6534c9b50f889 thr="},
     {{TopologyKind::Hypercube, 3, 3, 13, 13, Part::Block, false},
      "now=2204.25 st=48,298,3874,624,1521,8600,0,0,298,0,0,0,"
-     "32768,337,29,15,28672, tr=928301dcb00bb892 pl=4ed30327e6890c45 thr="},
+     "32768,309,29,15,28672, tr=928301dcb00bb892 pl=4ed30327e6890c45 thr="},
     {{TopologyKind::Hypercube, 3, 3, 13, 13, Part::Block, true},
      "now=3986.75 st=124,367,4771,1183,1521,8600,0,0,367,69,35,0,"
-     "32768,337,29,15,28672, tr=3110daa375126115 pl=4ed30327e6890c45 thr="},
+     "32768,309,29,15,28672, tr=3110daa375126115 pl=4ed30327e6890c45 thr="},
     {{TopologyKind::Hypercube, 3, 3, 13, 13, Part::Cyclic, false},
      "now=2115.25 st=46,294,3822,598,1469,8600,0,0,294,0,0,0,"
-     "30720,337,25,15,28672, tr=f819bc63497af157 pl=48b7b31e98187edb thr="},
+     "30720,309,25,15,28672, tr=f819bc63497af157 pl=48b7b31e98187edb thr="},
     {{TopologyKind::Hypercube, 3, 3, 13, 13, Part::Cyclic, true},
      "now=4010.25 st=120,365,4745,1196,1469,8600,0,0,365,71,40,0,"
-     "30720,337,25,15,28672, tr=5f92c0aab3566623 pl=48b7b31e98187edb thr="},
+     "30720,309,25,15,28672, tr=5f92c0aab3566623 pl=48b7b31e98187edb thr="},
     {{TopologyKind::Hypercube, 3, 3, 33, 20, Part::Block, false},
      "now=2904 st=42,250,5000,840,4056,23235,0,0,250,0,0,0,"
-     "55296,289,29,15,50176, tr=4a331fb300c29df3 pl=a0b3b37c75aac76f thr="},
+     "55296,261,29,15,50176, tr=4a331fb300c29df3 pl=a0b3b37c75aac76f thr="},
     {{TopologyKind::Hypercube, 3, 3, 33, 20, Part::Block, true},
      "now=4599.5 st=104,306,6120,1540,4056,23235,0,0,306,56,30,0,"
-     "55296,289,29,15,50176, tr=17355a34e1e7f78d pl=a0b3b37c75aac76f thr="},
+     "55296,261,29,15,50176, tr=17355a34e1e7f78d pl=a0b3b37c75aac76f thr="},
     {{TopologyKind::Hypercube, 3, 3, 33, 20, Part::Cyclic, false},
      "now=2832.5 st=42,250,5000,840,3770,23235,0,0,250,0,0,0,"
-     "55296,289,29,15,50176, tr=8d26ff8d1b9781ac pl=34b300c6ee474fa6 thr="},
+     "55296,261,29,15,50176, tr=8d26ff8d1b9781ac pl=34b300c6ee474fa6 thr="},
     {{TopologyKind::Hypercube, 3, 3, 33, 20, Part::Cyclic, true},
      "now=4783 st=113,311,6220,1640,3770,23235,0,0,311,61,33,0,"
-     "55296,289,29,15,50176, tr=aa0348308bc580d6 pl=34b300c6ee474fa6 thr="},
+     "55296,261,29,15,50176, tr=aa0348308bc580d6 pl=34b300c6ee474fa6 thr="},
     {{TopologyKind::Hypercube, 4, 2, 5, 3, Part::Block, false},
      "now=1608 st=59,672,774,90,172,1602,0,0,672,0,0,0,"
-     "35840,707,31,15,34816, tr=6db2e99512c92841 pl=e10a54bc12f5510d thr="},
+     "35840,623,31,15,34816, tr=6db2e99512c92841 pl=e10a54bc12f5510d thr="},
     {{TopologyKind::Hypercube, 4, 2, 5, 3, Part::Block, true},
      "now=3659 st=182,809,933,176,172,1602,0,0,809,137,66,0,"
-     "35840,707,31,15,34816, tr=16e46ae77254a76c pl=e10a54bc12f5510d thr="},
+     "35840,623,31,15,34816, tr=16e46ae77254a76c pl=e10a54bc12f5510d thr="},
     {{TopologyKind::Hypercube, 4, 2, 5, 3, Part::Cyclic, false},
      "now=1608 st=59,672,774,90,172,1602,0,0,672,0,0,0,"
-     "35840,707,31,15,34816, tr=6db2e99512c92841 pl=d6f67c465cfbe811 thr="},
+     "35840,623,31,15,34816, tr=6db2e99512c92841 pl=d6f67c465cfbe811 thr="},
     {{TopologyKind::Hypercube, 4, 2, 5, 3, Part::Cyclic, true},
      "now=3832 st=188,815,939,182,172,1602,0,0,815,143,69,0,"
-     "35840,707,31,15,34816, tr=20a31422f4e5dbb5 pl=d6f67c465cfbe811 thr="},
+     "35840,623,31,15,34816, tr=20a31422f4e5dbb5 pl=d6f67c465cfbe811 thr="},
     {{TopologyKind::Hypercube, 4, 2, 13, 13, Part::Block, false},
      "now=2056 st=64,832,2704,256,800,7984,0,0,832,0,0,0,"
-     "39936,853,47,15,36864, tr=771ac5d41c83b69c pl=fc041bc922ab3bee thr="},
+     "39936,757,47,15,36864, tr=771ac5d41c83b69c pl=fc041bc922ab3bee thr="},
     {{TopologyKind::Hypercube, 4, 2, 13, 13, Part::Block, true},
      "now=4975.5 st=219,1022,3313,565,800,7984,0,0,1022,190,101,0,"
-     "39936,853,47,15,36864, tr=2b916c8db1cc6ad2 pl=fc041bc922ab3bee thr="},
+     "39936,757,47,15,36864, tr=2b916c8db1cc6ad2 pl=fc041bc922ab3bee thr="},
     {{TopologyKind::Hypercube, 4, 2, 13, 13, Part::Cyclic, false},
      "now=2049.5 st=64,832,2704,256,774,7984,0,0,832,0,0,0,"
-     "39936,853,47,15,36864, tr=4177689ce700d1db pl=a34944fc9914beae thr="},
+     "39936,757,47,15,36864, tr=4177689ce700d1db pl=a34944fc9914beae thr="},
     {{TopologyKind::Hypercube, 4, 2, 13, 13, Part::Cyclic, true},
      "now=4967 st=217,1023,3318,567,774,7984,0,0,1023,191,102,0,"
-     "39936,853,47,15,36864, tr=7c4728ea2e4e64b8 pl=a34944fc9914beae thr="},
+     "39936,757,47,15,36864, tr=7c4728ea2e4e64b8 pl=a34944fc9914beae thr="},
     {{TopologyKind::Hypercube, 4, 2, 33, 20, Part::Block, false},
      "now=2388.75 st=60,768,5192,428,1843,23523,0,0,768,0,0,0,"
-     "66304,777,59,15,59392, tr=93e8f51318603221 pl=ad81c732609b9b33 thr="},
+     "66304,681,59,15,59392, tr=93e8f51318603221 pl=ad81c732609b9b33 thr="},
     {{TopologyKind::Hypercube, 4, 2, 33, 20, Part::Block, true},
      "now=5412.25 st=203,942,6356,1013,1843,23523,0,0,942,174,92,0,"
-     "66304,777,59,15,59392, tr=c8f2beef0d53f149 pl=ad81c732609b9b33 thr="},
+     "66304,681,59,15,59392, tr=c8f2beef0d53f149 pl=ad81c732609b9b33 thr="},
     {{TopologyKind::Hypercube, 4, 2, 33, 20, Part::Cyclic, false},
      "now=2366 st=60,768,5192,428,1752,23523,0,0,768,0,0,0,"
-     "66304,777,59,15,59392, tr=24cfb2b025e6dde8 pl=998487e29caa95ef thr="},
+     "66304,681,59,15,59392, tr=24cfb2b025e6dde8 pl=998487e29caa95ef thr="},
     {{TopologyKind::Hypercube, 4, 2, 33, 20, Part::Cyclic, true},
      "now=5454 st=206,948,6386,1023,1752,23523,0,0,948,180,95,0,"
-     "66304,777,59,15,59392, tr=6897a4196f9b149a pl=998487e29caa95ef thr="},
+     "66304,681,59,15,59392, tr=6897a4196f9b149a pl=998487e29caa95ef thr="},
     {{TopologyKind::Hypercube, 4, 4, 5, 3, Part::Block, false},
      "now=1551 st=53,638,1914,159,268,2342,0,0,638,0,0,0,"
-     "36096,669,33,15,34816, tr=9e4ac67242b20597 pl=4db6534c9b50f889 thr="},
+     "36096,609,33,15,34816, tr=9e4ac67242b20597 pl=4db6534c9b50f889 thr="},
     {{TopologyKind::Hypercube, 4, 4, 5, 3, Part::Block, true},
      "now=3768.5 st=178,807,2421,369,268,2342,0,0,807,169,87,0,"
-     "36096,669,33,15,34816, tr=261dc5e286e3fba2 pl=4db6534c9b50f889 thr="},
+     "36096,609,33,15,34816, tr=261dc5e286e3fba2 pl=4db6534c9b50f889 thr="},
     {{TopologyKind::Hypercube, 4, 4, 5, 3, Part::Cyclic, false},
      "now=1551 st=53,638,1914,159,268,2342,0,0,638,0,0,0,"
-     "36096,669,33,15,34816, tr=9e4ac67242b20597 pl=4db6534c9b50f889 thr="},
+     "36096,609,33,15,34816, tr=9e4ac67242b20597 pl=4db6534c9b50f889 thr="},
     {{TopologyKind::Hypercube, 4, 4, 5, 3, Part::Cyclic, true},
      "now=3768.5 st=178,807,2421,369,268,2342,0,0,807,169,87,0,"
-     "36096,669,33,15,34816, tr=261dc5e286e3fba2 pl=4db6534c9b50f889 thr="},
+     "36096,609,33,15,34816, tr=261dc5e286e3fba2 pl=4db6534c9b50f889 thr="},
     {{TopologyKind::Hypercube, 4, 4, 13, 13, Part::Block, false},
      "now=2661.5 st=62,768,9984,806,1222,14294,0,0,768,0,0,0,"
-     "61440,800,36,16,57344, tr=1f248702e5e560ce pl=07931d6d88df635c thr="},
+     "61440,740,36,16,57344, tr=1f248702e5e560ce pl=07931d6d88df635c thr="},
     {{TopologyKind::Hypercube, 4, 4, 13, 13, Part::Block, true},
      "now=6156.5 st=210,967,12571,1898,1222,14294,0,0,967,199,108,0,"
-     "61440,800,36,16,57344, tr=fe115eb80ba55694 pl=07931d6d88df635c thr="},
+     "61440,740,36,16,57344, tr=fe115eb80ba55694 pl=07931d6d88df635c thr="},
     {{TopologyKind::Hypercube, 4, 4, 13, 13, Part::Cyclic, false},
      "now=2661.5 st=62,768,9984,806,1222,14294,0,0,768,0,0,0,"
-     "61440,800,36,16,57344, tr=1f248702e5e560ce pl=07931d6d88df635c thr="},
+     "61440,740,36,16,57344, tr=1f248702e5e560ce pl=07931d6d88df635c thr="},
     {{TopologyKind::Hypercube, 4, 4, 13, 13, Part::Cyclic, true},
      "now=6156.5 st=210,967,12571,1898,1222,14294,0,0,967,199,108,0,"
-     "61440,800,36,16,57344, tr=fe115eb80ba55694 pl=07931d6d88df635c thr="},
+     "61440,740,36,16,57344, tr=fe115eb80ba55694 pl=07931d6d88df635c thr="},
     {{TopologyKind::Hypercube, 4, 4, 33, 20, Part::Block, false},
      "now=3218.25 st=69,1280,12880,730,3053,30435,0,0,1280,0,0,0,"
-     "108544,1293,55,15,100352, tr=07e13a6ed0856157 pl=374471ff7ad4806b thr="},
+     "108544,1173,55,15,100352, tr=07e13a6ed0856157 pl=374471ff7ad4806b thr="},
     {{TopologyKind::Hypercube, 4, 4, 33, 20, Part::Block, true},
      "now=7293.75 st=251,1590,16010,1810,3053,30435,0,0,1590,310,170,0,"
-     "108544,1293,55,15,100352, tr=8f4451e1dec87f99 pl=374471ff7ad4806b thr="},
+     "108544,1173,55,15,100352, tr=8f4451e1dec87f99 pl=374471ff7ad4806b thr="},
     {{TopologyKind::Hypercube, 4, 4, 33, 20, Part::Cyclic, false},
      "now=3166.25 st=69,1280,12880,730,2845,30435,0,0,1280,0,0,0,"
-     "104448,1292,56,16,96256, tr=7ee090282dd2714d pl=b4024e6ec2e35b0f thr="},
+     "104448,1172,56,16,96256, tr=7ee090282dd2714d pl=b4024e6ec2e35b0f thr="},
     {{TopologyKind::Hypercube, 4, 4, 33, 20, Part::Cyclic, true},
      "now=6984.75 st=244,1580,15910,1740,2845,30435,0,0,1580,300,162,0,"
-     "104448,1292,56,16,96256, tr=1ebb2f232b962b59 pl=b4024e6ec2e35b0f thr="},
+     "104448,1172,56,16,96256, tr=1ebb2f232b962b59 pl=b4024e6ec2e35b0f thr="},
     {{TopologyKind::Hypercube, 6, 3, 5, 3, Part::Block, false},
      "now=2265.75 st=86,2208,2208,86,119,4444,0,0,2208,0,0,0,"
-     "142400,2210,64,15,139264, tr=7cf8c86d4be204d9 pl=39d9ecc358f2fcf9 thr="},
+     "142400,1986,64,15,139264, tr=7cf8c86d4be204d9 pl=39d9ecc358f2fcf9 thr="},
     {{TopologyKind::Hypercube, 6, 3, 5, 3, Part::Block, true},
      "now=7036.75 st=368,2826,2826,246,119,4444,0,0,2826,618,286,0,"
-     "142400,2210,64,15,139264, tr=f312297b1e1f0cb8 pl=39d9ecc358f2fcf9 thr="},
+     "142400,1986,64,15,139264, tr=f312297b1e1f0cb8 pl=39d9ecc358f2fcf9 thr="},
     {{TopologyKind::Hypercube, 6, 3, 5, 3, Part::Cyclic, false},
      "now=2265.75 st=86,2208,2208,86,119,4444,0,0,2208,0,0,0,"
-     "142400,2210,64,15,139264, tr=7cf8c86d4be204d9 pl=39d9ecc358f2fcf9 thr="},
+     "142400,1986,64,15,139264, tr=7cf8c86d4be204d9 pl=39d9ecc358f2fcf9 thr="},
     {{TopologyKind::Hypercube, 6, 3, 5, 3, Part::Cyclic, true},
      "now=7036.75 st=368,2826,2826,246,119,4444,0,0,2826,618,286,0,"
-     "142400,2210,64,15,139264, tr=f312297b1e1f0cb8 pl=39d9ecc358f2fcf9 thr="},
+     "142400,1986,64,15,139264, tr=f312297b1e1f0cb8 pl=39d9ecc358f2fcf9 thr="},
     {{TopologyKind::Hypercube, 6, 3, 13, 13, Part::Block, false},
      "now=2673.75 st=96,4768,7748,192,327,13616,0,0,4768,0,0,0,"
-     "143360,4757,79,15,139264, tr=b5107eeca32a91e5 pl=c236e30628e237f2 thr="},
+     "143360,4309,79,15,139264, tr=b5107eeca32a91e5 pl=c236e30628e237f2 thr="},
     {{TopologyKind::Hypercube, 6, 3, 13, 13, Part::Block, true},
      "now=9075.25 st=471,5989,9749,586,327,13616,0,0,5989,1221,594,0,"
-     "143360,4757,79,15,139264, tr=2b3447b7119a9855 pl=c236e30628e237f2 thr="},
+     "143360,4309,79,15,139264, tr=2b3447b7119a9855 pl=c236e30628e237f2 thr="},
     {{TopologyKind::Hypercube, 6, 3, 13, 13, Part::Cyclic, false},
      "now=2562.5 st=92,4704,7644,184,314,13616,0,0,4704,0,0,0,"
-     "143360,4693,79,15,139264, tr=1eeb3caf8ef8c98f pl=74a1525728a9d2e6 thr="},
+     "143360,4245,79,15,139264, tr=1eeb3caf8ef8c98f pl=74a1525728a9d2e6 thr="},
     {{TopologyKind::Hypercube, 6, 3, 13, 13, Part::Cyclic, true},
      "now=8901 st=467,5989,9714,565,314,13616,0,0,5989,1285,601,0,"
-     "143360,4693,79,15,139264, tr=4ace693867f286ff pl=74a1525728a9d2e6 thr="},
+     "143360,4245,79,15,139264, tr=4ace693867f286ff pl=74a1525728a9d2e6 thr="},
     {{TopologyKind::Hypercube, 6, 3, 33, 20, Part::Block, false},
      "now=2825 st=90,4384,14834,366,836,34659,0,0,4384,0,0,0,"
-     "158464,4317,133,15,147456, tr=7c036decb37afe69 pl=9c485027dcb655fa thr="},
+     "158464,3869,133,15,147456, tr=7c036decb37afe69 pl=9c485027dcb655fa thr="},
     {{TopologyKind::Hypercube, 6, 3, 33, 20, Part::Block, true},
      "now=9160.5 st=442,5530,18688,1072,836,34659,0,0,5530,1146,554,0,"
-     "158464,4317,133,15,147456, tr=94fd3c6661b14977 pl=9c485027dcb655fa thr="},
+     "158464,3869,133,15,147456, tr=94fd3c6661b14977 pl=9c485027dcb655fa thr="},
     {{TopologyKind::Hypercube, 6, 3, 33, 20, Part::Cyclic, false},
      "now=2782 st=89,4368,14768,361,784,34659,0,0,4368,0,0,0,"
-     "155648,4323,111,15,147456, tr=9faa1a435d1ed209 pl=013fd8f0b95584f6 thr="},
+     "155648,3875,111,15,147456, tr=9faa1a435d1ed209 pl=013fd8f0b95584f6 thr="},
     {{TopologyKind::Hypercube, 6, 3, 33, 20, Part::Cyclic, true},
      "now=9389 st=452,5522,18655,1092,784,34659,0,0,5522,1154,549,0,"
-     "155648,4323,111,15,147456, tr=a775949c8d73ea27 pl=013fd8f0b95584f6 thr="},
+     "155648,3875,111,15,147456, tr=a775949c8d73ea27 pl=013fd8f0b95584f6 thr="},
     {{TopologyKind::Hypercube, 6, 6, 5, 3, Part::Block, false},
      "now=2292.5 st=79,3710,11130,237,322,10982,0,0,3710,0,0,0,"
-     "143616,3693,81,15,139264, tr=da75530ae134be50 pl=4db6534c9b50f889 thr="},
+     "143616,3441,81,15,139264, tr=da75530ae134be50 pl=4db6534c9b50f889 thr="},
     {{TopologyKind::Hypercube, 6, 6, 5, 3, Part::Block, true},
      "now=7409.25 st=366,4671,14013,711,319,10790,0,0,4671,961,461,0,"
-     "143616,3693,81,15,139264, tr=1cc58b2d1bf91ac2 pl=932bd47c847c7f42 thr=40,"},
+     "143616,3441,81,15,139264, tr=1cc58b2d1bf91ac2 pl=932bd47c847c7f42 thr=40,"},
     {{TopologyKind::Hypercube, 6, 6, 5, 3, Part::Cyclic, false},
      "now=2292.5 st=79,3710,11130,237,322,10982,0,0,3710,0,0,0,"
-     "143616,3693,81,15,139264, tr=da75530ae134be50 pl=4db6534c9b50f889 thr="},
+     "143616,3441,81,15,139264, tr=da75530ae134be50 pl=4db6534c9b50f889 thr="},
     {{TopologyKind::Hypercube, 6, 6, 5, 3, Part::Cyclic, true},
      "now=7409.25 st=366,4671,14013,711,319,10790,0,0,4671,961,461,0,"
-     "143616,3693,81,15,139264, tr=1cc58b2d1bf91ac2 pl=932bd47c847c7f42 thr=40,"},
+     "143616,3441,81,15,139264, tr=1cc58b2d1bf91ac2 pl=932bd47c847c7f42 thr=40,"},
     {{TopologyKind::Hypercube, 6, 6, 13, 13, Part::Block, false},
      "now=3798 st=107,8956,58240,746,1508,60054,0,0,8956,0,0,0,"
-     "239616,8876,148,16,229376, tr=c1f80b7bc2e7288c pl=07931d6d88df635c thr="},
+     "239616,8372,148,16,229376, tr=c1f80b7bc2e7288c pl=07931d6d88df635c thr="},
     {{TopologyKind::Hypercube, 6, 6, 13, 13, Part::Block, true},
      "now=12723 st=568,11209,72917,2403,1508,60054,0,0,11209,2253,1172,0,"
-     "239616,8876,148,16,229376, tr=c28b0b490740029d pl=07931d6d88df635c thr="},
+     "239616,8372,148,16,229376, tr=c28b0b490740029d pl=07931d6d88df635c thr="},
     {{TopologyKind::Hypercube, 6, 6, 13, 13, Part::Cyclic, false},
      "now=3798 st=107,8956,58240,746,1508,60054,0,0,8956,0,0,0,"
-     "239616,8876,148,16,229376, tr=c1f80b7bc2e7288c pl=07931d6d88df635c thr="},
+     "239616,8372,148,16,229376, tr=c1f80b7bc2e7288c pl=07931d6d88df635c thr="},
     {{TopologyKind::Hypercube, 6, 6, 13, 13, Part::Cyclic, true},
      "now=12723 st=568,11209,72917,2403,1508,60054,0,0,11209,2253,1172,0,"
-     "239616,8876,148,16,229376, tr=c28b0b490740029d pl=07931d6d88df635c thr="},
+     "239616,8372,148,16,229376, tr=c28b0b490740029d pl=07931d6d88df635c thr="},
     {{TopologyKind::Hypercube, 6, 6, 33, 20, Part::Block, false},
      "now=3748.25 st=92,7418,74200,930,2073,87995,0,0,7418,0,0,0,"
-     "353280,7340,146,16,335872, tr=ee7c3cb0c6eb51f2 pl=bac48b6690f334e7 thr="},
+     "353280,6836,146,16,335872, tr=ee7c3cb0c6eb51f2 pl=bac48b6690f334e7 thr="},
     {{TopologyKind::Hypercube, 6, 6, 33, 20, Part::Block, true},
      "now=12018.75 st=480,9318,93210,3030,2073,87995,0,0,9318,1900,968,0,"
-     "353280,7340,146,16,335872, tr=6ebc7ff48a3d268c pl=bac48b6690f334e7 thr="},
+     "353280,6836,146,16,335872, tr=6ebc7ff48a3d268c pl=bac48b6690f334e7 thr="},
     {{TopologyKind::Hypercube, 6, 6, 33, 20, Part::Cyclic, false},
      "now=3748.25 st=92,7418,74200,930,2073,87995,0,0,7418,0,0,0,"
-     "353280,7340,146,16,335872, tr=ee7c3cb0c6eb51f2 pl=bac48b6690f334e7 thr="},
+     "353280,6836,146,16,335872, tr=ee7c3cb0c6eb51f2 pl=bac48b6690f334e7 thr="},
     {{TopologyKind::Hypercube, 6, 6, 33, 20, Part::Cyclic, true},
      "now=12018.75 st=480,9318,93210,3030,2073,87995,0,0,9318,1900,968,0,"
-     "353280,7340,146,16,335872, tr=6ebc7ff48a3d268c pl=bac48b6690f334e7 thr="},
+     "353280,6836,146,16,335872, tr=6ebc7ff48a3d268c pl=bac48b6690f334e7 thr="},
     {{TopologyKind::Mesh, 1, 0, 5, 3, Part::Block, false},
      "now=604 st=16,28,140,80,496,730,0,0,28,0,0,0,"
-     "4992,73,19,15,4608, tr=a740f7cd8ceddc72 pl=3db480d0facae76d thr="},
+     "4992,69,19,15,4608, tr=a740f7cd8ceddc72 pl=3db480d0facae76d thr="},
     {{TopologyKind::Mesh, 1, 0, 5, 3, Part::Block, true},
      "now=899 st=29,38,190,125,496,730,0,0,38,10,6,0,"
-     "4992,73,19,15,4608, tr=6d90e4c444c9bbcd pl=3db480d0facae76d thr="},
+     "4992,69,19,15,4608, tr=6d90e4c444c9bbcd pl=3db480d0facae76d thr="},
     {{TopologyKind::Mesh, 1, 0, 5, 3, Part::Cyclic, false},
      "now=600.75 st=16,28,140,80,483,730,0,0,28,0,0,0,"
-     "4992,73,19,15,4608, tr=3226a9c240f944f2 pl=7b25ffaf5f87d905 thr="},
+     "4992,69,19,15,4608, tr=3226a9c240f944f2 pl=7b25ffaf5f87d905 thr="},
     {{TopologyKind::Mesh, 1, 0, 5, 3, Part::Cyclic, true},
      "now=929.25 st=31,39,195,130,483,730,0,0,39,11,6,0,"
-     "4992,73,19,15,4608, tr=0e0299d863e362c6 pl=7b25ffaf5f87d905 thr="},
+     "4992,69,19,15,4608, tr=0e0299d863e362c6 pl=7b25ffaf5f87d905 thr="},
     {{TopologyKind::Mesh, 1, 0, 13, 13, Part::Block, false},
      "now=1369 st=16,28,364,208,3044,5454,0,0,28,0,0,0,"
-     "14592,75,21,17,13312, tr=b195b6db63777133 pl=24a85cadde3ae39d thr="},
+     "14592,71,21,17,13312, tr=b195b6db63777133 pl=24a85cadde3ae39d thr="},
     {{TopologyKind::Mesh, 1, 0, 13, 13, Part::Block, true},
      "now=1736 st=29,38,494,325,3044,5454,0,0,38,10,6,0,"
-     "14592,75,21,17,13312, tr=2ac6041d86490868 pl=24a85cadde3ae39d thr="},
+     "14592,71,21,17,13312, tr=2ac6041d86490868 pl=24a85cadde3ae39d thr="},
     {{TopologyKind::Mesh, 1, 0, 13, 13, Part::Cyclic, false},
      "now=1359.25 st=16,28,364,208,3005,5454,0,0,28,0,0,0,"
-     "14592,75,21,17,13312, tr=62d4e56f36da9bf6 pl=b2c654e3b5807ee2 thr="},
+     "14592,71,21,17,13312, tr=62d4e56f36da9bf6 pl=b2c654e3b5807ee2 thr="},
     {{TopologyKind::Mesh, 1, 0, 13, 13, Part::Cyclic, true},
      "now=1765.25 st=30,39,507,338,3005,5454,0,0,39,11,6,0,"
-     "14592,75,21,17,13312, tr=984d3b1377954d71 pl=b2c654e3b5807ee2 thr="},
+     "14592,71,21,17,13312, tr=984d3b1377954d71 pl=b2c654e3b5807ee2 thr="},
     {{TopologyKind::Mesh, 1, 0, 33, 20, Part::Block, false},
      "now=3454.75 st=16,28,924,528,10107,19641,0,0,28,0,0,0,"
-     "46592,76,22,18,43520, tr=9a77b13e1380d3bc pl=4c94f14a186c486f thr="},
+     "46592,72,22,18,43520, tr=9a77b13e1380d3bc pl=4c94f14a186c486f thr="},
     {{TopologyKind::Mesh, 1, 0, 33, 20, Part::Block, true},
      "now=4004.25 st=30,38,1254,825,10107,19641,0,0,38,10,6,0,"
-     "46592,76,22,18,43520, tr=6d3383b4def8e8c0 pl=4c94f14a186c486f thr="},
+     "46592,72,22,18,43520, tr=6d3383b4def8e8c0 pl=4c94f14a186c486f thr="},
     {{TopologyKind::Mesh, 1, 0, 33, 20, Part::Cyclic, false},
      "now=3461.25 st=16,28,924,528,10133,19641,0,0,28,0,0,0,"
-     "46592,76,22,18,43520, tr=52c30bfa30ce6824 pl=40daef477a74aebf thr="},
+     "46592,72,22,18,43520, tr=52c30bfa30ce6824 pl=40daef477a74aebf thr="},
     {{TopologyKind::Mesh, 1, 0, 33, 20, Part::Cyclic, true},
      "now=4008.25 st=29,38,1254,825,10133,19641,0,0,38,10,6,0,"
-     "46592,76,22,18,43520, tr=56610cd74824e62a pl=40daef477a74aebf thr="},
+     "46592,72,22,18,43520, tr=56610cd74824e62a pl=40daef477a74aebf thr="},
     {{TopologyKind::Mesh, 1, 1, 5, 3, Part::Block, false},
      "now=502.75 st=14,24,72,42,443,674,0,0,24,0,0,0,"
-     "4992,69,19,15,4608, tr=4070d7fd6f6b3974 pl=d9fffbd2bdf0a31d thr="},
+     "4992,65,19,15,4608, tr=4070d7fd6f6b3974 pl=d9fffbd2bdf0a31d thr="},
     {{TopologyKind::Mesh, 1, 1, 5, 3, Part::Block, true},
      "now=747.25 st=25,33,99,66,443,674,0,0,33,9,5,0,"
-     "4992,69,19,15,4608, tr=7c3c934794548dfe pl=d9fffbd2bdf0a31d thr="},
+     "4992,65,19,15,4608, tr=7c3c934794548dfe pl=d9fffbd2bdf0a31d thr="},
     {{TopologyKind::Mesh, 1, 1, 5, 3, Part::Cyclic, false},
      "now=496.25 st=14,24,72,42,417,674,0,0,24,0,0,0,"
-     "4992,69,19,15,4608, tr=72a4c47c7f44408b pl=24a5440881513275 thr="},
+     "4992,65,19,15,4608, tr=72a4c47c7f44408b pl=24a5440881513275 thr="},
     {{TopologyKind::Mesh, 1, 1, 5, 3, Part::Cyclic, true},
      "now=802.25 st=28,35,105,72,417,674,0,0,35,11,6,0,"
-     "4992,69,19,15,4608, tr=99513135ef10b316 pl=24a5440881513275 thr="},
+     "4992,65,19,15,4608, tr=99513135ef10b316 pl=24a5440881513275 thr="},
     {{TopologyKind::Mesh, 1, 1, 13, 13, Part::Block, false},
      "now=1391.25 st=16,28,364,208,3133,5454,0,0,28,0,0,0,"
-     "13824,77,19,15,12544, tr=9c194b4af96f53f7 pl=f1857f8f0d5b5109 thr="},
+     "13824,73,19,15,12544, tr=9c194b4af96f53f7 pl=f1857f8f0d5b5109 thr="},
     {{TopologyKind::Mesh, 1, 1, 13, 13, Part::Block, true},
      "now=1715.75 st=27,37,481,312,3133,5454,0,0,37,9,5,0,"
-     "13824,77,19,15,12544, tr=596bb81a179df218 pl=f1857f8f0d5b5109 thr="},
+     "13824,73,19,15,12544, tr=596bb81a179df218 pl=f1857f8f0d5b5109 thr="},
     {{TopologyKind::Mesh, 1, 1, 13, 13, Part::Cyclic, false},
      "now=1371.75 st=16,28,364,208,3055,5454,0,0,28,0,0,0,"
-     "14336,75,21,17,13056, tr=0365174482a5dee4 pl=d73daec82600da0c thr="},
+     "14336,71,21,17,13056, tr=0365174482a5dee4 pl=d73daec82600da0c thr="},
     {{TopologyKind::Mesh, 1, 1, 13, 13, Part::Cyclic, true},
      "now=1777.75 st=30,39,507,338,3055,5454,0,0,39,11,6,0,"
-     "14336,75,21,17,13056, tr=30bd8f68b41511c3 pl=d73daec82600da0c thr="},
+     "14336,71,21,17,13056, tr=30bd8f68b41511c3 pl=d73daec82600da0c thr="},
     {{TopologyKind::Mesh, 1, 1, 33, 20, Part::Block, false},
      "now=3226.25 st=14,24,480,280,10385,19275,0,0,24,0,0,0,"
-     "38400,73,19,15,36864, tr=9550e9ae3b508614 pl=2b977edd3c98e3db thr="},
+     "38400,69,19,15,36864, tr=9550e9ae3b508614 pl=2b977edd3c98e3db thr="},
     {{TopologyKind::Mesh, 1, 1, 33, 20, Part::Block, true},
      "now=3606.75 st=25,33,660,440,10385,19275,0,0,33,9,5,0,"
-     "38400,73,19,15,36864, tr=0c65af7b58ab9535 pl=2b977edd3c98e3db thr="},
+     "38400,69,19,15,36864, tr=0c65af7b58ab9535 pl=2b977edd3c98e3db thr="},
     {{TopologyKind::Mesh, 1, 1, 33, 20, Part::Cyclic, false},
      "now=3164.5 st=14,24,480,280,10138,19275,0,0,24,0,0,0,"
-     "39424,71,21,17,37888, tr=2094f59c64fc514d pl=2accccab40559c17 thr="},
+     "39424,67,21,17,37888, tr=2094f59c64fc514d pl=2accccab40559c17 thr="},
     {{TopologyKind::Mesh, 1, 1, 33, 20, Part::Cyclic, true},
      "now=3640.5 st=28,35,700,480,10138,19275,0,0,35,11,6,0,"
-     "39424,71,21,17,37888, tr=0c2380151c65ed67 pl=2accccab40559c17 thr="},
+     "39424,67,21,17,37888, tr=0c2380151c65ed67 pl=2accccab40559c17 thr="},
     {{TopologyKind::Mesh, 3, 1, 5, 3, Part::Block, false},
      "now=1723.75 st=45,276,582,107,235,1210,0,0,376,0,0,0,"
-     "18176,317,25,15,17408, tr=5df5436591e0feac pl=e10a54bc12f5510d thr="},
+     "18176,281,25,15,17408, tr=5df5436591e0feac pl=e10a54bc12f5510d thr="},
     {{TopologyKind::Mesh, 3, 1, 5, 3, Part::Block, true},
      "now=3398.75 st=115,339,712,199,235,1210,0,0,458,63,29,0,"
-     "18176,317,25,15,17408, tr=8cfe869b875196ba pl=e10a54bc12f5510d thr="},
+     "18176,281,25,15,17408, tr=8cfe869b875196ba pl=e10a54bc12f5510d thr="},
     {{TopologyKind::Mesh, 3, 1, 5, 3, Part::Cyclic, false},
      "now=1720.5 st=45,276,582,107,222,1210,0,0,376,0,0,0,"
-     "18176,317,25,15,17408, tr=ac2a337ec8d47c78 pl=dcb11b86ddeb631d thr="},
+     "18176,281,25,15,17408, tr=ac2a337ec8d47c78 pl=dcb11b86ddeb631d thr="},
     {{TopologyKind::Mesh, 3, 1, 5, 3, Part::Cyclic, true},
      "now=3428 st=117,339,712,200,222,1210,0,0,458,63,29,0,"
-     "18176,317,25,15,17408, tr=d4b5f4f1e9999ba7 pl=dcb11b86ddeb631d thr="},
+     "18176,281,25,15,17408, tr=d4b5f4f1e9999ba7 pl=dcb11b86ddeb631d thr="},
     {{TopologyKind::Mesh, 3, 1, 13, 13, Part::Block, false},
      "now=2265 st=48,320,1716,288,1200,6752,0,0,420,0,0,0,"
-     "31232,349,39,15,27648, tr=1033d7e908ea7dd0 pl=d0142bebbd74ffa2 thr="},
+     "31232,309,39,15,27648, tr=1033d7e908ea7dd0 pl=d0142bebbd74ffa2 thr="},
     {{TopologyKind::Mesh, 3, 1, 13, 13, Part::Block, true},
      "now=4599.5 st=134,402,2149,579,1200,6752,0,0,531,82,44,0,"
-     "31232,349,39,15,27648, tr=1d89adcc016ce28b pl=d0142bebbd74ffa2 thr="},
+     "31232,309,39,15,27648, tr=1d89adcc016ce28b pl=d0142bebbd74ffa2 thr="},
     {{TopologyKind::Mesh, 3, 1, 13, 13, Part::Cyclic, false},
      "now=2255.25 st=48,320,1716,288,1161,6752,0,0,420,0,0,0,"
-     "32256,347,41,17,28672, tr=ed63a047a022a8d8 pl=3fd4cda1faa13ba6 thr="},
+     "32256,307,41,17,28672, tr=ed63a047a022a8d8 pl=3fd4cda1faa13ba6 thr="},
     {{TopologyKind::Mesh, 3, 1, 13, 13, Part::Cyclic, true},
      "now=4585.25 st=140,402,2153,583,1161,6752,0,0,529,82,44,0,"
-     "32256,347,41,17,28672, tr=80184e7db3854389 pl=3fd4cda1faa13ba6 thr="},
+     "32256,307,41,17,28672, tr=80184e7db3854389 pl=3fd4cda1faa13ba6 thr="},
     {{TopologyKind::Mesh, 3, 1, 33, 20, Part::Block, false},
      "now=3138.25 st=46,304,3912,614,3149,22267,0,0,404,0,0,0,"
-     "58880,341,33,17,53248, tr=9161cdea4b1886db pl=ec18f1a4d85cbc1b thr="},
+     "58880,301,33,17,53248, tr=9161cdea4b1886db pl=ec18f1a4d85cbc1b thr="},
     {{TopologyKind::Mesh, 3, 1, 33, 20, Part::Block, true},
      "now=5731.25 st=130,381,4883,1255,3149,22267,0,0,509,77,43,0,"
-     "58880,341,33,17,53248, tr=60faf4b300735753 pl=ec18f1a4d85cbc1b thr="},
+     "58880,301,33,17,53248, tr=60faf4b300735753 pl=ec18f1a4d85cbc1b thr="},
     {{TopologyKind::Mesh, 3, 1, 33, 20, Part::Cyclic, false},
      "now=3128.5 st=46,304,3912,614,3110,22267,0,0,404,0,0,0,"
-     "54784,342,32,16,49152, tr=fff2db67b0c7bc16 pl=0b79810c8bd652d6 thr="},
+     "54784,302,32,16,49152, tr=fff2db67b0c7bc16 pl=0b79810c8bd652d6 thr="},
     {{TopologyKind::Mesh, 3, 1, 33, 20, Part::Cyclic, true},
      "now=5758 st=132,380,4878,1260,3110,22267,0,0,508,76,42,0,"
-     "54784,342,32,16,49152, tr=45dfbb3f49db1f10 pl=0b79810c8bd652d6 thr="},
+     "54784,302,32,16,49152, tr=45dfbb3f49db1f10 pl=0b79810c8bd652d6 thr="},
     {{TopologyKind::Mesh, 3, 3, 5, 3, Part::Block, false},
      "now=1532.25 st=40,246,738,120,241,1262,0,0,326,0,0,0,"
-     "18176,285,25,15,17408, tr=da2b5c673a5a2693 pl=4db6534c9b50f889 thr="},
+     "18176,257,25,15,17408, tr=da2b5c673a5a2693 pl=4db6534c9b50f889 thr="},
     {{TopologyKind::Mesh, 3, 3, 5, 3, Part::Block, true},
      "now=3024.75 st=102,304,912,237,241,1262,0,0,403,58,34,0,"
-     "18176,285,25,15,17408, tr=a6d82aeb1f039b45 pl=4db6534c9b50f889 thr="},
+     "18176,257,25,15,17408, tr=a6d82aeb1f039b45 pl=4db6534c9b50f889 thr="},
     {{TopologyKind::Mesh, 3, 3, 5, 3, Part::Cyclic, false},
      "now=1532.25 st=40,246,738,120,241,1262,0,0,326,0,0,0,"
-     "18176,285,25,15,17408, tr=da2b5c673a5a2693 pl=4db6534c9b50f889 thr="},
+     "18176,257,25,15,17408, tr=da2b5c673a5a2693 pl=4db6534c9b50f889 thr="},
     {{TopologyKind::Mesh, 3, 3, 5, 3, Part::Cyclic, true},
      "now=3024.75 st=102,304,912,237,241,1262,0,0,403,58,34,0,"
-     "18176,285,25,15,17408, tr=a6d82aeb1f039b45 pl=4db6534c9b50f889 thr="},
+     "18176,257,25,15,17408, tr=a6d82aeb1f039b45 pl=4db6534c9b50f889 thr="},
     {{TopologyKind::Mesh, 3, 3, 13, 13, Part::Block, false},
      "now=2747.25 st=48,298,3874,624,1521,8600,0,0,396,0,0,0,"
-     "32768,337,29,15,28672, tr=ac08f3d7364b5aa1 pl=4ed30327e6890c45 thr="},
+     "32768,309,29,15,28672, tr=ac08f3d7364b5aa1 pl=4ed30327e6890c45 thr="},
     {{TopologyKind::Mesh, 3, 3, 13, 13, Part::Block, true},
      "now=4892.75 st=124,367,4771,1183,1521,8600,0,0,486,69,35,0,"
-     "32768,337,29,15,28672, tr=14d853afb91d0baf pl=4ed30327e6890c45 thr="},
+     "32768,309,29,15,28672, tr=14d853afb91d0baf pl=4ed30327e6890c45 thr="},
     {{TopologyKind::Mesh, 3, 3, 13, 13, Part::Cyclic, false},
      "now=2633.25 st=46,294,3822,598,1469,8600,0,0,390,0,0,0,"
-     "30720,337,25,15,28672, tr=3fcc446708545315 pl=48b7b31e98187edb thr="},
+     "30720,309,25,15,28672, tr=3fcc446708545315 pl=48b7b31e98187edb thr="},
     {{TopologyKind::Mesh, 3, 3, 13, 13, Part::Cyclic, true},
      "now=4841.25 st=120,365,4745,1196,1469,8600,0,0,481,71,40,0,"
-     "30720,337,25,15,28672, tr=ed3767ba98ff96aa pl=48b7b31e98187edb thr="},
+     "30720,309,25,15,28672, tr=ed3767ba98ff96aa pl=48b7b31e98187edb thr="},
     {{TopologyKind::Mesh, 3, 3, 33, 20, Part::Block, false},
      "now=3434 st=42,250,5000,840,4056,23235,0,0,332,0,0,0,"
-     "55296,289,29,15,50176, tr=d2d7a4722e99d7ce pl=a0b3b37c75aac76f thr="},
+     "55296,261,29,15,50176, tr=d2d7a4722e99d7ce pl=a0b3b37c75aac76f thr="},
     {{TopologyKind::Mesh, 3, 3, 33, 20, Part::Block, true},
      "now=5354.5 st=104,306,6120,1540,4056,23235,0,0,401,56,30,0,"
-     "55296,289,29,15,50176, tr=44cd259b09dd45bf pl=a0b3b37c75aac76f thr="},
+     "55296,261,29,15,50176, tr=44cd259b09dd45bf pl=a0b3b37c75aac76f thr="},
     {{TopologyKind::Mesh, 3, 3, 33, 20, Part::Cyclic, false},
      "now=3362.5 st=42,250,5000,840,3770,23235,0,0,332,0,0,0,"
-     "55296,289,29,15,50176, tr=151d38b8d62a85be pl=34b300c6ee474fa6 thr="},
+     "55296,261,29,15,50176, tr=151d38b8d62a85be pl=34b300c6ee474fa6 thr="},
     {{TopologyKind::Mesh, 3, 3, 33, 20, Part::Cyclic, true},
      "now=5588 st=113,311,6220,1640,3770,23235,0,0,408,61,33,0,"
-     "55296,289,29,15,50176, tr=297f5c5857938c8e pl=34b300c6ee474fa6 thr="},
+     "55296,261,29,15,50176, tr=297f5c5857938c8e pl=34b300c6ee474fa6 thr="},
     {{TopologyKind::Mesh, 4, 2, 5, 3, Part::Block, false},
      "now=2389 st=59,672,774,90,172,1602,0,0,998,0,0,0,"
-     "35840,707,31,15,34816, tr=cc0164f73a1cd92a pl=e10a54bc12f5510d thr="},
+     "35840,623,31,15,34816, tr=cc0164f73a1cd92a pl=e10a54bc12f5510d thr="},
     {{TopologyKind::Mesh, 4, 2, 5, 3, Part::Block, true},
      "now=5298 st=182,809,933,176,172,1602,0,0,1199,137,66,0,"
-     "35840,707,31,15,34816, tr=0ff01159c60de5df pl=e10a54bc12f5510d thr="},
+     "35840,623,31,15,34816, tr=0ff01159c60de5df pl=e10a54bc12f5510d thr="},
     {{TopologyKind::Mesh, 4, 2, 5, 3, Part::Cyclic, false},
      "now=2389 st=59,672,774,90,172,1602,0,0,998,0,0,0,"
-     "35840,707,31,15,34816, tr=cc0164f73a1cd92a pl=d6f67c465cfbe811 thr="},
+     "35840,623,31,15,34816, tr=cc0164f73a1cd92a pl=d6f67c465cfbe811 thr="},
     {{TopologyKind::Mesh, 4, 2, 5, 3, Part::Cyclic, true},
      "now=5596 st=188,815,939,182,172,1602,0,0,1210,143,69,0,"
-     "35840,707,31,15,34816, tr=30943e8b2ce5518b pl=d6f67c465cfbe811 thr="},
+     "35840,623,31,15,34816, tr=30943e8b2ce5518b pl=d6f67c465cfbe811 thr="},
     {{TopologyKind::Mesh, 4, 2, 13, 13, Part::Block, false},
      "now=2944 st=64,832,2704,256,800,7984,0,0,1232,0,0,0,"
-     "39936,853,47,15,36864, tr=dc7debd9f888dfb0 pl=fc041bc922ab3bee thr="},
+     "39936,757,47,15,36864, tr=dc7debd9f888dfb0 pl=fc041bc922ab3bee thr="},
     {{TopologyKind::Mesh, 4, 2, 13, 13, Part::Block, true},
      "now=7055.5 st=219,1022,3313,565,800,7984,0,0,1512,190,101,0,"
-     "39936,853,47,15,36864, tr=f350c04cd3cfd68f pl=fc041bc922ab3bee thr="},
+     "39936,757,47,15,36864, tr=f350c04cd3cfd68f pl=fc041bc922ab3bee thr="},
     {{TopologyKind::Mesh, 4, 2, 13, 13, Part::Cyclic, false},
      "now=2937.5 st=64,832,2704,256,774,7984,0,0,1232,0,0,0,"
-     "39936,853,47,15,36864, tr=78015e8cf90cfa9a pl=a34944fc9914beae thr="},
+     "39936,757,47,15,36864, tr=78015e8cf90cfa9a pl=a34944fc9914beae thr="},
     {{TopologyKind::Mesh, 4, 2, 13, 13, Part::Cyclic, true},
      "now=7022 st=217,1023,3318,567,774,7984,0,0,1512,191,102,0,"
-     "39936,853,47,15,36864, tr=c73df05aba2cb2fc pl=a34944fc9914beae thr="},
+     "39936,757,47,15,36864, tr=c73df05aba2cb2fc pl=a34944fc9914beae thr="},
     {{TopologyKind::Mesh, 4, 2, 33, 20, Part::Block, false},
      "now=3282.75 st=60,768,5192,428,1843,23523,0,0,1136,0,0,0,"
-     "66304,777,59,15,59392, tr=56852a648c0575da pl=ad81c732609b9b33 thr="},
+     "66304,681,59,15,59392, tr=56852a648c0575da pl=ad81c732609b9b33 thr="},
     {{TopologyKind::Mesh, 4, 2, 33, 20, Part::Block, true},
      "now=7443.25 st=203,942,6356,1013,1843,23523,0,0,1392,174,92,0,"
-     "66304,777,59,15,59392, tr=ba5079ab7bde832c pl=ad81c732609b9b33 thr="},
+     "66304,681,59,15,59392, tr=ba5079ab7bde832c pl=ad81c732609b9b33 thr="},
     {{TopologyKind::Mesh, 4, 2, 33, 20, Part::Cyclic, false},
      "now=3260 st=60,768,5192,428,1752,23523,0,0,1136,0,0,0,"
-     "66304,777,59,15,59392, tr=3d0e2ca95182b49d pl=998487e29caa95ef thr="},
+     "66304,681,59,15,59392, tr=3d0e2ca95182b49d pl=998487e29caa95ef thr="},
     {{TopologyKind::Mesh, 4, 2, 33, 20, Part::Cyclic, true},
      "now=7485 st=206,948,6386,1023,1752,23523,0,0,1398,180,95,0,"
-     "66304,777,59,15,59392, tr=1adca60a5d45d71e pl=998487e29caa95ef thr="},
+     "66304,681,59,15,59392, tr=1adca60a5d45d71e pl=998487e29caa95ef thr="},
     {{TopologyKind::Mesh, 4, 4, 5, 3, Part::Block, false},
      "now=2255 st=53,638,1914,159,268,2342,0,0,946,0,0,0,"
-     "36096,669,33,15,34816, tr=8d283854370a1e1a pl=4db6534c9b50f889 thr="},
+     "36096,609,33,15,34816, tr=8d283854370a1e1a pl=4db6534c9b50f889 thr="},
     {{TopologyKind::Mesh, 4, 4, 5, 3, Part::Block, true},
      "now=5290.5 st=178,807,2421,369,268,2342,0,0,1194,169,87,0,"
-     "36096,669,33,15,34816, tr=86ce820ae4ed2fad pl=4db6534c9b50f889 thr="},
+     "36096,609,33,15,34816, tr=86ce820ae4ed2fad pl=4db6534c9b50f889 thr="},
     {{TopologyKind::Mesh, 4, 4, 5, 3, Part::Cyclic, false},
      "now=2255 st=53,638,1914,159,268,2342,0,0,946,0,0,0,"
-     "36096,669,33,15,34816, tr=8d283854370a1e1a pl=4db6534c9b50f889 thr="},
+     "36096,609,33,15,34816, tr=8d283854370a1e1a pl=4db6534c9b50f889 thr="},
     {{TopologyKind::Mesh, 4, 4, 5, 3, Part::Cyclic, true},
      "now=5290.5 st=178,807,2421,369,268,2342,0,0,1194,169,87,0,"
-     "36096,669,33,15,34816, tr=86ce820ae4ed2fad pl=4db6534c9b50f889 thr="},
+     "36096,609,33,15,34816, tr=86ce820ae4ed2fad pl=4db6534c9b50f889 thr="},
     {{TopologyKind::Mesh, 4, 4, 13, 13, Part::Block, false},
      "now=3722.5 st=62,768,9984,806,1222,14294,0,0,1142,0,0,0,"
-     "61440,800,36,16,57344, tr=30f4628ec366540b pl=07931d6d88df635c thr="},
+     "61440,740,36,16,57344, tr=30f4628ec366540b pl=07931d6d88df635c thr="},
     {{TopologyKind::Mesh, 4, 4, 13, 13, Part::Block, true},
      "now=8346.5 st=210,967,12571,1898,1222,14294,0,0,1443,199,108,0,"
-     "61440,800,36,16,57344, tr=25ebde40a84e8095 pl=07931d6d88df635c thr="},
+     "61440,740,36,16,57344, tr=25ebde40a84e8095 pl=07931d6d88df635c thr="},
     {{TopologyKind::Mesh, 4, 4, 13, 13, Part::Cyclic, false},
      "now=3722.5 st=62,768,9984,806,1222,14294,0,0,1142,0,0,0,"
-     "61440,800,36,16,57344, tr=30f4628ec366540b pl=07931d6d88df635c thr="},
+     "61440,740,36,16,57344, tr=30f4628ec366540b pl=07931d6d88df635c thr="},
     {{TopologyKind::Mesh, 4, 4, 13, 13, Part::Cyclic, true},
      "now=8346.5 st=210,967,12571,1898,1222,14294,0,0,1443,199,108,0,"
-     "61440,800,36,16,57344, tr=25ebde40a84e8095 pl=07931d6d88df635c thr="},
+     "61440,740,36,16,57344, tr=25ebde40a84e8095 pl=07931d6d88df635c thr="},
     {{TopologyKind::Mesh, 4, 4, 33, 20, Part::Block, false},
      "now=4988.25 st=69,1280,12880,730,3053,30435,0,0,1900,0,0,0,"
-     "108544,1293,55,15,100352, tr=b7b2fe3a7a43ea9d pl=374471ff7ad4806b thr="},
+     "108544,1173,55,15,100352, tr=b7b2fe3a7a43ea9d pl=374471ff7ad4806b thr="},
     {{TopologyKind::Mesh, 4, 4, 33, 20, Part::Block, true},
      "now=10943.75 st=251,1590,16010,1810,3053,30435,0,0,2369,310,170,0,"
-     "108544,1293,55,15,100352, tr=c51f192ce1c7a6c8 pl=374471ff7ad4806b thr="},
+     "108544,1173,55,15,100352, tr=c51f192ce1c7a6c8 pl=374471ff7ad4806b thr="},
     {{TopologyKind::Mesh, 4, 4, 33, 20, Part::Cyclic, false},
      "now=4956.25 st=69,1280,12880,730,2845,30435,0,0,1900,0,0,0,"
-     "104448,1292,56,16,96256, tr=f1f339f25a85f6c9 pl=b4024e6ec2e35b0f thr="},
+     "104448,1172,56,16,96256, tr=f1f339f25a85f6c9 pl=b4024e6ec2e35b0f thr="},
     {{TopologyKind::Mesh, 4, 4, 33, 20, Part::Cyclic, true},
      "now=10644.75 st=244,1580,15910,1740,2845,30435,0,0,2358,300,162,0,"
-     "104448,1292,56,16,96256, tr=1badc65891283d1b pl=b4024e6ec2e35b0f thr="},
+     "104448,1172,56,16,96256, tr=1badc65891283d1b pl=b4024e6ec2e35b0f thr="},
     {{TopologyKind::Mesh, 6, 3, 5, 3, Part::Block, false},
      "now=5245.75 st=86,2208,2208,86,119,4444,0,0,5020,0,0,0,"
-     "142400,2210,64,15,139264, tr=b47eafc1da6c5a5c pl=39d9ecc358f2fcf9 thr="},
+     "142400,1986,64,15,139264, tr=b47eafc1da6c5a5c pl=39d9ecc358f2fcf9 thr="},
     {{TopologyKind::Mesh, 6, 3, 5, 3, Part::Block, true},
      "now=14956.75 st=368,2826,2826,246,119,4444,0,0,6440,618,286,0,"
-     "142400,2210,64,15,139264, tr=1a17ab7fc68e7e4c pl=39d9ecc358f2fcf9 thr="},
+     "142400,1986,64,15,139264, tr=1a17ab7fc68e7e4c pl=39d9ecc358f2fcf9 thr="},
     {{TopologyKind::Mesh, 6, 3, 5, 3, Part::Cyclic, false},
      "now=5245.75 st=86,2208,2208,86,119,4444,0,0,5020,0,0,0,"
-     "142400,2210,64,15,139264, tr=b47eafc1da6c5a5c pl=39d9ecc358f2fcf9 thr="},
+     "142400,1986,64,15,139264, tr=b47eafc1da6c5a5c pl=39d9ecc358f2fcf9 thr="},
     {{TopologyKind::Mesh, 6, 3, 5, 3, Part::Cyclic, true},
      "now=14956.75 st=368,2826,2826,246,119,4444,0,0,6440,618,286,0,"
-     "142400,2210,64,15,139264, tr=1a17ab7fc68e7e4c pl=39d9ecc358f2fcf9 thr="},
+     "142400,1986,64,15,139264, tr=1a17ab7fc68e7e4c pl=39d9ecc358f2fcf9 thr="},
     {{TopologyKind::Mesh, 6, 3, 13, 13, Part::Block, false},
      "now=6049.75 st=96,4768,7748,192,327,13616,0,0,10848,0,0,0,"
-     "143360,4757,79,15,139264, tr=8f9fb96007716c57 pl=c236e30628e237f2 thr="},
+     "143360,4309,79,15,139264, tr=8f9fb96007716c57 pl=c236e30628e237f2 thr="},
     {{TopologyKind::Mesh, 6, 3, 13, 13, Part::Block, true},
      "now=19039.25 st=471,5989,9749,586,327,13616,0,0,13597,1221,594,0,"
-     "143360,4757,79,15,139264, tr=d072e48b97f09b20 pl=c236e30628e237f2 thr="},
+     "143360,4309,79,15,139264, tr=d072e48b97f09b20 pl=c236e30628e237f2 thr="},
     {{TopologyKind::Mesh, 6, 3, 13, 13, Part::Cyclic, false},
      "now=5888.5 st=92,4704,7644,184,314,13616,0,0,10752,0,0,0,"
-     "143360,4693,79,15,139264, tr=03a92413abca3f66 pl=74a1525728a9d2e6 thr="},
+     "143360,4245,79,15,139264, tr=03a92413abca3f66 pl=74a1525728a9d2e6 thr="},
     {{TopologyKind::Mesh, 6, 3, 13, 13, Part::Cyclic, true},
      "now=18795 st=467,5989,9714,565,314,13616,0,0,13703,1285,601,0,"
-     "143360,4693,79,15,139264, tr=7297dd93455e8a14 pl=74a1525728a9d2e6 thr="},
+     "143360,4245,79,15,139264, tr=7297dd93455e8a14 pl=74a1525728a9d2e6 thr="},
     {{TopologyKind::Mesh, 6, 3, 33, 20, Part::Block, false},
      "now=6153 st=90,4384,14834,366,836,34659,0,0,9952,0,0,0,"
-     "158464,4317,133,15,147456, tr=bf8138a81db1cd96 pl=9c485027dcb655fa thr="},
+     "158464,3869,133,15,147456, tr=bf8138a81db1cd96 pl=9c485027dcb655fa thr="},
     {{TopologyKind::Mesh, 6, 3, 33, 20, Part::Block, true},
      "now=18762.5 st=442,5530,18688,1072,836,34659,0,0,12539,1146,554,0,"
-     "158464,4317,133,15,147456, tr=310ae2c5214a6568 pl=9c485027dcb655fa thr="},
+     "158464,3869,133,15,147456, tr=310ae2c5214a6568 pl=9c485027dcb655fa thr="},
     {{TopologyKind::Mesh, 6, 3, 33, 20, Part::Cyclic, false},
      "now=6035 st=89,4368,14768,361,784,34659,0,0,9888,0,0,0,"
-     "155648,4323,111,15,147456, tr=244c93a06d1ebdaf pl=013fd8f0b95584f6 thr="},
+     "155648,3875,111,15,147456, tr=244c93a06d1ebdaf pl=013fd8f0b95584f6 thr="},
     {{TopologyKind::Mesh, 6, 3, 33, 20, Part::Cyclic, true},
      "now=18986 st=452,5522,18655,1092,784,34659,0,0,12506,1154,549,0,"
-     "155648,4323,111,15,147456, tr=9469a9b0b7e2f8b1 pl=013fd8f0b95584f6 thr="},
+     "155648,3875,111,15,147456, tr=9469a9b0b7e2f8b1 pl=013fd8f0b95584f6 thr="},
     {{TopologyKind::Mesh, 6, 6, 5, 3, Part::Block, false},
      "now=5183.5 st=79,3710,11130,237,322,10982,0,0,8504,0,0,0,"
-     "143616,3693,81,15,139264, tr=06b2535c62f1c992 pl=4db6534c9b50f889 thr="},
+     "143616,3441,81,15,139264, tr=06b2535c62f1c992 pl=4db6534c9b50f889 thr="},
     {{TopologyKind::Mesh, 6, 6, 5, 3, Part::Block, true},
      "now=15395.25 st=366,4671,14013,711,319,10790,0,0,10712,961,461,0,"
-     "143616,3693,81,15,139264, tr=8a2bccdc49b8a807 pl=932bd47c847c7f42 thr=40,"},
+     "143616,3441,81,15,139264, tr=8a2bccdc49b8a807 pl=932bd47c847c7f42 thr=40,"},
     {{TopologyKind::Mesh, 6, 6, 5, 3, Part::Cyclic, false},
      "now=5183.5 st=79,3710,11130,237,322,10982,0,0,8504,0,0,0,"
-     "143616,3693,81,15,139264, tr=06b2535c62f1c992 pl=4db6534c9b50f889 thr="},
+     "143616,3441,81,15,139264, tr=06b2535c62f1c992 pl=4db6534c9b50f889 thr="},
     {{TopologyKind::Mesh, 6, 6, 5, 3, Part::Cyclic, true},
      "now=15395.25 st=366,4671,14013,711,319,10790,0,0,10712,961,461,0,"
-     "143616,3693,81,15,139264, tr=8a2bccdc49b8a807 pl=932bd47c847c7f42 thr=40,"},
+     "143616,3441,81,15,139264, tr=8a2bccdc49b8a807 pl=932bd47c847c7f42 thr=40,"},
     {{TopologyKind::Mesh, 6, 6, 13, 13, Part::Block, false},
      "now=10196 st=107,8956,58240,746,1508,60054,0,0,20586,0,0,0,"
-     "239616,8876,148,16,229376, tr=e22d029e2485accf pl=07931d6d88df635c thr="},
+     "239616,8372,148,16,229376, tr=e22d029e2485accf pl=07931d6d88df635c thr="},
     {{TopologyKind::Mesh, 6, 6, 13, 13, Part::Block, true},
      "now=30701 st=568,11209,72917,2403,1508,60054,0,0,25763,2253,1172,0,"
-     "239616,8876,148,16,229376, tr=e4667005edcccced pl=07931d6d88df635c thr="},
+     "239616,8372,148,16,229376, tr=e4667005edcccced pl=07931d6d88df635c thr="},
     {{TopologyKind::Mesh, 6, 6, 13, 13, Part::Cyclic, false},
      "now=10196 st=107,8956,58240,746,1508,60054,0,0,20586,0,0,0,"
-     "239616,8876,148,16,229376, tr=e22d029e2485accf pl=07931d6d88df635c thr="},
+     "239616,8372,148,16,229376, tr=e22d029e2485accf pl=07931d6d88df635c thr="},
     {{TopologyKind::Mesh, 6, 6, 13, 13, Part::Cyclic, true},
      "now=30701 st=568,11209,72917,2403,1508,60054,0,0,25763,2253,1172,0,"
-     "239616,8876,148,16,229376, tr=e4667005edcccced pl=07931d6d88df635c thr="},
+     "239616,8372,148,16,229376, tr=e4667005edcccced pl=07931d6d88df635c thr="},
     {{TopologyKind::Mesh, 6, 6, 33, 20, Part::Block, false},
      "now=9743.25 st=92,7418,74200,930,2073,87995,0,0,17000,0,0,0,"
-     "353280,7340,146,16,335872, tr=0d1f65b31b8d7852 pl=bac48b6690f334e7 thr="},
+     "353280,6836,146,16,335872, tr=0d1f65b31b8d7852 pl=bac48b6690f334e7 thr="},
     {{TopologyKind::Mesh, 6, 6, 33, 20, Part::Block, true},
      "now=28118.75 st=480,9318,93210,3030,2073,87995,0,0,21383,1900,968,0,"
-     "353280,7340,146,16,335872, tr=536d7e08d0f9aa00 pl=bac48b6690f334e7 thr="},
+     "353280,6836,146,16,335872, tr=536d7e08d0f9aa00 pl=bac48b6690f334e7 thr="},
     {{TopologyKind::Mesh, 6, 6, 33, 20, Part::Cyclic, false},
      "now=9743.25 st=92,7418,74200,930,2073,87995,0,0,17000,0,0,0,"
-     "353280,7340,146,16,335872, tr=0d1f65b31b8d7852 pl=bac48b6690f334e7 thr="},
+     "353280,6836,146,16,335872, tr=0d1f65b31b8d7852 pl=bac48b6690f334e7 thr="},
     {{TopologyKind::Mesh, 6, 6, 33, 20, Part::Cyclic, true},
      "now=28118.75 st=480,9318,93210,3030,2073,87995,0,0,21383,1900,968,0,"
-     "353280,7340,146,16,335872, tr=536d7e08d0f9aa00 pl=bac48b6690f334e7 thr="},
+     "353280,6836,146,16,335872, tr=536d7e08d0f9aa00 pl=bac48b6690f334e7 thr="},
     {{TopologyKind::Torus, 1, 0, 5, 3, Part::Block, false},
      "now=604 st=16,28,140,80,496,730,0,0,28,0,0,0,"
-     "4992,73,19,15,4608, tr=a740f7cd8ceddc72 pl=3db480d0facae76d thr="},
+     "4992,69,19,15,4608, tr=a740f7cd8ceddc72 pl=3db480d0facae76d thr="},
     {{TopologyKind::Torus, 1, 0, 5, 3, Part::Block, true},
      "now=899 st=29,38,190,125,496,730,0,0,38,10,6,0,"
-     "4992,73,19,15,4608, tr=6d90e4c444c9bbcd pl=3db480d0facae76d thr="},
+     "4992,69,19,15,4608, tr=6d90e4c444c9bbcd pl=3db480d0facae76d thr="},
     {{TopologyKind::Torus, 1, 0, 5, 3, Part::Cyclic, false},
      "now=600.75 st=16,28,140,80,483,730,0,0,28,0,0,0,"
-     "4992,73,19,15,4608, tr=3226a9c240f944f2 pl=7b25ffaf5f87d905 thr="},
+     "4992,69,19,15,4608, tr=3226a9c240f944f2 pl=7b25ffaf5f87d905 thr="},
     {{TopologyKind::Torus, 1, 0, 5, 3, Part::Cyclic, true},
      "now=929.25 st=31,39,195,130,483,730,0,0,39,11,6,0,"
-     "4992,73,19,15,4608, tr=0e0299d863e362c6 pl=7b25ffaf5f87d905 thr="},
+     "4992,69,19,15,4608, tr=0e0299d863e362c6 pl=7b25ffaf5f87d905 thr="},
     {{TopologyKind::Torus, 1, 0, 13, 13, Part::Block, false},
      "now=1369 st=16,28,364,208,3044,5454,0,0,28,0,0,0,"
-     "14592,75,21,17,13312, tr=b195b6db63777133 pl=24a85cadde3ae39d thr="},
+     "14592,71,21,17,13312, tr=b195b6db63777133 pl=24a85cadde3ae39d thr="},
     {{TopologyKind::Torus, 1, 0, 13, 13, Part::Block, true},
      "now=1736 st=29,38,494,325,3044,5454,0,0,38,10,6,0,"
-     "14592,75,21,17,13312, tr=2ac6041d86490868 pl=24a85cadde3ae39d thr="},
+     "14592,71,21,17,13312, tr=2ac6041d86490868 pl=24a85cadde3ae39d thr="},
     {{TopologyKind::Torus, 1, 0, 13, 13, Part::Cyclic, false},
      "now=1359.25 st=16,28,364,208,3005,5454,0,0,28,0,0,0,"
-     "14592,75,21,17,13312, tr=62d4e56f36da9bf6 pl=b2c654e3b5807ee2 thr="},
+     "14592,71,21,17,13312, tr=62d4e56f36da9bf6 pl=b2c654e3b5807ee2 thr="},
     {{TopologyKind::Torus, 1, 0, 13, 13, Part::Cyclic, true},
      "now=1765.25 st=30,39,507,338,3005,5454,0,0,39,11,6,0,"
-     "14592,75,21,17,13312, tr=984d3b1377954d71 pl=b2c654e3b5807ee2 thr="},
+     "14592,71,21,17,13312, tr=984d3b1377954d71 pl=b2c654e3b5807ee2 thr="},
     {{TopologyKind::Torus, 1, 0, 33, 20, Part::Block, false},
      "now=3454.75 st=16,28,924,528,10107,19641,0,0,28,0,0,0,"
-     "46592,76,22,18,43520, tr=9a77b13e1380d3bc pl=4c94f14a186c486f thr="},
+     "46592,72,22,18,43520, tr=9a77b13e1380d3bc pl=4c94f14a186c486f thr="},
     {{TopologyKind::Torus, 1, 0, 33, 20, Part::Block, true},
      "now=4004.25 st=30,38,1254,825,10107,19641,0,0,38,10,6,0,"
-     "46592,76,22,18,43520, tr=6d3383b4def8e8c0 pl=4c94f14a186c486f thr="},
+     "46592,72,22,18,43520, tr=6d3383b4def8e8c0 pl=4c94f14a186c486f thr="},
     {{TopologyKind::Torus, 1, 0, 33, 20, Part::Cyclic, false},
      "now=3461.25 st=16,28,924,528,10133,19641,0,0,28,0,0,0,"
-     "46592,76,22,18,43520, tr=52c30bfa30ce6824 pl=40daef477a74aebf thr="},
+     "46592,72,22,18,43520, tr=52c30bfa30ce6824 pl=40daef477a74aebf thr="},
     {{TopologyKind::Torus, 1, 0, 33, 20, Part::Cyclic, true},
      "now=4008.25 st=29,38,1254,825,10133,19641,0,0,38,10,6,0,"
-     "46592,76,22,18,43520, tr=56610cd74824e62a pl=40daef477a74aebf thr="},
+     "46592,72,22,18,43520, tr=56610cd74824e62a pl=40daef477a74aebf thr="},
     {{TopologyKind::Torus, 1, 1, 5, 3, Part::Block, false},
      "now=502.75 st=14,24,72,42,443,674,0,0,24,0,0,0,"
-     "4992,69,19,15,4608, tr=4070d7fd6f6b3974 pl=d9fffbd2bdf0a31d thr="},
+     "4992,65,19,15,4608, tr=4070d7fd6f6b3974 pl=d9fffbd2bdf0a31d thr="},
     {{TopologyKind::Torus, 1, 1, 5, 3, Part::Block, true},
      "now=747.25 st=25,33,99,66,443,674,0,0,33,9,5,0,"
-     "4992,69,19,15,4608, tr=7c3c934794548dfe pl=d9fffbd2bdf0a31d thr="},
+     "4992,65,19,15,4608, tr=7c3c934794548dfe pl=d9fffbd2bdf0a31d thr="},
     {{TopologyKind::Torus, 1, 1, 5, 3, Part::Cyclic, false},
      "now=496.25 st=14,24,72,42,417,674,0,0,24,0,0,0,"
-     "4992,69,19,15,4608, tr=72a4c47c7f44408b pl=24a5440881513275 thr="},
+     "4992,65,19,15,4608, tr=72a4c47c7f44408b pl=24a5440881513275 thr="},
     {{TopologyKind::Torus, 1, 1, 5, 3, Part::Cyclic, true},
      "now=802.25 st=28,35,105,72,417,674,0,0,35,11,6,0,"
-     "4992,69,19,15,4608, tr=99513135ef10b316 pl=24a5440881513275 thr="},
+     "4992,65,19,15,4608, tr=99513135ef10b316 pl=24a5440881513275 thr="},
     {{TopologyKind::Torus, 1, 1, 13, 13, Part::Block, false},
      "now=1391.25 st=16,28,364,208,3133,5454,0,0,28,0,0,0,"
-     "13824,77,19,15,12544, tr=9c194b4af96f53f7 pl=f1857f8f0d5b5109 thr="},
+     "13824,73,19,15,12544, tr=9c194b4af96f53f7 pl=f1857f8f0d5b5109 thr="},
     {{TopologyKind::Torus, 1, 1, 13, 13, Part::Block, true},
      "now=1715.75 st=27,37,481,312,3133,5454,0,0,37,9,5,0,"
-     "13824,77,19,15,12544, tr=596bb81a179df218 pl=f1857f8f0d5b5109 thr="},
+     "13824,73,19,15,12544, tr=596bb81a179df218 pl=f1857f8f0d5b5109 thr="},
     {{TopologyKind::Torus, 1, 1, 13, 13, Part::Cyclic, false},
      "now=1371.75 st=16,28,364,208,3055,5454,0,0,28,0,0,0,"
-     "14336,75,21,17,13056, tr=0365174482a5dee4 pl=d73daec82600da0c thr="},
+     "14336,71,21,17,13056, tr=0365174482a5dee4 pl=d73daec82600da0c thr="},
     {{TopologyKind::Torus, 1, 1, 13, 13, Part::Cyclic, true},
      "now=1777.75 st=30,39,507,338,3055,5454,0,0,39,11,6,0,"
-     "14336,75,21,17,13056, tr=30bd8f68b41511c3 pl=d73daec82600da0c thr="},
+     "14336,71,21,17,13056, tr=30bd8f68b41511c3 pl=d73daec82600da0c thr="},
     {{TopologyKind::Torus, 1, 1, 33, 20, Part::Block, false},
      "now=3226.25 st=14,24,480,280,10385,19275,0,0,24,0,0,0,"
-     "38400,73,19,15,36864, tr=9550e9ae3b508614 pl=2b977edd3c98e3db thr="},
+     "38400,69,19,15,36864, tr=9550e9ae3b508614 pl=2b977edd3c98e3db thr="},
     {{TopologyKind::Torus, 1, 1, 33, 20, Part::Block, true},
      "now=3606.75 st=25,33,660,440,10385,19275,0,0,33,9,5,0,"
-     "38400,73,19,15,36864, tr=0c65af7b58ab9535 pl=2b977edd3c98e3db thr="},
+     "38400,69,19,15,36864, tr=0c65af7b58ab9535 pl=2b977edd3c98e3db thr="},
     {{TopologyKind::Torus, 1, 1, 33, 20, Part::Cyclic, false},
      "now=3164.5 st=14,24,480,280,10138,19275,0,0,24,0,0,0,"
-     "39424,71,21,17,37888, tr=2094f59c64fc514d pl=2accccab40559c17 thr="},
+     "39424,67,21,17,37888, tr=2094f59c64fc514d pl=2accccab40559c17 thr="},
     {{TopologyKind::Torus, 1, 1, 33, 20, Part::Cyclic, true},
      "now=3640.5 st=28,35,700,480,10138,19275,0,0,35,11,6,0,"
-     "39424,71,21,17,37888, tr=0c2380151c65ed67 pl=2accccab40559c17 thr="},
+     "39424,67,21,17,37888, tr=0c2380151c65ed67 pl=2accccab40559c17 thr="},
     {{TopologyKind::Torus, 3, 1, 5, 3, Part::Block, false},
      "now=1723.75 st=45,276,582,107,235,1210,0,0,376,0,0,0,"
-     "18176,317,25,15,17408, tr=5df5436591e0feac pl=e10a54bc12f5510d thr="},
+     "18176,281,25,15,17408, tr=5df5436591e0feac pl=e10a54bc12f5510d thr="},
     {{TopologyKind::Torus, 3, 1, 5, 3, Part::Block, true},
      "now=3405.75 st=115,339,712,199,235,1210,0,0,458,63,29,0,"
-     "18176,317,25,15,17408, tr=d6c08d0e9c68ee5f pl=e10a54bc12f5510d thr="},
+     "18176,281,25,15,17408, tr=d6c08d0e9c68ee5f pl=e10a54bc12f5510d thr="},
     {{TopologyKind::Torus, 3, 1, 5, 3, Part::Cyclic, false},
      "now=1720.5 st=45,276,582,107,222,1210,0,0,376,0,0,0,"
-     "18176,317,25,15,17408, tr=ac2a337ec8d47c78 pl=dcb11b86ddeb631d thr="},
+     "18176,281,25,15,17408, tr=ac2a337ec8d47c78 pl=dcb11b86ddeb631d thr="},
     {{TopologyKind::Torus, 3, 1, 5, 3, Part::Cyclic, true},
      "now=3435 st=117,339,712,200,222,1210,0,0,458,63,29,0,"
-     "18176,317,25,15,17408, tr=a4be3f63f2b5c290 pl=dcb11b86ddeb631d thr="},
+     "18176,281,25,15,17408, tr=a4be3f63f2b5c290 pl=dcb11b86ddeb631d thr="},
     {{TopologyKind::Torus, 3, 1, 13, 13, Part::Block, false},
      "now=2272 st=48,320,1716,288,1200,6752,0,0,420,0,0,0,"
-     "31232,349,39,15,27648, tr=883617994d7be941 pl=d0142bebbd74ffa2 thr="},
+     "31232,309,39,15,27648, tr=883617994d7be941 pl=d0142bebbd74ffa2 thr="},
     {{TopologyKind::Torus, 3, 1, 13, 13, Part::Block, true},
      "now=4632.5 st=134,402,2149,579,1200,6752,0,0,531,82,44,0,"
-     "31232,349,39,15,27648, tr=68a5bcf898986859 pl=d0142bebbd74ffa2 thr="},
+     "31232,309,39,15,27648, tr=68a5bcf898986859 pl=d0142bebbd74ffa2 thr="},
     {{TopologyKind::Torus, 3, 1, 13, 13, Part::Cyclic, false},
      "now=2262.25 st=48,320,1716,288,1161,6752,0,0,420,0,0,0,"
-     "32256,347,41,17,28672, tr=c7648bd4e81aebb8 pl=3fd4cda1faa13ba6 thr="},
+     "32256,307,41,17,28672, tr=c7648bd4e81aebb8 pl=3fd4cda1faa13ba6 thr="},
     {{TopologyKind::Torus, 3, 1, 13, 13, Part::Cyclic, true},
      "now=4618.25 st=140,402,2153,583,1161,6752,0,0,529,82,44,0,"
-     "32256,347,41,17,28672, tr=6ebc22b9e1d1c2cf pl=3fd4cda1faa13ba6 thr="},
+     "32256,307,41,17,28672, tr=6ebc22b9e1d1c2cf pl=3fd4cda1faa13ba6 thr="},
     {{TopologyKind::Torus, 3, 1, 33, 20, Part::Block, false},
      "now=3155.25 st=46,304,3912,614,3149,22267,0,0,404,0,0,0,"
-     "58880,341,33,17,53248, tr=814eb1aad041da8a pl=ec18f1a4d85cbc1b thr="},
+     "58880,301,33,17,53248, tr=814eb1aad041da8a pl=ec18f1a4d85cbc1b thr="},
     {{TopologyKind::Torus, 3, 1, 33, 20, Part::Block, true},
      "now=5814.25 st=130,381,4883,1255,3149,22267,0,0,509,77,43,0,"
-     "58880,341,33,17,53248, tr=a8da95bbf2114659 pl=ec18f1a4d85cbc1b thr="},
+     "58880,301,33,17,53248, tr=a8da95bbf2114659 pl=ec18f1a4d85cbc1b thr="},
     {{TopologyKind::Torus, 3, 1, 33, 20, Part::Cyclic, false},
      "now=3145.5 st=46,304,3912,614,3110,22267,0,0,404,0,0,0,"
-     "54784,342,32,16,49152, tr=bc39203eb272da0f pl=0b79810c8bd652d6 thr="},
+     "54784,302,32,16,49152, tr=bc39203eb272da0f pl=0b79810c8bd652d6 thr="},
     {{TopologyKind::Torus, 3, 1, 33, 20, Part::Cyclic, true},
      "now=5841 st=132,380,4878,1260,3110,22267,0,0,508,76,42,0,"
-     "54784,342,32,16,49152, tr=deb575b6482ba9d2 pl=0b79810c8bd652d6 thr="},
+     "54784,302,32,16,49152, tr=deb575b6482ba9d2 pl=0b79810c8bd652d6 thr="},
     {{TopologyKind::Torus, 3, 3, 5, 3, Part::Block, false},
      "now=1532.25 st=40,246,738,120,241,1262,0,0,326,0,0,0,"
-     "18176,285,25,15,17408, tr=da2b5c673a5a2693 pl=4db6534c9b50f889 thr="},
+     "18176,257,25,15,17408, tr=da2b5c673a5a2693 pl=4db6534c9b50f889 thr="},
     {{TopologyKind::Torus, 3, 3, 5, 3, Part::Block, true},
      "now=3030.75 st=102,304,912,237,241,1262,0,0,403,58,34,0,"
-     "18176,285,25,15,17408, tr=68616a28519b2873 pl=4db6534c9b50f889 thr="},
+     "18176,257,25,15,17408, tr=68616a28519b2873 pl=4db6534c9b50f889 thr="},
     {{TopologyKind::Torus, 3, 3, 5, 3, Part::Cyclic, false},
      "now=1532.25 st=40,246,738,120,241,1262,0,0,326,0,0,0,"
-     "18176,285,25,15,17408, tr=da2b5c673a5a2693 pl=4db6534c9b50f889 thr="},
+     "18176,257,25,15,17408, tr=da2b5c673a5a2693 pl=4db6534c9b50f889 thr="},
     {{TopologyKind::Torus, 3, 3, 5, 3, Part::Cyclic, true},
      "now=3030.75 st=102,304,912,237,241,1262,0,0,403,58,34,0,"
-     "18176,285,25,15,17408, tr=68616a28519b2873 pl=4db6534c9b50f889 thr="},
+     "18176,257,25,15,17408, tr=68616a28519b2873 pl=4db6534c9b50f889 thr="},
     {{TopologyKind::Torus, 3, 3, 13, 13, Part::Block, false},
      "now=2747.25 st=48,298,3874,624,1521,8600,0,0,396,0,0,0,"
-     "32768,337,29,15,28672, tr=ac08f3d7364b5aa1 pl=4ed30327e6890c45 thr="},
+     "32768,309,29,15,28672, tr=ac08f3d7364b5aa1 pl=4ed30327e6890c45 thr="},
     {{TopologyKind::Torus, 3, 3, 13, 13, Part::Block, true},
      "now=4905.75 st=124,367,4771,1183,1521,8600,0,0,486,69,35,0,"
-     "32768,337,29,15,28672, tr=df3f9c95f477e11f pl=4ed30327e6890c45 thr="},
+     "32768,309,29,15,28672, tr=df3f9c95f477e11f pl=4ed30327e6890c45 thr="},
     {{TopologyKind::Torus, 3, 3, 13, 13, Part::Cyclic, false},
      "now=2633.25 st=46,294,3822,598,1469,8600,0,0,390,0,0,0,"
-     "30720,337,25,15,28672, tr=3fcc446708545315 pl=48b7b31e98187edb thr="},
+     "30720,309,25,15,28672, tr=3fcc446708545315 pl=48b7b31e98187edb thr="},
     {{TopologyKind::Torus, 3, 3, 13, 13, Part::Cyclic, true},
      "now=4867.25 st=120,365,4745,1196,1469,8600,0,0,481,71,40,0,"
-     "30720,337,25,15,28672, tr=981b9aac95a3ed47 pl=48b7b31e98187edb thr="},
+     "30720,309,25,15,28672, tr=981b9aac95a3ed47 pl=48b7b31e98187edb thr="},
     {{TopologyKind::Torus, 3, 3, 33, 20, Part::Block, false},
      "now=3434 st=42,250,5000,840,4056,23235,0,0,332,0,0,0,"
-     "55296,289,29,15,50176, tr=d2d7a4722e99d7ce pl=a0b3b37c75aac76f thr="},
+     "55296,261,29,15,50176, tr=d2d7a4722e99d7ce pl=a0b3b37c75aac76f thr="},
     {{TopologyKind::Torus, 3, 3, 33, 20, Part::Block, true},
      "now=5374.5 st=104,306,6120,1540,4056,23235,0,0,401,56,30,0,"
-     "55296,289,29,15,50176, tr=2a815803ddf2c173 pl=a0b3b37c75aac76f thr="},
+     "55296,261,29,15,50176, tr=2a815803ddf2c173 pl=a0b3b37c75aac76f thr="},
     {{TopologyKind::Torus, 3, 3, 33, 20, Part::Cyclic, false},
      "now=3362.5 st=42,250,5000,840,3770,23235,0,0,332,0,0,0,"
-     "55296,289,29,15,50176, tr=151d38b8d62a85be pl=34b300c6ee474fa6 thr="},
+     "55296,261,29,15,50176, tr=151d38b8d62a85be pl=34b300c6ee474fa6 thr="},
     {{TopologyKind::Torus, 3, 3, 33, 20, Part::Cyclic, true},
      "now=5608 st=113,311,6220,1640,3770,23235,0,0,408,61,33,0,"
-     "55296,289,29,15,50176, tr=2c4430b102d39431 pl=34b300c6ee474fa6 thr="},
+     "55296,261,29,15,50176, tr=2c4430b102d39431 pl=34b300c6ee474fa6 thr="},
     {{TopologyKind::Torus, 4, 2, 5, 3, Part::Block, false},
      "now=2390 st=59,672,774,90,172,1602,0,0,998,0,0,0,"
-     "35840,707,31,15,34816, tr=c4fe15116bac310f pl=e10a54bc12f5510d thr="},
+     "35840,623,31,15,34816, tr=c4fe15116bac310f pl=e10a54bc12f5510d thr="},
     {{TopologyKind::Torus, 4, 2, 5, 3, Part::Block, true},
      "now=5299 st=182,809,933,176,172,1602,0,0,1199,137,66,0,"
-     "35840,707,31,15,34816, tr=3b42d7501ff4134e pl=e10a54bc12f5510d thr="},
+     "35840,623,31,15,34816, tr=3b42d7501ff4134e pl=e10a54bc12f5510d thr="},
     {{TopologyKind::Torus, 4, 2, 5, 3, Part::Cyclic, false},
      "now=2390 st=59,672,774,90,172,1602,0,0,998,0,0,0,"
-     "35840,707,31,15,34816, tr=c4fe15116bac310f pl=d6f67c465cfbe811 thr="},
+     "35840,623,31,15,34816, tr=c4fe15116bac310f pl=d6f67c465cfbe811 thr="},
     {{TopologyKind::Torus, 4, 2, 5, 3, Part::Cyclic, true},
      "now=5597 st=188,815,939,182,172,1602,0,0,1210,143,69,0,"
-     "35840,707,31,15,34816, tr=5958276a8492f9ee pl=d6f67c465cfbe811 thr="},
+     "35840,623,31,15,34816, tr=5958276a8492f9ee pl=d6f67c465cfbe811 thr="},
     {{TopologyKind::Torus, 4, 2, 13, 13, Part::Block, false},
      "now=2952 st=64,832,2704,256,800,7984,0,0,1232,0,0,0,"
-     "39936,853,47,15,36864, tr=6c86dd31fefbba3d pl=fc041bc922ab3bee thr="},
+     "39936,757,47,15,36864, tr=6c86dd31fefbba3d pl=fc041bc922ab3bee thr="},
     {{TopologyKind::Torus, 4, 2, 13, 13, Part::Block, true},
      "now=7068.5 st=219,1022,3313,565,800,7984,0,0,1512,190,101,0,"
-     "39936,853,47,15,36864, tr=77e5a4bf73f80717 pl=fc041bc922ab3bee thr="},
+     "39936,757,47,15,36864, tr=77e5a4bf73f80717 pl=fc041bc922ab3bee thr="},
     {{TopologyKind::Torus, 4, 2, 13, 13, Part::Cyclic, false},
      "now=2945.5 st=64,832,2704,256,774,7984,0,0,1232,0,0,0,"
-     "39936,853,47,15,36864, tr=b06fb013be9459b8 pl=a34944fc9914beae thr="},
+     "39936,757,47,15,36864, tr=b06fb013be9459b8 pl=a34944fc9914beae thr="},
     {{TopologyKind::Torus, 4, 2, 13, 13, Part::Cyclic, true},
      "now=7035 st=217,1023,3318,567,774,7984,0,0,1512,191,102,0,"
-     "39936,853,47,15,36864, tr=bb21eed43c973bc1 pl=a34944fc9914beae thr="},
+     "39936,757,47,15,36864, tr=bb21eed43c973bc1 pl=a34944fc9914beae thr="},
     {{TopologyKind::Torus, 4, 2, 33, 20, Part::Block, false},
      "now=3296.75 st=60,768,5192,428,1843,23523,0,0,1136,0,0,0,"
-     "66304,777,59,15,59392, tr=eaf2d895cd44d8a1 pl=ad81c732609b9b33 thr="},
+     "66304,681,59,15,59392, tr=eaf2d895cd44d8a1 pl=ad81c732609b9b33 thr="},
     {{TopologyKind::Torus, 4, 2, 33, 20, Part::Block, true},
      "now=7464.25 st=203,942,6356,1013,1843,23523,0,0,1392,174,92,0,"
-     "66304,777,59,15,59392, tr=35654aecd857458a pl=ad81c732609b9b33 thr="},
+     "66304,681,59,15,59392, tr=35654aecd857458a pl=ad81c732609b9b33 thr="},
     {{TopologyKind::Torus, 4, 2, 33, 20, Part::Cyclic, false},
      "now=3274 st=60,768,5192,428,1752,23523,0,0,1136,0,0,0,"
-     "66304,777,59,15,59392, tr=584ec8e3bbc22a0e pl=998487e29caa95ef thr="},
+     "66304,681,59,15,59392, tr=584ec8e3bbc22a0e pl=998487e29caa95ef thr="},
     {{TopologyKind::Torus, 4, 2, 33, 20, Part::Cyclic, true},
      "now=7506 st=206,948,6386,1023,1752,23523,0,0,1398,180,95,0,"
-     "66304,777,59,15,59392, tr=ab33e5174e74e4b5 pl=998487e29caa95ef thr="},
+     "66304,681,59,15,59392, tr=ab33e5174e74e4b5 pl=998487e29caa95ef thr="},
     {{TopologyKind::Torus, 4, 4, 5, 3, Part::Block, false},
      "now=2255 st=53,638,1914,159,268,2342,0,0,946,0,0,0,"
-     "36096,669,33,15,34816, tr=8d283854370a1e1a pl=4db6534c9b50f889 thr="},
+     "36096,609,33,15,34816, tr=8d283854370a1e1a pl=4db6534c9b50f889 thr="},
     {{TopologyKind::Torus, 4, 4, 5, 3, Part::Block, true},
      "now=5299.5 st=178,807,2421,369,268,2342,0,0,1194,169,87,0,"
-     "36096,669,33,15,34816, tr=61b006d8ca2f0c43 pl=4db6534c9b50f889 thr="},
+     "36096,609,33,15,34816, tr=61b006d8ca2f0c43 pl=4db6534c9b50f889 thr="},
     {{TopologyKind::Torus, 4, 4, 5, 3, Part::Cyclic, false},
      "now=2255 st=53,638,1914,159,268,2342,0,0,946,0,0,0,"
-     "36096,669,33,15,34816, tr=8d283854370a1e1a pl=4db6534c9b50f889 thr="},
+     "36096,609,33,15,34816, tr=8d283854370a1e1a pl=4db6534c9b50f889 thr="},
     {{TopologyKind::Torus, 4, 4, 5, 3, Part::Cyclic, true},
      "now=5299.5 st=178,807,2421,369,268,2342,0,0,1194,169,87,0,"
-     "36096,669,33,15,34816, tr=61b006d8ca2f0c43 pl=4db6534c9b50f889 thr="},
+     "36096,609,33,15,34816, tr=61b006d8ca2f0c43 pl=4db6534c9b50f889 thr="},
     {{TopologyKind::Torus, 4, 4, 13, 13, Part::Block, false},
      "now=3735.5 st=62,768,9984,806,1222,14294,0,0,1142,0,0,0,"
-     "61440,800,36,16,57344, tr=2f35e9854aef28b5 pl=07931d6d88df635c thr="},
+     "61440,740,36,16,57344, tr=2f35e9854aef28b5 pl=07931d6d88df635c thr="},
     {{TopologyKind::Torus, 4, 4, 13, 13, Part::Block, true},
      "now=8411.5 st=210,967,12571,1898,1222,14294,0,0,1443,199,108,0,"
-     "61440,800,36,16,57344, tr=058d7434de51eca5 pl=07931d6d88df635c thr="},
+     "61440,740,36,16,57344, tr=058d7434de51eca5 pl=07931d6d88df635c thr="},
     {{TopologyKind::Torus, 4, 4, 13, 13, Part::Cyclic, false},
      "now=3735.5 st=62,768,9984,806,1222,14294,0,0,1142,0,0,0,"
-     "61440,800,36,16,57344, tr=2f35e9854aef28b5 pl=07931d6d88df635c thr="},
+     "61440,740,36,16,57344, tr=2f35e9854aef28b5 pl=07931d6d88df635c thr="},
     {{TopologyKind::Torus, 4, 4, 13, 13, Part::Cyclic, true},
      "now=8411.5 st=210,967,12571,1898,1222,14294,0,0,1443,199,108,0,"
-     "61440,800,36,16,57344, tr=058d7434de51eca5 pl=07931d6d88df635c thr="},
+     "61440,740,36,16,57344, tr=058d7434de51eca5 pl=07931d6d88df635c thr="},
     {{TopologyKind::Torus, 4, 4, 33, 20, Part::Block, false},
      "now=5128.25 st=69,1280,12880,730,3053,30435,0,0,1900,0,0,0,"
-     "108544,1293,55,15,100352, tr=06a2175313187e09 pl=374471ff7ad4806b thr="},
+     "108544,1173,55,15,100352, tr=06a2175313187e09 pl=374471ff7ad4806b thr="},
     {{TopologyKind::Torus, 4, 4, 33, 20, Part::Block, true},
      "now=11113.75 st=251,1590,16010,1810,3053,30435,0,0,2369,310,170,0,"
-     "108544,1293,55,15,100352, tr=5150c54fc35d9ca4 pl=374471ff7ad4806b thr="},
+     "108544,1173,55,15,100352, tr=5150c54fc35d9ca4 pl=374471ff7ad4806b thr="},
     {{TopologyKind::Torus, 4, 4, 33, 20, Part::Cyclic, false},
      "now=5136.25 st=69,1280,12880,730,2845,30435,0,0,1900,0,0,0,"
-     "104448,1292,56,16,96256, tr=7d1c6cdcd5fec546 pl=b4024e6ec2e35b0f thr="},
+     "104448,1172,56,16,96256, tr=7d1c6cdcd5fec546 pl=b4024e6ec2e35b0f thr="},
     {{TopologyKind::Torus, 4, 4, 33, 20, Part::Cyclic, true},
      "now=10864.75 st=244,1580,15910,1740,2845,30435,0,0,2358,300,162,0,"
-     "104448,1292,56,16,96256, tr=6063c20dbe5f23b4 pl=b4024e6ec2e35b0f thr="},
+     "104448,1172,56,16,96256, tr=6063c20dbe5f23b4 pl=b4024e6ec2e35b0f thr="},
     {{TopologyKind::Torus, 6, 3, 5, 3, Part::Block, false},
      "now=5245.75 st=86,2208,2208,86,119,4444,0,0,5020,0,0,0,"
-     "142400,2210,64,15,139264, tr=b47eafc1da6c5a5c pl=39d9ecc358f2fcf9 thr="},
+     "142400,1986,64,15,139264, tr=b47eafc1da6c5a5c pl=39d9ecc358f2fcf9 thr="},
     {{TopologyKind::Torus, 6, 3, 5, 3, Part::Block, true},
      "now=14967.75 st=368,2826,2826,246,119,4444,0,0,6440,618,286,0,"
-     "142400,2210,64,15,139264, tr=59ce324800f782fc pl=39d9ecc358f2fcf9 thr="},
+     "142400,1986,64,15,139264, tr=59ce324800f782fc pl=39d9ecc358f2fcf9 thr="},
     {{TopologyKind::Torus, 6, 3, 5, 3, Part::Cyclic, false},
      "now=5245.75 st=86,2208,2208,86,119,4444,0,0,5020,0,0,0,"
-     "142400,2210,64,15,139264, tr=b47eafc1da6c5a5c pl=39d9ecc358f2fcf9 thr="},
+     "142400,1986,64,15,139264, tr=b47eafc1da6c5a5c pl=39d9ecc358f2fcf9 thr="},
     {{TopologyKind::Torus, 6, 3, 5, 3, Part::Cyclic, true},
      "now=14967.75 st=368,2826,2826,246,119,4444,0,0,6440,618,286,0,"
-     "142400,2210,64,15,139264, tr=59ce324800f782fc pl=39d9ecc358f2fcf9 thr="},
+     "142400,1986,64,15,139264, tr=59ce324800f782fc pl=39d9ecc358f2fcf9 thr="},
     {{TopologyKind::Torus, 6, 3, 13, 13, Part::Block, false},
      "now=6053.75 st=96,4768,7748,192,327,13616,0,0,10848,0,0,0,"
-     "143360,4757,79,15,139264, tr=e4fd9fbc2a2ea0e7 pl=c236e30628e237f2 thr="},
+     "143360,4309,79,15,139264, tr=e4fd9fbc2a2ea0e7 pl=c236e30628e237f2 thr="},
     {{TopologyKind::Torus, 6, 3, 13, 13, Part::Block, true},
      "now=19063.25 st=471,5989,9749,586,327,13616,0,0,13597,1221,594,0,"
-     "143360,4757,79,15,139264, tr=1bfb685ea5776072 pl=c236e30628e237f2 thr="},
+     "143360,4309,79,15,139264, tr=1bfb685ea5776072 pl=c236e30628e237f2 thr="},
     {{TopologyKind::Torus, 6, 3, 13, 13, Part::Cyclic, false},
      "now=5888.5 st=92,4704,7644,184,314,13616,0,0,10752,0,0,0,"
-     "143360,4693,79,15,139264, tr=03a92413abca3f66 pl=74a1525728a9d2e6 thr="},
+     "143360,4245,79,15,139264, tr=03a92413abca3f66 pl=74a1525728a9d2e6 thr="},
     {{TopologyKind::Torus, 6, 3, 13, 13, Part::Cyclic, true},
      "now=18816 st=467,5989,9714,565,314,13616,0,0,13703,1285,601,0,"
-     "143360,4693,79,15,139264, tr=4ee81666b527d2a0 pl=74a1525728a9d2e6 thr="},
+     "143360,4245,79,15,139264, tr=4ee81666b527d2a0 pl=74a1525728a9d2e6 thr="},
     {{TopologyKind::Torus, 6, 3, 33, 20, Part::Block, false},
      "now=6161 st=90,4384,14834,366,836,34659,0,0,9952,0,0,0,"
-     "158464,4317,133,15,147456, tr=76ac25d6dfe4ad40 pl=9c485027dcb655fa thr="},
+     "158464,3869,133,15,147456, tr=76ac25d6dfe4ad40 pl=9c485027dcb655fa thr="},
     {{TopologyKind::Torus, 6, 3, 33, 20, Part::Block, true},
      "now=18815.5 st=442,5530,18688,1072,836,34659,0,0,12539,1146,554,0,"
-     "158464,4317,133,15,147456, tr=835791b5847a005a pl=9c485027dcb655fa thr="},
+     "158464,3869,133,15,147456, tr=835791b5847a005a pl=9c485027dcb655fa thr="},
     {{TopologyKind::Torus, 6, 3, 33, 20, Part::Cyclic, false},
      "now=6038 st=89,4368,14768,361,784,34659,0,0,9888,0,0,0,"
-     "155648,4323,111,15,147456, tr=2d24db8c27c432bd pl=013fd8f0b95584f6 thr="},
+     "155648,3875,111,15,147456, tr=2d24db8c27c432bd pl=013fd8f0b95584f6 thr="},
     {{TopologyKind::Torus, 6, 3, 33, 20, Part::Cyclic, true},
      "now=19039 st=452,5522,18655,1092,784,34659,0,0,12506,1154,549,0,"
-     "155648,4323,111,15,147456, tr=4de5539f3aa9b4e7 pl=013fd8f0b95584f6 thr="},
+     "155648,3875,111,15,147456, tr=4de5539f3aa9b4e7 pl=013fd8f0b95584f6 thr="},
     {{TopologyKind::Torus, 6, 6, 5, 3, Part::Block, false},
      "now=5183.5 st=79,3710,11130,237,322,10982,0,0,8504,0,0,0,"
-     "143616,3693,81,15,139264, tr=06b2535c62f1c992 pl=4db6534c9b50f889 thr="},
+     "143616,3441,81,15,139264, tr=06b2535c62f1c992 pl=4db6534c9b50f889 thr="},
     {{TopologyKind::Torus, 6, 6, 5, 3, Part::Block, true},
      "now=15425.25 st=366,4671,14013,711,319,10790,0,0,10712,961,461,0,"
-     "143616,3693,81,15,139264, tr=90f5b992333de53c pl=932bd47c847c7f42 thr=40,"},
+     "143616,3441,81,15,139264, tr=90f5b992333de53c pl=932bd47c847c7f42 thr=40,"},
     {{TopologyKind::Torus, 6, 6, 5, 3, Part::Cyclic, false},
      "now=5183.5 st=79,3710,11130,237,322,10982,0,0,8504,0,0,0,"
-     "143616,3693,81,15,139264, tr=06b2535c62f1c992 pl=4db6534c9b50f889 thr="},
+     "143616,3441,81,15,139264, tr=06b2535c62f1c992 pl=4db6534c9b50f889 thr="},
     {{TopologyKind::Torus, 6, 6, 5, 3, Part::Cyclic, true},
      "now=15425.25 st=366,4671,14013,711,319,10790,0,0,10712,961,461,0,"
-     "143616,3693,81,15,139264, tr=90f5b992333de53c pl=932bd47c847c7f42 thr=40,"},
+     "143616,3441,81,15,139264, tr=90f5b992333de53c pl=932bd47c847c7f42 thr=40,"},
     {{TopologyKind::Torus, 6, 6, 13, 13, Part::Block, false},
      "now=10454 st=107,8956,58240,746,1508,60054,0,0,20586,0,0,0,"
-     "239616,8876,148,16,229376, tr=7a3e6fe4c5f95aae pl=07931d6d88df635c thr="},
+     "239616,8372,148,16,229376, tr=7a3e6fe4c5f95aae pl=07931d6d88df635c thr="},
     {{TopologyKind::Torus, 6, 6, 13, 13, Part::Block, true},
      "now=31070 st=568,11209,72917,2403,1508,60054,0,0,25763,2253,1172,0,"
-     "239616,8876,148,16,229376, tr=27c4d1bf45adac95 pl=07931d6d88df635c thr="},
+     "239616,8372,148,16,229376, tr=27c4d1bf45adac95 pl=07931d6d88df635c thr="},
     {{TopologyKind::Torus, 6, 6, 13, 13, Part::Cyclic, false},
      "now=10454 st=107,8956,58240,746,1508,60054,0,0,20586,0,0,0,"
-     "239616,8876,148,16,229376, tr=7a3e6fe4c5f95aae pl=07931d6d88df635c thr="},
+     "239616,8372,148,16,229376, tr=7a3e6fe4c5f95aae pl=07931d6d88df635c thr="},
     {{TopologyKind::Torus, 6, 6, 13, 13, Part::Cyclic, true},
      "now=31070 st=568,11209,72917,2403,1508,60054,0,0,25763,2253,1172,0,"
-     "239616,8876,148,16,229376, tr=27c4d1bf45adac95 pl=07931d6d88df635c thr="},
+     "239616,8372,148,16,229376, tr=27c4d1bf45adac95 pl=07931d6d88df635c thr="},
     {{TopologyKind::Torus, 6, 6, 33, 20, Part::Block, false},
      "now=10113.25 st=92,7418,74200,930,2073,87995,0,0,17000,0,0,0,"
-     "353280,7340,146,16,335872, tr=71ce68dd7f2d25cd pl=bac48b6690f334e7 thr="},
+     "353280,6836,146,16,335872, tr=71ce68dd7f2d25cd pl=bac48b6690f334e7 thr="},
     {{TopologyKind::Torus, 6, 6, 33, 20, Part::Block, true},
      "now=28648.75 st=480,9318,93210,3030,2073,87995,0,0,21383,1900,968,0,"
-     "353280,7340,146,16,335872, tr=f7f49222501096a2 pl=bac48b6690f334e7 thr="},
+     "353280,6836,146,16,335872, tr=f7f49222501096a2 pl=bac48b6690f334e7 thr="},
     {{TopologyKind::Torus, 6, 6, 33, 20, Part::Cyclic, false},
      "now=10113.25 st=92,7418,74200,930,2073,87995,0,0,17000,0,0,0,"
-     "353280,7340,146,16,335872, tr=71ce68dd7f2d25cd pl=bac48b6690f334e7 thr="},
+     "353280,6836,146,16,335872, tr=71ce68dd7f2d25cd pl=bac48b6690f334e7 thr="},
     {{TopologyKind::Torus, 6, 6, 33, 20, Part::Cyclic, true},
      "now=28648.75 st=480,9318,93210,3030,2073,87995,0,0,21383,1900,968,0,"
-     "353280,7340,146,16,335872, tr=f7f49222501096a2 pl=bac48b6690f334e7 thr="},
+     "353280,6836,146,16,335872, tr=f7f49222501096a2 pl=bac48b6690f334e7 thr="},
     {{TopologyKind::Dragonfly, 1, 0, 5, 3, Part::Block, false},
      "now=604 st=16,28,140,80,496,730,0,0,28,0,0,0,"
-     "4992,73,19,15,4608, tr=a740f7cd8ceddc72 pl=3db480d0facae76d thr="},
+     "4992,69,19,15,4608, tr=a740f7cd8ceddc72 pl=3db480d0facae76d thr="},
     {{TopologyKind::Dragonfly, 1, 0, 5, 3, Part::Block, true},
      "now=899 st=29,38,190,125,496,730,0,0,38,10,6,0,"
-     "4992,73,19,15,4608, tr=6d90e4c444c9bbcd pl=3db480d0facae76d thr="},
+     "4992,69,19,15,4608, tr=6d90e4c444c9bbcd pl=3db480d0facae76d thr="},
     {{TopologyKind::Dragonfly, 1, 0, 5, 3, Part::Cyclic, false},
      "now=600.75 st=16,28,140,80,483,730,0,0,28,0,0,0,"
-     "4992,73,19,15,4608, tr=3226a9c240f944f2 pl=7b25ffaf5f87d905 thr="},
+     "4992,69,19,15,4608, tr=3226a9c240f944f2 pl=7b25ffaf5f87d905 thr="},
     {{TopologyKind::Dragonfly, 1, 0, 5, 3, Part::Cyclic, true},
      "now=929.25 st=31,39,195,130,483,730,0,0,39,11,6,0,"
-     "4992,73,19,15,4608, tr=0e0299d863e362c6 pl=7b25ffaf5f87d905 thr="},
+     "4992,69,19,15,4608, tr=0e0299d863e362c6 pl=7b25ffaf5f87d905 thr="},
     {{TopologyKind::Dragonfly, 1, 0, 13, 13, Part::Block, false},
      "now=1369 st=16,28,364,208,3044,5454,0,0,28,0,0,0,"
-     "14592,75,21,17,13312, tr=b195b6db63777133 pl=24a85cadde3ae39d thr="},
+     "14592,71,21,17,13312, tr=b195b6db63777133 pl=24a85cadde3ae39d thr="},
     {{TopologyKind::Dragonfly, 1, 0, 13, 13, Part::Block, true},
      "now=1736 st=29,38,494,325,3044,5454,0,0,38,10,6,0,"
-     "14592,75,21,17,13312, tr=2ac6041d86490868 pl=24a85cadde3ae39d thr="},
+     "14592,71,21,17,13312, tr=2ac6041d86490868 pl=24a85cadde3ae39d thr="},
     {{TopologyKind::Dragonfly, 1, 0, 13, 13, Part::Cyclic, false},
      "now=1359.25 st=16,28,364,208,3005,5454,0,0,28,0,0,0,"
-     "14592,75,21,17,13312, tr=62d4e56f36da9bf6 pl=b2c654e3b5807ee2 thr="},
+     "14592,71,21,17,13312, tr=62d4e56f36da9bf6 pl=b2c654e3b5807ee2 thr="},
     {{TopologyKind::Dragonfly, 1, 0, 13, 13, Part::Cyclic, true},
      "now=1765.25 st=30,39,507,338,3005,5454,0,0,39,11,6,0,"
-     "14592,75,21,17,13312, tr=984d3b1377954d71 pl=b2c654e3b5807ee2 thr="},
+     "14592,71,21,17,13312, tr=984d3b1377954d71 pl=b2c654e3b5807ee2 thr="},
     {{TopologyKind::Dragonfly, 1, 0, 33, 20, Part::Block, false},
      "now=3454.75 st=16,28,924,528,10107,19641,0,0,28,0,0,0,"
-     "46592,76,22,18,43520, tr=9a77b13e1380d3bc pl=4c94f14a186c486f thr="},
+     "46592,72,22,18,43520, tr=9a77b13e1380d3bc pl=4c94f14a186c486f thr="},
     {{TopologyKind::Dragonfly, 1, 0, 33, 20, Part::Block, true},
      "now=4004.25 st=30,38,1254,825,10107,19641,0,0,38,10,6,0,"
-     "46592,76,22,18,43520, tr=6d3383b4def8e8c0 pl=4c94f14a186c486f thr="},
+     "46592,72,22,18,43520, tr=6d3383b4def8e8c0 pl=4c94f14a186c486f thr="},
     {{TopologyKind::Dragonfly, 1, 0, 33, 20, Part::Cyclic, false},
      "now=3461.25 st=16,28,924,528,10133,19641,0,0,28,0,0,0,"
-     "46592,76,22,18,43520, tr=52c30bfa30ce6824 pl=40daef477a74aebf thr="},
+     "46592,72,22,18,43520, tr=52c30bfa30ce6824 pl=40daef477a74aebf thr="},
     {{TopologyKind::Dragonfly, 1, 0, 33, 20, Part::Cyclic, true},
      "now=4008.25 st=29,38,1254,825,10133,19641,0,0,38,10,6,0,"
-     "46592,76,22,18,43520, tr=56610cd74824e62a pl=40daef477a74aebf thr="},
+     "46592,72,22,18,43520, tr=56610cd74824e62a pl=40daef477a74aebf thr="},
     {{TopologyKind::Dragonfly, 1, 1, 5, 3, Part::Block, false},
      "now=502.75 st=14,24,72,42,443,674,0,0,24,0,0,0,"
-     "4992,69,19,15,4608, tr=4070d7fd6f6b3974 pl=d9fffbd2bdf0a31d thr="},
+     "4992,65,19,15,4608, tr=4070d7fd6f6b3974 pl=d9fffbd2bdf0a31d thr="},
     {{TopologyKind::Dragonfly, 1, 1, 5, 3, Part::Block, true},
      "now=747.25 st=25,33,99,66,443,674,0,0,33,9,5,0,"
-     "4992,69,19,15,4608, tr=7c3c934794548dfe pl=d9fffbd2bdf0a31d thr="},
+     "4992,65,19,15,4608, tr=7c3c934794548dfe pl=d9fffbd2bdf0a31d thr="},
     {{TopologyKind::Dragonfly, 1, 1, 5, 3, Part::Cyclic, false},
      "now=496.25 st=14,24,72,42,417,674,0,0,24,0,0,0,"
-     "4992,69,19,15,4608, tr=72a4c47c7f44408b pl=24a5440881513275 thr="},
+     "4992,65,19,15,4608, tr=72a4c47c7f44408b pl=24a5440881513275 thr="},
     {{TopologyKind::Dragonfly, 1, 1, 5, 3, Part::Cyclic, true},
      "now=802.25 st=28,35,105,72,417,674,0,0,35,11,6,0,"
-     "4992,69,19,15,4608, tr=99513135ef10b316 pl=24a5440881513275 thr="},
+     "4992,65,19,15,4608, tr=99513135ef10b316 pl=24a5440881513275 thr="},
     {{TopologyKind::Dragonfly, 1, 1, 13, 13, Part::Block, false},
      "now=1391.25 st=16,28,364,208,3133,5454,0,0,28,0,0,0,"
-     "13824,77,19,15,12544, tr=9c194b4af96f53f7 pl=f1857f8f0d5b5109 thr="},
+     "13824,73,19,15,12544, tr=9c194b4af96f53f7 pl=f1857f8f0d5b5109 thr="},
     {{TopologyKind::Dragonfly, 1, 1, 13, 13, Part::Block, true},
      "now=1715.75 st=27,37,481,312,3133,5454,0,0,37,9,5,0,"
-     "13824,77,19,15,12544, tr=596bb81a179df218 pl=f1857f8f0d5b5109 thr="},
+     "13824,73,19,15,12544, tr=596bb81a179df218 pl=f1857f8f0d5b5109 thr="},
     {{TopologyKind::Dragonfly, 1, 1, 13, 13, Part::Cyclic, false},
      "now=1371.75 st=16,28,364,208,3055,5454,0,0,28,0,0,0,"
-     "14336,75,21,17,13056, tr=0365174482a5dee4 pl=d73daec82600da0c thr="},
+     "14336,71,21,17,13056, tr=0365174482a5dee4 pl=d73daec82600da0c thr="},
     {{TopologyKind::Dragonfly, 1, 1, 13, 13, Part::Cyclic, true},
      "now=1777.75 st=30,39,507,338,3055,5454,0,0,39,11,6,0,"
-     "14336,75,21,17,13056, tr=30bd8f68b41511c3 pl=d73daec82600da0c thr="},
+     "14336,71,21,17,13056, tr=30bd8f68b41511c3 pl=d73daec82600da0c thr="},
     {{TopologyKind::Dragonfly, 1, 1, 33, 20, Part::Block, false},
      "now=3226.25 st=14,24,480,280,10385,19275,0,0,24,0,0,0,"
-     "38400,73,19,15,36864, tr=9550e9ae3b508614 pl=2b977edd3c98e3db thr="},
+     "38400,69,19,15,36864, tr=9550e9ae3b508614 pl=2b977edd3c98e3db thr="},
     {{TopologyKind::Dragonfly, 1, 1, 33, 20, Part::Block, true},
      "now=3606.75 st=25,33,660,440,10385,19275,0,0,33,9,5,0,"
-     "38400,73,19,15,36864, tr=0c65af7b58ab9535 pl=2b977edd3c98e3db thr="},
+     "38400,69,19,15,36864, tr=0c65af7b58ab9535 pl=2b977edd3c98e3db thr="},
     {{TopologyKind::Dragonfly, 1, 1, 33, 20, Part::Cyclic, false},
      "now=3164.5 st=14,24,480,280,10138,19275,0,0,24,0,0,0,"
-     "39424,71,21,17,37888, tr=2094f59c64fc514d pl=2accccab40559c17 thr="},
+     "39424,67,21,17,37888, tr=2094f59c64fc514d pl=2accccab40559c17 thr="},
     {{TopologyKind::Dragonfly, 1, 1, 33, 20, Part::Cyclic, true},
      "now=3640.5 st=28,35,700,480,10138,19275,0,0,35,11,6,0,"
-     "39424,71,21,17,37888, tr=0c2380151c65ed67 pl=2accccab40559c17 thr="},
+     "39424,67,21,17,37888, tr=0c2380151c65ed67 pl=2accccab40559c17 thr="},
     {{TopologyKind::Dragonfly, 3, 1, 5, 3, Part::Block, false},
      "now=2368.75 st=45,276,582,107,235,1210,0,0,372,0,0,0,"
-     "18176,317,25,15,17408, tr=c674e046e6d805a5 pl=e10a54bc12f5510d thr="},
+     "18176,281,25,15,17408, tr=c674e046e6d805a5 pl=e10a54bc12f5510d thr="},
     {{TopologyKind::Dragonfly, 3, 1, 5, 3, Part::Block, true},
      "now=4420.75 st=115,339,712,199,235,1210,0,0,455,63,29,0,"
-     "18176,317,25,15,17408, tr=466b3a35be2698c1 pl=e10a54bc12f5510d thr="},
+     "18176,281,25,15,17408, tr=466b3a35be2698c1 pl=e10a54bc12f5510d thr="},
     {{TopologyKind::Dragonfly, 3, 1, 5, 3, Part::Cyclic, false},
      "now=2365.5 st=45,276,582,107,222,1210,0,0,372,0,0,0,"
-     "18176,317,25,15,17408, tr=868818c4ae8f4f66 pl=dcb11b86ddeb631d thr="},
+     "18176,281,25,15,17408, tr=868818c4ae8f4f66 pl=dcb11b86ddeb631d thr="},
     {{TopologyKind::Dragonfly, 3, 1, 5, 3, Part::Cyclic, true},
      "now=4424 st=117,339,712,200,222,1210,0,0,453,63,29,0,"
-     "18176,317,25,15,17408, tr=5876747cafefe390 pl=dcb11b86ddeb631d thr="},
+     "18176,281,25,15,17408, tr=5876747cafefe390 pl=dcb11b86ddeb631d thr="},
     {{TopologyKind::Dragonfly, 3, 1, 13, 13, Part::Block, false},
      "now=3132 st=48,320,1716,288,1200,6752,0,0,488,0,0,0,"
-     "31232,349,39,15,27648, tr=5b27f70b41622945 pl=d0142bebbd74ffa2 thr="},
+     "31232,309,39,15,27648, tr=5b27f70b41622945 pl=d0142bebbd74ffa2 thr="},
     {{TopologyKind::Dragonfly, 3, 1, 13, 13, Part::Block, true},
      "now=6425.5 st=134,402,2149,579,1200,6752,0,0,616,82,44,0,"
-     "31232,349,39,15,27648, tr=a05a5729224db99b pl=d0142bebbd74ffa2 thr="},
+     "31232,309,39,15,27648, tr=a05a5729224db99b pl=d0142bebbd74ffa2 thr="},
     {{TopologyKind::Dragonfly, 3, 1, 13, 13, Part::Cyclic, false},
      "now=3122.25 st=48,320,1716,288,1161,6752,0,0,488,0,0,0,"
-     "32256,347,41,17,28672, tr=7d43c89945f95b76 pl=3fd4cda1faa13ba6 thr="},
+     "32256,307,41,17,28672, tr=7d43c89945f95b76 pl=3fd4cda1faa13ba6 thr="},
     {{TopologyKind::Dragonfly, 3, 1, 13, 13, Part::Cyclic, true},
      "now=6430.25 st=140,402,2153,583,1161,6752,0,0,612,82,44,0,"
-     "32256,347,41,17,28672, tr=03f44968176edb07 pl=3fd4cda1faa13ba6 thr="},
+     "32256,307,41,17,28672, tr=03f44968176edb07 pl=3fd4cda1faa13ba6 thr="},
     {{TopologyKind::Dragonfly, 3, 1, 33, 20, Part::Block, false},
      "now=3811.25 st=46,304,3912,614,3149,22267,0,0,448,0,0,0,"
-     "58880,341,33,17,53248, tr=17245cca85a4005c pl=ec18f1a4d85cbc1b thr="},
+     "58880,301,33,17,53248, tr=17245cca85a4005c pl=ec18f1a4d85cbc1b thr="},
     {{TopologyKind::Dragonfly, 3, 1, 33, 20, Part::Block, true},
      "now=7209.25 st=130,381,4883,1255,3149,22267,0,0,565,77,43,0,"
-     "58880,341,33,17,53248, tr=5727819620f3b0f7 pl=ec18f1a4d85cbc1b thr="},
+     "58880,301,33,17,53248, tr=5727819620f3b0f7 pl=ec18f1a4d85cbc1b thr="},
     {{TopologyKind::Dragonfly, 3, 1, 33, 20, Part::Cyclic, false},
      "now=3801.5 st=46,304,3912,614,3110,22267,0,0,448,0,0,0,"
-     "54784,342,32,16,49152, tr=4878a181ecc01a01 pl=0b79810c8bd652d6 thr="},
+     "54784,302,32,16,49152, tr=4878a181ecc01a01 pl=0b79810c8bd652d6 thr="},
     {{TopologyKind::Dragonfly, 3, 1, 33, 20, Part::Cyclic, true},
      "now=7201 st=132,380,4878,1260,3110,22267,0,0,560,76,42,0,"
-     "54784,342,32,16,49152, tr=a06b338c772229e3 pl=0b79810c8bd652d6 thr="},
+     "54784,302,32,16,49152, tr=a06b338c772229e3 pl=0b79810c8bd652d6 thr="},
     {{TopologyKind::Dragonfly, 3, 3, 5, 3, Part::Block, false},
      "now=2161.25 st=40,246,738,120,241,1262,0,0,358,0,0,0,"
-     "18176,285,25,15,17408, tr=48b49ae52ce5275e pl=4db6534c9b50f889 thr="},
+     "18176,257,25,15,17408, tr=48b49ae52ce5275e pl=4db6534c9b50f889 thr="},
     {{TopologyKind::Dragonfly, 3, 3, 5, 3, Part::Block, true},
      "now=4718.75 st=102,304,912,237,241,1262,0,0,460,58,34,0,"
-     "18176,285,25,15,17408, tr=5596d39ebf30b848 pl=4db6534c9b50f889 thr="},
+     "18176,257,25,15,17408, tr=5596d39ebf30b848 pl=4db6534c9b50f889 thr="},
     {{TopologyKind::Dragonfly, 3, 3, 5, 3, Part::Cyclic, false},
      "now=2161.25 st=40,246,738,120,241,1262,0,0,358,0,0,0,"
-     "18176,285,25,15,17408, tr=48b49ae52ce5275e pl=4db6534c9b50f889 thr="},
+     "18176,257,25,15,17408, tr=48b49ae52ce5275e pl=4db6534c9b50f889 thr="},
     {{TopologyKind::Dragonfly, 3, 3, 5, 3, Part::Cyclic, true},
      "now=4718.75 st=102,304,912,237,241,1262,0,0,460,58,34,0,"
-     "18176,285,25,15,17408, tr=5596d39ebf30b848 pl=4db6534c9b50f889 thr="},
+     "18176,257,25,15,17408, tr=5596d39ebf30b848 pl=4db6534c9b50f889 thr="},
     {{TopologyKind::Dragonfly, 3, 3, 13, 13, Part::Block, false},
      "now=3783.25 st=48,298,3874,624,1521,8600,0,0,438,0,0,0,"
-     "32768,337,29,15,28672, tr=6734fa002424a1ce pl=4ed30327e6890c45 thr="},
+     "32768,309,29,15,28672, tr=6734fa002424a1ce pl=4ed30327e6890c45 thr="},
     {{TopologyKind::Dragonfly, 3, 3, 13, 13, Part::Block, true},
      "now=6906.75 st=124,367,4771,1183,1521,8600,0,0,551,69,35,0,"
-     "32768,337,29,15,28672, tr=5c4709bbe8023e89 pl=4ed30327e6890c45 thr="},
+     "32768,309,29,15,28672, tr=5c4709bbe8023e89 pl=4ed30327e6890c45 thr="},
     {{TopologyKind::Dragonfly, 3, 3, 13, 13, Part::Cyclic, false},
      "now=3594.25 st=46,294,3822,598,1469,8600,0,0,430,0,0,0,"
-     "30720,337,25,15,28672, tr=e6f381b8c1364f26 pl=48b7b31e98187edb thr="},
+     "30720,309,25,15,28672, tr=e6f381b8c1364f26 pl=48b7b31e98187edb thr="},
     {{TopologyKind::Dragonfly, 3, 3, 13, 13, Part::Cyclic, true},
      "now=6993.25 st=120,365,4745,1196,1469,8600,0,0,551,71,40,0,"
-     "30720,337,25,15,28672, tr=5ce114bbb8ab88e0 pl=48b7b31e98187edb thr="},
+     "30720,309,25,15,28672, tr=5ce114bbb8ab88e0 pl=48b7b31e98187edb thr="},
     {{TopologyKind::Dragonfly, 3, 3, 33, 20, Part::Block, false},
      "now=4444 st=42,250,5000,840,4056,23235,0,0,366,0,0,0,"
-     "55296,289,29,15,50176, tr=b4d0af6de3c5703c pl=a0b3b37c75aac76f thr="},
+     "55296,261,29,15,50176, tr=b4d0af6de3c5703c pl=a0b3b37c75aac76f thr="},
     {{TopologyKind::Dragonfly, 3, 3, 33, 20, Part::Block, true},
      "now=7454.5 st=104,306,6120,1540,4056,23235,0,0,464,56,30,0,"
-     "55296,289,29,15,50176, tr=0f2c9fed3947d096 pl=a0b3b37c75aac76f thr="},
+     "55296,261,29,15,50176, tr=0f2c9fed3947d096 pl=a0b3b37c75aac76f thr="},
     {{TopologyKind::Dragonfly, 3, 3, 33, 20, Part::Cyclic, false},
      "now=4222.5 st=42,250,5000,840,3770,23235,0,0,360,0,0,0,"
-     "55296,289,29,15,50176, tr=2b461afabf55fb63 pl=34b300c6ee474fa6 thr="},
+     "55296,261,29,15,50176, tr=2b461afabf55fb63 pl=34b300c6ee474fa6 thr="},
     {{TopologyKind::Dragonfly, 3, 3, 33, 20, Part::Cyclic, true},
      "now=7488 st=113,311,6220,1640,3770,23235,0,0,461,61,33,0,"
-     "55296,289,29,15,50176, tr=95f484064f6b58ed pl=34b300c6ee474fa6 thr="},
+     "55296,261,29,15,50176, tr=95f484064f6b58ed pl=34b300c6ee474fa6 thr="},
     {{TopologyKind::Dragonfly, 4, 2, 5, 3, Part::Block, false},
      "now=3764 st=59,672,774,90,172,1602,0,0,1024,0,0,0,"
-     "35840,707,31,15,34816, tr=ded256b5487364c2 pl=e10a54bc12f5510d thr="},
+     "35840,623,31,15,34816, tr=ded256b5487364c2 pl=e10a54bc12f5510d thr="},
     {{TopologyKind::Dragonfly, 4, 2, 5, 3, Part::Block, true},
      "now=7645 st=182,809,933,176,172,1602,0,0,1236,137,66,0,"
-     "35840,707,31,15,34816, tr=2db8d8b7010380e3 pl=e10a54bc12f5510d thr="},
+     "35840,623,31,15,34816, tr=2db8d8b7010380e3 pl=e10a54bc12f5510d thr="},
     {{TopologyKind::Dragonfly, 4, 2, 5, 3, Part::Cyclic, false},
      "now=3764 st=59,672,774,90,172,1602,0,0,1024,0,0,0,"
-     "35840,707,31,15,34816, tr=ded256b5487364c2 pl=d6f67c465cfbe811 thr="},
+     "35840,623,31,15,34816, tr=ded256b5487364c2 pl=d6f67c465cfbe811 thr="},
     {{TopologyKind::Dragonfly, 4, 2, 5, 3, Part::Cyclic, true},
      "now=8243 st=188,815,939,182,172,1602,0,0,1252,143,69,0,"
-     "35840,707,31,15,34816, tr=70e32a708e5d3672 pl=d6f67c465cfbe811 thr="},
+     "35840,623,31,15,34816, tr=70e32a708e5d3672 pl=d6f67c465cfbe811 thr="},
     {{TopologyKind::Dragonfly, 4, 2, 13, 13, Part::Block, false},
      "now=4744 st=64,832,2704,256,800,7984,0,0,1456,0,0,0,"
-     "39936,853,47,15,36864, tr=1f1da395c950bc8d pl=fc041bc922ab3bee thr="},
+     "39936,757,47,15,36864, tr=1f1da395c950bc8d pl=fc041bc922ab3bee thr="},
     {{TopologyKind::Dragonfly, 4, 2, 13, 13, Part::Block, true},
      "now=10955.5 st=219,1022,3313,565,800,7984,0,0,1804,190,101,0,"
-     "39936,853,47,15,36864, tr=c8da34bb985faa70 pl=fc041bc922ab3bee thr="},
+     "39936,757,47,15,36864, tr=c8da34bb985faa70 pl=fc041bc922ab3bee thr="},
     {{TopologyKind::Dragonfly, 4, 2, 13, 13, Part::Cyclic, false},
      "now=4737.5 st=64,832,2704,256,774,7984,0,0,1456,0,0,0,"
-     "39936,853,47,15,36864, tr=7e3c255b4cd2ad3f pl=a34944fc9914beae thr="},
+     "39936,757,47,15,36864, tr=7e3c255b4cd2ad3f pl=a34944fc9914beae thr="},
     {{TopologyKind::Dragonfly, 4, 2, 13, 13, Part::Cyclic, true},
      "now=10950 st=217,1023,3318,567,774,7984,0,0,1811,191,102,0,"
-     "39936,853,47,15,36864, tr=696a1dc7e50bed4c pl=a34944fc9914beae thr="},
+     "39936,757,47,15,36864, tr=696a1dc7e50bed4c pl=a34944fc9914beae thr="},
     {{TopologyKind::Dragonfly, 4, 2, 33, 20, Part::Block, false},
      "now=4908.75 st=60,768,5192,428,1843,23523,0,0,1296,0,0,0,"
-     "66304,777,59,15,59392, tr=e003a4207d60cdfa pl=ad81c732609b9b33 thr="},
+     "66304,681,59,15,59392, tr=e003a4207d60cdfa pl=ad81c732609b9b33 thr="},
     {{TopologyKind::Dragonfly, 4, 2, 33, 20, Part::Block, true},
      "now=10862.25 st=203,942,6356,1013,1843,23523,0,0,1607,174,92,0,"
-     "66304,777,59,15,59392, tr=2ac556583a7309a8 pl=ad81c732609b9b33 thr="},
+     "66304,681,59,15,59392, tr=2ac556583a7309a8 pl=ad81c732609b9b33 thr="},
     {{TopologyKind::Dragonfly, 4, 2, 33, 20, Part::Cyclic, false},
      "now=4886 st=60,768,5192,428,1752,23523,0,0,1296,0,0,0,"
-     "66304,777,59,15,59392, tr=a01e0b7866628914 pl=998487e29caa95ef thr="},
+     "66304,681,59,15,59392, tr=a01e0b7866628914 pl=998487e29caa95ef thr="},
     {{TopologyKind::Dragonfly, 4, 2, 33, 20, Part::Cyclic, true},
      "now=11059 st=206,948,6386,1023,1752,23523,0,0,1623,180,95,0,"
-     "66304,777,59,15,59392, tr=3513a99693c2ac1a pl=998487e29caa95ef thr="},
+     "66304,681,59,15,59392, tr=3513a99693c2ac1a pl=998487e29caa95ef thr="},
     {{TopologyKind::Dragonfly, 4, 4, 5, 3, Part::Block, false},
      "now=3613 st=53,638,1914,159,268,2342,0,0,1088,0,0,0,"
-     "36096,669,33,15,34816, tr=f70e569009d7f505 pl=4db6534c9b50f889 thr="},
+     "36096,609,33,15,34816, tr=f70e569009d7f505 pl=4db6534c9b50f889 thr="},
     {{TopologyKind::Dragonfly, 4, 4, 5, 3, Part::Block, true},
      "now=8238.5 st=178,807,2421,369,268,2342,0,0,1390,169,87,0,"
-     "36096,669,33,15,34816, tr=f4d168890984be2f pl=4db6534c9b50f889 thr="},
+     "36096,609,33,15,34816, tr=f4d168890984be2f pl=4db6534c9b50f889 thr="},
     {{TopologyKind::Dragonfly, 4, 4, 5, 3, Part::Cyclic, false},
      "now=3613 st=53,638,1914,159,268,2342,0,0,1088,0,0,0,"
-     "36096,669,33,15,34816, tr=f70e569009d7f505 pl=4db6534c9b50f889 thr="},
+     "36096,609,33,15,34816, tr=f70e569009d7f505 pl=4db6534c9b50f889 thr="},
     {{TopologyKind::Dragonfly, 4, 4, 5, 3, Part::Cyclic, true},
      "now=8238.5 st=178,807,2421,369,268,2342,0,0,1390,169,87,0,"
-     "36096,669,33,15,34816, tr=f4d168890984be2f pl=4db6534c9b50f889 thr="},
+     "36096,609,33,15,34816, tr=f4d168890984be2f pl=4db6534c9b50f889 thr="},
     {{TopologyKind::Dragonfly, 4, 4, 13, 13, Part::Block, false},
      "now=5794.5 st=62,768,9984,806,1222,14294,0,0,1318,0,0,0,"
-     "61440,800,36,16,57344, tr=2a77b167e1311540 pl=07931d6d88df635c thr="},
+     "61440,740,36,16,57344, tr=2a77b167e1311540 pl=07931d6d88df635c thr="},
     {{TopologyKind::Dragonfly, 4, 4, 13, 13, Part::Block, true},
      "now=12208.5 st=210,967,12571,1898,1222,14294,0,0,1659,199,108,0,"
-     "61440,800,36,16,57344, tr=db06880bf08fa2d7 pl=07931d6d88df635c thr="},
+     "61440,740,36,16,57344, tr=db06880bf08fa2d7 pl=07931d6d88df635c thr="},
     {{TopologyKind::Dragonfly, 4, 4, 13, 13, Part::Cyclic, false},
      "now=5794.5 st=62,768,9984,806,1222,14294,0,0,1318,0,0,0,"
-     "61440,800,36,16,57344, tr=2a77b167e1311540 pl=07931d6d88df635c thr="},
+     "61440,740,36,16,57344, tr=2a77b167e1311540 pl=07931d6d88df635c thr="},
     {{TopologyKind::Dragonfly, 4, 4, 13, 13, Part::Cyclic, true},
      "now=12208.5 st=210,967,12571,1898,1222,14294,0,0,1659,199,108,0,"
-     "61440,800,36,16,57344, tr=db06880bf08fa2d7 pl=07931d6d88df635c thr="},
+     "61440,740,36,16,57344, tr=db06880bf08fa2d7 pl=07931d6d88df635c thr="},
     {{TopologyKind::Dragonfly, 4, 4, 33, 20, Part::Block, false},
      "now=7078.25 st=69,1280,12880,730,3053,30435,0,0,2195,0,0,0,"
-     "108544,1293,55,15,100352, tr=00414fb0e63356d1 pl=374471ff7ad4806b thr="},
+     "108544,1173,55,15,100352, tr=00414fb0e63356d1 pl=374471ff7ad4806b thr="},
     {{TopologyKind::Dragonfly, 4, 4, 33, 20, Part::Block, true},
      "now=15398.75 st=251,1590,16010,1810,3053,30435,0,0,2749,310,170,0,"
-     "108544,1293,55,15,100352, tr=efce42359a73ae0b pl=374471ff7ad4806b thr="},
+     "108544,1173,55,15,100352, tr=efce42359a73ae0b pl=374471ff7ad4806b thr="},
     {{TopologyKind::Dragonfly, 4, 4, 33, 20, Part::Cyclic, false},
      "now=6951.25 st=69,1280,12880,730,2845,30435,0,0,2183,0,0,0,"
-     "104448,1292,56,16,96256, tr=2d70fbc8abb62fb1 pl=b4024e6ec2e35b0f thr="},
+     "104448,1172,56,16,96256, tr=2d70fbc8abb62fb1 pl=b4024e6ec2e35b0f thr="},
     {{TopologyKind::Dragonfly, 4, 4, 33, 20, Part::Cyclic, true},
      "now=14664.75 st=244,1580,15910,1740,2845,30435,0,0,2715,300,162,0,"
-     "104448,1292,56,16,96256, tr=69aff2c1ff0e2d00 pl=b4024e6ec2e35b0f thr="},
+     "104448,1172,56,16,96256, tr=69aff2c1ff0e2d00 pl=b4024e6ec2e35b0f thr="},
     {{TopologyKind::Dragonfly, 6, 3, 5, 3, Part::Block, false},
      "now=5345.75 st=86,2208,2208,86,119,4444,0,0,3516,0,0,0,"
-     "142400,2210,64,15,139264, tr=50d586ccb0594fa3 pl=39d9ecc358f2fcf9 thr="},
+     "142400,1986,64,15,139264, tr=50d586ccb0594fa3 pl=39d9ecc358f2fcf9 thr="},
     {{TopologyKind::Dragonfly, 6, 3, 5, 3, Part::Block, true},
      "now=15288.75 st=368,2826,2826,246,119,4444,0,0,4513,618,286,0,"
-     "142400,2210,64,15,139264, tr=9f16b412aad35245 pl=39d9ecc358f2fcf9 thr="},
+     "142400,1986,64,15,139264, tr=9f16b412aad35245 pl=39d9ecc358f2fcf9 thr="},
     {{TopologyKind::Dragonfly, 6, 3, 5, 3, Part::Cyclic, false},
      "now=5345.75 st=86,2208,2208,86,119,4444,0,0,3516,0,0,0,"
-     "142400,2210,64,15,139264, tr=50d586ccb0594fa3 pl=39d9ecc358f2fcf9 thr="},
+     "142400,1986,64,15,139264, tr=50d586ccb0594fa3 pl=39d9ecc358f2fcf9 thr="},
     {{TopologyKind::Dragonfly, 6, 3, 5, 3, Part::Cyclic, true},
      "now=15288.75 st=368,2826,2826,246,119,4444,0,0,4513,618,286,0,"
-     "142400,2210,64,15,139264, tr=9f16b412aad35245 pl=39d9ecc358f2fcf9 thr="},
+     "142400,1986,64,15,139264, tr=9f16b412aad35245 pl=39d9ecc358f2fcf9 thr="},
     {{TopologyKind::Dragonfly, 6, 3, 13, 13, Part::Block, false},
      "now=6801.75 st=96,4768,7748,192,327,13616,0,0,8940,0,0,0,"
-     "143360,4757,79,15,139264, tr=36a59ad8267ba2e4 pl=c236e30628e237f2 thr="},
+     "143360,4309,79,15,139264, tr=36a59ad8267ba2e4 pl=c236e30628e237f2 thr="},
     {{TopologyKind::Dragonfly, 6, 3, 13, 13, Part::Block, true},
      "now=21187.25 st=471,5989,9749,586,327,13616,0,0,11229,1221,594,0,"
-     "143360,4757,79,15,139264, tr=8fcbc5b6d5159fd6 pl=c236e30628e237f2 thr="},
+     "143360,4309,79,15,139264, tr=8fcbc5b6d5159fd6 pl=c236e30628e237f2 thr="},
     {{TopologyKind::Dragonfly, 6, 3, 13, 13, Part::Cyclic, false},
      "now=6518.5 st=92,4704,7644,184,314,13616,0,0,8820,0,0,0,"
-     "143360,4693,79,15,139264, tr=296b378fad514cf8 pl=74a1525728a9d2e6 thr="},
+     "143360,4245,79,15,139264, tr=296b378fad514cf8 pl=74a1525728a9d2e6 thr="},
     {{TopologyKind::Dragonfly, 6, 3, 13, 13, Part::Cyclic, true},
      "now=20929 st=467,5989,9714,565,314,13616,0,0,11274,1285,601,0,"
-     "143360,4693,79,15,139264, tr=5cc2d61b7671a687 pl=74a1525728a9d2e6 thr="},
+     "143360,4245,79,15,139264, tr=5cc2d61b7671a687 pl=74a1525728a9d2e6 thr="},
     {{TopologyKind::Dragonfly, 6, 3, 33, 20, Part::Block, false},
      "now=6689 st=90,4384,14834,366,836,34659,0,0,7884,0,0,0,"
-     "158464,4317,133,15,147456, tr=e2af5687f5803660 pl=9c485027dcb655fa thr="},
+     "158464,3869,133,15,147456, tr=e2af5687f5803660 pl=9c485027dcb655fa thr="},
     {{TopologyKind::Dragonfly, 6, 3, 33, 20, Part::Block, true},
      "now=20121.5 st=442,5530,18688,1072,836,34659,0,0,9961,1146,554,0,"
-     "158464,4317,133,15,147456, tr=e6ca66f3dc5e866c pl=9c485027dcb655fa thr="},
+     "158464,3869,133,15,147456, tr=e6ca66f3dc5e866c pl=9c485027dcb655fa thr="},
     {{TopologyKind::Dragonfly, 6, 3, 33, 20, Part::Cyclic, false},
      "now=6646 st=89,4368,14768,361,784,34659,0,0,7868,0,0,0,"
-     "155648,4323,111,15,147456, tr=c5a87e369d6c6795 pl=013fd8f0b95584f6 thr="},
+     "155648,3875,111,15,147456, tr=c5a87e369d6c6795 pl=013fd8f0b95584f6 thr="},
     {{TopologyKind::Dragonfly, 6, 3, 33, 20, Part::Cyclic, true},
      "now=20527 st=452,5522,18655,1092,784,34659,0,0,9967,1154,549,0,"
-     "155648,4323,111,15,147456, tr=e1362dae75c85550 pl=013fd8f0b95584f6 thr="},
+     "155648,3875,111,15,147456, tr=e1362dae75c85550 pl=013fd8f0b95584f6 thr="},
     {{TopologyKind::Dragonfly, 6, 6, 5, 3, Part::Block, false},
      "now=5759.5 st=79,3710,11130,237,322,10982,0,0,6786,0,0,0,"
-     "143616,3693,81,15,139264, tr=3bade24f3afd7c08 pl=4db6534c9b50f889 thr="},
+     "143616,3441,81,15,139264, tr=3bade24f3afd7c08 pl=4db6534c9b50f889 thr="},
     {{TopologyKind::Dragonfly, 6, 6, 5, 3, Part::Block, true},
      "now=16585.25 st=366,4671,14013,711,319,10790,0,0,8578,961,461,0,"
-     "143616,3693,81,15,139264, tr=03f9821c8732480e pl=932bd47c847c7f42 thr=40,"},
+     "143616,3441,81,15,139264, tr=03f9821c8732480e pl=932bd47c847c7f42 thr=40,"},
     {{TopologyKind::Dragonfly, 6, 6, 5, 3, Part::Cyclic, false},
      "now=5759.5 st=79,3710,11130,237,322,10982,0,0,6786,0,0,0,"
-     "143616,3693,81,15,139264, tr=3bade24f3afd7c08 pl=4db6534c9b50f889 thr="},
+     "143616,3441,81,15,139264, tr=3bade24f3afd7c08 pl=4db6534c9b50f889 thr="},
     {{TopologyKind::Dragonfly, 6, 6, 5, 3, Part::Cyclic, true},
      "now=16585.25 st=366,4671,14013,711,319,10790,0,0,8578,961,461,0,"
-     "143616,3693,81,15,139264, tr=03f9821c8732480e pl=932bd47c847c7f42 thr=40,"},
+     "143616,3441,81,15,139264, tr=03f9821c8732480e pl=932bd47c847c7f42 thr=40,"},
     {{TopologyKind::Dragonfly, 6, 6, 13, 13, Part::Block, false},
      "now=10377 st=107,8956,58240,746,1508,60054,0,0,16439,0,0,0,"
-     "239616,8876,148,16,229376, tr=a170319597a239dc pl=07931d6d88df635c thr="},
+     "239616,8372,148,16,229376, tr=a170319597a239dc pl=07931d6d88df635c thr="},
     {{TopologyKind::Dragonfly, 6, 6, 13, 13, Part::Block, true},
      "now=29265 st=568,11209,72917,2403,1508,60054,0,0,20522,2253,1172,0,"
-     "239616,8876,148,16,229376, tr=7c4563682a9499cd pl=07931d6d88df635c thr="},
+     "239616,8372,148,16,229376, tr=7c4563682a9499cd pl=07931d6d88df635c thr="},
     {{TopologyKind::Dragonfly, 6, 6, 13, 13, Part::Cyclic, false},
      "now=10377 st=107,8956,58240,746,1508,60054,0,0,16439,0,0,0,"
-     "239616,8876,148,16,229376, tr=a170319597a239dc pl=07931d6d88df635c thr="},
+     "239616,8372,148,16,229376, tr=a170319597a239dc pl=07931d6d88df635c thr="},
     {{TopologyKind::Dragonfly, 6, 6, 13, 13, Part::Cyclic, true},
      "now=29265 st=568,11209,72917,2403,1508,60054,0,0,20522,2253,1172,0,"
-     "239616,8876,148,16,229376, tr=7c4563682a9499cd pl=07931d6d88df635c thr="},
+     "239616,8372,148,16,229376, tr=7c4563682a9499cd pl=07931d6d88df635c thr="},
     {{TopologyKind::Dragonfly, 6, 6, 33, 20, Part::Block, false},
      "now=10143.25 st=92,7418,74200,930,2073,87995,0,0,13550,0,0,0,"
-     "353280,7340,146,16,335872, tr=d4a90f0191a2c6e3 pl=bac48b6690f334e7 thr="},
+     "353280,6836,146,16,335872, tr=d4a90f0191a2c6e3 pl=bac48b6690f334e7 thr="},
     {{TopologyKind::Dragonfly, 6, 6, 33, 20, Part::Block, true},
      "now=27293.75 st=480,9318,93210,3030,2073,87995,0,0,16957,1900,968,0,"
-     "353280,7340,146,16,335872, tr=f5330a9a5245abca pl=bac48b6690f334e7 thr="},
+     "353280,6836,146,16,335872, tr=f5330a9a5245abca pl=bac48b6690f334e7 thr="},
     {{TopologyKind::Dragonfly, 6, 6, 33, 20, Part::Cyclic, false},
      "now=10143.25 st=92,7418,74200,930,2073,87995,0,0,13550,0,0,0,"
-     "353280,7340,146,16,335872, tr=d4a90f0191a2c6e3 pl=bac48b6690f334e7 thr="},
+     "353280,6836,146,16,335872, tr=d4a90f0191a2c6e3 pl=bac48b6690f334e7 thr="},
     {{TopologyKind::Dragonfly, 6, 6, 33, 20, Part::Cyclic, true},
      "now=27293.75 st=480,9318,93210,3030,2073,87995,0,0,16957,1900,968,0,"
-     "353280,7340,146,16,335872, tr=f5330a9a5245abca pl=bac48b6690f334e7 thr="},
+     "353280,6836,146,16,335872, tr=f5330a9a5245abca pl=bac48b6690f334e7 thr="},
 };
 
 class PrimitiveCharges : public ::testing::TestWithParam<TopologyKind> {};

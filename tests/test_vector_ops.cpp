@@ -8,6 +8,7 @@
 #include "core/elementwise.hpp"
 #include "core/vector_ops.hpp"
 #include "util/workloads.hpp"
+#include "param_printers.hpp"
 
 namespace vmp {
 namespace {
