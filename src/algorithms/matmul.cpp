@@ -154,79 +154,56 @@ DistMatrix<double> matmul_hyper(const DistMatrix<double>& A,
               "matmul_hyper needs Block row partitioning of both operands");
   Grid& grid = A.grid();
   Cube& cube = grid.cube();
+  SimClock& clock = cube.clock();
   const HyperPlan hp = hyper_plan(cube.dim());
   const std::uint32_t P = hp.P, K = hp.K, L = hp.L;
   const std::size_t kk = A.ncols(), m = B.ncols();
   DistMatrix<double> C(grid, A.nrows(), m,
                        MatrixLayout{Part::Block, B.layout().cols});
   VMP_TRACE(cube, "matmul_hyper");
-  const auto batch = cube.session();
   const SubcubeSet ring = grid.whole();
 
   // Ring geometry: position r lives on processor gray_encode(r); on a 1-D
   // grid the processor index IS the block-row index, so the block-row at
-  // ring position r is gray_encode(r mod P).
+  // ring position r is gray_encode(r mod P) (callers add P before they
+  // subtract).
   const auto row_at = [&](std::uint32_t pos) -> proc_t {
     return ring_proc(RingOrder::Gray, pos & (P - 1));
   };
+  const auto pos_of = [](proc_t q) { return ring_pos(RingOrder::Gray, q); };
 
-  // Replicate A along the shift base: copy a at ring position r holds
-  // block-row row_at(r − a), produced by shifting copy a−1 one position
-  // forward.  K stored copies, K − 1 unit-stride rounds.
-  std::vector<DistBuffer<double>> acopy;
-  acopy.reserve(K);
+  // The charge walk: every step of the machine's schedule, charged in its
+  // order and regions; each shift carries blocks A, B or C already hold,
+  // and the host allocates and computes nothing.  Replicate: copy a at
+  // position r holds A's block-row row_at(r − a), copy a−1 shifted by +1.
   {
     VMP_TRACE(cube, "hyper_replicate");
     for (std::uint32_t a = 0; a < K; ++a) {
-      acopy.emplace_back(cube);
-      acopy[a].reserve_each(A.max_block());
-      DistBuffer<double>& cur = acopy[a];
-      if (a == 0) {
-        cube.compute(A.max_block(), A.nrows() * kk,
-                     [&](proc_t q) { cur.assign(q, A.block(q)); });
-      } else {
-        const DistBuffer<double>& prev = acopy[a - 1];
-        cube.compute(A.max_block(), A.nrows() * kk,
-                     [&](proc_t q) { cur.assign(q, prev.tile(q)); });
-        shift_blocks(cube, cur, ring, 1, RingOrder::Gray);
-      }
+      clock.charge_compute_step(A.max_block(), A.nrows() * kk);
+      if (a != 0)
+        shift_views<double>(cube, ring, 1, [&](proc_t q) {
+          return A.block(row_at(pos_of(q) + P - (a - 1)));
+        });
     }
   }
+  // Staging B; zeroing the K C-partials (partial a at r is row_at(r − a)).
+  clock.charge_compute_step(B.max_block(), kk * m);
+  clock.charge_compute_step(std::uint64_t{K} * C.max_block(),
+                            std::uint64_t{K} * A.nrows() * m);
 
-  // One live copy of B, streamed through the phases; K zero-initialized
-  // C-partial copies, cpart[a] at position r accumulating block-row
-  // row_at(r − a) — the same row index as acopy[a].
-  DistBuffer<double> bbuf(cube);
-  bbuf.reserve_each(B.max_block());
-  cube.compute(B.max_block(), kk * m,
-               [&](proc_t q) { bbuf.assign(q, B.block(q)); });
-  std::vector<DistBuffer<double>> cpart;
-  cpart.reserve(K);
-  for (std::uint32_t a = 0; a < K; ++a) {
-    cpart.emplace_back(cube);
-    cpart[a].reserve_each(C.max_block());
-  }
-  cube.compute(std::uint64_t{K} * C.max_block(),
-               std::uint64_t{K} * A.nrows() * m, [&](proc_t q) {
-                 const std::uint32_t r = ring_pos(RingOrder::Gray, q);
-                 for (std::uint32_t a = 0; a < K; ++a)
-                   cpart[a].assign(
-                       q, A.rowmap().size(row_at(r + P - a)) * m, 0.0);
-               });
-
-  // Systolic phases: in phase b the live B copy at position r holds
-  // block-row R2 = row_at(r − b·K); every stored A copy a contributes
-  // C[R1] += A[R1][:, rows(R2)] · B[R2] with R1 = row_at(r − a).  The
-  // (a, b ascending) accumulation order is a fixed per-processor schedule,
-  // so results are bit-identical at any thread count.
+  // Systolic phases: in phase b the B copy at position r holds block-row
+  // row_at(r − b·K), and copy a adds A[R1][:, rows(R2)] · B[R2] into
+  // partial a.
   {
     VMP_TRACE(cube, "hyper_stream");
     for (std::uint32_t b = 0; b < L; ++b) {
       if (b != 0)
-        shift_blocks(cube, bbuf, ring, static_cast<int>(K), RingOrder::Gray);
+        shift_views<double>(cube, ring, static_cast<int>(K), [&](proc_t q) {
+          return B.block(row_at(pos_of(q) + P - (b - 1) * K));
+        });
       std::uint64_t maxf = 0, totf = 0;
       cube.each_proc([&](proc_t q) {
-        const std::uint32_t r = ring_pos(RingOrder::Gray, q);
+        const std::uint32_t r = pos_of(q);
         const std::uint64_t w = B.rowmap().size(row_at(r + P - b * K));
         std::uint64_t f = 0;
         for (std::uint32_t a = 0; a < K; ++a)
@@ -234,51 +211,53 @@ DistMatrix<double> matmul_hyper(const DistMatrix<double>& A,
         totf += f;
         maxf = std::max(maxf, f);
       });
-      cube.compute(maxf, totf, [&](proc_t q) {
-        const std::uint32_t r = ring_pos(RingOrder::Gray, q);
-        const proc_t R2 = row_at(r + P - b * K);
-        const std::size_t w = B.rowmap().size(R2);
-        if (w == 0) return;
-        // A's columns are whole on a 1-D grid (pcols == 1), so B's global
-        // row range is directly A's local column range.
-        const std::size_t c0 = B.rowmap().global_begin(R2);
-        const std::span<const double> bp = bbuf.tile(q);
-        VMP_ASSERT(bp.size() == w * m, "streamed B tile must be w × m");
-        for (std::uint32_t a = 0; a < K; ++a) {
-          const std::size_t lra = A.rowmap().size(row_at(r + P - a));
-          const std::span<const double> ap = acopy[a].tile(q);
-          std::span<double> cp = cpart[a].tile(q);
-          for (std::size_t lr = 0; lr < lra; ++lr)
-            kern::axpy_rows(cp.subspan(lr * m, m), ap.subspan(lr * kk + c0, w),
-                            bp, m);
-        }
-      });
+      clock.charge_compute_step(maxf, totf);
     }
   }
 
-  // Combine: walk the base backwards, shifting the accumulator one
-  // position back per step so it always aligns with the next copy's row
-  // block; after K − 1 rounds the accumulator at position r is the full C
-  // block-row row_at(r) — sitting on its owner.
+  // Combine: the accumulator (partial K − 1) shifts back one position per
+  // step — before shift i it is block-row row_at(r + i − K), C's block of
+  // that row in length — and adds the next partial; then a copy into C.
   {
     VMP_TRACE(cube, "hyper_combine");
-    DistBuffer<double>& acc = cpart[K - 1];
     for (std::uint32_t i = 1; i < K; ++i) {
-      shift_blocks(cube, acc, ring, -1, RingOrder::Gray);
-      const DistBuffer<double>& add = cpart[K - 1 - i];
-      cube.compute(C.max_block(), A.nrows() * m, [&](proc_t q) {
-        std::span<double> dst = acc.tile(q);
-        const std::span<const double> src = add.tile(q);
-        VMP_ASSERT(dst.size() == src.size(), "combine tiles must align");
-        kern::axpy(dst, 1.0, src);
+      shift_views<double>(cube, ring, -1, [&](proc_t q) {
+        return std::span<const double>(C.block(row_at(pos_of(q) + P + i - K)));
       });
+      clock.charge_compute_step(C.max_block(), A.nrows() * m);
     }
-    cube.compute(C.max_block(), A.nrows() * m, [&](proc_t q) {
-      VMP_ASSERT(acc.len(q) == C.lrows(q) * C.lcols(q),
-                 "combined block must land on its owner");
-      kern::copy(acc.tile(q), C.block(q));
-    });
+    clock.charge_compute_step(C.max_block(), A.nrows() * m);
   }
+
+  // The product, one uncharged step after every shift got through: owner q
+  // of block-row q at position r builds partial a — what position r + a
+  // computes, phases ascending — from +0.0, and adds the partials from
+  // a = K − 1 down, as the combine does, so every element sees the
+  // schedule's operations in its order.  Partial K − 1 accumulates in C's
+  // block, the others in a scratch tile.
+  DistBuffer<double> part(cube);
+  part.reserve_each(C.max_block());
+  cube.deliver({.flops = 2 * A.nrows() * kk * m}, [&](proc_t q) {
+    const std::uint32_t r = pos_of(q);
+    const std::span<const double> arows = A.block(q);
+    const std::span<double> cblk = C.block(q);
+    for (std::uint32_t a = K; a-- > 0;) {
+      if (a != K - 1) part.assign(q, cblk.size(), 0.0);
+      const std::span<double> acc = a == K - 1 ? cblk : part.tile(q);
+      for (std::uint32_t b = 0; b < L; ++b) {
+        const proc_t R2 = row_at(r + a + P - b * K);
+        const std::size_t w = B.rowmap().size(R2);
+        if (w == 0) continue;
+        // A's columns are whole on a 1-D grid (pcols == 1), so B's global
+        // row range is directly A's local column range.
+        const std::size_t c0 = B.rowmap().global_begin(R2);
+        for (std::size_t lr = 0; lr < A.lrows(q); ++lr)
+          kern::axpy_rows(acc.subspan(lr * m, m),
+                          arows.subspan(lr * kk + c0, w), B.block(R2), m);
+      }
+      if (a != K - 1) kern::axpy(cblk, 1.0, std::span<const double>(acc));
+    }
+  });
   return C;
 }
 

@@ -46,6 +46,9 @@ namespace vmp {
 /// are bit-identical across thread counts and repeats; the reduction order
 /// differs from matmul_summa's ascending-k order, so the two agree to
 /// round-off (the documented ULP budget in docs/matmul.md), not bitwise.
+/// On the host the schedule is charged step by step over the operands'
+/// own blocks and the product computed afterwards in one team step, so a
+/// FaultError computes nothing and leaves A and B untouched.
 [[nodiscard]] DistMatrix<double> matmul_hyper(const DistMatrix<double>& A,
                                               const DistMatrix<double>& B);
 

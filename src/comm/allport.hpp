@@ -48,6 +48,7 @@ void broadcast_esbt(Cube& cube, DistBuffer<T>& buf, const SubcubeSet& sc,
                     std::uint32_t root_rank, NFn n_of) {
   const int k = sc.k();
   if (k == 0) return;
+  VMP_TRACE(cube, "broadcast_esbt");
   if (k == 1) {
     broadcast(cube, buf, sc, root_rank);
     return;

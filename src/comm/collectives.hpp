@@ -517,7 +517,7 @@ class BroadcastRoots {
   /// One uncharged deliver step after the last round: every member but
   /// the root copies its root's payload; the root keeps its tile.
   void place(Cube& cube, DistBuffer<T>& buf) const {
-    cube.deliver(bytes_, [&](proc_t q) {
+    cube.deliver({.bytes = bytes_}, [&](proc_t q) {
       if (holds(q, mask_)) return;
       const std::size_t i = subs_.of(q);
       buf.assign(q, std::span<const T>(data_[i], cuts_.len(i)));

@@ -49,6 +49,16 @@ namespace shift_detail {
   return static_cast<std::uint32_t>(((by % p) + p) % p);
 }
 
+/// The destination map q ↦ dest(q) of a shift by the forward stride
+/// `step` along the rings of `sc` in `order`.
+[[nodiscard]] inline auto ring_dest(const SubcubeSet& sc, RingOrder order,
+                                    std::uint32_t step) {
+  return [&sc, order, step](proc_t q) {
+    const std::uint32_t pos = ring_pos(order, sc.rank(q));
+    return sc.with_rank(q, ring_proc(order, (pos + step) % sc.size()));
+  };
+}
+
 }  // namespace shift_detail
 
 /// Number of charged lockstep rounds of a Gray-order shift by `by` within
@@ -67,47 +77,55 @@ namespace shift_detail {
   return rounds;
 }
 
+/// The charge of a Gray-order shift by `by` within subcubes of `sc` over
+/// messages already in memory: q's message is `view(q)` (empty = none),
+/// valid and unchanged for the whole call.  One Cube::relay_views inside a
+/// "shift" region — H store-and-forward rounds, 1 for unit strides — that
+/// moves nothing and leaves the permutation in cube.relay_dest(); an
+/// identity shift charges nothing.  matmul_hyper charges its shifts this
+/// way over its operands' blocks.
+template <class T, class ViewFn>
+void shift_views(Cube& cube, const SubcubeSet& sc, int by, ViewFn&& view) {
+  if (sc.k() == 0) return;
+  const std::uint32_t step = shift_detail::norm_step(by, sc.size());
+  if (step == 0) return;
+  VMP_TRACE(cube, "shift");
+  const int rounds = cube.relay_views<T>(
+      shift_detail::ring_dest(sc, RingOrder::Gray, step), view);
+  if (MetricsRegistry& mx = cube.metrics(); mx.enabled()) {
+    mx.counter("shift.calls", MetricClass::Sim).add(1);
+    mx.counter("shift.rounds", MetricClass::Sim)
+        .add(static_cast<std::uint64_t>(rounds));
+  }
+}
+
 /// Cyclically shift each processor's whole local array `by` ring positions
-/// (negative = backward) within each subcube of `sc`.  Gray order: one
-/// Cube::relay_views over the tiles, charged as H store-and-forward
-/// dimension-order rounds (H = 1 for unit strides), then a relabeling of
-/// the tiles (DistBuffer::permute_tiles) — no team step, no copy; if a
-/// fault plan's recovery fails, the FaultError leaves `buf` exactly as it
-/// was.  Binary order: a full dimension-order combining-router sweep.
+/// (negative = backward) within each subcube of `sc`.  Gray order:
+/// shift_views over the tiles, then a relabeling of the tiles
+/// (DistBuffer::permute_tiles) — no team step, no copy; if a fault plan's
+/// recovery fails, the FaultError leaves `buf` exactly as it was.  Binary
+/// order: a full dimension-order combining-router sweep.
 template <class T>
 void shift_blocks(Cube& cube, DistBuffer<T>& buf, const SubcubeSet& sc,
                   int by, RingOrder order) {
-  const int k = sc.k();
-  if (k == 0) return;
-  const std::uint32_t P = sc.size();
-  const std::uint32_t step = shift_detail::norm_step(by, P);
+  if (sc.k() == 0) return;
+  const std::uint32_t step = shift_detail::norm_step(by, sc.size());
   if (step == 0) return;
-  VMP_TRACE(cube, "shift");
-
-  const auto dest_of = [&](proc_t q) -> proc_t {
-    const std::uint32_t pos = ring_pos(order, sc.rank(q));
-    return sc.with_rank(q, ring_proc(order, (pos + step) % P));
-  };
-
   if (order == RingOrder::Gray) {
     // Every tile, empty ones included, goes to its destination whole: the
     // legs are charged over the tiles where they lie, and only once they
     // all got through are the tiles relabeled to their new owners.
-    const int rounds = cube.relay_views<T>(dest_of, [&](proc_t q) {
-      return std::span<const T>(buf.tile(q));
-    });
+    shift_views<T>(cube, sc, by,
+                   [&](proc_t q) { return std::span<const T>(buf.tile(q)); });
     buf.permute_tiles(cube.relay_dest());
-    if (MetricsRegistry& mx = cube.metrics(); mx.enabled()) {
-      mx.counter("shift.calls", MetricClass::Sim).add(1);
-      mx.counter("shift.rounds", MetricClass::Sim)
-          .add(static_cast<std::uint64_t>(rounds));
-    }
     return;
   }
+  VMP_TRACE(cube, "shift");
 
   // Binary order: ring neighbours may differ in many bits — route.  The
   // whole sweep (k routing rounds) runs inside one team activation.
   const auto batch = cube.session();
+  const auto dest_of = shift_detail::ring_dest(sc, order, step);
   DistBuffer<RouteItem<T>> items(cube);
   items.reserve_each(max_local_len(cube, buf));
   cube.each_proc([&](proc_t q) {
@@ -130,17 +148,11 @@ void shift_blocks(Cube& cube, DistBuffer<T>& buf, const SubcubeSet& sc,
 /// term of the matmul_auto selector's backend models.
 [[nodiscard]] inline double shift_cost_model(Cube& cube, const SubcubeSet& sc,
                                              int by, std::size_t elems) {
-  const int k = sc.k();
-  if (k == 0 || elems == 0) return 0.0;
-  const std::uint32_t P = sc.size();
-  const std::uint32_t step = shift_detail::norm_step(by, P);
+  if (sc.k() == 0 || elems == 0) return 0.0;
+  const std::uint32_t step = shift_detail::norm_step(by, sc.size());
   if (step == 0) return 0.0;
-  return cube.relay_cost(
-      [&](proc_t q) -> proc_t {
-        const std::uint32_t pos = ring_pos(RingOrder::Gray, sc.rank(q));
-        return sc.with_rank(q, ring_proc(RingOrder::Gray, (pos + step) % P));
-      },
-      elems);
+  return cube.relay_cost(shift_detail::ring_dest(sc, RingOrder::Gray, step),
+                         elems);
 }
 
 }  // namespace vmp

@@ -375,12 +375,13 @@ class Cube {
   }
 
   /// One uncharged delivery step: `fn(q)` runs on every processor, placing
-  /// data that rounds charged without moving it (exchange_views).  `bytes`
-  /// is what the step copies; like a staged round's delivery, it fans out
-  /// across the lanes only past the inline byte cut.
+  /// data that rounds charged without moving it (exchange_views) or
+  /// computing results whose steps a walk charged without running them
+  /// (matmul_hyper).  `work` is what the step copies or computes; like any
+  /// team step, it fans out across the lanes only past an inline cut.
   template <class F>
-  void deliver(std::uint64_t bytes, F&& fn) {
-    each_step({.bytes = bytes}, fn);
+  void deliver(WorkerTeam::Work work, F&& fn) {
+    each_step(work, fn);
   }
 
   /// One lockstep permutation round: processor q's payload `send(q)` goes

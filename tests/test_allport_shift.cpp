@@ -168,6 +168,7 @@ class EsbtSweep : public ::testing::TestWithParam<
 TEST_P(EsbtSweep, MatchesBinomialBroadcastResult) {
   const auto [d, n, root_step] = GetParam();
   Cube cube(d, CostParams::unit());
+  cube.clock().tracer().set_recording(true);
   const SubcubeSet sc = SubcubeSet::contiguous(0, d);
   for (std::uint32_t root = 0; root < sc.size();
        root += std::max(1u, root_step)) {
@@ -180,6 +181,14 @@ TEST_P(EsbtSweep, MatchesBinomialBroadcastResult) {
     cube.each_proc(
         [&](proc_t q) { EXPECT_EQ(buf.host_vec(q), payload) << "q=" << q; });
   }
+  // The broadcast opens its own trace region; on a 1-dimensional subcube
+  // it hands off to the binomial broadcast, whose region nests under it.
+  const std::vector<std::string>& paths = cube.clock().tracer().paths();
+  const auto traced = [&](const char* path) {
+    return std::find(paths.begin(), paths.end(), path) != paths.end();
+  };
+  EXPECT_TRUE(traced("broadcast_esbt"));
+  EXPECT_EQ(traced("broadcast_esbt/broadcast"), d == 1);
 }
 
 TEST_P(EsbtSweep, BeatsBinomialOnTransferTimeForLargePayloads) {
@@ -551,8 +560,9 @@ void staged_broadcast(Cube& cube, DistBuffer<double>& buf, const SubcubeSet& sc,
                       NFn n_of) {
   const int k = sc.k();
   if (k == 0) return;
+  std::optional<TraceRegion> esbt, region;
+  if (kind == BcastKind::Esbt) esbt.emplace(cube, "broadcast_esbt");
   if (kind == BcastKind::Esbt && k == 1) kind = BcastKind::Binomial;
-  std::optional<TraceRegion> region;
   if (kind == BcastKind::Binomial) region.emplace(cube, "broadcast");
   if (kind == BcastKind::Pipelined) region.emplace(cube, "broadcast_pipelined");
   const std::uint32_t S = kind == BcastKind::Binomial ? 1u

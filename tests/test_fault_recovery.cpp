@@ -6,6 +6,7 @@
 // silently.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <span>
 #include <string>
 #include <vector>
@@ -423,6 +424,54 @@ TEST_P(ShiftFaults, FailedShiftLeavesTheBufferAndTheCubeReusable) {
   // like a fresh cube: the same result, and the same clock and SimStats
   // from the reset on (buf stays alive, so neither pool holds a spare).
   cube.disable_faults();
+  cube.clock().reset();
+  Cube fresh(4, CostParams::cm2(), preset_opts(GetParam()));
+  EXPECT_EQ(product(cube), product(fresh));
+  EXPECT_EQ(cube.clock().now_us(), fresh.clock().now_us());
+  EXPECT_TRUE(cube.clock().stats() == fresh.clock().stats());
+}
+
+TEST_P(ShiftFaults, FailedMatmulLeavesItsOperandsAndTheCubeReusable) {
+  // On the 16-ring the product's K − 1 = 3 replicate shifts are rounds 0
+  // to 2; node 5 dies at round 3, the first stride-4 stream shift, in
+  // which it sends its block of B.  matmul_hyper charges its whole
+  // schedule before it computes anything, so the FaultError leaves A and
+  // B as they were and no team step has run.
+  const auto product = [](Cube& cube) {
+    Grid grid(cube, cube.dim(), 0);
+    DistMatrix<double> A(grid, 40, 24);
+    DistMatrix<double> B(grid, 24, 18);
+    A.load(random_matrix(40, 24, 43));
+    B.load(random_matrix(24, 18, 44));
+    return matmul_hyper(A, B).to_host();
+  };
+  FaultPlan plan;
+  plan.node_kills.push_back({/*from_round=*/3, /*node=*/5});
+  Cube cube(4, CostParams::cm2(), preset_opts(GetParam()));
+  cube.enable_faults(plan);
+  Grid grid(cube, cube.dim(), 0);
+  DistMatrix<double> A(grid, 40, 24);
+  DistMatrix<double> B(grid, 24, 18);
+  A.load(random_matrix(40, 24, 41));
+  B.load(random_matrix(24, 18, 42));
+  const std::vector<double> a0 = A.to_host(), b0 = B.to_host();
+  const std::uint64_t steps = cube.team().steps_dispatched();
+  EXPECT_THROW((void)matmul_hyper(A, B), FaultError);
+  EXPECT_GE(cube.clock().stats().comm_steps, 3u)
+      << "the replicate rounds ran before the throw";
+  EXPECT_EQ(cube.team().steps_dispatched(), steps)
+      << "a failed product runs no team step";
+  const std::vector<double> a1 = A.to_host(), b1 = B.to_host();
+  EXPECT_EQ(std::memcmp(a0.data(), a1.data(), a0.size() * sizeof(double)), 0);
+  EXPECT_EQ(std::memcmp(b0.data(), b1.data(), b0.size() * sizeof(double)), 0);
+
+  // The same cube, its fault plan detached, then multiplies exactly like a
+  // fresh cube: the same result, and the same clock and SimStats from the
+  // reset on.  The failed call released its result's arena to the pool;
+  // trimming it leaves the pool as a fresh cube's (A and B stay alive and
+  // leased), so the pool counters match too.
+  cube.disable_faults();
+  cube.buffers().trim();
   cube.clock().reset();
   Cube fresh(4, CostParams::cm2(), preset_opts(GetParam()));
   EXPECT_EQ(product(cube), product(fresh));

@@ -1,17 +1,25 @@
 // Tests: the hyper-systolic matmul backend and the matmul_auto cost-model
 // selector — conformance twin-sweep over all three backends (with and
-// without fault plans), bitwise determinism across thread counts and
-// repeats, the O(√p) communication-volume claim, and the selector picking
-// the cheaper backend on both sides of the crossover.
+// without fault plans), the charge walk + product step against the staged
+// schedule it replaced (HyperTwin), bitwise determinism across thread
+// counts and repeats, the O(√p) communication-volume claim, and the
+// selector picking the cheaper backend on both sides of the crossover.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "algorithms/matmul.hpp"
 #include "comm/shift.hpp"
 #include "fault/fault.hpp"
+#include "obs/trace.hpp"
 #include "util/workloads.hpp"
+#include "param_printers.hpp"
 
 namespace vmp {
 namespace {
@@ -88,6 +96,292 @@ INSTANTIATE_TEST_SUITE_P(
                       std::tuple{5, 40ul, 24ul, 16ul, false},
                       std::tuple{3, 17ul, 13ul, 11ul, true},
                       std::tuple{4, 32ul, 32ul, 32ul, true}));
+
+// ---------------------------------------------------------------------------
+// HyperTwin: matmul_hyper walks the staged schedule's charges over the
+// operands' blocks and then computes each C block-row on its owner in one
+// uncharged step.  The twin is that staged schedule, kept here as the
+// reference: K stored copies of A made by shift_blocks, a staged B, K
+// zeroed C-partials, the phase loop and the backward combine, each step a
+// charged Cube::compute.  On a second cube with the same options and fault
+// plan, the two must agree bit for bit in the result (signed zeros and NaN
+// payloads included), in whether the call threw, in now_us, in the whole
+// trace and in every SimStats field but the five pool and slab counters
+// (the staged schedule allocates its copies, the walk allocates nothing).
+// ---------------------------------------------------------------------------
+
+DistMatrix<double> staged_hyper(const DistMatrix<double>& A,
+                                const DistMatrix<double>& B) {
+  Grid& grid = A.grid();
+  Cube& cube = grid.cube();
+  const std::uint32_t P = proc_t{1} << cube.dim();
+  const std::uint32_t K = proc_t{1} << ((cube.dim() + 1) / 2);
+  const std::uint32_t L = P / K;
+  const std::size_t kk = A.ncols(), m = B.ncols();
+  DistMatrix<double> C(grid, A.nrows(), m,
+                       MatrixLayout{Part::Block, B.layout().cols});
+  VMP_TRACE(cube, "matmul_hyper");
+  const auto batch = cube.session();
+  const SubcubeSet ring = grid.whole();
+  const auto row_at = [&](std::uint32_t pos) -> proc_t {
+    return ring_proc(RingOrder::Gray, pos & (P - 1));
+  };
+
+  // Copy a at ring position r holds block-row row_at(r − a).
+  std::vector<DistBuffer<double>> acopy;
+  acopy.reserve(K);
+  {
+    VMP_TRACE(cube, "hyper_replicate");
+    for (std::uint32_t a = 0; a < K; ++a) {
+      acopy.emplace_back(cube);
+      acopy[a].reserve_each(A.max_block());
+      DistBuffer<double>& cur = acopy[a];
+      if (a == 0) {
+        cube.compute(A.max_block(), A.nrows() * kk,
+                     [&](proc_t q) { cur.assign(q, A.block(q)); });
+      } else {
+        const DistBuffer<double>& prev = acopy[a - 1];
+        cube.compute(A.max_block(), A.nrows() * kk,
+                     [&](proc_t q) { cur.assign(q, prev.tile(q)); });
+        shift_blocks(cube, cur, ring, 1, RingOrder::Gray);
+      }
+    }
+  }
+
+  // One live copy of B; partial a at position r accumulates block-row
+  // row_at(r − a).
+  DistBuffer<double> bbuf(cube);
+  bbuf.reserve_each(B.max_block());
+  cube.compute(B.max_block(), kk * m,
+               [&](proc_t q) { bbuf.assign(q, B.block(q)); });
+  std::vector<DistBuffer<double>> cpart;
+  cpart.reserve(K);
+  for (std::uint32_t a = 0; a < K; ++a) {
+    cpart.emplace_back(cube);
+    cpart[a].reserve_each(C.max_block());
+  }
+  cube.compute(std::uint64_t{K} * C.max_block(),
+               std::uint64_t{K} * A.nrows() * m, [&](proc_t q) {
+                 const std::uint32_t r = ring_pos(RingOrder::Gray, q);
+                 for (std::uint32_t a = 0; a < K; ++a)
+                   cpart[a].assign(
+                       q, A.rowmap().size(row_at(r + P - a)) * m, 0.0);
+               });
+
+  // Phase b: the live B copy at position r holds block-row row_at(r − bK).
+  {
+    VMP_TRACE(cube, "hyper_stream");
+    for (std::uint32_t b = 0; b < L; ++b) {
+      if (b != 0)
+        shift_blocks(cube, bbuf, ring, static_cast<int>(K), RingOrder::Gray);
+      std::uint64_t maxf = 0, totf = 0;
+      cube.each_proc([&](proc_t q) {
+        const std::uint32_t r = ring_pos(RingOrder::Gray, q);
+        const std::uint64_t w = B.rowmap().size(row_at(r + P - b * K));
+        std::uint64_t f = 0;
+        for (std::uint32_t a = 0; a < K; ++a)
+          f += 2 * A.rowmap().size(row_at(r + P - a)) * w * m;
+        totf += f;
+        maxf = std::max(maxf, f);
+      });
+      cube.compute(maxf, totf, [&](proc_t q) {
+        const std::uint32_t r = ring_pos(RingOrder::Gray, q);
+        const proc_t R2 = row_at(r + P - b * K);
+        const std::size_t w = B.rowmap().size(R2);
+        if (w == 0) return;
+        const std::size_t c0 = B.rowmap().global_begin(R2);
+        const std::span<const double> bp = bbuf.tile(q);
+        for (std::uint32_t a = 0; a < K; ++a) {
+          const std::size_t lra = A.rowmap().size(row_at(r + P - a));
+          const std::span<const double> ap = acopy[a].tile(q);
+          std::span<double> cp = cpart[a].tile(q);
+          for (std::size_t lr = 0; lr < lra; ++lr)
+            kern::axpy_rows(cp.subspan(lr * m, m), ap.subspan(lr * kk + c0, w),
+                            bp, m);
+        }
+      });
+    }
+  }
+
+  // Combine backwards: shift the accumulator back one position, add the
+  // next copy's partial; it ends as C block-row row_at(r) on its owner.
+  {
+    VMP_TRACE(cube, "hyper_combine");
+    DistBuffer<double>& acc = cpart[K - 1];
+    for (std::uint32_t i = 1; i < K; ++i) {
+      shift_blocks(cube, acc, ring, -1, RingOrder::Gray);
+      const DistBuffer<double>& add = cpart[K - 1 - i];
+      cube.compute(C.max_block(), A.nrows() * m, [&](proc_t q) {
+        kern::axpy(acc.tile(q), 1.0, add.tile(q));
+      });
+    }
+    cube.compute(C.max_block(), A.nrows() * m,
+                 [&](proc_t q) { kern::copy(acc.tile(q), C.block(q)); });
+  }
+  return C;
+}
+
+enum class HyperFaults { None, Inert, Transient, DeadFirstLink, DeadNode };
+
+/// random_matrix with special values planted.  The left operand's row 0 is
+/// all −0.0 and the right operand's column 1 all positive, so C(0, 1) is a
+/// sum of −0.0 products whose sign depends on every partial starting at
+/// +0.0.  The right operand's first and last rows carry −inf and +inf in
+/// column 2 (their products meet as inf − inf, the default NaN, in most
+/// rows of C) and two NaNs with distinct payloads in column 3, whose
+/// products reach C through different partials, so which payload
+/// survives depends on the order the partials are combined in.  The other
+/// columns stay finite.
+[[nodiscard]] std::vector<double> seasoned_matrix(std::size_t rows,
+                                                  std::size_t cols,
+                                                  std::uint64_t seed,
+                                                  bool left) {
+  std::vector<double> v = random_matrix(rows, cols, seed);
+  const auto at = [&](std::size_t i, std::size_t j) -> double& {
+    return v[i * cols + j];
+  };
+  if (left) {
+    for (std::size_t j = 0; j < cols; ++j) at(0, j) = -0.0;
+    return v;
+  }
+  for (std::size_t i = 0; i < rows; ++i) at(i, 1) = std::abs(at(i, 1));
+  at(0, 2) = -std::numeric_limits<double>::infinity();
+  at(rows - 1, 2) = std::numeric_limits<double>::infinity();
+  at(0, 3) = std::bit_cast<double>(0x7ff8000000000123ull);
+  at(rows - 1, 3) = std::bit_cast<double>(0xfff8000000000456ull);
+  return v;
+}
+
+[[nodiscard]] SimStats charge_fields(SimStats s) {
+  s.pool_hits = s.pool_misses = s.alloc_bytes = 0;
+  s.slab_allocs = s.slab_bytes = 0;
+  return s;
+}
+
+struct HyperTally {
+  int runs = 0;
+  int throws = 0;
+  std::uint64_t retries = 0;
+  std::uint64_t reroutes = 0;
+  std::uint64_t fanned_out = 0;  ///< team steps that ran on several lanes
+};
+
+void run_hyper_twin(TopologyKind kind, int d, std::size_t n, std::size_t k,
+                    std::size_t m, HyperFaults plan, unsigned lanes,
+                    HyperTally& tally) {
+  Cube::Options opts;
+  opts.threads = lanes;
+  opts.topology = kind;
+  Cube walked(d, CostParams::cm2(), opts);
+  Cube staged(d, CostParams::cm2(), opts);
+  const std::uint32_t K = proc_t{1} << ((d + 1) / 2);
+  for (Cube* cube : {&walked, &staged}) {
+    FaultPlan fp;
+    if (plan == HyperFaults::Transient)
+      fp = FaultPlan::transient(0x4e7au + static_cast<unsigned>(d), 0.1, 0.1,
+                                0.1, 2.5);
+    if (plan == HyperFaults::DeadFirstLink) {
+      // The physical link the ring's first message (0 → 1) leaves on.
+      std::vector<Hop> hops;
+      cube->topology().route(0, 1, hops);
+      fp.link_kills.push_back({/*from_round=*/0, hops.front().from,
+                               hops.front().port});
+    }
+    // The K − 1 replicate rounds get through; the node dies one round
+    // into the stream (into the combine where there is no stream).
+    if (plan == HyperFaults::DeadNode)
+      fp.node_kills.push_back({/*from_round=*/K, cube->procs() - 1});
+    if (plan != HyperFaults::None) cube->enable_faults(fp);
+    cube->clock().tracer().set_recording(true);
+  }
+  const std::vector<double> ha = seasoned_matrix(n, k, 461, true);
+  const std::vector<double> hb = seasoned_matrix(k, m, 462, false);
+  Grid gw(walked, d, 0), gs(staged, d, 0);
+  DistMatrix<double> Aw(gw, n, k), Bw(gw, k, m), As(gs, n, k), Bs(gs, k, m);
+  Aw.load(ha);
+  Bw.load(hb);
+  As.load(ha);
+  Bs.load(hb);
+  const SimStats walked0 = walked.clock().stats();
+  const SimStats staged0 = staged.clock().stats();
+
+  std::vector<double> cw, cs;
+  bool walked_threw = false, staged_threw = false;
+  try {
+    cw = matmul_hyper(Aw, Bw).to_host();
+  } catch (const FaultError&) {
+    walked_threw = true;
+  }
+  try {
+    cs = staged_hyper(As, Bs).to_host();
+  } catch (const FaultError&) {
+    staged_threw = true;
+  }
+  ++tally.runs;
+  tally.throws += walked_threw ? 1 : 0;
+  tally.retries += walked.clock().stats().fault_retries;
+  tally.reroutes += walked.clock().stats().fault_reroutes;
+  tally.fanned_out += walked.team().fanned_out();
+  EXPECT_EQ(walked_threw, staged_threw);
+  ASSERT_EQ(cw.size(), cs.size());
+  if (!cw.empty())  // a product that threw returned nothing
+    EXPECT_EQ(std::memcmp(cw.data(), cs.data(), cw.size() * sizeof(double)), 0)
+        << "results differ in some bit";
+  EXPECT_EQ(walked.clock().now_us(), staged.clock().now_us());
+  const Tracer& tw = walked.clock().tracer();
+  const Tracer& ts = staged.clock().tracer();
+  EXPECT_TRUE(tw.paths() == ts.paths());
+  EXPECT_TRUE(tw.events() == ts.events());
+  EXPECT_TRUE(tw.spans() == ts.spans());
+  EXPECT_TRUE(tw.self_profiles() == ts.self_profiles());
+  EXPECT_TRUE(charge_fields(walked.clock().stats() - walked0) ==
+              charge_fields(staged.clock().stats() - staged0));
+}
+
+class HyperTwin : public ::testing::TestWithParam<TopologyKind> {};
+
+TEST_P(HyperTwin, ChargeWalkAndProductStepMatchTheStagedSchedule) {
+  HyperTally tally;
+  for (int d = 0; d <= 6; ++d) {
+    const std::size_t P = std::size_t{1} << d;
+    // n < P leaves blocks empty; k < P empties B blocks (w = 0 phases) and
+    // 2P + 3 is no multiple of P; m = 37 runs axpy_rows' 32-column block
+    // and both of its tails.  The last shape's product step passes the
+    // inline flop cut from d = 5 on, so at 3 lanes it fans out.
+    const std::size_t shapes[][3] = {{3, 2 * P + 3, 37},
+                                     {2 * P + 1, 5, 37},
+                                     {P + 2, P + 1, 6},
+                                     {2 * P + 1, 2 * P + 3, 37}};
+    for (const auto& [n, k, m] : shapes)
+      for (const HyperFaults plan :
+           {HyperFaults::None, HyperFaults::Inert, HyperFaults::Transient,
+            HyperFaults::DeadFirstLink, HyperFaults::DeadNode}) {
+        if (d == 0 && plan == HyperFaults::DeadFirstLink) continue;
+        for (const unsigned lanes : {1u, 3u}) {
+          SCOPED_TRACE("d=" + std::to_string(d) + " n=" + std::to_string(n) +
+                       " k=" + std::to_string(k) + " m=" + std::to_string(m) +
+                       " plan=" + std::to_string(static_cast<int>(plan)) +
+                       " lanes=" + std::to_string(lanes));
+          run_hyper_twin(GetParam(), d, n, k, m, plan, lanes, tally);
+        }
+      }
+  }
+  // The sweep reaches every recovery outcome — retries, detours and
+  // products that throw — and product steps that fan out.
+  EXPECT_GT(tally.retries, 0u);
+  EXPECT_GT(tally.reroutes, 0u);
+  EXPECT_GT(tally.throws, 0);
+  EXPECT_LT(tally.throws, tally.runs);
+  EXPECT_GT(tally.fanned_out, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Presets, HyperTwin,
+    ::testing::Values(TopologyKind::Hypercube, TopologyKind::Mesh,
+                      TopologyKind::Torus, TopologyKind::Dragonfly),
+    [](const ::testing::TestParamInfo<TopologyKind>& info) {
+      return std::string(to_string(info.param));
+    });
 
 // ---------------------------------------------------------------------------
 // Determinism: bit-identical results and simulated time across thread

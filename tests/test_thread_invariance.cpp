@@ -607,19 +607,21 @@ TEST(CollectiveSteps, BackendsBitIdenticalAcrossLaneCounts) {
   }
 }
 
-// Accumulate-rows invariance.  matmul_hyper's phase update, matmul_summa's
+// Accumulate-rows invariance.  matmul_hyper's product step, matmul_summa's
 // local GEMM and vecmat_fused add a run of scaled panel rows into each
 // output row with one kern::axpy_rows call.  At these sizes each of their
 // update steps passes the 131072-flop inline cut, so at 2 and 3 lanes worker
 // lanes run the kernel; summa and vecmat have 37 or 38 local columns, so
 // the kernel's 32-column blocks and both tails run.  With the SIMD backend
 // on and off, results, clock and SimStats must match the 1-lane run with
-// the backend off.
+// the backend off, and matmul_hyper must run its one team step, the
+// product, at every lane count.
 struct KernelRun {
   std::vector<std::uint64_t> digests;  ///< result bits per call
   double now_us = 0.0;
   SimStats stats;
   std::vector<std::uint64_t> fanned_out;  ///< fanned-out steps per call
+  std::uint64_t hyper_steps = 0;  ///< team steps of the matmul_hyper call
 };
 
 [[nodiscard]] KernelRun run_accumulate_rows(unsigned threads) {
@@ -638,7 +640,9 @@ struct KernelRun {
   DistMatrix<double> Ah(ring, n, n), Bh(ring, n, n);
   Ah.load(random_matrix(n, n, 501));
   Bh.load(random_matrix(n, n, 502));
+  const std::uint64_t steps0 = cube.team().steps_dispatched();
   call([&] { return matmul_hyper(Ah, Bh).to_host(); });
+  r.hyper_steps = cube.team().steps_dispatched() - steps0;
   // 8 × 8 grid: panels of 10, C and A tiles 37 or 38 columns wide.
   Grid grid(cube, 3, 3);
   DistMatrix<double> As(grid, 96, 80), Bs(grid, 80, 300);
@@ -667,6 +671,7 @@ TEST(KernelSteps, AccumulateRowsBitIdenticalAcrossLanesAndSimd) {
       EXPECT_EQ(ref.digests, got.digests) << what << " results";
       EXPECT_EQ(ref.now_us, got.now_us) << what << " simulated clock";
       EXPECT_TRUE(ref.stats == got.stats) << what << " SimStats diverge";
+      EXPECT_EQ(got.hyper_steps, 1u) << what << " matmul_hyper team steps";
       ASSERT_EQ(got.fanned_out.size(), 3u) << what;
       for (std::size_t i = 0; i < got.fanned_out.size(); ++i) {
         if (threads == 1)
