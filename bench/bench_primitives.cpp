@@ -280,5 +280,61 @@ int main(int argc, char** argv) {
       c.counter("flop_cut", static_cast<double>(flop_cut));
       c.counter("byte_cut", static_cast<double>(byte_cut));
     });
+  // vector_lanes — vector maps and folds at 1 and 2 lanes.  Each op runs
+  // once per piece, on the piece's holder, which copies its result to the
+  // other replicas; the holders sit on the grid diagonal, so on the square
+  // grid they spread over both lanes' processor ranges.  Rows and Cols
+  // vectors of 2^18 elements on Grid::square; counters
+  // `<Align>.<op>.lanes1_us` / `.lanes2_us`, the median wall time per call
+  // of alternating calls on a 1-lane and a 2-lane cube.
+  for (int d : h.dims({6}, {6}))
+    h.run("vector_lanes", {{"dim", d}}, [&](bench::Case& c) {
+      const std::size_t n = std::size_t{1} << 18;
+      const int reps = h.quick() ? 5 : 21;
+      Cube one(d, CostParams::cm2(), Cube::Options{1});
+      Cube two(d, CostParams::cm2(), Cube::Options{2});
+      Grid g1 = Grid::square(one), g2 = Grid::square(two);
+      const std::vector<double> hx = random_vector(n, 14);
+      const std::vector<double> hy = random_vector(n, 15);
+      double sink = 0.0;
+      for (const Align align : {Align::Rows, Align::Cols}) {
+        DistVector<double> x1(g1, n, align), y1(g1, n, align);
+        DistVector<double> x2(g2, n, align), y2(g2, n, align);
+        x1.load(hx);
+        x2.load(hx);
+        y1.load(hy);
+        y2.load(hy);
+        const auto time = [&](const char* name, auto op) {
+          std::vector<double> us1, us2;
+          const auto call_us = [&](DistVector<double>& y,
+                                   const DistVector<double>& x) {
+            const auto t0 = std::chrono::steady_clock::now();
+            op(y, x);
+            const auto t1 = std::chrono::steady_clock::now();
+            return std::chrono::duration<double, std::micro>(t1 - t0).count();
+          };
+          for (int r = 0; r < reps; ++r) {
+            us1.push_back(call_us(y1, x1));
+            us2.push_back(call_us(y2, x2));
+          }
+          const std::string key = std::string(to_string(align)) + "." + name;
+          c.counter(key + ".lanes1_us", median(us1));
+          c.counter(key + ".lanes2_us", median(us2));
+        };
+        time("apply_indexed", [](DistVector<double>& y,
+                                 const DistVector<double>&) {
+          vec_apply_indexed(y, [](double v, std::size_t g) {
+            return g % 3 == 0 ? -v : v;
+          });
+        });
+        time("axpy", [](DistVector<double>& y, const DistVector<double>& x) {
+          vec_axpy(y, 1e-9, x);
+        });
+        time("dot", [&](DistVector<double>& y, const DistVector<double>& x) {
+          sink += dot(y, x);
+        });
+      }
+      c.counter("checksum", sink);
+    });
   return h.finish();
 }

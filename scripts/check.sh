@@ -6,9 +6,9 @@
 #   2. an address+undefined sanitizer build of the library, a set of test
 #      binaries (tracer, accounting, kernels, CG, sparse properties, the
 #      exchange-round tests, the slab arena, the collectives, the dense
-#      primitives and the
-#      mixed inline/fanned-out step sequences and kernel steps) and one
-#      benchmark,
+#      primitives, the vector maps, folds and scans, and the
+#      mixed inline/fanned-out step sequences and kernel and vector steps)
+#      and one benchmark,
 #      with the tests re-run under ASan/UBSan;
 #   3. one benchmark in --quick mode (plus a --faults rerun), with its
 #      BENCH_*.json report and the exported Chrome trace validated against
@@ -93,7 +93,8 @@ if [[ "$NO_SANITIZE" == 0 ]]; then
     test_kernels test_cg test_properties_random test_allport_shift \
     test_fault_recovery test_topology test_matmul_hyper test_buffer_pool \
     test_slab test_contracts test_primitives test_exhaustive_small \
-    test_collectives test_thread_invariance bench_naive_vs_primitive \
+    test_collectives test_vector_ops test_scan_ops test_thread_invariance \
+    bench_naive_vs_primitive \
     >/dev/null
   ./build-asan/tests/test_trace
   ./build-asan/tests/test_accounting \
@@ -133,12 +134,18 @@ if [[ "$NO_SANITIZE" == 0 ]]; then
   # pipelines against their one-segment twins on ragged lengths (the
   # per-call tables their rounds read).
   ./build-asan/tests/test_collectives
+  # The vector maps, folds and scans, which run once per piece and write
+  # the piece's other replicas from its holder, against the per-processor
+  # bodies they replaced (VecPieceTwin), and with host references.
+  ./build-asan/tests/test_vector_ops
+  ./build-asan/tests/test_scan_ops
   # Steps above and below the inline cuts back to back at lanes 1-3: the
   # staging step's partial merge and the one-round byte predictor, every
-  # collective backend with rounds on both sides of the byte cut, and the
-  # accumulate-rows kernel fanned out under its three callers.
+  # collective backend with rounds on both sides of the byte cut, the
+  # accumulate-rows kernel fanned out under its three callers, and every
+  # vector map and fold fanned out with holders writing other lanes' tiles.
   ./build-asan/tests/test_thread_invariance \
-    --gtest_filter='MixedSteps.*:CollectiveSteps.*:KernelSteps.*'
+    --gtest_filter='MixedSteps.*:CollectiveSteps.*:KernelSteps.*:VectorSteps.*'
 fi
 
 if [[ "$TSAN" == 1 ]]; then

@@ -8,8 +8,27 @@
 
 #include <cstdint>
 #include <limits>
+#include <type_traits>
 
 namespace vmp {
+
+namespace detail {
+
+/// a + b with `a` as the add's first source.  When both sources are NaN,
+/// x86 returns the first one's payload, and GCC commutes a plain `+` per
+/// call site (the left operand first where it stays in a register, the
+/// right one where the left is spilled), so on x86-64 the add is spelled
+/// out: a NaN sum carries the left operand's payload at every call site.
+[[nodiscard]] inline double add_left_first(double a, double b) {
+#if defined(__x86_64__)
+  asm("addsd {%1, %0|%0, %1}" : "+x"(a) : "x"(b));
+  return a;
+#else
+  return a + b;
+#endif
+}
+
+}  // namespace detail
 
 /// Value tagged with the global index it came from; the element type of
 /// location-reducing operators (pivot search, entering-variable selection).
@@ -24,7 +43,13 @@ struct ValueIndex {
 template <class T>
 struct Plus {
   using value_type = T;
-  [[nodiscard]] T combine(const T& a, const T& b) const { return a + b; }
+  [[nodiscard]] T combine(const T& a, const T& b) const {
+    if constexpr (std::is_same_v<T, double>) {
+      return detail::add_left_first(a, b);
+    } else {
+      return a + b;
+    }
+  }
   [[nodiscard]] T identity() const { return T{}; }
 };
 

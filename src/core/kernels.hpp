@@ -295,11 +295,13 @@ template <typename U, typename Acc, typename F>
 }
 
 /// Ascending-order dot product: sum += a[i] · b[i].  Scalar on every
-/// backend, like fold.
+/// backend, like fold.  The add is Plus's, so in f64 the sum is its first
+/// source at every call site.
 template <typename U, typename V>
 [[nodiscard]] std::remove_const_t<U> dot(std::span<U> a, std::span<V> b) {
+  const Plus<std::remove_const_t<U>> plus;
   std::remove_const_t<U> s{};
-  for (std::size_t i = 0; i < a.size(); ++i) s += a[i] * b[i];
+  for (std::size_t i = 0; i < a.size(); ++i) s = plus.combine(s, a[i] * b[i]);
   return s;
 }
 

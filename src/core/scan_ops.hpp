@@ -5,7 +5,10 @@
 ///        scan of the piece totals, then a local offset pass.
 ///
 /// Cost: 2·(n/p)·t_a locally plus lg p one-element rounds — the same
-/// anatomy as reduce, and processor-time optimal for n > p·lg p.
+/// anatomy as reduce, and processor-time optimal for n > p·lg p.  Both
+/// local passes run once per piece on its holder, which hands the piece's
+/// total (first pass) or scanned piece (second pass) to the other replicas
+/// (core/vector_ops.hpp, detail::each_piece_to / each_piece).
 ///
 /// Only Block-partitioned vectors support scans (element order must be
 /// contiguous per processor; a Cyclic piece interleaves globally).
@@ -30,24 +33,21 @@ void vec_scan_exclusive(DistVector<T>& v, Op op) {
   // Local pass, lg p scan rounds, local pass: one team activation.
   const auto batch = cube.session();
 
-  // 1. local: piece totals (one pass) …
+  const auto combine = [&](const T& a, const T& x) {
+    return op.combine(a, x);
+  };
+  // 1. local: piece totals (one pass per piece, handed to its replicas) …
   DistBuffer<T> totals(cube, 1);
-  cube.compute(mx, v.n(), [&](proc_t q) {
-    totals.tile(q)[0] = kern::fold(v.data().tile(q), op.identity(),
-                                   [&](const T& a, const T& x) {
-                                     return op.combine(a, x);
-                                   });
+  detail::each_piece_to(v, totals, mx, v.n(), [&](proc_t q) {
+    return kern::fold(v.data().tile(q), op.identity(), combine);
   });
   // 2. … an exclusive scan of the totals across the partition ranks
   //    (replicated subcube families see identical totals, so running the
   //    prefix over the partitioned family is correct for every replica) …
   scan_exclusive(cube, totals, v.partitioned_over(), op);
   // 3. … then a local exclusive scan seeded with the incoming carry.
-  cube.compute(mx, v.n(), [&](proc_t q) {
-    (void)kern::scan_exclusive(v.data().tile(q), totals.tile(q)[0],
-                               [&](const T& a, const T& x) {
-                                 return op.combine(a, x);
-                               });
+  detail::each_piece(v, mx, v.n(), [&](proc_t q) {
+    (void)kern::scan_exclusive(v.data().tile(q), totals.tile(q)[0], combine);
   });
 }
 
@@ -111,16 +111,16 @@ void vec_scan_exclusive_segmented(DistVector<T>& v,
   const auto batch = cube.session();
 
   DistBuffer<Pair> totals(cube, 1);
-  cube.compute(2 * mx, 2 * v.n(), [&](proc_t q) {
+  detail::each_piece_to(v, totals, 2 * mx, 2 * v.n(), [&](proc_t q) {
     Pair acc = seg.identity();
     const std::span<const T> piece = v.data().tile(q);
     const std::span<const std::uint8_t> fl = flags.data().tile(q);
     for (std::size_t s = 0; s < piece.size(); ++s)
       acc = seg.combine(acc, Pair{piece[s], fl[s] != 0});
-    totals.tile(q)[0] = acc;
+    return acc;
   });
   scan_exclusive(cube, totals, v.partitioned_over(), seg);
-  cube.compute(2 * mx, 2 * v.n(), [&](proc_t q) {
+  detail::each_piece(v, 2 * mx, 2 * v.n(), [&](proc_t q) {
     Pair carry = totals.tile(q)[0];
     const std::span<T> piece = v.data().tile(q);
     const std::span<const std::uint8_t> fl = flags.data().tile(q);

@@ -24,6 +24,8 @@ class AxisMap {
   AxisMap(std::size_t n, std::uint32_t parts, Part kind)
       : n_(n), parts_(parts), kind_(kind) {
     VMP_REQUIRE(parts > 0, "axis needs at least one part");
+    quot_ = n / parts;
+    rem_ = n % parts;
   }
 
   [[nodiscard]] std::size_t n() const { return n_; }
@@ -44,17 +46,17 @@ class AxisMap {
                                 : cyclic_local(parts_, g);
   }
 
-  /// Number of indices owned by part r.
+  /// Number of indices owned by part r: both kinds give the first
+  /// n mod parts parts one index more than n / parts.
   [[nodiscard]] std::size_t size(std::uint32_t r) const {
     VMP_REQUIRE(r < parts_, "part out of range");
-    return kind_ == Part::Block ? block_size(n_, parts_, r)
-                                : cyclic_size(n_, parts_, r);
+    return quot_ + (r < rem_ ? 1 : 0);
   }
 
   /// Global index of local slot s on part r.
   [[nodiscard]] std::size_t global(std::uint32_t r, std::size_t s) const {
     VMP_REQUIRE(r < parts_ && s < size(r), "local slot out of range");
-    return kind_ == Part::Block ? block_begin(n_, parts_, r) + s
+    return kind_ == Part::Block ? block_start(r) + s
                                 : cyclic_global(parts_, r, s);
   }
 
@@ -65,8 +67,7 @@ class AxisMap {
   /// one (base, step) pair per local piece.
   [[nodiscard]] std::size_t global_begin(std::uint32_t r) const {
     VMP_REQUIRE(r < parts_, "part out of range");
-    return kind_ == Part::Block ? block_begin(n_, parts_, r)
-                                : static_cast<std::size_t>(r);
+    return kind_ == Part::Block ? block_start(r) : static_cast<std::size_t>(r);
   }
   /// Global-index distance between consecutive local slots: 1 for Block,
   /// parts() for Cyclic.
@@ -85,7 +86,7 @@ class AxisMap {
     const std::size_t sz = size(r);
     if (lo == 0) return 0;
     if (kind_ == Part::Block) {
-      const std::size_t begin = block_begin(n_, parts_, r);
+      const std::size_t begin = block_start(r);
       if (lo <= begin) return 0;
       return std::min(sz, lo - begin);
     }
@@ -98,9 +99,16 @@ class AxisMap {
   friend bool operator==(const AxisMap&, const AxisMap&) = default;
 
  private:
+  /// block_begin(n, parts, r) from the stored quotient and remainder.
+  [[nodiscard]] std::size_t block_start(std::uint32_t r) const {
+    return r * quot_ + std::min<std::size_t>(r, rem_);
+  }
+
   std::size_t n_ = 0;
   std::uint32_t parts_ = 1;
   Part kind_ = Part::Block;
+  std::size_t quot_ = 0;  ///< n / parts
+  std::size_t rem_ = 0;   ///< n % parts
 };
 
 }  // namespace vmp

@@ -86,6 +86,32 @@ TEST_P(AxisMapSweep, LoadBalancedWithinOne) {
   EXPECT_LE(mx - mn, 1u);  // both embeddings are load-balanced
 }
 
+// size(r) and global_begin(r) come from n / parts and n % parts stored at
+// construction; they must equal the partition formulas they replaced, and
+// first_local_at_or_after must stay the first slot at or past lo.
+TEST(AxisMap, SizeAndBeginMatchThePartitionFormulas) {
+  for (const std::uint32_t parts : {1u, 2u, 3u, 5u, 8u, 64u})
+    for (std::size_t n = 0; n <= 300; ++n) {
+      const AxisMap block(n, parts, Part::Block);
+      const AxisMap cyclic(n, parts, Part::Cyclic);
+      for (std::uint32_t r = 0; r < parts; ++r) {
+        ASSERT_EQ(block.size(r), block_size(n, parts, r))
+            << "n=" << n << " parts=" << parts << " r=" << r;
+        ASSERT_EQ(cyclic.size(r), cyclic_size(n, parts, r))
+            << "n=" << n << " parts=" << parts << " r=" << r;
+        ASSERT_EQ(block.global_begin(r), block_begin(n, parts, r))
+            << "n=" << n << " parts=" << parts << " r=" << r;
+        for (const AxisMap* map : {&block, &cyclic})
+          for (std::size_t lo = 0; lo <= n; lo += 7) {
+            const std::size_t s = map->first_local_at_or_after(r, lo);
+            ASSERT_LE(s, map->size(r));
+            if (s < map->size(r)) ASSERT_GE(map->global(r, s), lo);
+            if (s > 0) ASSERT_LT(map->global(r, s - 1), lo);
+          }
+      }
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Sweep, AxisMapSweep,
     ::testing::Combine(::testing::Values<std::size_t>(0, 1, 3, 8, 17, 64, 100),

@@ -10,6 +10,7 @@
 // would disagree with the repo's compare-select combine.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <limits>
@@ -495,6 +496,31 @@ TEST(Kernels, StrictFoldAndDotAreBitIdenticalAcrossToggle) {
     double wdot = 0.0;
     for (std::size_t i = 0; i < n; ++i) wdot += a[i] * b[i];
     EXPECT_EQ(std::memcmp(&dot_off, &wdot, 8), 0);
+  }
+}
+
+// When the running sum and the next product are both NaN, x86 returns the
+// first source's payload, and GCC commutes a plain `s += a·b` differently
+// at different call sites.  kern::dot keeps the sum first everywhere, so
+// the first NaN's payload survives every later NaN product, with the
+// backend on or off.
+TEST(Kernels, DotKeepsTheSumFirstWhenNaNsMeet) {
+  const auto nan_with = [](std::uint64_t payload, bool negative) {
+    return std::bit_cast<double>(
+        (negative ? 0xfff8000000000000ULL : 0x7ff8000000000000ULL) | payload);
+  };
+  const double first = nan_with(0x123, true);
+  const std::vector<double> a = {1.5, first, 2.0, nan_with(0x45, false),
+                                 -0.0, nan_with(0x6, true)};
+  const std::vector<double> b = {2.0, 1.0, nan_with(0x789, false), 1.0,
+                                 std::numeric_limits<double>::infinity(), 3.0};
+  for (const bool on : {false, true}) {
+    SimdGuard g(on);
+    const double got =
+        kern::dot(std::span<const double>(a), std::span<const double>(b));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+              std::bit_cast<std::uint64_t>(first))
+        << (on ? "simd on" : "simd off");
   }
 }
 

@@ -3,6 +3,8 @@
 // and non-commutative operator support in the collectives.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <string>
 
 #include "comm/collectives.hpp"
@@ -24,6 +26,24 @@ TEST(Ops, IdentitiesAreNeutral) {
     EXPECT_EQ(mn.combine(mn.identity(), x), x);
     EXPECT_EQ(mx.combine(mx.identity(), x), x);
   }
+}
+
+// x86 returns the first source's payload when both operands of an add are
+// NaN, and GCC may commute a plain `a + b` differently at each call site.
+// Plus<double> keeps the left operand first, so the left payload wins in
+// every context.
+TEST(Ops, PlusKeepsTheLeftPayloadWhenNaNsMeet) {
+  const auto nan_with = [](std::uint64_t payload, bool negative) {
+    return std::bit_cast<double>(
+        (negative ? 0xfff8000000000000ULL : 0x7ff8000000000000ULL) | payload);
+  };
+  const Plus<double> plus;
+  const double a = nan_with(0x123, true), b = nan_with(0x45, false);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(plus.combine(a, b)),
+            std::bit_cast<std::uint64_t>(a));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(plus.combine(b, a)),
+            std::bit_cast<std::uint64_t>(b));
+  EXPECT_EQ(plus.combine(1.5, -0.25), 1.25);
 }
 
 TEST(Ops, MinLocMaxLocIdentityIsNeutral) {

@@ -16,10 +16,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "algorithms/matmul.hpp"
@@ -31,6 +33,7 @@
 #include "core/primitives.hpp"
 #include "core/scan_ops.hpp"
 #include "core/transpose.hpp"
+#include "core/vector_ops.hpp"
 #include "fault/fault.hpp"
 #include "hypercube/team.hpp"
 #include "util/rng.hpp"
@@ -682,6 +685,148 @@ TEST(KernelSteps, AccumulateRowsBitIdenticalAcrossLanesAndSimd) {
     }
   }
   kern::simd::set_enabled(prev);
+}
+
+// Vector-op invariance across lanes.  Every vector map and fold runs once
+// per piece, on the piece's holder, which writes the piece's other
+// replicas (core/vector_ops.hpp), so at 2 and 3 lanes a holder writes
+// tiles in other lanes' processor ranges.  Rows and Cols vectors of
+// 2^17 + 3 elements put each op's compute steps past the 131072-flop
+// inline cut, on the 2 x 8 and 8 x 2 grids of a d = 4 cube.  Results,
+// clock, SimStats and traces must match the 1-lane run, every op must fan
+// out at 2 and 3 lanes, and engine.fanout_steps must count those steps.
+struct VectorRun {
+  std::vector<std::uint64_t> digests;  ///< per op: every tile, then scalars
+  double now_us = 0.0;
+  SimStats stats;
+  std::vector<std::string> trace_paths;
+  std::vector<TraceEvent> trace_events;
+  std::vector<std::uint64_t> fanned_out;  ///< fanned-out steps per op
+  std::uint64_t steps = 0;
+  double fanout_gauge = 0.0;
+};
+
+[[nodiscard]] VectorRun run_vector_ops(unsigned threads, int gr, int gc,
+                                       Align align) {
+  Cube cube(gr + gc, CostParams::cm2(), Cube::Options{threads});
+  cube.clock().tracer().set_recording(true);
+  cube.enable_metrics();
+  Grid grid(cube, gr, gc);
+  const std::size_t n = (std::size_t{1} << 17) + 3;
+  DistVector<double> v(grid, n, align), w(grid, n, align);
+  DistVector<std::uint8_t> flags(grid, n, align);
+  v.load(random_vector(n, 701));
+  w.load(random_vector(n, 702));
+  std::vector<std::uint8_t> hf(n);
+  for (std::size_t g = 0; g < n; ++g) hf[g] = g % 1000 == 7 ? 1 : 0;
+  flags.load(hf);
+  VectorRun r;
+  const auto op = [&](auto body) {
+    const std::uint64_t before = cube.team().fanned_out();
+    const std::vector<double> scalars = body();
+    r.fanned_out.push_back(cube.team().fanned_out() - before);
+    cube.each_proc([&](proc_t q) {
+      const std::span<const double> t = v.data().tile(q);
+      r.digests.push_back(fnv1a(t.data(), t.size_bytes()));
+    });
+    r.digests.push_back(
+        fnv1a(scalars.data(), scalars.size() * sizeof(double)));
+  };
+  const auto none = std::vector<double>{};
+  op([&] {
+    vec_apply(v, [](double x) { return 0.5 * x + 1.0; });
+    return none;
+  });
+  op([&] {
+    vec_apply_indexed(v, [](double x, std::size_t g) {
+      return g % 3 == 0 ? -x : x;
+    });
+    return none;
+  });
+  op([&] {
+    vec_fill_range(v, n / 4, n / 2, 2.0);
+    return none;
+  });
+  op([&] {
+    vec_zip(v, w, [](double x, double y) { return x - y; });
+    return none;
+  });
+  op([&] {
+    vec_zip_indexed(v, w, [](double x, double y, std::size_t g) {
+      return (g & 1) != 0 ? x * y : x + y;
+    });
+    return none;
+  });
+  op([&] {
+    vec_axpy(v, 0.75, w);
+    return none;
+  });
+  op([&] {
+    vec_scale(v, -1.25);
+    return none;
+  });
+  op([&] { return std::vector<double>{vec_fold(v, Plus<double>{})}; });
+  op([&] { return std::vector<double>{dot(v, w)}; });
+  op([&] {
+    const ValueIndex<double> a =
+        vec_argmin_key(v, [](double x, std::size_t) { return x; });
+    return std::vector<double>{a.value, static_cast<double>(a.index)};
+  });
+  op([&] {
+    const ValueIndex<double> a = vec_argmax_key(
+        v, [](double x, std::size_t) { return std::abs(x); });
+    return std::vector<double>{a.value, static_cast<double>(a.index)};
+  });
+  op([&] {
+    vec_scan_exclusive(v, Plus<double>{});
+    return none;
+  });
+  op([&] {
+    vec_scan_inclusive(v, Max<double>{});
+    return none;
+  });
+  op([&] {
+    vec_scan_exclusive_segmented(v, flags, Plus<double>{});
+    return none;
+  });
+  r.now_us = cube.clock().now_us();
+  r.stats = cube.clock().stats();
+  r.trace_paths = cube.clock().tracer().paths();
+  r.trace_events = cube.clock().tracer().events();
+  r.steps = cube.team().steps_dispatched();
+  cube.metrics().run_probes();
+  r.fanout_gauge =
+      cube.metrics().gauge("engine.fanout_steps", MetricClass::Wall).value();
+  EXPECT_EQ(r.fanout_gauge, static_cast<double>(cube.team().fanned_out()))
+      << "engine.fanout_steps";
+  return r;
+}
+
+TEST(VectorSteps, PerPieceOpsBitIdenticalAcrossLaneCounts) {
+  for (const auto& [gr, gc] : {std::pair{1, 3}, std::pair{3, 1}})
+    for (const Align align : {Align::Rows, Align::Cols}) {
+      const std::string grid = std::to_string(1 << gr) + "x" +
+                               std::to_string(1 << gc) + " " +
+                               to_string(align);
+      const VectorRun ref = run_vector_ops(1, gr, gc, align);
+      for (const std::uint64_t f : ref.fanned_out)
+        EXPECT_EQ(f, 0u) << grid << ": one lane never fans out";
+      for (const unsigned threads : {2u, 3u}) {
+        const VectorRun got = run_vector_ops(threads, gr, gc, align);
+        const std::string what = grid + " threads=" + std::to_string(threads);
+        EXPECT_EQ(ref.digests, got.digests) << what << " results";
+        EXPECT_EQ(ref.now_us, got.now_us) << what << " simulated clock";
+        EXPECT_TRUE(ref.stats == got.stats) << what << " SimStats diverge";
+        EXPECT_EQ(ref.trace_paths, got.trace_paths) << what;
+        EXPECT_TRUE(ref.trace_events == got.trace_events)
+            << what << " event traces diverge";
+        EXPECT_EQ(ref.steps, got.steps) << what << " team steps";
+        ASSERT_EQ(ref.fanned_out.size(), got.fanned_out.size()) << what;
+        for (std::size_t i = 0; i < got.fanned_out.size(); ++i)
+          EXPECT_GT(got.fanned_out[i], 0u) << what << " op " << i;
+        EXPECT_GT(got.fanout_gauge, 0.0) << what << " engine.fanout_steps";
+      }
+    }
 }
 
 }  // namespace
