@@ -6,9 +6,10 @@
 #   2. an address+undefined sanitizer build of the library, a set of test
 #      binaries (tracer, accounting, kernels, CG, sparse properties, the
 #      exchange-round tests, the slab arena, the collectives, the dense
-#      primitives, the vector maps, folds and scans, and the
-#      mixed inline/fanned-out step sequences and kernel and vector steps)
-#      and one benchmark,
+#      primitives, the vector maps, folds and scans, the naive router
+#      baselines, and the mixed inline/fanned-out step sequences, kernel
+#      and vector steps and staged rounds under a fault plan) and one
+#      benchmark,
 #      with the tests re-run under ASan/UBSan;
 #   3. one benchmark in --quick mode (plus a --faults rerun), with its
 #      BENCH_*.json report and the exported Chrome trace validated against
@@ -93,8 +94,8 @@ if [[ "$NO_SANITIZE" == 0 ]]; then
     test_kernels test_cg test_properties_random test_allport_shift \
     test_fault_recovery test_topology test_matmul_hyper test_buffer_pool \
     test_slab test_contracts test_primitives test_exhaustive_small \
-    test_collectives test_vector_ops test_scan_ops test_thread_invariance \
-    bench_naive_vs_primitive \
+    test_collectives test_vector_ops test_scan_ops test_naive \
+    test_thread_invariance bench_naive_vs_primitive \
     >/dev/null
   ./build-asan/tests/test_trace
   ./build-asan/tests/test_accounting \
@@ -139,13 +140,18 @@ if [[ "$NO_SANITIZE" == 0 ]]; then
   # bodies they replaced (VecPieceTwin), and with host references.
   ./build-asan/tests/test_vector_ops
   ./build-asan/tests/test_scan_ops
+  # The naive baselines: one axis-flagged body per primitive against the
+  # row and column copies it replaced (NaiveTwin), and the naive router
+  # under transient faults and dead links.
+  ./build-asan/tests/test_naive
   # Steps above and below the inline cuts back to back at lanes 1-3: the
   # staging step's partial merge and the one-round byte predictor, every
   # collective backend with rounds on both sides of the byte cut, the
-  # accumulate-rows kernel fanned out under its three callers, and every
-  # vector map and fold fanned out with holders writing other lanes' tiles.
+  # accumulate-rows kernel fanned out under its three callers, every
+  # vector map and fold fanned out with holders writing other lanes'
+  # tiles, and staged rounds whose deliveries fan out under a fault plan.
   ./build-asan/tests/test_thread_invariance \
-    --gtest_filter='MixedSteps.*:CollectiveSteps.*:KernelSteps.*:VectorSteps.*'
+    --gtest_filter='MixedSteps.*:CollectiveSteps.*:KernelSteps.*:VectorSteps.*:FaultSteps.*'
 fi
 
 if [[ "$TSAN" == 1 ]]; then

@@ -43,15 +43,14 @@
 /// look up segment cuts in a detail::SegmentTable, per processor for
 /// `allreduce_pipelined` and per subcube for the broadcasts.
 ///
-/// The broadcasts that only move data (`broadcast`, `broadcast_pipelined`
-/// and allport.hpp's `broadcast_esbt`) stage nothing: each round is one
-/// Cube::exchange_views over the roots' payloads — every holder's message
-/// is its segment of its subcube root's tile, the bytes it would hold by
-/// then — and after the last round one uncharged Cube::deliver step copies
-/// each root's payload to its members.  Charges, statistics and traces are
-/// those of the staged rounds; a FaultError leaves `buf` as it was.
-/// `broadcast_sag` is built from the public scatter and all-gather and
-/// stays staged.
+/// The broadcasts only move data (`broadcast`, `broadcast_sag`,
+/// `broadcast_pipelined` and allport.hpp's `broadcast_esbt`), and stage
+/// nothing: each round is one Cube::exchange_views over the roots'
+/// payloads — every holder's message is a range of its subcube root's
+/// tile, the bytes it would hold by then — and after the last round one
+/// uncharged Cube::deliver step copies each root's payload to its members.
+/// Charges, statistics and traces are those of the staged rounds; a
+/// FaultError leaves `buf` as it was.
 #pragma once
 
 #include <algorithm>
@@ -211,14 +210,12 @@ void reduce_scatter(Cube& cube, DistBuffer<T>& buf, const SubcubeSet& sc,
 // All-gather by recursive doubling.
 // ---------------------------------------------------------------------------
 
-/// Inverse of reduce_scatter's data layout: on entry the member with
-/// effective rank rr = rank ^ rank_xor holds block rr of a block partition
-/// of its subcube's total `n_of(q)`; on exit every member holds the full
-/// concatenation in block order.  `rank_xor` supports gathers "rooted"
-/// away from rank 0 (the all-gather phase of broadcast_sag).
+/// Inverse of reduce_scatter's data layout: on entry the member with rank
+/// r holds block r of a block partition of its subcube's total `n_of(q)`;
+/// on exit every member holds the full concatenation in block order.
 template <class T, class NFn>
-void allgather(Cube& cube, DistBuffer<T>& buf, const SubcubeSet& sc, NFn n_of,
-               std::uint32_t rank_xor = 0) {
+void allgather(Cube& cube, DistBuffer<T>& buf, const SubcubeSet& sc,
+               NFn n_of) {
   if (sc.k() == 0) return;
   VMP_TRACE(cube, "allgather");
   const auto batch = cube.session();
@@ -233,8 +230,7 @@ void allgather(Cube& cube, DistBuffer<T>& buf, const SubcubeSet& sc, NFn n_of,
     cube.exchange<T>(
         d, [&](proc_t q) -> std::span<const T> { return buf.tile(q); },
         [&](proc_t q, std::span<const T> in) {
-          const std::uint32_t rr = sc.rank(q) ^ rank_xor;
-          if (((rr >> j) & 1u) == 0) {
+          if (((sc.rank(q) >> j) & 1u) == 0) {
             buf.append(q, in);  // partner higher
           } else {
             buf.prepend(q, in);  // partner lower
@@ -250,8 +246,8 @@ void allgather(Cube& cube, DistBuffer<T>& buf, const SubcubeSet& sc, NFn n_of,
 /// Uniform-length convenience overload.
 template <class T>
 void allgather(Cube& cube, DistBuffer<T>& buf, const SubcubeSet& sc,
-               std::size_t n, std::uint32_t rank_xor = 0) {
-  allgather(cube, buf, sc, [n](proc_t) { return n; }, rank_xor);
+               std::size_t n) {
+  allgather(cube, buf, sc, [n](proc_t) { return n; });
 }
 
 /// Reduce-scatter followed by all-gather: the bandwidth-optimal all-reduce
@@ -475,10 +471,11 @@ class Subcubes {
 
 /// The per-call geometry of a data-only broadcast, one entry per subcube:
 /// the root's payload, the first n_of(root) elements of its tile, cut into
-/// `nseg` segments.  n_of runs once per subcube, at its root.  No
-/// per-processor rank is formed: q's address relative to its root is
-/// q ^ root_bits, so a holder test is a mask on it.  The payloads are read
-/// where they lie, so `buf` must not grow or be relabeled before place().
+/// `nseg` segments (broadcast_sag's P blocks).  n_of runs once per
+/// subcube, at its root.  No per-processor rank is formed: q's address
+/// relative to its root is q ^ root_bits, so a holder test is a mask on
+/// it.  The payloads are read where they lie, so `buf` must not grow or be
+/// relabeled before place().
 template <class T>
 class BroadcastRoots {
  public:
@@ -507,11 +504,16 @@ class BroadcastRoots {
     return ((q ^ root_bits_) & uncovered) == 0;
   }
 
+  /// Segments [lo, hi) of the payload of q's root.
+  [[nodiscard]] std::span<const T> segments(proc_t q, std::uint32_t lo,
+                                            std::uint32_t hi) const {
+    const std::size_t i = subs_.of(q);
+    const std::size_t begin = cuts_.cut(i, lo);
+    return {data_[i] + begin, cuts_.cut(i, hi) - begin};
+  }
   /// Segment s of the payload of q's root.
   [[nodiscard]] std::span<const T> segment(proc_t q, std::uint32_t s) const {
-    const std::size_t i = subs_.of(q);
-    const std::size_t lo = cuts_.cut(i, s);
-    return {data_[i] + lo, cuts_.cut(i, s + 1) - lo};
+    return segments(q, s, s + 1);
   }
 
   /// One uncharged deliver step after the last round: every member but
@@ -589,69 +591,57 @@ void broadcast(Cube& cube, DistBuffer<T>& buf, const SubcubeSet& sc,
       cube, buf, sc, root_rank, [&buf](proc_t q) { return buf.len(q); }, 1);
 }
 
-/// Scatter phase of broadcast_sag: the root's payload is split into
-/// relative-rank-indexed blocks and peeled down the binomial tree, so the
-/// member with relative rank rr ends up holding block rr.
-template <class T, class NFn>
-void scatter_blocks(Cube& cube, DistBuffer<T>& buf, const SubcubeSet& sc,
-                    std::uint32_t root_rank, NFn n_of) {
-  if (sc.k() == 0) return;
-  VMP_TRACE(cube, "scatter");
-  const auto batch = cube.session();
-  VMP_REQUIRE(root_rank < sc.size(), "scatter root rank out of range");
-  const std::uint32_t P = sc.size();
-  std::size_t cap = 0;
-  for (proc_t q = 0; q < cube.procs(); ++q)
-    cap = std::max(cap, static_cast<std::size_t>(n_of(q)));
-  buf.reserve_each(cap);
-  // Non-roots are overwritten by their incoming block; processors whose
-  // block is EMPTY (payload shorter than the subcube) receive nothing, so
-  // clear any pre-sized state up front or stale data survives the scatter.
-  cube.each_proc([&](proc_t q) {
-    if (sc.rank(q) != root_rank) buf.clear(q);
-  });
-  std::uint32_t processed = 0;
-  for (int j = sc.k() - 1; j >= 0; --j) {
-    const int d = sc.dim_of_rank_bit(j);
-    const std::uint32_t half = 1u << j;
-    cube.exchange<T>(
-        d,
-        [&](proc_t q) -> std::span<const T> {
-          const std::uint32_t rr = sc.rank(q) ^ root_rank;
-          if ((rr & ~processed) != 0) return {};  // not a holder yet
-          // Holder rr covers blocks [rr, rr + 2^(j+1)); send the top half.
-          const std::size_t n = n_of(q);
-          const std::size_t lo = block_begin(n, P, rr);
-          const std::size_t cut = block_begin(n, P, rr + half);
-          return std::span<const T>(buf.tile(q)).subspan(cut - lo);
-        },
-        [&](proc_t q, std::span<const T> in) { buf.assign(q, in); });
-    // Holders shrink to the bottom half of their coverage (bookkeeping).
-    cube.each_proc([&](proc_t q) {
-      const std::uint32_t rr = sc.rank(q) ^ root_rank;
-      if ((rr & ~processed) != 0) return;
-      const std::size_t n = n_of(q);
-      const std::size_t lo = block_begin(n, P, rr);
-      const std::size_t cut = block_begin(n, P, rr + half);
-      buf.resize(q, cut - lo);
-    });
-    processed |= 1u << j;
-  }
-}
-
 /// Scatter + all-gather broadcast: 2k start-ups but each element crosses an
 /// edge only ~twice, beating the binomial tree beyond a crossover payload
-/// length (bench_ablation reproduces the crossover).
-/// `n_of(q)` must return the payload length of q's subcube on EVERY member
-/// (non-roots need it to know their block geometry).
+/// length (bench_ablation reproduces the crossover).  The root's payload,
+/// cut into P blocks, is peeled down the binomial tree (the member with
+/// relative rank rr ends the scatter holding block rr) and then gathered
+/// by recursive doubling.  Every message is a block range of the root's
+/// payload, so the rounds are walked over the roots' payloads like the
+/// other data-only broadcasts and the payloads placed once.
+/// `n_of(root)` is the payload length of each subcube, read at its root
+/// (which must hold at least that many elements); every member ends with
+/// that many.
 template <class T, class NFn>
 void broadcast_sag(Cube& cube, DistBuffer<T>& buf, const SubcubeSet& sc,
                    std::uint32_t root_rank, NFn n_of) {
   if (sc.k() == 0) return;
   VMP_TRACE(cube, "broadcast_sag");
-  const auto batch = cube.session();
-  scatter_blocks(cube, buf, sc, root_rank, n_of);
-  allgather(cube, buf, sc, n_of, root_rank);
+  VMP_REQUIRE(root_rank < sc.size(), "broadcast root rank out of range");
+  const int k = sc.k();
+  const detail::BroadcastRoots<T> roots(cube, buf, sc, root_rank, sc.size(),
+                                        n_of);
+  // One round across rank bit j: the member with relative rank rr sends
+  // blocks [lo, hi) = blocks(rr) of its root's payload (none if empty).
+  const auto round = [&](int j, auto&& blocks) {
+    const int d = sc.dim_of_rank_bit(j);
+    cube.exchange_views<T>(
+        std::span<const int>(&d, 1),
+        [&](proc_t q, std::size_t) -> std::span<const T> {
+          const auto [lo, hi] = blocks(sc.rank(q) ^ root_rank);
+          return roots.segments(q, lo, hi);
+        });
+  };
+  {
+    VMP_TRACE(cube, "scatter");
+    // A holder has no rank bit at or below j set: it covers blocks
+    // [rr, rr + 2^(j+1)) and sends the top half.
+    for (int j = k - 1; j >= 0; --j)
+      round(j, [j](std::uint32_t rr) {
+        if ((rr & ((2u << j) - 1u)) != 0) return std::pair{0u, 0u};
+        return std::pair{rr + (1u << j), rr + (2u << j)};
+      });
+  }
+  {
+    VMP_TRACE(cube, "allgather");
+    // Before round j, q holds the 2^j blocks of its rank's aligned group.
+    for (int j = 0; j < k; ++j)
+      round(j, [j](std::uint32_t rr) {
+        const std::uint32_t lo = rr & ~((1u << j) - 1u);
+        return std::pair{lo, lo + (1u << j)};
+      });
+  }
+  roots.place(cube, buf);
 }
 
 /// Segment-pipelined binomial broadcast: the payload is cut into `nseg`

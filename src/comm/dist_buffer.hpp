@@ -6,7 +6,7 @@
 ///
 /// Storage is one contiguous ARENA per distributed object: a single
 /// allocation holding all P tiles at computed offsets, leased from the
-/// Cube's BufferPool via acquire_slab so that temporaries inside a fused
+/// Cube's BufferPool via acquire so that temporaries inside a fused
 /// pipeline recycle the same power-of-two blocks and are allocation-free in
 /// steady state.  Callers see processor q's tile only as a std::span via
 /// tile(q) / on(q).
@@ -80,7 +80,7 @@ class DistBuffer {
         tiles_(other.tiles_) {
     reset_slots();
     if (stride_ > 0) {
-      block_ = cube_->buffers().acquire_slab(arena_bytes(procs_, stride_));
+      block_ = cube_->buffers().acquire(arena_bytes(procs_, stride_));
       base_ = aligned_base(block_);
       for (proc_t q = 0; q < procs_; ++q)
         kern::copy(other.tile(q), std::span<T>(tile_ptr(q), tiles_[q].len));
@@ -298,7 +298,7 @@ class DistBuffer {
     const std::size_t want =
         round_stride(min_elems > 2 * stride_ ? min_elems : 2 * stride_);
     BufferPool::Block nb =
-        cube_->buffers().acquire_slab(arena_bytes(procs_, want));
+        cube_->buffers().acquire(arena_bytes(procs_, want));
     T* nbase = aligned_base(nb);
     for (proc_t q = 0; q < procs_; ++q)
       kern::copy(std::span<const T>(tile_ptr(q), tiles_[q].len),

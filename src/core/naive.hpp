@@ -9,6 +9,11 @@
 /// host embedding so nothing is ever replicated or aligned.  Results are
 /// bit-identical to the optimized primitives for sum-reductions up to
 /// floating-point association; correctness tests compare against them.
+///
+/// Distribute, extract, insert and the sum-reduction each have one body in
+/// `detail::`, which takes the axis as a flag (`row`: the vector runs along
+/// a matrix row); the named row and column forms, and naive_matvec's two
+/// phases, call it.
 #pragma once
 
 #include <cmath>
@@ -27,89 +32,151 @@ namespace vmp {
   return static_cast<proc_t>(v.map().owner(g));
 }
 
+namespace detail {
+
+using Injection = std::vector<std::vector<Packet>>;
+
+/// Route `inject` (one packet list per source) through the general router
+/// into `tiles`: a packet's tag is its slot in its destination's tile,
+/// which it overwrites, or accumulates into when `add` is set.
+inline void naive_route(Cube& cube, Injection inject,
+                        DistBuffer<double>& tiles, bool add) {
+  NaiveRouter(cube).run(std::move(inject),
+                        [&](proc_t dst, std::uint64_t tag, double x) {
+                          double& slot = tiles.tile(dst)[tag];
+                          if (add)
+                            slot += x;
+                          else
+                            slot = x;
+                        });
+}
+
+/// out[i][j] = v[j] (`row`: v is copied into each of `m` rows) or v[i]
+/// (into each of `m` columns), on `grid` — one packet per matrix element,
+/// from the Linear owner of the vector element to the block owner of
+/// (i, j).
+[[nodiscard]] inline DistMatrix<double> naive_distribute(
+    Grid& grid, const DistVector<double>& v, std::size_t m,
+    MatrixLayout layout, bool row) {
+  DistMatrix<double> out(grid, row ? m : v.n(), row ? v.n() : m, layout);
+  const AxisMap& along = row ? out.colmap() : out.rowmap();
+  Injection inject(grid.cube().procs());
+  grid.cube().each_proc([&](proc_t q) {
+    const std::uint32_t part = row ? grid.pcol(q) : grid.prow(q);
+    const std::size_t lrn = out.lrows(q), lcn = out.lcols(q);
+    const std::size_t n_along = row ? lcn : lrn, n_across = row ? lrn : lcn;
+    for (std::size_t a = 0; a < n_along; ++a) {
+      const std::size_t g = along.global(part, a);
+      const proc_t src = v.map().owner(g);
+      const double value = v.at(g);
+      for (std::size_t b = 0; b < n_across; ++b)
+        inject[src].push_back(
+            Packet{q, row ? b * lcn + a : a * lcn + b, value});
+    }
+  });
+  naive_route(grid.cube(), std::move(inject), out.data(), false);
+  return out;
+}
+
+/// out[g] = sum of A's elements in column g (`row`) or row g, result
+/// Linear — one packet per matrix element to the Linear owner of g,
+/// accumulated on arrival.
+[[nodiscard]] inline DistVector<double> naive_reduce_sum(
+    const DistMatrix<double>& A, bool row) {
+  Grid& grid = A.grid();
+  DistVector<double> out(grid, row ? A.ncols() : A.nrows(), Align::Linear);
+  Injection inject(grid.cube().procs());
+  grid.cube().each_proc([&](proc_t q) {
+    const std::uint32_t R = grid.prow(q), C = grid.pcol(q);
+    const std::size_t lrn = A.lrows(q), lcn = A.lcols(q);
+    const std::span<const double> blk = A.block(q);
+    for (std::size_t lr = 0; lr < lrn; ++lr)
+      for (std::size_t lc = 0; lc < lcn; ++lc) {
+        const std::size_t g =
+            row ? A.colmap().global(C, lc) : A.rowmap().global(R, lr);
+        inject[q].push_back(
+            Packet{v_owner(out, g), out.map().local(g), blk[lr * lcn + lc]});
+      }
+  });
+  naive_route(grid.cube(), std::move(inject), out.data(), true);
+  return out;
+}
+
+/// out = row k (`row`) or column k of A, result Linear — one packet per
+/// element of the line, from its block owner to the Linear owner.
+[[nodiscard]] inline DistVector<double> naive_extract(
+    const DistMatrix<double>& A, std::size_t k, bool row) {
+  Grid& grid = A.grid();
+  DistVector<double> out(grid, row ? A.ncols() : A.nrows(), Align::Linear);
+  const AxisMap& across = row ? A.rowmap() : A.colmap();
+  const AxisMap& along = row ? A.colmap() : A.rowmap();
+  const std::uint32_t owner = across.owner(k);
+  const std::size_t lk = across.local(k);
+  Injection inject(grid.cube().procs());
+  grid.cube().each_proc([&](proc_t q) {
+    if ((row ? grid.prow(q) : grid.pcol(q)) != owner) return;
+    const std::uint32_t part = row ? grid.pcol(q) : grid.prow(q);
+    const std::size_t lcn = A.lcols(q);
+    const std::size_t n_along = row ? lcn : A.lrows(q);
+    const std::span<const double> blk = A.block(q);
+    for (std::size_t a = 0; a < n_along; ++a) {
+      const std::size_t g = along.global(part, a);
+      inject[q].push_back(Packet{v_owner(out, g), out.map().local(g),
+                                 blk[row ? lk * lcn + a : a * lcn + lk]});
+    }
+  });
+  naive_route(grid.cube(), std::move(inject), out.data(), false);
+  return out;
+}
+
+/// Row k (`row`) or column k of A = v, v Linear — one packet per element
+/// of v, from its Linear owner to the block owner of its matrix slot.
+inline void naive_insert(DistMatrix<double>& A, std::size_t k, bool row,
+                         const DistVector<double>& v) {
+  Grid& grid = A.grid();
+  const AxisMap& across = row ? A.rowmap() : A.colmap();
+  const AxisMap& along = row ? A.colmap() : A.rowmap();
+  const std::uint32_t owner = across.owner(k);
+  const std::size_t lk = across.local(k);
+  Injection inject(grid.cube().procs());
+  for (std::size_t g = 0; g < v.n(); ++g) {
+    const std::uint32_t part = along.owner(g);
+    const std::uint32_t C = row ? part : owner;
+    const std::size_t lcn = A.colmap().size(C);
+    const std::size_t slot =
+        row ? lk * lcn + along.local(g) : along.local(g) * lcn + lk;
+    inject[v.map().owner(g)].push_back(
+        Packet{grid.at(row ? owner : part, C), slot, v.at(g)});
+  }
+  naive_route(grid.cube(), std::move(inject), A.data(), false);
+}
+
+}  // namespace detail
+
 /// out[i][j] = v[j] — one packet per matrix element, from the Linear owner
 /// of v[j] to the block owner of (i, j).
 [[nodiscard]] inline DistMatrix<double> naive_distribute_rows(
     const DistVector<double>& v, std::size_t nrows, MatrixLayout layout = {}) {
   VMP_REQUIRE(v.align() == Align::Linear,
               "naive primitives use Linear vectors");
-  Grid& grid = v.grid();
-  Cube& cube = grid.cube();
-  VMP_TRACE(cube, "naive_distribute_rows");
-  DistMatrix<double> out(grid, nrows, v.n(), layout);
-  std::vector<std::vector<Packet>> inject(cube.procs());
-  cube.each_proc([&](proc_t q) {
-    const std::uint32_t C = grid.pcol(q);
-    const std::size_t lrn = out.lrows(q), lcn = out.lcols(q);
-    for (std::size_t lc = 0; lc < lcn; ++lc) {
-      const std::size_t j = out.colmap().global(C, lc);
-      const proc_t src = v.map().owner(j);
-      const double value = v.at(j);
-      for (std::size_t lr = 0; lr < lrn; ++lr)
-        inject[src].push_back(Packet{q, lr * lcn + lc, value});
-    }
-  });
-  NaiveRouter router(cube);
-  router.run(std::move(inject), [&](proc_t dst, std::uint64_t tag, double x) {
-    out.data().tile(dst)[tag] = x;
-  });
-  return out;
+  VMP_TRACE(v.grid().cube(), "naive_distribute_rows");
+  return detail::naive_distribute(v.grid(), v, nrows, layout, true);
 }
 
 /// out[j] = sum_i A[i][j], result Linear — one packet per matrix element to
 /// the Linear owner of index j, accumulated on arrival.
 [[nodiscard]] inline DistVector<double> naive_reduce_cols_sum(
     const DistMatrix<double>& A) {
-  Grid& grid = A.grid();
-  Cube& cube = grid.cube();
-  VMP_TRACE(cube, "naive_reduce_cols_sum");
-  DistVector<double> out(grid, A.ncols(), Align::Linear);
-  std::vector<std::vector<Packet>> inject(cube.procs());
-  cube.each_proc([&](proc_t q) {
-    const std::uint32_t C = grid.pcol(q);
-    const std::size_t lrn = A.lrows(q), lcn = A.lcols(q);
-    const std::span<const double> blk = A.block(q);
-    for (std::size_t lr = 0; lr < lrn; ++lr)
-      for (std::size_t lc = 0; lc < lcn; ++lc) {
-        const std::size_t j = A.colmap().global(C, lc);
-        inject[q].push_back(Packet{v_owner(out, j), out.map().local(j),
-                                   blk[lr * lcn + lc]});
-      }
-  });
-  NaiveRouter router(cube);
-  router.run(std::move(inject), [&](proc_t dst, std::uint64_t tag, double x) {
-    out.data().tile(dst)[tag] += x;
-  });
-  return out;
+  VMP_TRACE(A.grid().cube(), "naive_reduce_cols_sum");
+  return detail::naive_reduce_sum(A, true);
 }
 
 /// out[j] = A[i][j], result Linear — one packet per row element.
 [[nodiscard]] inline DistVector<double> naive_extract_row(
     const DistMatrix<double>& A, std::size_t i) {
   VMP_REQUIRE(i < A.nrows(), "row index out of range");
-  Grid& grid = A.grid();
-  Cube& cube = grid.cube();
-  VMP_TRACE(cube, "naive_extract_row");
-  DistVector<double> out(grid, A.ncols(), Align::Linear);
-  const std::uint32_t R = A.rowmap().owner(i);
-  const std::size_t lr = A.rowmap().local(i);
-  std::vector<std::vector<Packet>> inject(cube.procs());
-  cube.each_proc([&](proc_t q) {
-    if (grid.prow(q) != R) return;
-    const std::uint32_t C = grid.pcol(q);
-    const std::size_t lcn = A.lcols(q);
-    const std::span<const double> blk = A.block(q);
-    for (std::size_t lc = 0; lc < lcn; ++lc) {
-      const std::size_t j = A.colmap().global(C, lc);
-      inject[q].push_back(
-          Packet{v_owner(out, j), out.map().local(j), blk[lr * lcn + lc]});
-    }
-  });
-  NaiveRouter router(cube);
-  router.run(std::move(inject), [&](proc_t dst, std::uint64_t tag, double x) {
-    out.data().tile(dst)[tag] = x;
-  });
-  return out;
+  VMP_TRACE(A.grid().cube(), "naive_extract_row");
+  return detail::naive_extract(A, i, true);
 }
 
 /// A[i][j] = v[j] for one row i, v Linear — one packet per element.
@@ -118,22 +185,8 @@ inline void naive_insert_row(DistMatrix<double>& A, std::size_t i,
   VMP_REQUIRE(i < A.nrows(), "row index out of range");
   VMP_REQUIRE(v.align() == Align::Linear && v.n() == A.ncols(),
               "naive_insert_row needs a Linear vector of length ncols");
-  Grid& grid = A.grid();
-  Cube& cube = grid.cube();
-  VMP_TRACE(cube, "naive_insert_row");
-  const std::uint32_t R = A.rowmap().owner(i);
-  const std::size_t lr = A.rowmap().local(i);
-  std::vector<std::vector<Packet>> inject(cube.procs());
-  for (std::size_t j = 0; j < v.n(); ++j) {
-    const proc_t dst = grid.at(R, A.colmap().owner(j));
-    const std::size_t lcn = A.colmap().size(A.colmap().owner(j));
-    inject[v.map().owner(j)].push_back(
-        Packet{dst, lr * lcn + A.colmap().local(j), v.at(j)});
-  }
-  NaiveRouter router(cube);
-  router.run(std::move(inject), [&](proc_t dst, std::uint64_t tag, double x) {
-    A.data().tile(dst)[tag] = x;
-  });
+  VMP_TRACE(A.grid().cube(), "naive_insert_row");
+  detail::naive_insert(A, i, true, v);
 }
 
 /// out[i][j] = v[i] — the column-direction twin of naive_distribute_rows.
@@ -141,57 +194,16 @@ inline void naive_insert_row(DistMatrix<double>& A, std::size_t i,
     const DistVector<double>& v, std::size_t ncols, MatrixLayout layout = {}) {
   VMP_REQUIRE(v.align() == Align::Linear,
               "naive primitives use Linear vectors");
-  Grid& grid = v.grid();
-  Cube& cube = grid.cube();
-  VMP_TRACE(cube, "naive_distribute_cols");
-  DistMatrix<double> out(grid, v.n(), ncols, layout);
-  std::vector<std::vector<Packet>> inject(cube.procs());
-  cube.each_proc([&](proc_t q) {
-    const std::uint32_t R = grid.prow(q);
-    const std::size_t lrn = out.lrows(q), lcn = out.lcols(q);
-    for (std::size_t lr = 0; lr < lrn; ++lr) {
-      const std::size_t i = out.rowmap().global(R, lr);
-      const proc_t src = v.map().owner(i);
-      const double value = v.at(i);
-      for (std::size_t lc = 0; lc < lcn; ++lc)
-        inject[src].push_back(Packet{q, lr * lcn + lc, value});
-    }
-  });
-  NaiveRouter router(cube);
-  router.run(std::move(inject), [&](proc_t dst, std::uint64_t tag, double x) {
-    out.data().tile(dst)[tag] = x;
-  });
-  return out;
+  VMP_TRACE(v.grid().cube(), "naive_distribute_cols");
+  return detail::naive_distribute(v.grid(), v, ncols, layout, false);
 }
 
 /// out[i] = A[i][j] for one column j, result Linear.
 [[nodiscard]] inline DistVector<double> naive_extract_col(
     const DistMatrix<double>& A, std::size_t j) {
   VMP_REQUIRE(j < A.ncols(), "column index out of range");
-  Grid& grid = A.grid();
-  Cube& cube = grid.cube();
-  VMP_TRACE(cube, "naive_extract_col");
-  DistVector<double> out(grid, A.nrows(), Align::Linear);
-  const std::uint32_t C = A.colmap().owner(j);
-  const std::size_t lc = A.colmap().local(j);
-  std::vector<std::vector<Packet>> inject(cube.procs());
-  cube.each_proc([&](proc_t q) {
-    if (grid.pcol(q) != C) return;
-    const std::uint32_t R = grid.prow(q);
-    const std::size_t lcn = A.lcols(q);
-    const std::size_t lrn = A.lrows(q);
-    const std::span<const double> blk = A.block(q);
-    for (std::size_t lr = 0; lr < lrn; ++lr) {
-      const std::size_t i = A.rowmap().global(R, lr);
-      inject[q].push_back(
-          Packet{v_owner(out, i), out.map().local(i), blk[lr * lcn + lc]});
-    }
-  });
-  NaiveRouter router(cube);
-  router.run(std::move(inject), [&](proc_t dst, std::uint64_t tag, double x) {
-    out.data().tile(dst)[tag] = x;
-  });
-  return out;
+  VMP_TRACE(A.grid().cube(), "naive_extract_col");
+  return detail::naive_extract(A, j, false);
 }
 
 /// A[i][j] = v[i] for one column j, v Linear.
@@ -200,23 +212,8 @@ inline void naive_insert_col(DistMatrix<double>& A, std::size_t j,
   VMP_REQUIRE(j < A.ncols(), "column index out of range");
   VMP_REQUIRE(v.align() == Align::Linear && v.n() == A.nrows(),
               "naive_insert_col needs a Linear vector of length nrows");
-  Grid& grid = A.grid();
-  Cube& cube = grid.cube();
-  VMP_TRACE(cube, "naive_insert_col");
-  const std::uint32_t C = A.colmap().owner(j);
-  const std::size_t lc = A.colmap().local(j);
-  std::vector<std::vector<Packet>> inject(cube.procs());
-  for (std::size_t i = 0; i < v.n(); ++i) {
-    const std::uint32_t R = A.rowmap().owner(i);
-    const proc_t dst = grid.at(R, C);
-    const std::size_t lcn = A.colmap().size(C);
-    inject[v.map().owner(i)].push_back(
-        Packet{dst, A.rowmap().local(i) * lcn + lc, v.at(i)});
-  }
-  NaiveRouter router(cube);
-  router.run(std::move(inject), [&](proc_t dst, std::uint64_t tag, double x) {
-    A.data().tile(dst)[tag] = x;
-  });
+  VMP_TRACE(A.grid().cube(), "naive_insert_col");
+  detail::naive_insert(A, j, false, v);
 }
 
 /// Located max-|value| over v[lo..n): every candidate element travels to
@@ -261,10 +258,7 @@ inline void naive_swap_rows(DistMatrix<double>& A, std::size_t i,
     inject[qi].push_back(Packet{qj, slot_j, A.data().tile(qi)[slot_i]});
     inject[qj].push_back(Packet{qi, slot_i, A.data().tile(qj)[slot_j]});
   }
-  NaiveRouter router(cube);
-  router.run(std::move(inject), [&](proc_t dst, std::uint64_t tag, double x) {
-    A.data().tile(dst)[tag] = x;
-  });
+  detail::naive_route(cube, std::move(inject), A.data(), false);
 }
 
 /// y = A·x with x and y Linear: x is routed element-by-element to every
@@ -274,54 +268,19 @@ inline void naive_swap_rows(DistMatrix<double>& A, std::size_t i,
     const DistMatrix<double>& A, const DistVector<double>& x) {
   VMP_REQUIRE(x.align() == Align::Linear && x.n() == A.ncols(),
               "naive_matvec needs a Linear vector of length ncols");
-  Grid& grid = A.grid();
-  Cube& cube = grid.cube();
+  Cube& cube = A.grid().cube();
   VMP_TRACE(cube, "naive_matvec");
-
   // Phase 1: fetch x[j] into every element position (i, j).
-  DistMatrix<double> X(grid, A.nrows(), A.ncols(), A.layout());
-  std::vector<std::vector<Packet>> inject(cube.procs());
-  cube.each_proc([&](proc_t q) {
-    const std::uint32_t C = grid.pcol(q);
-    const std::size_t lrn = X.lrows(q), lcn = X.lcols(q);
-    for (std::size_t lc = 0; lc < lcn; ++lc) {
-      const std::size_t j = X.colmap().global(C, lc);
-      const proc_t src = x.map().owner(j);
-      const double value = x.at(j);
-      for (std::size_t lr = 0; lr < lrn; ++lr)
-        inject[src].push_back(Packet{q, lr * lcn + lc, value});
-    }
-  });
-  NaiveRouter router(cube);
-  router.run(std::move(inject), [&](proc_t dst, std::uint64_t tag, double v) {
-    X.data().tile(dst)[tag] = v;
-  });
-
+  DistMatrix<double> X =
+      detail::naive_distribute(A.grid(), x, A.nrows(), A.layout(), true);
   // Local products (every virtual processor multiplies its element).
   cube.compute(X.max_block(), X.nrows() * X.ncols(), [&](proc_t q) {
     const std::span<double> xv = X.data().tile(q);
     const std::span<const double> av = A.data().tile(q);
     for (std::size_t t = 0; t < xv.size(); ++t) xv[t] *= av[t];
   });
-
   // Phase 2: route every product to the Linear owner of its row index.
-  DistVector<double> y(grid, A.nrows(), Align::Linear);
-  std::vector<std::vector<Packet>> inject2(cube.procs());
-  cube.each_proc([&](proc_t q) {
-    const std::uint32_t R = grid.prow(q);
-    const std::size_t lrn = X.lrows(q), lcn = X.lcols(q);
-    const std::span<const double> blk = X.block(q);
-    for (std::size_t lr = 0; lr < lrn; ++lr) {
-      const std::size_t i = X.rowmap().global(R, lr);
-      for (std::size_t lc = 0; lc < lcn; ++lc)
-        inject2[q].push_back(
-            Packet{v_owner(y, i), y.map().local(i), blk[lr * lcn + lc]});
-    }
-  });
-  router.run(std::move(inject2), [&](proc_t dst, std::uint64_t tag, double v) {
-    y.data().tile(dst)[tag] += v;
-  });
-  return y;
+  return detail::naive_reduce_sum(X, false);
 }
 
 }  // namespace vmp

@@ -23,31 +23,30 @@
 
 namespace vmp::kern::simd {
 
-namespace {
-
-/// Environment override: VMP_SIMD=0|off|OFF disables the backend at
-/// startup (the CMake option of the same name selects what is compiled).
-/// Static initialization cannot report a bad value, so every other value
-/// leaves the backend on here; vmp::env_simd (hypercube/machine.cpp) parses
-/// the variable strictly and makes Cube construction throw on a bad one.
-bool env_allows_simd() {
-  const char* e = std::getenv("VMP_SIMD");
-  if (e == nullptr) return true;
-  return !(std::strcmp(e, "0") == 0 || std::strcmp(e, "off") == 0 ||
-           std::strcmp(e, "OFF") == 0);
-}
-
-}  // namespace
-
 namespace detail {
 std::atomic<bool> g_enabled{kCompiled};
+
+EnvSwitch classify_env(const char* value) {
+  if (value == nullptr) return EnvSwitch::On;
+  for (const char* on : {"", "1", "on", "ON"})
+    if (std::strcmp(value, on) == 0) return EnvSwitch::On;
+  for (const char* off : {"0", "off", "OFF"})
+    if (std::strcmp(value, off) == 0) return EnvSwitch::Off;
+  return EnvSwitch::Bad;
+}
 }  // namespace detail
 
 namespace {
 /// Apply the environment override exactly once, before main() touches the
-/// kernels (static init of this TU).
+/// kernels (static init of this TU): VMP_SIMD=0|off|OFF disables the
+/// backend (the CMake option of the same name selects what is compiled).
+/// Static initialization cannot report a bad value, so it leaves the
+/// backend on here; vmp::env_simd (hypercube/machine.cpp) makes Cube
+/// construction throw on one.
 const bool g_env_applied = [] {
-  if (!env_allows_simd()) detail::g_enabled.store(false);
+  if (detail::classify_env(std::getenv("VMP_SIMD")) ==
+      detail::EnvSwitch::Off)
+    detail::g_enabled.store(false);
   return true;
 }();
 }  // namespace

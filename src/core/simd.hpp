@@ -64,6 +64,13 @@ namespace detail {
 /// Out-of-line init (simd.cpp) folds in the VMP_SIMD=0|off environment
 /// override; the header keeps the hot-path load inline.
 extern std::atomic<bool> g_enabled;
+
+/// How a VMP_SIMD value reads — the one rule behind the startup switch
+/// (which turns the backend off on Off alone) and vmp::env_simd (which
+/// throws on Bad): unset (null), empty, "1", "on" or "ON" are On; "0",
+/// "off" or "OFF" are Off; anything else is Bad.
+enum class EnvSwitch { On, Off, Bad };
+[[nodiscard]] EnvSwitch classify_env(const char* value);
 }  // namespace detail
 
 /// Hot-path gate the kernel dispatchers read once per call.

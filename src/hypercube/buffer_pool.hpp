@@ -1,12 +1,14 @@
 /// \file buffer_pool.hpp
-/// \brief Size-bucketed recycling allocator for the machine's hot paths.
+/// \brief Size-bucketed recycling allocator for the slab arenas.
 ///
-/// Every lockstep communication round needs scratch memory to stage the
-/// outgoing payloads (staging is what makes in-place combining race-free,
-/// see hypercube/machine.hpp).  Allocating that scratch from the heap per
-/// round dominates host wall-clock on large runs; the BufferPool instead
-/// recycles blocks through power-of-two byte buckets, so a steady-state
-/// exchange loop performs ZERO heap allocations.
+/// Every distributed object keeps its tiles in one arena leased from its
+/// Cube's pool (comm/dist_buffer.hpp), and the temporaries of a loop —
+/// a collective's workspace, a primitive's result — come and go every
+/// iteration.  Allocating them from the heap each time dominates host
+/// wall-clock on large runs; the BufferPool instead recycles blocks through
+/// power-of-two byte buckets, so a steady-state loop performs ZERO heap
+/// allocations.  (The exchange round core stages into persistent slots of
+/// its own, hypercube/machine.hpp, not through the pool.)
 ///
 /// The pool is owned by the Cube and used only from the host thread that
 /// drives the lockstep rounds (blocks are acquired before and released
@@ -16,6 +18,7 @@
 ///   pool_hits    — acquires served by recycling an existing block
 ///   pool_misses  — acquires that had to touch the heap
 ///   alloc_bytes  — heap bytes newly allocated on misses
+///   slab_allocs, slab_bytes — the same misses, as slab-arena storage
 ///
 /// which surface in the vmp-profile-v1 `totals` block, making the
 /// zero-allocation claim machine-checkable (scripts/check.sh asserts
@@ -86,15 +89,31 @@ class BufferPool {
   /// sizes share a free list; zero-byte requests return an empty lease
   /// without touching the pool.
   [[nodiscard]] Block acquire(std::size_t bytes) {
-    return acquire_impl(bytes, /*slab=*/false);
-  }
-
-  /// Same lease, but counted as slab-arena storage (comm/dist_buffer.hpp):
-  /// a miss additionally lands in SimStats::slab_allocs / slab_bytes, so
-  /// profiles can split heap traffic into staging scratch vs. the arenas
-  /// backing distributed objects.
-  [[nodiscard]] Block acquire_slab(std::size_t bytes) {
-    return acquire_impl(bytes, /*slab=*/true);
+    if (bytes == 0) return Block{};
+    const int bucket = bucket_of(bytes);
+    auto& list = free_[static_cast<std::size_t>(bucket)];
+    if (!list.empty()) {
+      std::byte* p = list.back().release();
+      list.pop_back();
+      ++hits_;
+      ++leased_[static_cast<std::size_t>(bucket)];
+      if (clock_) clock_->note_pool_hit();
+      return Block{this, p, bucket};
+    }
+    const std::size_t sz = size_of(bucket);
+    // For-overwrite: leased storage is always written before it is read
+    // (arena tiles are filled/assigned), and zero-initializing a
+    // power-of-two bucket would touch up to 2× the requested bytes — the
+    // dominant cold-path cost for slab arenas.
+    auto p = std::make_unique_for_overwrite<std::byte[]>(sz);
+    ++misses_;
+    heap_bytes_ += sz;
+    ++leased_[static_cast<std::size_t>(bucket)];
+    if (clock_) {
+      clock_->note_pool_miss(sz);
+      clock_->note_slab_alloc(sz);
+    }
+    return Block{this, p.release(), bucket};
   }
 
   /// Drop every free block back to the heap (leased blocks are unaffected
@@ -137,34 +156,6 @@ class BufferPool {
  private:
   static constexpr std::size_t kMinBytes = 64;
   static constexpr int kBuckets = 64;
-
-  [[nodiscard]] Block acquire_impl(std::size_t bytes, bool slab) {
-    if (bytes == 0) return Block{};
-    const int bucket = bucket_of(bytes);
-    auto& list = free_[static_cast<std::size_t>(bucket)];
-    if (!list.empty()) {
-      std::byte* p = list.back().release();
-      list.pop_back();
-      ++hits_;
-      ++leased_[static_cast<std::size_t>(bucket)];
-      if (clock_) clock_->note_pool_hit();
-      return Block{this, p, bucket};
-    }
-    const std::size_t sz = size_of(bucket);
-    // For-overwrite: leased storage is always written before it is read
-    // (staging buffers are packed, arena tiles are filled/assigned), and
-    // zero-initializing a power-of-two bucket would touch up to 2× the
-    // requested bytes — the dominant cold-path cost for slab arenas.
-    auto p = std::make_unique_for_overwrite<std::byte[]>(sz);
-    ++misses_;
-    heap_bytes_ += sz;
-    ++leased_[static_cast<std::size_t>(bucket)];
-    if (clock_) {
-      clock_->note_pool_miss(sz);
-      if (slab) clock_->note_slab_alloc(sz);
-    }
-    return Block{this, p.release(), bucket};
-  }
 
   [[nodiscard]] static int bucket_of(std::size_t bytes) {
     const std::size_t want = bytes < kMinBytes ? kMinBytes : bytes;

@@ -2,6 +2,8 @@
 
 #include <cstdlib>
 
+#include "core/simd.hpp"
+
 namespace vmp {
 
 namespace {
@@ -16,12 +18,11 @@ unsigned team_lanes(unsigned threads, proc_t procs) {
 }  // namespace
 
 bool env_simd() {
+  using kern::simd::detail::EnvSwitch;
   const char* s = std::getenv("VMP_SIMD");
-  if (s == nullptr) return true;
-  const std::string v = s;
-  if (v.empty() || v == "1" || v == "on" || v == "ON") return true;
-  if (v == "0" || v == "off" || v == "OFF") return false;
-  throw Error("VMP_SIMD=\"" + v +
+  const EnvSwitch v = kern::simd::detail::classify_env(s);
+  if (v != EnvSwitch::Bad) return v == EnvSwitch::On;
+  throw Error("VMP_SIMD=\"" + std::string(s) +
               "\" is not a SIMD switch (0, off or OFF turn the kernel "
               "backend off; 1, on or ON, empty or unset leave it on)");
 }

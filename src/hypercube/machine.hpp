@@ -15,17 +15,22 @@
 /// `exchange_allport` (one message per port over several dimensions at
 /// once) and `relay` (any permutation — irregular neighbour pairings,
 /// combining relays) are the same lockstep cube-edge round: all three stage
-/// every send in one team step, deliver in one team step, and charge
-/// through `charge_round`, one lockstep round per store-and-forward leg.
-/// `relay_views` walks and charges relay's legs over the senders' own
-/// memory and moves nothing: Gray ring shifts (comm/shift.hpp) pair it with
-/// DistBuffer::permute_tiles, which hands every tile to its new owner by
-/// relabeling, so a shift runs no team step and copies no payload.
-/// `exchange_views` is the same for an exchange round: it charges the round
-/// over views of memory the senders already hold and moves nothing.  The
-/// data-only broadcasts (comm/collectives.hpp, comm/allport.hpp) walk their
-/// rounds with it over their roots' payloads and then run one uncharged
-/// `deliver` step in which every member copies its root's payload.
+/// every send in one team step, settle the round over the staged slots,
+/// and deliver in one team step.  Settling is one function for every round
+/// shape, one settle per store-and-forward leg: it charges through
+/// `charge_round` or, under a fault plan, runs the recovery engine, which
+/// charges and moves no data — so a round that throws FaultError has
+/// written no receiver.
+/// `relay_views` and `exchange_views` settle the same rounds over views of
+/// memory the senders already hold and move nothing.  Gray ring shifts
+/// (comm/shift.hpp) pair relay_views with DistBuffer::permute_tiles, which
+/// hands every tile to its new owner by relabeling, so a shift runs no
+/// team step and copies no payload; the broadcasts (comm/collectives.hpp,
+/// comm/allport.hpp) walk their rounds with exchange_views over their
+/// roots' payloads and then run one uncharged `deliver` step in which
+/// every member copies its root's payload.  Staging remains only where a
+/// round's receivers overwrite what its senders read: the combining
+/// collectives, all-gather, routing, and the FFT and sort exchanges.
 ///
 /// Correctness never depends on host threading: the per-processor loops run
 /// on a persistent SPMD worker team (hypercube/team.hpp, Options::threads /
@@ -69,21 +74,18 @@ namespace vmp {
 // proc_t (processor id, dense in [0, 2^dim)) lives in net/topology.hpp.
 
 /// One message of a lockstep round, as seen by the fault-recovery engine:
-/// the (src, dst) LOGICAL cube edge, the cube dimension it crosses, the
-/// round-core port it was sent on, and a view of the payload — in its
-/// persistent staging slot, or, for Cube::relay_views and
-/// Cube::exchange_views, in the sender's own memory.  On a non-unit-hop
-/// topology the logical edge resolves to a multi-hop physical route at
-/// delivery/charging time.
+/// the (src, dst) LOGICAL cube edge, the cube dimension it crosses, and a
+/// view of the payload — in its persistent staging slot, or, for
+/// Cube::relay_views and Cube::exchange_views, in the sender's own memory
+/// (the engine only checksums it).  On a non-unit-hop topology the logical
+/// edge resolves to a multi-hop physical route at charging time.
 template <class T>
 struct FaultMsg {
   proc_t src = 0;
   proc_t dst = 0;
   int dim = 0;
-  std::size_t port = 0;
   const T* data = nullptr;
   std::size_t len = 0;
-  [[nodiscard]] std::span<const T> payload() const { return {data, len}; }
 };
 
 namespace detail {
@@ -202,10 +204,11 @@ struct DimRoutes {
 
 /// Whether the VMP_SIMD environment variable lets the kernel backend run:
 /// unset, empty, "1", "on" or "ON" mean yes; "0", "off" or "OFF" mean no
-/// (core/simd.cpp applies that switch once, at startup).  Any other value
-/// throws vmp::Error naming the variable and its value.  Every Cube calls
-/// this when it is built, so a value such as "no" or "false" fails loudly
-/// instead of leaving the backend on.
+/// (kern::simd::detail::classify_env, the rule core/simd.cpp's startup
+/// switch reads too).  Any other value throws vmp::Error naming the
+/// variable and its value.  Every Cube calls this when it is built, so a
+/// value such as "no" or "false" fails loudly instead of leaving the
+/// backend on.
 [[nodiscard]] bool env_simd();
 
 class Cube {
@@ -366,12 +369,12 @@ class Cube {
     const auto partner = [dims](proc_t q, std::size_t idx) {
       return q ^ (proc_t{1} << dims[idx]);
     };
+    const auto msgs = port_msgs<T>(dims.size(), partner, view);
     detail::ExPartial r;
-    for (std::size_t i = 0; i < dims.size(); ++i)
-      for (proc_t q = 0; q < procs_; ++q) r.count(view(q, i).size());
+    msgs([&r](int, proc_t, std::span<const T> m) { r.count(m.size()); });
     if (r.messages == 0) return;
-    settle_round<T>(dims.size(), dims.size() == 1 ? dims[0] : -1, partner,
-                    view, r, [](const FaultMsg<T>&) {});
+    settle<T>(r.max_elems, r.messages, r.total,
+              dims.size() == 1 ? dims[0] : -1, msgs);
   }
 
   /// One uncharged delivery step: `fn(q)` runs on every processor, placing
@@ -397,8 +400,8 @@ class Cube {
   /// first).  Each leg pays charge_round for its busiest sender node
   /// (messages meeting at a node combine) or, on routed presets, its most
   /// loaded link — so a round between cube neighbours is one leg.  Under a
-  /// fault plan every leg runs through deliver_with_faults, and recv runs
-  /// only after the last leg got through: a FaultError delivers nothing.
+  /// fault plan every leg runs through recover_round, and recv runs only
+  /// after the last leg got through: a FaultError delivers nothing.
   /// Returns H (0 when nobody sends).
   template <class T, class DestFn, class SendFn, class RecvFn>
   int relay(DestFn&& dest, SendFn&& send, RecvFn&& recv) {
@@ -473,8 +476,8 @@ class Cube {
   /// wall-clock hint — simulated results are identical with or without.
   [[nodiscard]] WorkerTeam::Session session() { return team_.session(); }
 
-  /// The cube's recycling allocator for hot-path scratch (exchange staging,
-  /// router queues, collective workspaces).  Host-thread only.
+  /// The cube's recycling allocator for the slab arenas of its distributed
+  /// objects (comm/dist_buffer.hpp).  Host-thread only.
   [[nodiscard]] BufferPool& buffers() { return buffers_; }
   [[nodiscard]] const BufferPool& buffers() const { return buffers_; }
 
@@ -510,11 +513,11 @@ class Cube {
   /// dimension countr_zero(q ^ partner(q, i)); the relation is symmetric
   /// per port, and a processor that is its own partner sits the port out.
   /// `recv(q, i, data)` receives what q's partner on port i sent, if
-  /// anything.  Staged by stage_round; then delivered by deliver_round and
-  /// charged by settle_round (`charge_dim` is the dimension every message
-  /// crosses, or -1 when the round mixes dimensions), or, with a fault plan
-  /// attached, delivered and charged by settle_round on the host thread.
-  /// If nobody sends, the round is elided: no delivery, no charge.
+  /// anything.  Staged by stage_round, settled over the slots
+  /// (`charge_dim` is the dimension every message crosses, or -1 when the
+  /// round mixes dimensions), then delivered by deliver_round, with or
+  /// without a fault plan.  If nobody sends, the round is elided: no
+  /// delivery, no charge.
   template <class T, class PartnerFn, class SendFn, class RecvFn>
   void run_round(std::size_t ports, int charge_dim, PartnerFn&& partner,
                  SendFn&& send, RecvFn&& recv) {
@@ -525,47 +528,50 @@ class Cube {
     const auto slot = [stage, p](proc_t q, std::size_t i) {
       return stage[i * p + q].template view<T>();
     };
-    if (!faults_) deliver_round<T>(ports, partner, recv);
-    settle_round<T>(ports, charge_dim, partner, slot, r,
-                    [&](const FaultMsg<T>& m) {
-                      recv(m.dst, m.port, m.payload());
-                    });
+    settle<T>(r.max_elems, r.messages, r.total, charge_dim,
+              port_msgs<T>(ports, partner, slot));
+    deliver_round<T>(ports, partner, recv);
   }
 
-  /// The charge of one exchange round, shared by run_round and
-  /// exchange_views: port i of q sends `view(q, i)` (empty = none) to
-  /// `partner(q, i)`, and `r` holds the round's message statistics.
-  /// Charged once through charge_round or, with a fault plan attached,
-  /// delivered and charged by deliver_with_faults over FaultMsgs pointing
-  /// into the views, each message that gets through going to `deliver`.
-  template <class T, class PartnerFn, class ViewFn, class DeliverFn>
-  void settle_round(std::size_t ports, int charge_dim, PartnerFn& partner,
-                    ViewFn& view, const detail::ExPartial& r,
-                    DeliverFn&& deliver) {
-    if (faults_) {
-      std::vector<FaultMsg<T>> msgs;
-      msgs.reserve(r.messages);
+  /// The messages of an exchange round, for settle: port i of q sends
+  /// `view(q, i)` (empty = none) across the dimension to `partner(q, i)`,
+  /// port-major, then processor-ascending.
+  template <class T, class PartnerFn, class ViewFn>
+  [[nodiscard]] auto port_msgs(std::size_t ports, PartnerFn& partner,
+                               ViewFn& view) const {
+    return [this, ports, &partner, &view](auto&& fn) {
       for (std::size_t i = 0; i < ports; ++i)
         for (proc_t q = 0; q < procs_; ++q) {
-          const std::span<const T> payload = view(q, i);
-          if (payload.empty()) continue;
-          const proc_t pq = partner(q, i);
-          msgs.push_back(FaultMsg<T>{q, pq, std::countr_zero(q ^ pq), i,
-                                     payload.data(), payload.size()});
+          const std::span<const T> m = view(q, i);
+          if (!m.empty()) fn(std::countr_zero(q ^ partner(q, i)), q, m);
         }
-      deliver_with_faults<T>(std::move(msgs), r.max_elems, r.messages,
-                             r.total, charge_dim, deliver);
+    };
+  }
+
+  /// Settle one lockstep round of `messages` messages (`max_elems` the
+  /// per-round maximum, `total` their sum): `each(fn)` calls
+  /// `fn(dim, src, payload)` for every message, in a fixed order.  Charged
+  /// once through charge_round or, with a fault plan attached, recovered
+  /// by recover_round over FaultMsgs pointing into the payloads.  Moves
+  /// nothing.
+  template <class T, class EachMsg>
+  void settle(std::size_t max_elems, std::size_t messages, std::size_t total,
+              int charge_dim, EachMsg&& each) {
+    if (!faults_) {
+      charge_round(max_elems, messages, total, charge_dim, [&](auto&& add) {
+        each([&](int d, proc_t src, std::span<const T> m) {
+          add(d, src, m.size());
+        });
+      });
       return;
     }
-    charge_round(r.max_elems, r.messages, r.total, charge_dim,
-                 [&](auto&& add) {
-                   for (std::size_t i = 0; i < ports; ++i)
-                     for (proc_t q = 0; q < procs_; ++q) {
-                       const std::size_t len = view(q, i).size();
-                       if (len != 0)
-                         add(std::countr_zero(q ^ partner(q, i)), q, len);
-                     }
-                 });
+    std::vector<FaultMsg<T>> msgs;
+    msgs.reserve(messages);
+    each([&](int d, proc_t src, std::span<const T> m) {
+      msgs.push_back(FaultMsg<T>{src, src ^ (proc_t{1} << d), d, m.data(),
+                                 m.size()});
+    });
+    recover_round<T>(std::move(msgs), max_elems, messages, total, charge_dim);
   }
 
   /// exchange_allport's dimension checks: in range and distinct.
@@ -653,8 +659,8 @@ class Cube {
 
   /// The delivery step of every round: one team step hands each processor
   /// q, on every port i, what its source `from(q, i)` staged (nothing when
-  /// the source is q itself or sent nothing).  Runs right after the
-  /// round's stage_round, whose bytes decide whether it fans out.
+  /// the source is q itself or sent nothing).  Runs once the round's
+  /// stage_round, whose bytes decide whether it fans out, has been settled.
   template <class T, class FromFn, class RecvFn>
   void deliver_round(std::size_t ports, FromFn& from, RecvFn& recv) {
     const detail::StageBuf* stage = stage_.data();
@@ -693,34 +699,20 @@ class Cube {
   }
 
   /// The leg walk of relay and relay_views over the tabulated permutation:
-  /// the message from q is `view(q)` (empty = none).  Each leg is charged
-  /// through charge_round or, under a fault plan, handed to
-  /// deliver_with_faults with FaultMsgs pointing into the viewed spans
-  /// (their no-op deliver leaves the payloads where they are).  Returns
-  /// the number of legs.
+  /// the message from q is `view(q)` (empty = none), and each leg is
+  /// settled over the viewed spans, its messages in ascending source order.
+  /// Returns the number of legs.
   template <class T, class ViewFn>
   int walk_relay(ViewFn&& view) {
     return relay_legs(
         [&view](proc_t q) { return view(q).size(); },
         [&](std::size_t max_elems, std::size_t messages, std::size_t total,
             auto&& each) {
-          if (!faults_) {
-            charge_round(max_elems, messages, total, -1, [&](auto&& add) {
-              each([&](int d, proc_t node, proc_t q) {
-                add(d, node, view(q).size());
-              });
+          settle<T>(max_elems, messages, total, -1, [&](auto&& fn) {
+            each([&](int d, proc_t node, proc_t q) {
+              fn(d, node, std::span<const T>(view(q)));
             });
-            return;
-          }
-          std::vector<FaultMsg<T>> msgs;
-          msgs.reserve(messages);
-          each([&](int d, proc_t node, proc_t q) {
-            const std::span<const T> payload = view(q);
-            msgs.push_back(FaultMsg<T>{node, node ^ (proc_t{1} << d), d, 0,
-                                       payload.data(), payload.size()});
           });
-          deliver_with_faults<T>(std::move(msgs), max_elems, messages, total,
-                                 -1, [](const FaultMsg<T>&) {});
         });
   }
 
@@ -825,7 +817,8 @@ class Cube {
   /// `τ + n·t_c` on the hypercube, multiplier-weighted elsewhere).
   void charge_reroute_hop(std::size_t n, const Hop& h);
 
-  /// Recovery-aware delivery of one lockstep round's staged messages.
+  /// Fault recovery of one lockstep round's messages: charges the round
+  /// and its recovery, and moves no data.
   ///
   /// Attempt 0 charges exactly the fault-free round cost (`max_elems`,
   /// `messages`, `total` are the round's fault-free statistics), so an
@@ -841,18 +834,15 @@ class Cube {
   ///
   /// A dead endpoint, an exhausted retry budget, or a fully cut detour
   /// throws FaultError — degraded runs fail loudly, never silently.
-  /// Deliveries happen on the host thread in deterministic (port-major,
-  /// then src-ascending) order; each destination port receives its payload
-  /// exactly once, so results match the fault-free delivery bit for bit.
-  /// A relay leg passes a no-op `deliver`: its messages are still in
-  /// flight, and relay delivers them in one step after the last leg
-  /// (relay_views leaves moving them to its caller).  exchange_views
-  /// passes one too: its caller places the payloads after its last round.
-  template <class T, class DeliverFn>
-  void deliver_with_faults(std::vector<FaultMsg<T>> pending,
-                           std::size_t max_elems, std::size_t messages,
-                           std::size_t total, int charge_dim,
-                           DeliverFn&& deliver) {
+  /// Messages are decided in settle's order.  Whoever moves the payloads
+  /// does so after this returns — run_round and relay in one delivery
+  /// step, the view rounds' callers after their last round — so a round
+  /// that throws has written no receiver, and one that returns delivers
+  /// exactly what the fault-free round delivers.
+  template <class T>
+  void recover_round(std::vector<FaultMsg<T>> pending, std::size_t max_elems,
+                     std::size_t messages, std::size_t total,
+                     int charge_dim) {
     FaultInjector& fi = *faults_;
     const std::uint64_t round = fi.begin_round();
     const RecoveryPolicy& rp = fi.policy();
@@ -897,14 +887,10 @@ class Cube {
         spike = std::max(spike, oc.spike_us);
         if (oc.drop) {
           failed.push_back(m);
-          continue;
-        }
-        if (oc.corrupt && checksum_rejects<T>(m, round, attempt)) {
+        } else if (oc.corrupt && checksum_rejects<T>(m, round, attempt)) {
           clock_.note_fault_chksum_fail();
           failed.push_back(m);
-          continue;
         }
-        deliver(m);
       }
       if (spike > 0.0) {
         TraceRegion fault_region(clock_, "fault_spike");
@@ -919,8 +905,7 @@ class Cube {
                          std::to_string(rp.max_retries) +
                          " retries (round " + std::to_string(round) + ")");
     }
-    for (const FaultMsg<T>& m : rerouted)
-      reroute_around_dead_link<T>(m, round, deliver);
+    for (const FaultMsg<T>& m : rerouted) reroute_around_dead_link(m, round);
   }
 
   /// Checksum verification of one (deterministically) corrupted payload:
@@ -941,14 +926,13 @@ class Cube {
     return fnv1a(wire.data(), nbytes) != sum;
   }
 
-  /// Deliver one message around its severed physical route, on a live
+  /// Send one message around its severed physical route, on a live
   /// detour the topology computes (Topology::route_avoiding), charged hop
   /// by hop.  On the hypercube the detour is the historical 3-hop
   /// parallel path src → src^bit2 → dst^bit2 → dst (lowest live
   /// dimension wins) with the seed's exact per-hop charges.
-  template <class T, class DeliverFn>
-  void reroute_around_dead_link(const FaultMsg<T>& m, std::uint64_t round,
-                                DeliverFn&& deliver) {
+  template <class T>
+  void reroute_around_dead_link(const FaultMsg<T>& m, std::uint64_t round) {
     TraceRegion fault_region(clock_, "fault_reroute");
     reroute_hops_.clear();
     if (!compute_reroute(round, m.src, m.dst, reroute_hops_))
@@ -958,7 +942,6 @@ class Cube {
                        "): every detour crosses another dead edge or node");
     for (const Hop& h : reroute_hops_) charge_reroute_hop(m.len, h);
     clock_.note_fault_reroute();
-    deliver(m);
   }
 
   int dim_;

@@ -535,20 +535,22 @@ INSTANTIATE_TEST_SUITE_P(
 
 
 // ---------------------------------------------------------------------------
-// BroadcastTwin: broadcast, broadcast_pipelined and broadcast_esbt charge
-// their rounds over their roots' payloads (Cube::exchange_views) and place
-// the payloads once.  The twin is the staged schedule they replaced, kept
-// here as the reference: non-roots sized to their root's payload, then the
-// same rounds through exchange_allport, every holder sending its own
-// segment and every receiver copying it in recv.  It runs over host copies
-// of the tiles, which replace the tiles only once every round got through:
+// BroadcastTwin: broadcast, broadcast_sag, broadcast_pipelined and
+// broadcast_esbt charge their rounds over their roots' payloads
+// (Cube::exchange_views) and place the payloads once.  The twin is the
+// staged schedule they replaced, kept here as the reference: non-roots
+// sized to their root's payload, then the same rounds through
+// exchange_allport, every holder sending its own segment and every
+// receiver copying it in recv — or, for scatter + all-gather, the staged
+// scatter and all-gather it was built from.  It runs over host copies of
+// the tiles, which replace the tiles only once every round got through:
 // under a FaultError both sides leave `buf` as it was.  After every call
 // the tiles, their lengths, the clock and whether the call threw must
 // agree; at the end, the whole trace and every SimStats field except the
 // three pool counters (staged rounds stage through the slots, views do
 // not).
 
-enum class BcastKind { Binomial, Pipelined, Esbt };
+enum class BcastKind { Binomial, Pipelined, Esbt, Sag };
 enum class BcastPlan { None, Transient, DeadFirstLink, DeadNode };
 
 /// The staged reference of one broadcast call.  `n_of(root)` is the
@@ -639,6 +641,67 @@ void staged_broadcast(Cube& cube, DistBuffer<double>& buf, const SubcubeSet& sc,
     if (q != sc.with_rank(q, root)) buf.assign(q, tile[q]);
 }
 
+/// The staged reference of broadcast_sag: the scatter that peeled the
+/// root's payload down the binomial tree (the member with relative rank rr
+/// ending with block rr) and the all-gather rooted at it, each holder
+/// shrinking to what it kept.  `n_of(q)` is read on every member.
+template <class NFn>
+void staged_sag(Cube& cube, DistBuffer<double>& buf, const SubcubeSet& sc,
+                std::uint32_t root, NFn n_of) {
+  const int k = sc.k();
+  if (k == 0) return;
+  VMP_TRACE(cube, "broadcast_sag");
+  const proc_t P = cube.procs();
+  const std::uint32_t S = sc.size();
+  std::vector<std::vector<double>> tile(P);
+  for (proc_t q = 0; q < P; ++q)
+    if (sc.rank(q) == root) tile[q] = buf.host_vec(q);
+  {
+    VMP_TRACE(cube, "scatter");
+    std::uint32_t processed = 0;
+    for (int j = k - 1; j >= 0; --j) {
+      const std::uint32_t half = 1u << j;
+      // Holder rr covers blocks [rr, rr + 2^(j+1)): it sends the top half
+      // and keeps the bottom one.
+      const auto cut = [&](proc_t q, std::uint32_t r) {
+        const std::uint32_t rr = sc.rank(q) ^ root;
+        return block_begin(n_of(q), S, r) - block_begin(n_of(q), S, rr);
+      };
+      const auto holds = [&](proc_t q) {
+        return ((sc.rank(q) ^ root) & ~processed) == 0;
+      };
+      cube.exchange<double>(
+          sc.dim_of_rank_bit(j),
+          [&](proc_t q) -> std::span<const double> {
+            if (!holds(q)) return {};
+            return std::span<const double>(tile[q]).subspan(
+                cut(q, (sc.rank(q) ^ root) + half));
+          },
+          [&](proc_t q, std::span<const double> in) {
+            tile[q].assign(in.begin(), in.end());
+          });
+      for (proc_t q = 0; q < P; ++q)
+        if (holds(q)) tile[q].resize(cut(q, (sc.rank(q) ^ root) + half));
+      processed |= half;
+    }
+  }
+  {
+    VMP_TRACE(cube, "allgather");
+    for (int j = 0; j < k; ++j)
+      cube.exchange<double>(
+          sc.dim_of_rank_bit(j),
+          [&](proc_t q) -> std::span<const double> { return tile[q]; },
+          [&](proc_t q, std::span<const double> in) {
+            const auto at = (((sc.rank(q) ^ root) >> j) & 1u) == 0
+                                ? tile[q].end()
+                                : tile[q].begin();
+            tile[q].insert(at, in.begin(), in.end());
+          });
+  }
+  for (proc_t q = 0; q < P; ++q)
+    if (sc.rank(q) != root) buf.assign(q, tile[q]);
+}
+
 /// Subcube payload lengths, some 0, that differ between subcubes.
 [[nodiscard]] std::size_t twin_payload(const SubcubeSet& sc, int d, proc_t q) {
   static constexpr std::size_t kLens[] = {0, 5, 13, 2, 9, 1};
@@ -674,14 +737,16 @@ void run_broadcast_twin(TopologyKind kind, int d, const SubcubeSet& sc,
   }
   const auto n_of = [&](proc_t q) { return twin_payload(sc, d, q); };
   // Roots hold their payload, sometimes one element more (the pipelined
-  // and nESBT broadcasts send the first n_of of it); every other member
-  // holds stale data of its own length.
-  const auto fill = [&](DistBuffer<double>& buf, std::uint32_t root) {
+  // and nESBT broadcasts send the first n_of of it; the staged
+  // scatter + all-gather needs it exact); every other member holds stale
+  // data of its own length.
+  const auto fill = [&](DistBuffer<double>& buf, std::uint32_t root,
+                        bool exact) {
     buf.reserve_each(16);
     for (proc_t q = 0; q < buf.procs(); ++q) {
       const bool is_root = sc.rank(q) == root;
-      const std::size_t n =
-          is_root ? n_of(q) + sc.subcube_id(q) % 2 : (q * 5u + 3u) % 7u;
+      const std::size_t extra = exact ? 0 : sc.subcube_id(q) % 2;
+      const std::size_t n = is_root ? n_of(q) + extra : (q * 5u + 3u) % 7u;
       std::vector<double> v(n);
       for (std::size_t j = 0; j < n; ++j)
         v[j] = (is_root ? 1.0 : -1.0) * (q + 0.125 * static_cast<double>(j));
@@ -703,23 +768,28 @@ void run_broadcast_twin(TopologyKind kind, int d, const SubcubeSet& sc,
           static_cast<std::size_t>(sc.k()), nmax, nmax + 1})
       if (s >= 1) calls.push_back({BcastKind::Pipelined,
                                    static_cast<std::uint32_t>(s)});
+    calls.push_back({BcastKind::Sag, 0});
     for (const auto& [what, nseg] : calls) {
       SCOPED_TRACE("root=" + std::to_string(root) +
                    " kind=" + std::to_string(static_cast<int>(what)) +
                    " S=" + std::to_string(nseg));
-      fill(buf, root);
-      fill(ref, root);
+      fill(buf, root, what == BcastKind::Sag);
+      fill(ref, root, what == BcastKind::Sag);
       bool moved_threw = false, staged_threw = false;
       try {
         if (what == BcastKind::Binomial) broadcast(moved, buf, sc, root);
         if (what == BcastKind::Esbt) broadcast_esbt(moved, buf, sc, root, n_of);
         if (what == BcastKind::Pipelined)
           broadcast_pipelined(moved, buf, sc, root, n_of, nseg);
+        if (what == BcastKind::Sag) broadcast_sag(moved, buf, sc, root, n_of);
       } catch (const FaultError&) {
         moved_threw = true;
       }
       try {
-        staged_broadcast(staged, ref, sc, root, what, nseg, n_of);
+        if (what == BcastKind::Sag)
+          staged_sag(staged, ref, sc, root, n_of);
+        else
+          staged_broadcast(staged, ref, sc, root, what, nseg, n_of);
       } catch (const FaultError&) {
         staged_threw = true;
       }

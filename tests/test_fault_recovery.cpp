@@ -6,6 +6,7 @@
 // silently.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
 #include <span>
 #include <string>
@@ -538,6 +539,52 @@ TEST_P(BroadcastFaults, FailedBroadcastLeavesTheBufferAndTheCubeReusable) {
   EXPECT_TRUE(cube.clock().stats() == fresh.clock().stats());
 }
 
+TEST_P(BroadcastFaults, FailedSagLeavesTheBufferAndTheCubeReusable) {
+  // Node 5 dies after round 0: scatter + all-gather from processor 0
+  // reaches it only in the scatter's last round, so it charges rounds 0 to
+  // 2 and throws.  Its rounds are walked over the root's payload and the
+  // payload placed once, so the FaultError leaves every tile as it was.
+  const auto solve = [](Cube& cube) {
+    Grid grid(cube, 2, 2);
+    const std::size_t n = 48;
+    const HostMatrix H = diag_dominant_matrix(n, 48);
+    DistMatrix<double> A(grid, n, n, MatrixLayout::cyclic());
+    A.load(H.data());
+    const DistLuResult lu = lu_factor(A);
+    return lu_solve(A, lu, random_vector(n, 49));
+  };
+  FaultPlan plan;
+  plan.node_kills.push_back({/*from_round=*/1, /*node=*/5});
+  Cube cube(4, CostParams::cm2(), preset_opts(GetParam()));
+  cube.enable_faults(plan);
+  const SubcubeSet whole = SubcubeSet::contiguous(0, cube.dim());
+  const std::size_t n = 40;  // every one of the 16 blocks is non-empty
+  DistBuffer<double> buf(cube);
+  buf.reserve_each(n);
+  cube.each_proc([&](proc_t q) {
+    for (std::size_t j = 0; j < (q == 0 ? n : (std::size_t{q} * 3) % 7); ++j)
+      buf.push_back(q, static_cast<double>(q) + 0.5 * static_cast<double>(j));
+  });
+  std::vector<std::vector<double>> before;
+  cube.each_proc([&](proc_t q) { before.push_back(buf.host_vec(q)); });
+  EXPECT_THROW(broadcast_sag(cube, buf, whole, 0, [n](proc_t) { return n; }),
+               FaultError);
+  EXPECT_GT(cube.clock().stats().comm_steps, 0u)
+      << "no round ran before the throw";
+  cube.each_proc([&](proc_t q) {
+    EXPECT_EQ(buf.host_vec(q), before[q]) << "q=" << q;
+  });
+
+  // The same cube, its fault plan detached, then factors and solves
+  // exactly like a fresh cube.
+  cube.disable_faults();
+  cube.clock().reset();
+  Cube fresh(4, CostParams::cm2(), preset_opts(GetParam()));
+  EXPECT_EQ(solve(cube), solve(fresh));
+  EXPECT_EQ(cube.clock().now_us(), fresh.clock().now_us());
+  EXPECT_TRUE(cube.clock().stats() == fresh.clock().stats());
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Presets, BroadcastFaults,
     ::testing::Values(TopologyKind::Hypercube, TopologyKind::Mesh,
@@ -545,6 +592,58 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<TopologyKind>& info) {
       return std::string(to_string(info.param));
     });
+
+// A staged round (exchange, exchange_allport, relay) is settled — charged
+// and, under a fault plan, recovered — before its one delivery step, so a
+// round that throws FaultError has called recv on no processor, even for
+// the messages that got through.
+TEST(FaultRecovery, FailedStagedRoundDeliversNothing) {
+  // Half of all messages are dropped and none may be retried: both rounds
+  // throw, each after some of its messages got through.
+  const int dims[] = {0, 1, 2};
+  const std::vector<double> payload = {1.5, -2.0, 0.25};
+  const auto allreduced = [](Cube& cube) {
+    DistBuffer<double> buf(cube);
+    cube.each_proc([&](proc_t q) {
+      buf.assign(q, std::vector<double>{0.5 * q, 1.0 / (q + 1.0), -3.0 * q});
+    });
+    const double t0 = cube.clock().now_us();
+    allreduce(cube, buf, SubcubeSet::contiguous(0, cube.dim()),
+              Plus<double>{});
+    std::vector<std::vector<double>> out;
+    cube.each_proc([&](proc_t q) { out.push_back(buf.host_vec(q)); });
+    return std::pair{out, cube.clock().now_us() - t0};
+  };
+  for (const TopologyKind kind :
+       {TopologyKind::Hypercube, TopologyKind::Mesh, TopologyKind::Torus,
+        TopologyKind::Dragonfly}) {
+    SCOPED_TRACE(to_string(kind));
+    Cube cube(3, CostParams::cm2(), preset_opts(kind));
+    cube.enable_faults(FaultPlan::transient(7, /*drop=*/0.5, 0.0),
+                       RecoveryPolicy{/*max_retries=*/0, /*backoff_us=*/1.0});
+    std::atomic<int> recvs{0};
+    EXPECT_THROW(
+        cube.exchange<double>(
+            0, [&](proc_t) { return std::span<const double>(payload); },
+            [&](proc_t, std::span<const double>) { ++recvs; }),
+        FaultError);
+    EXPECT_THROW(cube.exchange_allport<double>(
+                     std::span<const int>(dims),
+                     [&](proc_t, std::size_t) {
+                       return std::span<const double>(payload);
+                     },
+                     [&](proc_t, std::size_t, std::span<const double>) {
+                       ++recvs;
+                     }),
+                 FaultError);
+    EXPECT_EQ(recvs.load(), 0);
+
+    // Its plan detached, the cube all-reduces like a fresh one.
+    cube.disable_faults();
+    Cube fresh(3, CostParams::cm2(), preset_opts(kind));
+    EXPECT_EQ(allreduced(cube), allreduced(fresh));
+  }
+}
 
 TEST(ShiftFaults, MatmulHyperOnTheDragonflyRecovers) {
   const auto product = [](Cube& cube) {

@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -607,6 +608,109 @@ TEST(CollectiveSteps, BackendsBitIdenticalAcrossLaneCounts) {
       for (std::size_t i = 0; i < got.fanned_out.size(); ++i)
         EXPECT_GT(got.fanned_out[i], 0u) << what << " call " << i;
     }
+  }
+}
+
+// Staged rounds under a fault plan.  The recovery engine charges a round
+// and moves no data, and a staged round is delivered afterwards in one team
+// step, with or without a plan — so a transient plan leaves the delivery
+// of a round past the 524288-byte cut fanned out across the lanes.  Each
+// all-reduce backend and a routing sweep run at d = 4 with 2^13 + 3
+// doubles (or route items) per processor, so every call has rounds past
+// the cut.  Results, clock and SimStats must match the 1-lane run, results
+// must match the run without a plan, and at 2 and 3 lanes every call must
+// fan out exactly the steps it fans out without a plan.
+struct FaultStepRun {
+  std::vector<std::uint64_t> digests;     ///< per call and processor
+  std::vector<std::uint64_t> fanned_out;  ///< fanned-out steps per call
+  double now_us = 0.0;
+  SimStats stats;
+  double fanout_gauge = 0.0;
+};
+
+[[nodiscard]] FaultStepRun run_fault_steps(unsigned threads, bool faulty) {
+  constexpr int kDim = 4;
+  const std::size_t n = (std::size_t{1} << 13) + 3;
+  Cube cube(kDim, CostParams::cm2(), Cube::Options{threads});
+  if (faulty) cube.enable_faults(FaultPlan::transient(20261020, 0.05, 0.05));
+  cube.enable_metrics();
+  const SubcubeSet sc = SubcubeSet::contiguous(0, kDim);
+  FaultStepRun r;
+  const auto call = [&](auto body) {
+    const std::uint64_t before = cube.team().fanned_out();
+    body();
+    r.fanned_out.push_back(cube.team().fanned_out() - before);
+  };
+  const auto reduced = [&](auto collective) {
+    call([&] {
+      DistBuffer<double> buf(cube);
+      cube.each_proc([&](proc_t q) {
+        std::vector<double> v(n);
+        for (std::size_t t = 0; t < n; ++t)
+          v[t] = static_cast<double>(q * 131 + t % 97) * 0.25 + 1.0 / (t + 1);
+        buf.assign(q, v);
+      });
+      collective(buf);
+      cube.each_proc([&](proc_t q) {
+        const std::span<const double> t = buf.tile(q);
+        r.digests.push_back(fnv1a(t.data(), t.size_bytes()));
+      });
+    });
+  };
+  const Plus<double> plus;
+  reduced([&](auto& b) { allreduce(cube, b, sc, plus); });
+  reduced([&](auto& b) { allreduce_pipelined(cube, b, sc, plus, 4); });
+  reduced([&](auto& b) { allreduce_rsag(cube, b, sc, plus); });
+  call([&] {
+    DistBuffer<RouteItem<double>> items(cube);
+    cube.each_proc([&](proc_t q) {
+      std::vector<RouteItem<double>> v(n);
+      for (std::size_t t = 0; t < n; ++t)
+        v[t] = {static_cast<proc_t>((q * 7 + t * 5) % cube.procs()), t,
+                static_cast<double>(q) + 0.5 * static_cast<double>(t)};
+      items.assign(q, v);
+    });
+    route_within(cube, items, sc);
+    // Field by field: a RouteItem's padding bytes are indeterminate.
+    cube.each_proc([&](proc_t q) {
+      std::vector<std::uint64_t> fields;
+      for (const RouteItem<double>& it : items.tile(q))
+        fields.insert(fields.end(), {it.dst, it.tag,
+                                     std::bit_cast<std::uint64_t>(it.value)});
+      r.digests.push_back(fnv1a(fields.data(), fields.size() * 8));
+    });
+  });
+  r.now_us = cube.clock().now_us();
+  r.stats = cube.clock().stats();
+  cube.metrics().run_probes();
+  r.fanout_gauge =
+      cube.metrics().gauge("engine.fanout_steps", MetricClass::Wall).value();
+  EXPECT_EQ(r.fanout_gauge, static_cast<double>(cube.team().fanned_out()))
+      << "engine.fanout_steps";
+  return r;
+}
+
+TEST(FaultSteps, StagedRoundsFanOutUnderAFaultPlan) {
+  const FaultStepRun clean = run_fault_steps(1, false);
+  const FaultStepRun ref = run_fault_steps(1, true);
+  EXPECT_GT(ref.stats.fault_retries, 0u) << "the plan must fire";
+  EXPECT_EQ(ref.digests, clean.digests) << "a within-budget plan's results";
+  for (const std::uint64_t f : ref.fanned_out)
+    EXPECT_EQ(f, 0u) << "one lane never fans out";
+  for (const unsigned threads : {2u, 3u}) {
+    const FaultStepRun got = run_fault_steps(threads, true);
+    const FaultStepRun plain = run_fault_steps(threads, false);
+    const std::string what = "threads=" + std::to_string(threads);
+    EXPECT_EQ(ref.digests, got.digests) << what << " results";
+    EXPECT_EQ(ref.now_us, got.now_us) << what << " simulated clock";
+    EXPECT_TRUE(ref.stats == got.stats) << what << " SimStats diverge";
+    ASSERT_EQ(got.fanned_out.size(), plain.fanned_out.size()) << what;
+    for (std::size_t i = 0; i < got.fanned_out.size(); ++i) {
+      EXPECT_GT(got.fanned_out[i], 0u) << what << " call " << i;
+      EXPECT_EQ(got.fanned_out[i], plain.fanned_out[i])
+          << what << " call " << i << " fans out as without a plan";
+    }
+    EXPECT_GT(got.fanout_gauge, 0.0) << what << " engine.fanout_steps";
   }
 }
 
