@@ -16,10 +16,12 @@
 #      their schemas;
 #   4. the perf-regression gate: every bench re-run with the baseline
 #      recipe and diffed against bench/baselines/ by scripts/perf_gate.py
-#      (machine-speed-normalized, per-case thresholds) — a regression past
-#      threshold, or a baseline case no report has, FAILS the check (the
-#      latter is checked on a copy with one case removed).  The same
-#      sweep's vmp-metrics-v1 sidecars and collapsed-stack exports are
+#      (simulated values exactly; wall times machine-speed-normalized, with
+#      per-case thresholds) — a simulated value that differs, a wall-time
+#      regression past threshold, or a baseline case no report has, FAILS
+#      the check (the first and the last are also checked on copies with
+#      one counter changed and one case removed).  The same sweep's
+#      vmp-metrics-v1 sidecars and collapsed-stack exports are
 #      schema-validated.
 #
 # Usage: scripts/check.sh [--no-sanitize] [--quick-only] [--tsan]
@@ -353,6 +355,36 @@ print("bench_kernels/" + gone["name"] + "/")
     exit 1
   fi
   echo "  perf gate fails on the missing case ${dropped} ok"
+
+  # A simulated value off its baseline by one unit must fail the gate,
+  # naming the case and the field: rerun it on copies of the first sweep's
+  # reports with one sim_* counter of bench_gauss raised by one.
+  simdir="$workdir/changed_sim"
+  mkdir "$simdir"
+  cp "$workdir"/GATE_*.json "$simdir"/
+  changed="$(python3 -c '
+import json, sys
+path = sys.argv[1]
+d = json.loads(open(path).read())
+case = next(c for c in d["cases"]
+            if any(k.startswith("sim_") for k in c["counters"]))
+name = min(k for k in case["counters"] if k.startswith("sim_"))
+case["counters"][name] += 1
+open(path, "w").write(json.dumps(d))
+args = "".join("/" + k + "=" + str(v) for k, v in sorted(case["args"].items()))
+print("bench_gauss/" + case["name"] + args + " counters." + name)
+' "$simdir/GATE_bench_gauss.json")"
+  if python3 scripts/perf_gate.py "$simdir" --prefix=GATE_ \
+      > "$simdir/gate.txt"; then
+    echo "perf gate passed although ${changed} changed" >&2
+    exit 1
+  fi
+  if ! grep -qF -- "- ${changed}: baseline" "$simdir/gate.txt"; then
+    cat "$simdir/gate.txt" >&2
+    echo "perf gate failed without naming ${changed}" >&2
+    exit 1
+  fi
+  echo "  perf gate fails on the changed value ${changed} ok"
 else
   echo "== perf-regression gate skipped (--no-perf-gate) =="
 fi

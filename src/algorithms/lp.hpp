@@ -51,12 +51,6 @@ struct SimplexOptions {
   PivotRule rule = PivotRule::Dantzig;
   double eps = 1e-9;
   std::size_t max_iters = 20000;
-  /// Run the pivot's row scaling, row insertion, pivot-column masking, and
-  /// rank-1 elimination as ONE fused compute pass instead of four
-  /// primitive calls.  Bit-identical results (the communication sequence
-  /// and every floating-point operation are unchanged) at the same or
-  /// lower simulated cost.
-  bool fused_pivot = false;
 };
 
 struct LpSolution {

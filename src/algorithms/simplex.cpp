@@ -65,58 +65,16 @@ std::ptrdiff_t leaving(DistTableau& tb, const DistVector<double>& colv,
 }
 
 /// Scale the pivot row, eliminate the pivot column from every other row —
-/// extract / insert / rank-1 update, all primitive-level.  With
-/// opts.fused_pivot the four local passes after the extracts collapse into
-/// one fused sweep; the communication sequence and every floating-point
-/// operation are unchanged, so results are bit-identical (the pivot row
-/// still goes through the composed path's store-then-update with a -0.0
-/// scale, which flips -0.0 entries to +0.0 exactly as rank1_update does).
-void pivot(DistTableau& tb, std::size_t prow_i, std::size_t pcol_j,
-           const SimplexOptions& o) {
+/// extract / insert / rank-1 update, all primitive-level.
+void pivot(DistTableau& tb, std::size_t prow_i, std::size_t pcol_j) {
   VMP_TRACE(tb.T.grid().cube(), "pivot");
   DistVector<double> colv = extract(tb.T, Axis::Col, pcol_j);
   const double piv = vec_fetch(colv, prow_i);
   DistVector<double> prow = extract(tb.T, Axis::Row, prow_i);
-  if (!o.fused_pivot) {
-    vec_apply(prow, [piv](double x) { return x / piv; });
-    insert(tb.T, Axis::Row, prow_i, prow);
-    vec_fill_range(colv, prow_i, prow_i + 1, 0.0);
-    rank1_update(tb.T, -1.0, colv, prow);
-    tb.basis[prow_i - 1] = pcol_j;
-    return;
-  }
-  Grid& grid = tb.T.grid();
-  const std::uint32_t R = tb.T.rowmap().owner(prow_i);
-  const std::size_t lrp = tb.T.rowmap().local(prow_i);
-  std::uint64_t max_flops = 0, total_flops = 0;
-  grid.cube().each_proc([&](proc_t q) {
-    const std::uint64_t lrn = tb.T.lrows(q), lcn = tb.T.lcols(q);
-    const std::uint64_t f = lcn + 2 * lrn * lcn;  // lcn: the row scaling
-    max_flops = std::max(max_flops, f);
-    total_flops += f;
-  });
-  grid.cube().compute(max_flops, total_flops, [&](proc_t q) {
-    const std::size_t lrn = tb.T.lrows(q), lcn = tb.T.lcols(q);
-    std::span<double> blk = tb.T.block(q);
-    const std::span<double> rp = prow.data().tile(q);
-    for (double& x : rp) x = x / piv;
-    const std::span<const double> cp = colv.piece(q);
-    const bool owner_here = grid.prow(q) == R;
-    for (std::size_t lr = 0; lr < lrn; ++lr) {
-      const bool is_pivot_row = owner_here && lr == lrp;
-      const double scale = -1.0 * (is_pivot_row ? 0.0 : cp[lr]);
-      if (is_pivot_row) {
-        for (std::size_t lc = 0; lc < lcn; ++lc) {
-          double v = rp[lc];
-          v += scale * rp[lc];
-          blk[lr * lcn + lc] = v;
-        }
-      } else {
-        for (std::size_t lc = 0; lc < lcn; ++lc)
-          blk[lr * lcn + lc] += scale * rp[lc];
-      }
-    }
-  });
+  vec_apply(prow, [piv](double x) { return x / piv; });
+  insert(tb.T, Axis::Row, prow_i, prow);
+  vec_fill_range(colv, prow_i, prow_i + 1, 0.0);
+  rank1_update(tb.T, -1.0, colv, prow);
   tb.basis[prow_i - 1] = pcol_j;
 }
 
@@ -131,7 +89,7 @@ LpStatus optimize(DistTableau& tb, const SimplexOptions& o,
     const std::ptrdiff_t i =
         leaving(tb, colv, o);
     if (i < 0) return LpStatus::Unbounded;
-    pivot(tb, static_cast<std::size_t>(i), static_cast<std::size_t>(j), o);
+    pivot(tb, static_cast<std::size_t>(i), static_cast<std::size_t>(j));
     ++iters;
   }
   return LpStatus::IterationLimit;
@@ -182,7 +140,7 @@ LpSolution simplex_solve(Grid& grid, const LpProblem& lp, SimplexOptions opts,
                        : kInf;
           });
       if (j.index >= 0) {
-        pivot(tb, i, static_cast<std::size_t>(j.index), opts);
+        pivot(tb, i, static_cast<std::size_t>(j.index));
         ++sol.iterations;
       }
     }

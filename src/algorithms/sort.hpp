@@ -111,11 +111,4 @@ void vec_sort(DistVector<T>& v) {
   });
 }
 
-/// Convenience: sorted copy back on the host.
-template <class T>
-[[nodiscard]] std::vector<T> vec_sorted_host(DistVector<T> v) {
-  vec_sort(v);
-  return v.to_host();
-}
-
 }  // namespace vmp

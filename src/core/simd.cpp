@@ -1,9 +1,9 @@
 /// \file simd.cpp
 /// \brief The one translation unit compiled with wide-vector flags (see
-///        src/CMakeLists.txt): AVX2 (-mavx2 -ffp-contract=off) or NEON
-///        (-ffp-contract=off).  With VMP_SIMD=OFF it holds only the runtime
-///        switch: the kernels in core/kernels.hpp never call into a backend
-///        there.
+///        src/CMakeLists.txt): the AVX2 backend (-mavx2 -ffp-contract=off).
+///        Without a backend (VMP_SIMD=OFF, or AUTO off x86-64) it holds only
+///        the runtime switch: the kernels in core/kernels.hpp never call
+///        into a backend there.
 ///
 /// The kernels here must keep the exact per-element expression of the
 /// scalar loops in core/kernels.hpp: mul then add (never FMA — hence
@@ -17,8 +17,6 @@
 
 #if defined(VMP_SIMD_BACKEND_AVX2)
 #include <immintrin.h>
-#elif defined(VMP_SIMD_BACKEND_NEON)
-#include <arm_neon.h>
 #endif
 
 namespace vmp::kern::simd {
@@ -56,8 +54,6 @@ bool compiled() { return kCompiled; }
 const char* backend() {
 #if defined(VMP_SIMD_BACKEND_AVX2)
   return "avx2";
-#elif defined(VMP_SIMD_BACKEND_NEON)
-  return "neon";
 #else
   return "scalar";
 #endif
@@ -70,7 +66,7 @@ bool set_enabled(bool on) {
   return prev;
 }
 
-#if defined(VMP_SIMD_BACKEND_AVX2) || defined(VMP_SIMD_BACKEND_NEON)
+#if defined(VMP_SIMD_BACKEND_AVX2)
 
 namespace {
 
@@ -108,15 +104,6 @@ void zip_into_scalar(const double* a, const double* b, double* out,
                      std::size_t i, std::size_t n, Op2 op) {
   for (; i < n; ++i) out[i] = fold1(a[i], b[i], op);
 }
-
-}  // namespace
-
-// ===========================================================================
-// AVX2 backend
-// ===========================================================================
-#if defined(VMP_SIMD_BACKEND_AVX2)
-
-namespace {
 
 /// op(a, b) over 4 f64 lanes with the scalar semantics of Op2 (compare +
 /// blend for max/min, so equal-value and NaN cases match `?:` exactly).
@@ -325,195 +312,8 @@ void gather32(const void* src, std::size_t stride, void* dst, std::size_t n) {
   for (; i < n; ++i) store_raw(d + i * 4, load_raw<std::uint32_t>(s + i * sb));
 }
 
-#elif defined(VMP_SIMD_BACKEND_NEON)
-
-// ===========================================================================
-// NEON backend (aarch64: 128-bit lanes, 2 f64)
-// ===========================================================================
-
-namespace {
-
-inline float64x2_t comb_pd(float64x2_t a, float64x2_t b, Op2 op) {
-  switch (op) {
-    case Op2::add: return vaddq_f64(a, b);
-    case Op2::mul: return vmulq_f64(a, b);
-    case Op2::max: return vbslq_f64(vcltq_f64(a, b), b, a);
-    case Op2::min: return vbslq_f64(vcltq_f64(b, a), b, a);
-  }
-  return a;
-}
-
-inline float64x2_t column_pd(const double* row0, std::size_t lcn,
-                             std::size_t j) {
-  float64x2_t v = vdupq_n_f64(row0[j]);
-  return vsetq_lane_f64(row0[lcn + j], v, 1);
-}
-
-}  // namespace
-
-void fill_u64(void* dst, std::size_t n, std::uint64_t bits) {
-  char* d = static_cast<char*>(dst);
-  const uint64x2_t vv = vdupq_n_u64(bits);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2)
-    vst1q_u64(reinterpret_cast<std::uint64_t*>(d + i * 8), vv);
-  for (; i < n; ++i) store_raw(d + i * 8, bits);
-}
-
-void fill_u32(void* dst, std::size_t n, std::uint32_t bits) {
-  char* d = static_cast<char*>(dst);
-  const uint32x4_t vv = vdupq_n_u32(bits);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4)
-    vst1q_u32(reinterpret_cast<std::uint32_t*>(d + i * 4), vv);
-  for (; i < n; ++i) store_raw(d + i * 4, bits);
-}
-
-void zip_f64(double* dst, const double* src, std::size_t n, Op2 op,
-             bool swapped) {
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const float64x2_t d = vld1q_f64(dst + i);
-    const float64x2_t s = vld1q_f64(src + i);
-    vst1q_f64(dst + i, swapped ? comb_pd(s, d, op) : comb_pd(d, s, op));
-  }
-  zip_scalar(dst, src, i, n, op, swapped);
-}
-
-void zip_into_f64(const double* a, const double* b, double* out,
-                  std::size_t n, Op2 op) {
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2)
-    vst1q_f64(out + i, comb_pd(vld1q_f64(a + i), vld1q_f64(b + i), op));
-  zip_into_scalar(a, b, out, i, n, op);
-}
-
-void axpy_f64(double* y, double a, const double* x, std::size_t n) {
-  const float64x2_t av = vdupq_n_f64(a);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const float64x2_t prod = vmulq_f64(av, vld1q_f64(x + i));
-    vst1q_f64(y + i, vaddq_f64(vld1q_f64(y + i), prod));
-  }
-  for (; i < n; ++i) y[i] += a * x[i];
-}
-
-namespace {
-/// One axpy_f64 step on a register-held slice of y, operands in
-/// axpy_f64's order (y first in the add, a first in the mul).
-inline float64x2_t axpy_step_pd(float64x2_t c, float64x2_t av,
-                                const double* x) {
-  return vaddq_f64(c, vmulq_f64(av, vld1q_f64(x)));
-}
-}  // namespace
-
-void axpy_rows_f64(double* y, const double* a, std::size_t w,
-                   const double* x, std::size_t ldx, std::size_t n) {
-  std::size_t i = 0;
-  // 16 columns of y stay in eight accumulators across all w rows.
-  for (; i + 16 <= n; i += 16) {
-    float64x2_t c0 = vld1q_f64(y + i), c1 = vld1q_f64(y + i + 2),
-                c2 = vld1q_f64(y + i + 4), c3 = vld1q_f64(y + i + 6),
-                c4 = vld1q_f64(y + i + 8), c5 = vld1q_f64(y + i + 10),
-                c6 = vld1q_f64(y + i + 12), c7 = vld1q_f64(y + i + 14);
-    for (std::size_t t = 0; t < w; ++t) {
-      const float64x2_t av = vdupq_n_f64(a[t]);
-      const double* xr = x + t * ldx + i;
-      c0 = axpy_step_pd(c0, av, xr);
-      c1 = axpy_step_pd(c1, av, xr + 2);
-      c2 = axpy_step_pd(c2, av, xr + 4);
-      c3 = axpy_step_pd(c3, av, xr + 6);
-      c4 = axpy_step_pd(c4, av, xr + 8);
-      c5 = axpy_step_pd(c5, av, xr + 10);
-      c6 = axpy_step_pd(c6, av, xr + 12);
-      c7 = axpy_step_pd(c7, av, xr + 14);
-    }
-    vst1q_f64(y + i, c0);
-    vst1q_f64(y + i + 2, c1);
-    vst1q_f64(y + i + 4, c2);
-    vst1q_f64(y + i + 6, c3);
-    vst1q_f64(y + i + 8, c4);
-    vst1q_f64(y + i + 10, c5);
-    vst1q_f64(y + i + 12, c6);
-    vst1q_f64(y + i + 14, c7);
-  }
-  for (; i + 2 <= n; i += 2) {
-    float64x2_t c = vld1q_f64(y + i);
-    for (std::size_t t = 0; t < w; ++t)
-      c = axpy_step_pd(c, vdupq_n_f64(a[t]), x + t * ldx + i);
-    vst1q_f64(y + i, c);
-  }
-  // One column left: axpy_f64's own scalar tail, row by row.
-  if (i < n)
-    for (std::size_t t = 0; t < w; ++t)
-      axpy_f64(y + i, a[t], x + t * ldx + i, n - i);
-}
-
-void scale_f64(double* x, double a, std::size_t n) {
-  const float64x2_t av = vdupq_n_f64(a);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) vst1q_f64(x + i, vmulq_f64(vld1q_f64(x + i), av));
-  for (; i < n; ++i) x[i] *= a;
-}
-
-void fold_rows_f64(const double* blk, std::size_t lrn, std::size_t lcn,
-                   double init, double* out, Op2 op) {
-  std::size_t r = 0;
-  for (; r + 2 <= lrn; r += 2) {
-    const double* rows = blk + r * lcn;
-    float64x2_t acc = vdupq_n_f64(init);
-    for (std::size_t j = 0; j < lcn; ++j)
-      acc = comb_pd(acc, column_pd(rows, lcn, j), op);
-    vst1q_f64(out + r, acc);
-  }
-  for (; r < lrn; ++r) {
-    double acc = init;
-    const double* row = blk + r * lcn;
-    for (std::size_t j = 0; j < lcn; ++j) acc = fold1(acc, row[j], op);
-    out[r] = acc;
-  }
-}
-
-void dot_rows_f64(const double* blk, std::size_t lrn, std::size_t lcn,
-                  const double* x, double* out) {
-  std::size_t r = 0;
-  for (; r + 2 <= lrn; r += 2) {
-    const double* rows = blk + r * lcn;
-    float64x2_t acc = vdupq_n_f64(0.0);
-    for (std::size_t j = 0; j < lcn; ++j) {
-      const float64x2_t xv = vdupq_n_f64(x[j]);
-      acc = vaddq_f64(acc, vmulq_f64(column_pd(rows, lcn, j), xv));
-    }
-    vst1q_f64(out + r, acc);
-  }
-  for (; r < lrn; ++r) {
-    double s = 0.0;
-    const double* row = blk + r * lcn;
-    for (std::size_t j = 0; j < lcn; ++j) s += row[j] * x[j];
-    out[r] = s;
-  }
-}
-
-void gather64(const void* src, std::size_t stride, void* dst, std::size_t n) {
-  const char* s = static_cast<const char*>(src);
-  char* d = static_cast<char*>(dst);
-  const std::size_t sb = stride * 8;
-  for (std::size_t i = 0; i < n; ++i)
-    store_raw(d + i * 8, load_raw<std::uint64_t>(s + i * sb));
-}
-
-void gather32(const void* src, std::size_t stride, void* dst, std::size_t n) {
-  const char* s = static_cast<const char*>(src);
-  char* d = static_cast<char*>(dst);
-  const std::size_t sb = stride * 4;
-  for (std::size_t i = 0; i < n; ++i)
-    store_raw(d + i * 4, load_raw<std::uint32_t>(s + i * sb));
-}
-
-#endif  // VMP_SIMD_BACKEND_AVX2 / VMP_SIMD_BACKEND_NEON
-
-// Scatter has no pre-AVX-512 instruction; every backend uses the same
-// store-side loop (vector loads would not help: the stores dominate).
+// AVX2 has no scatter instruction (it arrives with AVX-512), so the stores
+// are scalar (vector loads would not help: the stores dominate).
 void scatter64(const void* src, void* dst, std::size_t stride,
                std::size_t n) {
   const char* s = static_cast<const char*>(src);
@@ -544,6 +344,6 @@ void scatter32(const void* src, void* dst, std::size_t stride,
   for (; i < n; ++i) store_raw(d + i * sb, load_raw<std::uint32_t>(s + i * 4));
 }
 
-#endif  // a wide backend
+#endif  // VMP_SIMD_BACKEND_AVX2
 
 }  // namespace vmp::kern::simd

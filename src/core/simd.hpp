@@ -1,12 +1,11 @@
 /// \file simd.hpp
 /// \brief Portable explicit-SIMD backend for the strided-kernel layer.
 ///
-/// One backend per build, selected at configure time by the `VMP_SIMD`
-/// CMake option (AUTO detects the target architecture):
+/// At most one backend per build, selected at configure time by the
+/// `VMP_SIMD` CMake option (AUTO picks AVX2 on x86-64 and OFF elsewhere):
 ///
 ///   AVX2    x86-64, 256-bit lanes (4 f64), simd.cpp compiled with
 ///           -mavx2 -ffp-contract=off
-///   NEON    aarch64, 128-bit lanes (2 f64), -ffp-contract=off
 ///   OFF     no backend: compiled() reports false, and every kernel in
 ///           core/kernels.hpp is its scalar loop alone
 ///
@@ -42,12 +41,12 @@ namespace vmp::kern::simd {
 /// differ).
 enum class Op2 : int { add = 0, mul = 1, max = 2, min = 3 };
 
-/// True when a wide backend (AVX2 or NEON) is compiled in.  The build
-/// defines VMP_SIMD_BACKEND_AVX2 or VMP_SIMD_BACKEND_NEON on the library
-/// target and everything linking it (src/CMakeLists.txt).  Each kernel
-/// dispatch tests this in its `if constexpr`, so a build without a backend
-/// discards every call into the kernels declared below.
-#if defined(VMP_SIMD_BACKEND_AVX2) || defined(VMP_SIMD_BACKEND_NEON)
+/// True when the AVX2 backend is compiled in.  The build defines
+/// VMP_SIMD_BACKEND_AVX2 on the library target and everything linking it
+/// (src/CMakeLists.txt).  Each kernel dispatch tests this in its
+/// `if constexpr`, so a build without a backend discards every call into
+/// the kernels declared below.
+#if defined(VMP_SIMD_BACKEND_AVX2)
 inline constexpr bool kCompiled = true;
 #else
 inline constexpr bool kCompiled = false;
@@ -56,7 +55,7 @@ inline constexpr bool kCompiled = false;
 /// kCompiled as a function (the reports and benches print it).
 [[nodiscard]] bool compiled();
 
-/// "avx2", "neon" or "scalar".
+/// "avx2" or "scalar".
 [[nodiscard]] const char* backend();
 
 namespace detail {
@@ -103,8 +102,8 @@ void axpy_f64(double* y, double a, const double* x, std::size_t n);
 
 /// y[i] += a[t] · x[t·ldx + i] for t = 0 … w−1 in turn (i < n): the w
 /// successive axpy_f64 calls of a row-times-panel update, each element's
-/// chain in the same order with the same mul-then-add.  The wide backends
-/// keep a slice of y in registers across all w rows instead of loading and
+/// chain in the same order with the same mul-then-add.  The AVX2 backend
+/// keeps a slice of y in registers across all w rows instead of loading and
 /// storing it once per row.
 void axpy_rows_f64(double* y, const double* a, std::size_t w,
                    const double* x, std::size_t ldx, std::size_t n);
@@ -133,8 +132,7 @@ void gather64(const void* src, std::size_t stride, void* dst, std::size_t n);
 void gather32(const void* src, std::size_t stride, void* dst, std::size_t n);
 
 /// dst[i * stride] = src[i] over 8/4-byte elements.  (No scatter
-/// instruction below AVX-512: the wide backends unroll scalar stores from
-/// vector loads.)
+/// instruction below AVX-512: the AVX2 backend unrolls scalar stores.)
 void scatter64(const void* src, void* dst, std::size_t stride, std::size_t n);
 void scatter32(const void* src, void* dst, std::size_t stride, std::size_t n);
 

@@ -142,12 +142,26 @@ class DistSparseMatrix {
   /// Replace processor q's tile.  colind must be strictly ascending within
   /// each row.  Safe from a compute callback once reserve_tiles() covered
   /// the size; call finalize() (host thread) when every tile is in place.
+  /// A malformed tile throws ContractError before anything is written.
   void assign_tile(proc_t q, std::span<const std::uint32_t> rowptr,
                    std::span<const std::uint32_t> colind,
                    std::span<const T> vals) {
-    VMP_REQUIRE(rowptr.size() == lrows(q) + 1, "rowptr length mismatch");
+    const std::size_t lrn = lrows(q), lcn = lcols(q);
+    VMP_REQUIRE(rowptr.size() == lrn + 1, "rowptr length mismatch");
     VMP_REQUIRE(colind.size() == vals.size(), "colind/vals length mismatch");
-    VMP_REQUIRE(rowptr[lrows(q)] == colind.size(), "rowptr/nnz mismatch");
+    // The checks load_csr makes of a host triple, over local slots: every
+    // later tile kernel indexes the block by colind and binary-searches
+    // each row.
+    VMP_REQUIRE(rowptr[0] == 0, "rowptr must start at 0");
+    VMP_REQUIRE(rowptr[lrn] == colind.size(), "rowptr/nnz mismatch");
+    for (std::size_t lr = 0; lr < lrn; ++lr)
+      VMP_REQUIRE(rowptr[lr] <= rowptr[lr + 1], "rowptr must not decrease");
+    for (std::size_t lr = 0; lr < lrn; ++lr)
+      for (std::size_t k = rowptr[lr]; k < rowptr[lr + 1]; ++k) {
+        VMP_REQUIRE(colind[k] < lcn, "colind outside the tile");
+        VMP_REQUIRE(k == rowptr[lr] || colind[k - 1] < colind[k],
+                    "colind must ascend strictly within each row");
+      }
     rowptr_.assign(q, rowptr);
     colind_.assign(q, colind);
     vals_.assign(q, vals);

@@ -398,5 +398,53 @@ TEST(Contracts, LoadCsrRejectsRepeatedColumns) {
   expect_csr_rejected({{0, 2, 2, 3, 4}, {1, 1, 2, 3}, {1, 2, 3, 4}});
 }
 
+// assign_tile: a malformed tile (local slots) is rejected before anything
+// is written, and the tile keeps what it held.
+
+/// Assign `bad` as processor 3's tile of a blocked 4×4 sparse matrix on a
+/// 2×2 grid already holding the diagonal (a 2×2 tile: rows and columns
+/// 2–3); it must throw ContractError and leave the matrix as it was.
+void expect_tile_rejected(const CsrTriple& bad) {
+  Cube cube(2, CostParams::unit());
+  Grid grid(cube, 1, 1);
+  DistSparseMatrix<double> S(grid, 4, 4);
+  const std::vector<std::uint32_t> rowptr{0, 1, 2, 3, 4}, colind{0, 1, 2, 3};
+  const std::vector<double> vals{1.0, 2.0, 3.0, 4.0};
+  S.load_csr(rowptr, colind, vals);
+  constexpr proc_t q = 3;
+  ASSERT_EQ(S.lrows(q), 2u);
+  ASSERT_EQ(S.lcols(q), 2u);
+  const auto rp = S.tile_rowptr(q), ci = S.tile_colind(q);
+  const std::vector<std::uint32_t> rp0(rp.begin(), rp.end()),
+      ci0(ci.begin(), ci.end());
+  const std::vector<double> before = S.to_host();
+  EXPECT_THROW(S.assign_tile(q, bad.rowptr, bad.colind, bad.vals),
+               ContractError);
+  EXPECT_TRUE(std::ranges::equal(S.tile_rowptr(q), rp0));
+  EXPECT_TRUE(std::ranges::equal(S.tile_colind(q), ci0));
+  EXPECT_EQ(S.to_host(), before);
+}
+
+TEST(Contracts, AssignTileRejectsRowptrNotStartingAtZero) {
+  expect_tile_rejected({{1, 1, 2}, {0, 1}, {5, 6}});
+}
+
+TEST(Contracts, AssignTileRejectsDecreasingRowptr) {
+  // Row 0 would read two entries of a one-entry tile.
+  expect_tile_rejected({{0, 2, 1}, {0}, {5}});
+}
+
+TEST(Contracts, AssignTileRejectsColumnOutsideTheTile) {
+  expect_tile_rejected({{0, 1, 1}, {40000}, {5}});
+}
+
+TEST(Contracts, AssignTileRejectsUnsortedColumns) {
+  expect_tile_rejected({{0, 2, 2}, {1, 0}, {5, 6}});
+}
+
+TEST(Contracts, AssignTileRejectsRepeatedColumns) {
+  expect_tile_rejected({{0, 2, 2}, {1, 1}, {5, 6}});
+}
+
 }  // namespace
 }  // namespace vmp

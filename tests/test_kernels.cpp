@@ -379,8 +379,7 @@ TEST(Kernels, AxpyAndScaleMatchReference) {
 
 // axpy_rows is w successive axpy calls, one per panel row.  The lengths
 // cover every remainder class of the AVX2 body's 32-column block and its
-// 4-wide tail (and of NEON's 16 / 2); ldx = n + 3 puts the panel rows off
-// the output's alignment.
+// 4-wide tail; ldx = n + 3 puts the panel rows off the output's alignment.
 const std::vector<std::size_t> kRowLens = {0,  1,  3,  4,  5,  31,  32, 33,
                                            35, 36, 63, 64, 65, 133, 384};
 
@@ -696,7 +695,7 @@ TEST(Kernels, ScanExclusiveMatchesReference) {
 
 TEST(KernelsSimd, BackendSurfaceIsConsistent) {
   const std::string be = kern::simd::backend();
-  EXPECT_TRUE(be == "avx2" || be == "neon" || be == "scalar");
+  EXPECT_TRUE(be == "avx2" || be == "scalar");
   EXPECT_EQ(kern::simd::compiled(), be != "scalar");
   if (!kern::simd::compiled()) {
     // The toggle cannot enable a backend that is not there.

@@ -15,7 +15,6 @@
 
 #include "algorithms/gauss.hpp"
 #include "algorithms/matvec.hpp"
-#include "algorithms/simplex.hpp"
 #include "algorithms/spmv.hpp"
 #include "comm/dist_buffer.hpp"
 #include "core/kernels.hpp"
@@ -525,34 +524,6 @@ TEST_P(RandomSweep, FusedLuBitIdenticalToComposed) {
   EXPECT_EQ(A0.to_host(), A1.to_host()) << "LU factors diverge";
   EXPECT_LE(c1.clock().now_us(), c0.clock().now_us() + 1e-9)
       << "fused factor must not cost more simulated time";
-}
-
-// The fused simplex pivot (SimplexOptions::fused_pivot) must walk the
-// exact same vertex sequence and produce the bitwise-identical solution.
-TEST_P(RandomSweep, FusedSimplexPivotBitIdenticalToComposed) {
-  const int trial = GetParam();
-  const TrialConfig c = draw(trial);
-  SCOPED_TRACE(c.reproducer(trial));
-  const std::size_t ncons = 2 + c.nrows % 6, nvars = 2 + c.ncols % 6;
-  const LpProblem lp = trial % 2 == 0
-                           ? random_feasible_lp(ncons, nvars, c.data_seed)
-                           : random_phase1_lp(ncons, nvars, c.data_seed);
-  const MatrixLayout layout =
-      c.cyclic ? MatrixLayout::cyclic() : MatrixLayout::blocked();
-  const CostParams costs = c.ipsc ? CostParams::ipsc() : CostParams::cm2();
-
-  Cube c0(c.d, costs), c1(c.d, costs);
-  Grid g0(c0, c.gr, c.gc), g1(c1, c.gr, c.gc);
-  SimplexOptions composed_opts, fused_opts;
-  fused_opts.fused_pivot = true;
-  const LpSolution s0 = simplex_solve(g0, lp, composed_opts, layout);
-  const LpSolution s1 = simplex_solve(g1, lp, fused_opts, layout);
-  EXPECT_EQ(s0.status, s1.status);
-  EXPECT_EQ(s0.iterations, s1.iterations);
-  EXPECT_EQ(s0.phase1_iterations, s1.phase1_iterations);
-  EXPECT_EQ(s0.objective, s1.objective) << "objective diverges bitwise";
-  EXPECT_EQ(s0.x, s1.x) << "solution vector diverges bitwise";
-  EXPECT_LE(c1.clock().now_us(), c0.clock().now_us() + 1e-9);
 }
 
 // ---------------------------------------------------------------------------
