@@ -133,9 +133,11 @@ if [[ "$NO_SANITIZE" == 0 ]]; then
   # PrimitiveCharges pins).
   ./build-asan/tests/test_primitives
   ./build-asan/tests/test_exhaustive_small
-  # Every collective against its host reference, and the two segment
+  # Every collective against its host reference, the two segment
   # pipelines against their one-segment twins on ragged lengths (the
-  # per-call tables their rounds read).
+  # per-call tables their rounds read), and the doubling all-reduce's
+  # charge walk and fold against the staged doubling (AllreduceTwin;
+  # AllreduceFaults runs with test_fault_recovery above).
   ./build-asan/tests/test_collectives
   # The vector maps, folds and scans, which run once per piece and write
   # the piece's other replicas from its holder, against the per-processor

@@ -74,10 +74,11 @@ void broadcast_esbt(Cube& cube, DistBuffer<T>& buf, const SubcubeSet& sc,
           detail::rotr_bits(full & ~processed, k - ii, k), sc.mask());
     }
     cube.exchange_views<T>(
-        std::span<const int>(dims.data(), K),
-        [&](proc_t q, std::size_t i) -> std::span<const T> {
-          if (!roots.holds(q, uncovered[i])) return {};
-          return roots.segment(q, static_cast<std::uint32_t>(i));
+        std::span<const int>(dims.data(), K), [&](auto&& fn) {
+          for (std::uint32_t i = 0; i < K; ++i)
+            roots.each_holder(uncovered[i], [&](proc_t q) {
+              fn(dims[i], q, roots.segment(q, i));
+            });
         });
     processed |= 1u << j;
   }

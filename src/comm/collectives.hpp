@@ -38,19 +38,23 @@
 /// thread (see comm/dist_buffer.hpp).
 ///
 /// Geometry is tabulated once per call on the host thread, and the rounds
-/// only read the tables: `broadcast_auto` calls `n_of` once per subcube,
-/// at its root, into a length table its backends read, and the pipelines
-/// look up segment cuts in a detail::SegmentTable, per processor for
-/// `allreduce_pipelined` and per subcube for the broadcasts.
+/// only read the tables: the broadcasts call `n_of` at each subcube's root
+/// (`broadcast_auto` once more there, to pick a backend), and the
+/// pipelines look up segment cuts in a detail::SegmentTable, per processor
+/// for `allreduce_pipelined` and per subcube for the broadcasts, whose
+/// tables live in an arena on the stack.
 ///
 /// The broadcasts only move data (`broadcast`, `broadcast_sag`,
 /// `broadcast_pipelined` and allport.hpp's `broadcast_esbt`), and stage
 /// nothing: each round is one Cube::exchange_views over the roots'
-/// payloads — every holder's message is a range of its subcube root's
-/// tile, the bytes it would hold by then — and after the last round one
-/// uncharged Cube::deliver step copies each root's payload to its members.
-/// Charges, statistics and traces are those of the staged rounds; a
-/// FaultError leaves `buf` as it was.
+/// payloads, walked over each port's holders only — every holder's message
+/// is a range of its subcube root's tile, the bytes it would hold by then —
+/// and after the last round one uncharged Cube::deliver step copies each
+/// root's payload to its members.  The doubling `allreduce` is the same
+/// idea for a combine: its rounds are walked over the members' tiles and
+/// one deliver step folds each subcube once.  Charges, statistics and
+/// traces are those of the staged rounds; a FaultError leaves `buf` as it
+/// was.
 #pragma once
 
 #include <algorithm>
@@ -58,6 +62,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <memory_resource>
 #include <span>
 #include <tuple>
 #include <utility>
@@ -89,28 +94,62 @@ template <class T>
 /// Combine equal-length (per subcube) local arrays; on exit every member
 /// holds the subcube-wide reduction.  Combines are applied in rank order,
 /// so non-commutative (but associative) operators are supported.
+///
+/// Recursive doubling: after round i every member of an aligned group of
+/// 2^(i+1) ranks holds op(low half's value, high half's value), so what
+/// the rounds compute is fixed by the tiles they start from.  The k rounds
+/// are therefore a charge walk — each one Cube::exchange_views over the
+/// members' tiles, whose lengths the combines never change, then its
+/// combine charge — and one uncharged deliver step folds each subcube's
+/// tiles once in the doubling's tree (for w = 1, 2, 4, …, rank r ≡ 0
+/// mod 2w takes op(tile(r), tile(r + w))) and copies the result into the
+/// other members.  Results, charges, statistics and traces are those of the
+/// staged rounds; nothing is staged, and a FaultError leaves `buf` as it
+/// was.
 template <class T, class Op>
 void allreduce(Cube& cube, DistBuffer<T>& buf, const SubcubeSet& sc, Op op) {
   if (sc.k() == 0) return;
   VMP_TRACE(cube, "allreduce");
-  const auto batch = cube.session();
-  const std::size_t n = max_local_len(cube, buf);
-  for (int i = 0; i < sc.k(); ++i) {
-    const int d = sc.dim_of_rank_bit(i);
-    cube.exchange<T>(
-        d, [&](proc_t q) -> std::span<const T> { return buf.tile(q); },
-        [&](proc_t q, std::span<const T> in) {
-          const std::span<T> mine = buf.tile(q);
-          VMP_ASSERT(in.size() == mine.size(), "allreduce length mismatch");
-          // The high half takes the remote value as the op's LEFT argument
-          // (order matters for Max/Min on equal values and signed zeros).
-          if (bit_of(q, d) != 0)
-            kern::zip_swapped(mine, in, kern::op_fn(op));
-          else
-            kern::zip(mine, in, kern::op_fn(op));
-        });
-    cube.clock().charge_compute_step(n, n * cube.procs());
+  const std::uint32_t mask = sc.mask();
+  const proc_t P = cube.procs();
+  std::size_t n = 0;
+  std::uint64_t combines = 0;  // the fold's: each non-root tile's length
+  for (proc_t q = 0; q < P; ++q) {
+    VMP_ASSERT(buf.len(q) == buf.len(q & ~mask), "allreduce length mismatch");
+    n = std::max(n, buf.len(q));
+    if ((q & mask) != 0) combines += buf.len(q);
   }
+  // Rank bit i is the i-th lowest dimension of the mask.
+  for (std::uint32_t rest = mask; rest != 0; rest &= rest - 1) {
+    const int d = std::countr_zero(rest);
+    cube.exchange_views<T>(std::span<const int>(&d, 1), [&](auto&& fn) {
+      for (proc_t q = 0; q < P; ++q) fn(d, q, std::span<const T>(buf.tile(q)));
+    });
+    cube.clock().charge_compute_step(n, n * P);
+  }
+  if (combines == 0) return;
+  // The fold runs on each subcube's rank-0 member q0 (no mask bit set).
+  cube.deliver({.flops = combines, .bytes = combines * sizeof(T)},
+               [&](proc_t q0) {
+                 if ((q0 & mask) != 0) return;
+                 std::uint32_t folded = 0;
+                 for (std::uint32_t rest = mask; rest != 0; rest &= rest - 1) {
+                   // Rank r + w is rank r's processor with `high` set.
+                   const std::uint32_t high = rest & (~rest + 1);
+                   folded |= high;
+                   const std::uint32_t lows = mask & ~folded;
+                   std::uint32_t s = 0;
+                   do {
+                     kern::zip(buf.tile(q0 | s),
+                               std::span<const T>(buf.tile(q0 | s | high)),
+                               kern::op_fn(op));
+                     s = (s - lows) & lows;
+                   } while (s != 0);
+                 }
+                 const std::span<const T> result = buf.tile(q0);
+                 for (std::uint32_t s = mask; s != 0; s = (s - 1) & mask)
+                   kern::copy(result, buf.tile(q0 | s));
+               });
 }
 
 // ---------------------------------------------------------------------------
@@ -303,12 +342,17 @@ namespace detail {
 /// cut(i, s+1))), built on the host thread before the first round so that
 /// the rounds only read them.  Lengths repeat (they agree within a subcube
 /// and the partitions give only a few distinct ones), so each distinct
-/// length's cuts are computed once and shared.
+/// length's cuts are computed once and shared.  The tables come from
+/// `mem`.
 class SegmentTable {
  public:
   template <class LenFn>
-  SegmentTable(std::size_t count, std::uint32_t nseg, LenFn len)
-      : nseg_(nseg), row_(count) {
+  SegmentTable(
+      std::size_t count, std::uint32_t nseg, LenFn len,
+      std::pmr::memory_resource* mem = std::pmr::get_default_resource())
+      : nseg_(nseg), row_(count, mem), cuts_(mem) {
+    // Room for two distinct lengths: a partition's n/P and n/P + 1.
+    cuts_.reserve(2 * (std::size_t{nseg} + 1));
     for (std::size_t i = 0; i < count; ++i) {
       const std::size_t n = static_cast<std::size_t>(len(i));
       // A row's last cut is its length: block_begin(n, S, S) == n.
@@ -336,8 +380,8 @@ class SegmentTable {
 
  private:
   std::uint32_t nseg_;
-  std::vector<std::size_t> row_;  ///< per payload: offset of its cuts
-  std::vector<std::size_t> cuts_;
+  std::pmr::vector<std::size_t> row_;  ///< per payload: offset of its cuts
+  std::pmr::vector<std::size_t> cuts_;
 };
 
 /// Ports a pipeline round can use: each active segment occupies a distinct
@@ -473,9 +517,11 @@ class Subcubes {
 /// the root's payload, the first n_of(root) elements of its tile, cut into
 /// `nseg` segments (broadcast_sag's P blocks).  n_of runs once per
 /// subcube, at its root.  No per-processor rank is formed: q's address
-/// relative to its root is q ^ root_bits, so a holder test is a mask on
-/// it.  The payloads are read where they lie, so `buf` must not grow or be
-/// relabeled before place().
+/// relative to its root is q ^ root_bits, so the holders of a round are
+/// enumerated from it.  The tables live in an arena inside the object,
+/// which touches the heap only past a few hundred entries.  The payloads
+/// are read where they lie, so `buf` must not grow or be relabeled before
+/// place().
 template <class T>
 class BroadcastRoots {
  public:
@@ -485,10 +531,13 @@ class BroadcastRoots {
                  std::uint32_t nseg, NFn n_of)
       : subs_(cube, sc),
         mask_(sc.mask()),
+        all_(cube.procs() - 1),
         root_bits_(deposit_bits(root_rank, sc.mask())),
-        cuts_(subs_.count(), nseg,
-              [&](std::size_t s) { return n_of(subs_.member(s, root_bits_)); }),
-        data_(subs_.count()) {
+        cuts_(
+            subs_.count(), nseg,
+            [&](std::size_t s) { return n_of(subs_.member(s, root_bits_)); },
+            &arena_),
+        data_(subs_.count(), &arena_) {
     for (std::size_t s = 0; s < data_.size(); ++s) {
       const std::span<const T> tile = buf.tile(subs_.member(s, root_bits_));
       VMP_REQUIRE(cuts_.len(s) <= tile.size(),
@@ -502,6 +551,25 @@ class BroadcastRoots {
   /// dimensions in `uncovered` set: q holds what its root sent down them.
   [[nodiscard]] bool holds(proc_t q, std::uint32_t uncovered) const {
     return ((q ^ root_bits_) & uncovered) == 0;
+  }
+
+  /// Calls `fn(q)` for every q that holds(q, uncovered), ascending: q is
+  /// the roots' bits in `uncovered` with any subset `s` of the other bits,
+  /// and the subsets are walked in ascending order.
+  template <class F>
+  void each_holder(std::uint32_t uncovered, F&& fn) const {
+    const std::uint32_t fixed = root_bits_ & uncovered;
+    const std::uint32_t free = all_ & ~uncovered;
+    std::uint32_t s = 0;
+    do {
+      fn(fixed | s);
+      s = (s - free) & free;
+    } while (s != 0);
+  }
+
+  /// q's rank in its subcube relative to the root's.
+  [[nodiscard]] std::uint32_t rel_rank(proc_t q) const {
+    return extract_bits(q ^ root_bits_, mask_);
   }
 
   /// Segments [lo, hi) of the payload of q's root.
@@ -527,12 +595,17 @@ class BroadcastRoots {
   }
 
  private:
+  /// Room for lu_cube-sized tables (8 subcubes, 33 cuts each) and for
+  /// scatter + all-gather over 64 processors.
+  std::array<std::byte, 2048> inline_;
+  std::pmr::monotonic_buffer_resource arena_{inline_.data(), inline_.size()};
   Subcubes subs_;
   std::uint32_t mask_;
+  std::uint32_t all_;        ///< every cube dimension
   std::uint32_t root_bits_;  ///< every root's mask bits
   SegmentTable cuts_;        ///< per subcube
-  std::vector<const T*> data_;  ///< per subcube: the root's tile
-  std::uint64_t bytes_ = 0;     ///< what place() copies
+  std::pmr::vector<const T*> data_;  ///< per subcube: the root's tile
+  std::uint64_t bytes_ = 0;          ///< what place() copies
 };
 
 /// The schedule walker behind broadcast (one segment) and
@@ -566,10 +639,11 @@ void broadcast_rounds(Cube& cube, DistBuffer<T>& buf, const SubcubeSet& sc,
           deposit_bits((std::uint32_t{1} << (k - st)) - 1, sc.mask());
     }
     cube.exchange_views<T>(
-        std::span<const int>(dims.data(), ports),
-        [&](proc_t q, std::size_t idx) -> std::span<const T> {
-          if (!roots.holds(q, uncovered[idx])) return {};
-          return roots.segment(q, segs[idx]);
+        std::span<const int>(dims.data(), ports), [&](auto&& fn) {
+          for (std::size_t i = 0; i < ports; ++i)
+            roots.each_holder(uncovered[i], [&](proc_t q) {
+              fn(dims[i], q, roots.segment(q, segs[i]));
+            });
         });
   }
   roots.place(cube, buf);
@@ -611,24 +685,25 @@ void broadcast_sag(Cube& cube, DistBuffer<T>& buf, const SubcubeSet& sc,
   const int k = sc.k();
   const detail::BroadcastRoots<T> roots(cube, buf, sc, root_rank, sc.size(),
                                         n_of);
-  // One round across rank bit j: the member with relative rank rr sends
-  // blocks [lo, hi) = blocks(rr) of its root's payload (none if empty).
-  const auto round = [&](int j, auto&& blocks) {
+  // One round across rank bit j: every member whose relative rank rr has
+  // none of the rank bits in `unheld` set sends blocks [lo, hi) =
+  // blocks(rr) of its root's payload.
+  const auto round = [&](int j, std::uint32_t unheld, auto&& blocks) {
     const int d = sc.dim_of_rank_bit(j);
-    cube.exchange_views<T>(
-        std::span<const int>(&d, 1),
-        [&](proc_t q, std::size_t) -> std::span<const T> {
-          const auto [lo, hi] = blocks(sc.rank(q) ^ root_rank);
-          return roots.segments(q, lo, hi);
-        });
+    const std::uint32_t uncovered = deposit_bits(unheld, sc.mask());
+    cube.exchange_views<T>(std::span<const int>(&d, 1), [&](auto&& fn) {
+      roots.each_holder(uncovered, [&](proc_t q) {
+        const auto [lo, hi] = blocks(roots.rel_rank(q));
+        fn(d, q, roots.segments(q, lo, hi));
+      });
+    });
   };
   {
     VMP_TRACE(cube, "scatter");
     // A holder has no rank bit at or below j set: it covers blocks
     // [rr, rr + 2^(j+1)) and sends the top half.
     for (int j = k - 1; j >= 0; --j)
-      round(j, [j](std::uint32_t rr) {
-        if ((rr & ((2u << j) - 1u)) != 0) return std::pair{0u, 0u};
+      round(j, (2u << j) - 1u, [j](std::uint32_t rr) {
         return std::pair{rr + (1u << j), rr + (2u << j)};
       });
   }
@@ -636,7 +711,7 @@ void broadcast_sag(Cube& cube, DistBuffer<T>& buf, const SubcubeSet& sc,
     VMP_TRACE(cube, "allgather");
     // Before round j, q holds the 2^j blocks of its rank's aligned group.
     for (int j = 0; j < k; ++j)
-      round(j, [j](std::uint32_t rr) {
+      round(j, 0u, [j](std::uint32_t rr) {
         const std::uint32_t lo = rr & ~((1u << j) - 1u);
         return std::pair{lo, lo + (1u << j)};
       });
@@ -674,17 +749,13 @@ void broadcast_auto(Cube& cube, DistBuffer<T>& buf, const SubcubeSet& sc,
                     std::uint32_t root_rank, NFn n_of) {
   if (sc.k() == 0) return;
   VMP_REQUIRE(root_rank < sc.size(), "broadcast root rank out of range");
-  // n_of runs once per subcube, at its root, here; the backends read the
-  // table.
+  // The longest payload, read at the roots, sizes the choice.
   const detail::Subcubes subs(cube, sc);
   const std::uint32_t root_bits = deposit_bits(root_rank, sc.mask());
-  std::vector<std::size_t> len(subs.count());
   std::size_t nmax = 0;
-  for (std::size_t s = 0; s < len.size(); ++s) {
-    len[s] = static_cast<std::size_t>(n_of(subs.member(s, root_bits)));
-    nmax = std::max(nmax, len[s]);
-  }
-  const auto len_of = [&](proc_t q) { return len[subs.of(q)]; };
+  for (std::size_t s = 0; s < subs.count(); ++s)
+    nmax = std::max(
+        nmax, static_cast<std::size_t>(n_of(subs.member(s, root_bits))));
   const double n = static_cast<double>(nmax);
   const double k = sc.k();
   const double frac =
@@ -698,9 +769,9 @@ void broadcast_auto(Cube& cube, DistBuffer<T>& buf, const SubcubeSet& sc,
   const std::uint32_t S = pipeline_segments(cp, sc.k(), nmax);
   const double c_pipe = pipeline_rounds_model(cp, sc.k(), nmax, S);
   if (S > 1 && c_pipe < c_bin && c_pipe < c_sag) {
-    broadcast_pipelined(cube, buf, sc, root_rank, len_of, S);
+    broadcast_pipelined(cube, buf, sc, root_rank, n_of, S);
   } else if (c_sag < c_bin) {
-    broadcast_sag(cube, buf, sc, root_rank, len_of);
+    broadcast_sag(cube, buf, sc, root_rank, n_of);
   } else {
     broadcast(cube, buf, sc, root_rank);
   }

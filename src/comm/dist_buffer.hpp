@@ -50,6 +50,9 @@
 namespace vmp {
 
 template <class T>
+class DistVector;
+
+template <class T>
 class DistBuffer {
   // The arena moves tiles with memmove on growth and hands out spans over
   // raw pool bytes, so elements must be trivially copyable and must not
@@ -244,6 +247,15 @@ class DistBuffer {
 
  private:
   static constexpr std::size_t kAlign = 64;
+
+  friend class DistVector<T>;
+
+  /// Set tile q's length to n and leave its elements unwritten: for a
+  /// DistVector whose every tile its builder writes before any read.
+  void resize_unfilled(proc_t q, std::size_t n) {
+    ensure_stride(n);
+    tiles_[q].len = n;
+  }
 
   /// Smallest stride quantum keeping every tile 64-byte aligned.
   [[nodiscard]] static constexpr std::size_t align_elems() {

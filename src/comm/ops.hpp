@@ -28,6 +28,16 @@ namespace detail {
 #endif
 }
 
+/// a · b with `a` as the mul's first source, for the same reason.
+[[nodiscard]] inline double mul_left_first(double a, double b) {
+#if defined(__x86_64__)
+  asm("mulsd {%1, %0|%0, %1}" : "+x"(a) : "x"(b));
+  return a;
+#else
+  return a * b;
+#endif
+}
+
 }  // namespace detail
 
 /// Value tagged with the global index it came from; the element type of
@@ -56,7 +66,13 @@ struct Plus {
 template <class T>
 struct Multiply {
   using value_type = T;
-  [[nodiscard]] T combine(const T& a, const T& b) const { return a * b; }
+  [[nodiscard]] T combine(const T& a, const T& b) const {
+    if constexpr (std::is_same_v<T, double>) {
+      return detail::mul_left_first(a, b);
+    } else {
+      return a * b;
+    }
+  }
   [[nodiscard]] T identity() const { return T{1}; }
 };
 

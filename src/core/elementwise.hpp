@@ -87,12 +87,7 @@ void rank1_update(DistMatrix<T>& A, T alpha, const DistVector<T>& c,
               "rank1_update: r must be Cols-aligned with A");
   A.grid().cube().compute(
       2 * A.max_block(), 2 * A.nrows() * A.ncols(), [&](proc_t q) {
-        const std::size_t lrn = A.lrows(q), lcn = A.lcols(q);
-        std::span<T> blk = A.block(q);
-        const std::span<const T> cp = c.piece(q);
-        const std::span<const T> rp = r.piece(q);
-        for (std::size_t lr = 0; lr < lrn; ++lr)
-          kern::axpy(blk.subspan(lr * lcn, lcn), alpha * cp[lr], rp);
+        kern::rank1(A.block(q), A.lcols(q), alpha, c.piece(q), r.piece(q));
       });
 }
 
@@ -129,12 +124,10 @@ void rank1_update_range(DistMatrix<T>& A, T alpha, const DistVector<T>& c,
     const std::size_t lc0 =
         A.colmap().first_local_at_or_after(grid.pcol(q), col_lo);
     const std::size_t lrn = A.lrows(q), lcn = A.lcols(q);
-    std::span<T> blk = A.block(q);
-    const std::span<const T> cp = c.piece(q);
-    const std::span<const T> rp = r.piece(q);
-    for (std::size_t lr = lr0; lr < lrn; ++lr)
-      kern::axpy(blk.subspan(lr * lcn + lc0, lcn - lc0), alpha * cp[lr],
-                 rp.subspan(lc0));
+    if (lr0 == lrn) return;
+    // The window's rows, from (lr0, lc0) on, one kernel call.
+    kern::rank1(A.block(q).subspan(lr0 * lcn + lc0), lcn, alpha,
+                c.piece(q).subspan(lr0), r.piece(q).subspan(lc0));
   });
 }
 

@@ -20,7 +20,7 @@
 /// SIMD: kernels whose element operation the backend recognizes (fixed-size
 /// trivially-copyable fills and gathers; double zip/axpy/scale with a
 /// `kern::op_fn`-wrapped Plus/Multiply/Max/Min; the row-block fold_rows /
-/// dot_rows / axpy_rows) dispatch to core/simd.hpp when
+/// dot_rows / axpy_rows / rank1) dispatch to core/simd.hpp when
 /// `kern::simd::enabled()`.  Every dispatch is bit-identical to the scalar
 /// loop below it — the backend keeps per-element expressions, operand order
 /// and (for the row-block kernels) each row's combine chain exactly as
@@ -270,6 +270,26 @@ void axpy_rows(std::span<T> y, std::span<V> a, std::span<U> x,
   }
   for (std::size_t t = 0; t < a.size(); ++t)
     axpy(y, a[t], x.subspan(t * ldx, y.size()));
+}
+
+/// blk[r·ld + i] += (alpha · c[r]) · x[i] for r < c.size(), i < x.size():
+/// the rows of a rank-1 update's window in a row-major block of row stride
+/// ld.  Bit-identical to calling `axpy(blk.subspan(r·ld, x.size()),
+/// alpha · c[r], x)` for each r, with Multiply's alpha-first scale, which
+/// is what the scalar path does; the backend runs every row in one call.
+template <typename T, typename V, typename U>
+void rank1(std::span<T> blk, std::size_t ld, const T& alpha, std::span<V> c,
+           std::span<U> x) {
+  if constexpr (detail::wide_f64<T, V, U>) {
+    if (simd::enabled()) {
+      simd::rank1_rows_f64(blk.data(), ld, c.size(), alpha, c.data(),
+                           x.data(), x.size());
+      return;
+    }
+  }
+  const Multiply<std::remove_const_t<T>> mul;
+  for (std::size_t r = 0; r < c.size(); ++r)
+    axpy(blk.subspan(r * ld, x.size()), mul.combine(alpha, c[r]), x);
 }
 
 /// x[i] *= a.

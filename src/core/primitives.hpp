@@ -352,7 +352,9 @@ template <detail::Tiled Mat>
   VMP_TRACE(cube, name);
   const auto batch = cube.session();
   const AxisMap& along = detail::along_map(A, axis);
-  DistVector<typename Mat::value_type> out(
+  // Built once: the owners' reads and the broadcast's placement write
+  // every tile.
+  auto out = detail::Unfilled::vector<typename Mat::value_type>(
       grid, along.n(), detail::line_align(axis), along.kind());
   const std::uint32_t owner = detail::line_map(A, axis).owner(i);
   const std::size_t l = detail::line_map(A, axis).local(i);

@@ -82,11 +82,38 @@ void store_raw(void* p, T v) {
   std::memcpy(p, &v, sizeof(T));
 }
 
+// a + b and a · b with `a` as the first source.  When both sources are
+// NaN, x86 returns the first one's payload, and GCC commutes a plain add or
+// mul (which source comes first depends on register allocation and the
+// optimization level at each site), so they are spelled out: a NaN result
+// carries the left operand's payload, as comm/ops.hpp's Plus and Multiply
+// do.  `b` may stay in memory, as a compiled add or mul's second source.
+inline double add_sd(double a, double b) {
+  double r;
+  asm("vaddsd %2, %1, %0" : "=x"(r) : "x"(a), "xm"(b));
+  return r;
+}
+inline double mul_sd(double a, double b) {
+  double r;
+  asm("vmulsd %2, %1, %0" : "=x"(r) : "x"(a), "xm"(b));
+  return r;
+}
+inline __m256d add_pd(__m256d a, __m256d b) {
+  __m256d r;
+  asm("vaddpd %2, %1, %0" : "=x"(r) : "x"(a), "xm"(b));
+  return r;
+}
+inline __m256d mul_pd(__m256d a, __m256d b) {
+  __m256d r;
+  asm("vmulpd %2, %1, %0" : "=x"(r) : "x"(a), "xm"(b));
+  return r;
+}
+
 /// op(acc, x) on one element, with the scalar semantics of Op2.
 double fold1(double acc, double x, Op2 op) {
   switch (op) {
-    case Op2::add: return acc + x;
-    case Op2::mul: return acc * x;
+    case Op2::add: return add_sd(acc, x);
+    case Op2::mul: return mul_sd(acc, x);
     case Op2::max: return acc < x ? x : acc;
     case Op2::min: return x < acc ? x : acc;
   }
@@ -109,8 +136,8 @@ void zip_into_scalar(const double* a, const double* b, double* out,
 /// blend for max/min, so equal-value and NaN cases match `?:` exactly).
 inline __m256d comb_pd(__m256d a, __m256d b, Op2 op) {
   switch (op) {
-    case Op2::add: return _mm256_add_pd(a, b);
-    case Op2::mul: return _mm256_mul_pd(a, b);
+    case Op2::add: return add_pd(a, b);
+    case Op2::mul: return mul_pd(a, b);
     case Op2::max: return _mm256_blendv_pd(a, b, _mm256_cmp_pd(a, b, _CMP_LT_OQ));
     case Op2::min: return _mm256_blendv_pd(a, b, _mm256_cmp_pd(b, a, _CMP_LT_OQ));
   }
@@ -163,30 +190,27 @@ void zip_into_f64(const double* a, const double* b, double* out,
   zip_into_scalar(a, b, out, i, n, op);
 }
 
-void axpy_f64(double* y, double a, const double* x, std::size_t n) {
-  const __m256d av = _mm256_set1_pd(a);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d prod = _mm256_mul_pd(av, _mm256_loadu_pd(x + i));
-    _mm256_storeu_pd(y + i, _mm256_add_pd(_mm256_loadu_pd(y + i), prod));
-  }
-  for (; i < n; ++i) y[i] += a * x[i];
+namespace {
+/// One axpy step on a slice c of y: c + a·x, with a first in the mul and
+/// the product first in the add, in every build (add_pd, mul_pd).
+inline __m256d axpy_step_pd(__m256d c, __m256d av, const double* x) {
+  return add_pd(mul_pd(av, _mm256_loadu_pd(x)), c);
 }
 
-namespace {
-/// One axpy_f64 step on a register-held slice c of y: c + a·x, with the
-/// product as the add's first source.  When both sources are NaN, x86
-/// returns the first one's payload.  axpy_f64's compiled add takes y from
-/// memory, which makes the product its first source; GCC commutes an
-/// _mm256_add_pd whose result overwrites c so that c comes first, so the
-/// add is spelled out to keep NaN payloads bit-identical as well.
-inline __m256d axpy_step_pd(__m256d c, __m256d av, const double* x) {
-  const __m256d prod = _mm256_mul_pd(av, _mm256_loadu_pd(x));
-  __m256d sum;
-  asm("vaddpd {%2, %1, %0|%0, %1, %2}" : "=x"(sum) : "x"(prod), "x"(c));
-  return sum;
+/// y[i] += a · x[i] with axpy_step_pd's operand order, scalar tail
+/// included: the body of axpy_f64 and of each rank1_rows_f64 row.
+inline void axpy_row(double* y, double a, const double* x, std::size_t n) {
+  const __m256d av = _mm256_set1_pd(a);
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4)
+    _mm256_storeu_pd(y + i, axpy_step_pd(_mm256_loadu_pd(y + i), av, x + i));
+  for (; i < n; ++i) y[i] = add_sd(mul_sd(a, x[i]), y[i]);
 }
 }  // namespace
+
+void axpy_f64(double* y, double a, const double* x, std::size_t n) {
+  axpy_row(y, a, x, n);
+}
 
 void axpy_rows_f64(double* y, const double* a, std::size_t w,
                    const double* x, std::size_t ldx, std::size_t n) {
@@ -228,6 +252,13 @@ void axpy_rows_f64(double* y, const double* a, std::size_t w,
   if (i < n)
     for (std::size_t t = 0; t < w; ++t)
       axpy_f64(y + i, a[t], x + t * ldx + i, n - i);
+}
+
+void rank1_rows_f64(double* y, std::size_t ldy, std::size_t rows,
+                    double alpha, const double* c, const double* x,
+                    std::size_t n) {
+  for (std::size_t r = 0; r < rows; ++r, y += ldy)
+    axpy_row(y, mul_sd(alpha, c[r]), x, n);
 }
 
 void scale_f64(double* x, double a, std::size_t n) {

@@ -97,7 +97,8 @@ void zip_f64(double* dst, const double* src, std::size_t n, Op2 op,
 void zip_into_f64(const double* a, const double* b, double* out,
                   std::size_t n, Op2 op);
 
-/// y[i] += a · x[i], evaluated exactly as mul-then-add (no FMA).
+/// y[i] += a · x[i], evaluated exactly as mul-then-add (no FMA), with a
+/// first in the mul and the product first in the add.
 void axpy_f64(double* y, double a, const double* x, std::size_t n);
 
 /// y[i] += a[t] · x[t·ldx + i] for t = 0 … w−1 in turn (i < n): the w
@@ -107,6 +108,15 @@ void axpy_f64(double* y, double a, const double* x, std::size_t n);
 /// storing it once per row.
 void axpy_rows_f64(double* y, const double* a, std::size_t w,
                    const double* x, std::size_t ldx, std::size_t n);
+
+/// y[r·ldy + i] += (alpha · c[r]) · x[i] for r < rows, i < n: the rows of
+/// a rank-1 update's window in one call, each exactly axpy_f64(y + r·ldy,
+/// alpha · c[r], x, n) — alpha first in the scale's mul, then axpy_f64's
+/// mul-then-add with the product as the add's first source, scalar tail
+/// included.
+void rank1_rows_f64(double* y, std::size_t ldy, std::size_t rows,
+                    double alpha, const double* c, const double* x,
+                    std::size_t n);
 
 /// x[i] *= a.
 void scale_f64(double* x, double a, std::size_t n);

@@ -3,6 +3,7 @@
 ///        embeddings of the paper ("consecutive" blocks and cyclic).
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 
@@ -26,6 +27,7 @@ class AxisMap {
     VMP_REQUIRE(parts > 0, "axis needs at least one part");
     quot_ = n / parts;
     rem_ = n % parts;
+    if (std::has_single_bit(parts)) shift_ = std::countr_zero(parts);
   }
 
   [[nodiscard]] std::size_t n() const { return n_; }
@@ -90,10 +92,11 @@ class AxisMap {
       if (lo <= begin) return 0;
       return std::min(sz, lo - begin);
     }
-    // Cyclic: global(s) = s · parts + r.
+    // Cyclic: global(s) = s · parts + r, so s = ⌈(lo − r) / parts⌉ — a
+    // shift for the power-of-two part counts every cube grid has.
     if (lo <= r) return 0;
-    const std::size_t s = (lo - r + parts_ - 1) / parts_;
-    return std::min(sz, s);
+    const std::size_t num = lo - r + parts_ - 1;
+    return std::min(sz, shift_ >= 0 ? num >> shift_ : num / parts_);
   }
 
   friend bool operator==(const AxisMap&, const AxisMap&) = default;
@@ -109,6 +112,7 @@ class AxisMap {
   Part kind_ = Part::Block;
   std::size_t quot_ = 0;  ///< n / parts
   std::size_t rem_ = 0;   ///< n % parts
+  int shift_ = -1;        ///< log2(parts) if parts is a power of two
 };
 
 }  // namespace vmp

@@ -30,6 +30,10 @@ namespace vmp {
 
 enum class Align : std::uint8_t { Linear, Cols, Rows };
 
+namespace detail {
+struct Unfilled;
+}
+
 [[nodiscard]] constexpr const char* to_string(Align a) noexcept {
   switch (a) {
     case Align::Linear: return "Linear";
@@ -46,22 +50,7 @@ class DistVector {
   /// `part` is the partition kind along the aligned axis; Linear vectors
   /// are always Block-partitioned.
   DistVector(Grid& grid, std::size_t n, Align align, Part part = Part::Block)
-      : grid_(&grid), n_(n), align_(align), part_(part), data_(grid.cube()) {
-    if (align == Align::Linear) {
-      VMP_REQUIRE(part == Part::Block, "Linear vectors are Block-partitioned");
-      map_ = AxisMap(n, grid.cube().procs(), Part::Block);
-    } else if (align == Align::Cols) {
-      map_ = AxisMap(n, grid.pcols(), part);
-    } else {
-      map_ = AxisMap(n, grid.prows(), part);
-    }
-    std::size_t cap = 0;
-    for (std::uint32_t r = 0; r < map_.parts(); ++r)
-      cap = std::max(cap, map_.size(r));
-    data_.reserve_each(cap);
-    grid.cube().each_proc(
-        [&](proc_t q) { data_.assign(q, map_.size(rank_of(q)), T{}); });
-  }
+      : DistVector(grid, n, align, part, true) {}
 
   [[nodiscard]] Grid& grid() const { return *grid_; }
   [[nodiscard]] std::size_t n() const { return n_; }
@@ -201,6 +190,48 @@ class DistVector {
   Part part_;
   AxisMap map_;
   DistBuffer<T> data_;
+
+  friend struct detail::Unfilled;
+
+  /// Every tile sized to its piece; value-initialized when `fill`.
+  DistVector(Grid& grid, std::size_t n, Align align, Part part, bool fill)
+      : grid_(&grid), n_(n), align_(align), part_(part), data_(grid.cube()) {
+    if (align == Align::Linear) {
+      VMP_REQUIRE(part == Part::Block, "Linear vectors are Block-partitioned");
+      map_ = AxisMap(n, grid.cube().procs(), Part::Block);
+    } else if (align == Align::Cols) {
+      map_ = AxisMap(n, grid.pcols(), part);
+    } else {
+      map_ = AxisMap(n, grid.prows(), part);
+    }
+    std::size_t cap = 0;
+    for (std::uint32_t r = 0; r < map_.parts(); ++r)
+      cap = std::max(cap, map_.size(r));
+    data_.reserve_each(cap);
+    grid.cube().each_proc([&](proc_t q) {
+      if (fill) {
+        data_.assign(q, map_.size(rank_of(q)), T{});
+      } else {
+        data_.resize_unfilled(q, map_.size(rank_of(q)));
+      }
+    });
+  }
 };
+
+namespace detail {
+
+/// A DistVector whose tiles have their pieces' lengths and unwritten
+/// elements, for a caller that writes every tile before anything reads
+/// one: extract, whose owners read their lines and whose broadcast places
+/// the rest.
+struct Unfilled {
+  template <class T>
+  [[nodiscard]] static DistVector<T> vector(Grid& grid, std::size_t n,
+                                            Align align, Part part) {
+    return DistVector<T>(grid, n, align, part, false);
+  }
+};
+
+}  // namespace detail
 
 }  // namespace vmp

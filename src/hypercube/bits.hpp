@@ -47,10 +47,21 @@ namespace vmp {
   return static_cast<int>((node >> dim) & 1u);
 }
 
+/// The low set bit of a mask whose set bits are one contiguous run, or -1
+/// for a mask with gaps (and for 0).  Every Grid axis spans such a run, so
+/// extract_bits and deposit_bits are a shift and a mask for it.
+[[nodiscard]] constexpr int contiguous_low(std::uint32_t mask) noexcept {
+  if (mask == 0) return -1;
+  const int lo = std::countr_zero(mask);
+  const std::uint32_t run = mask >> lo;
+  return (run & (run + 1)) == 0 ? lo : -1;
+}
+
 /// Extract the bits of `node` selected by `mask`, compacted to the low end.
 /// Example: extract_bits(0b1011, 0b1010) == 0b11.
 [[nodiscard]] constexpr std::uint32_t extract_bits(std::uint32_t node,
                                                    std::uint32_t mask) noexcept {
+  if (const int lo = contiguous_low(mask); lo >= 0) return (node & mask) >> lo;
   std::uint32_t out = 0;
   int pos = 0;
   for (std::uint32_t m = mask; m != 0; m &= m - 1) {
@@ -65,6 +76,7 @@ namespace vmp {
 /// into the positions selected by `mask`.
 [[nodiscard]] constexpr std::uint32_t deposit_bits(std::uint32_t value,
                                                    std::uint32_t mask) noexcept {
+  if (const int lo = contiguous_low(mask); lo >= 0) return (value << lo) & mask;
   std::uint32_t out = 0;
   int pos = 0;
   for (std::uint32_t m = mask; m != 0; m &= m - 1) {

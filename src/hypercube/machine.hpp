@@ -353,28 +353,33 @@ class Cube {
   }
 
   /// The round of exchange_allport (one-port when `dims` has one entry)
-  /// with nothing staged and nothing delivered: the message q sends across
-  /// dims[idx] is the span `view(q, idx)` (empty = none), which must stay
-  /// valid and unchanged for the whole call.  Checks `dims` like
-  /// exchange_allport and charges, traces and (under a fault plan) recovers
-  /// the same round over the viewed memory, so clock, statistics and trace
-  /// advance exactly as exchange_allport's do; only the pool counters
-  /// differ, because no slot is staged.  Elided when nobody sends.  Moving
-  /// the payloads is left to the caller — a broadcast copies its root's
-  /// payload to every member in one `deliver` step after its last round —
-  /// and runs only if this returns: a FaultError has moved nothing.
-  template <class T, class ViewFn>
-  void exchange_views(std::span<const int> dims, ViewFn&& view) {
+  /// with nothing staged and nothing delivered, walked over its senders
+  /// only: `msgs(fn)` calls `fn(dims[i], q, payload)` for every message,
+  /// port-major (i ascending) and then processor-ascending — the order
+  /// exchange_allport settles its slots in, which the routed presets' link
+  /// loads and the fault engine's decisions follow.  Empty payloads are
+  /// skipped.  Each payload must stay valid and unchanged for the whole
+  /// call.  Checks `dims` like exchange_allport and charges, traces and
+  /// (under a fault plan) recovers the same round over the enumerated
+  /// memory, so clock, statistics and trace advance exactly as
+  /// exchange_allport's do; only the pool counters differ, because no slot
+  /// is staged.  Elided when nobody sends.  Moving the payloads is left to
+  /// the caller — a broadcast copies its root's payload to every member in
+  /// one `deliver` step after its last round — and runs only if this
+  /// returns: a FaultError has moved nothing.
+  template <class T, class MsgFn>
+  void exchange_views(std::span<const int> dims, MsgFn&& msgs) {
     check_dims(dims);
-    const auto partner = [dims](proc_t q, std::size_t idx) {
-      return q ^ (proc_t{1} << dims[idx]);
+    const auto each = [&msgs](auto&& fn) {
+      msgs([&fn](int d, proc_t src, std::span<const T> m) {
+        if (!m.empty()) fn(d, src, m);
+      });
     };
-    const auto msgs = port_msgs<T>(dims.size(), partner, view);
     detail::ExPartial r;
-    msgs([&r](int, proc_t, std::span<const T> m) { r.count(m.size()); });
+    each([&r](int, proc_t, std::span<const T> m) { r.count(m.size()); });
     if (r.messages == 0) return;
     settle<T>(r.max_elems, r.messages, r.total,
-              dims.size() == 1 ? dims[0] : -1, msgs);
+              dims.size() == 1 ? dims[0] : -1, each);
   }
 
   /// One uncharged delivery step: `fn(q)` runs on every processor, placing
@@ -524,28 +529,15 @@ class Cube {
     const detail::ExPartial r = stage_round<T>(ports, partner, send);
     if (r.messages == 0) return;
     const detail::StageBuf* stage = stage_.data();
-    const proc_t p = procs_;
-    const auto slot = [stage, p](proc_t q, std::size_t i) {
-      return stage[i * p + q].template view<T>();
-    };
-    settle<T>(r.max_elems, r.messages, r.total, charge_dim,
-              port_msgs<T>(ports, partner, slot));
-    deliver_round<T>(ports, partner, recv);
-  }
-
-  /// The messages of an exchange round, for settle: port i of q sends
-  /// `view(q, i)` (empty = none) across the dimension to `partner(q, i)`,
-  /// port-major, then processor-ascending.
-  template <class T, class PartnerFn, class ViewFn>
-  [[nodiscard]] auto port_msgs(std::size_t ports, PartnerFn& partner,
-                               ViewFn& view) const {
-    return [this, ports, &partner, &view](auto&& fn) {
+    settle<T>(r.max_elems, r.messages, r.total, charge_dim, [&](auto&& fn) {
+      // The staged messages, port-major, then processor-ascending.
       for (std::size_t i = 0; i < ports; ++i)
         for (proc_t q = 0; q < procs_; ++q) {
-          const std::span<const T> m = view(q, i);
+          const std::span<const T> m = stage[i * procs_ + q].template view<T>();
           if (!m.empty()) fn(std::countr_zero(q ^ partner(q, i)), q, m);
         }
-    };
+    });
+    deliver_round<T>(ports, partner, recv);
   }
 
   /// Settle one lockstep round of `messages` messages (`max_elems` the

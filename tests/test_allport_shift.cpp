@@ -845,6 +845,59 @@ TEST_P(BroadcastTwin, ViewChargedBroadcastsMatchTheStagedRounds) {
   EXPECT_GT(tally.throws, 0);
 }
 
+// The broadcasts walk each port's holders only: the roots' bits in the
+// port's uncovered dimensions with every subset of the other bits, in
+// ascending order.  That walk must yield the message sequence of the
+// all-processor walk it replaced — every processor in ascending order,
+// kept when it holds the port's payload — with the same payloads, for
+// every root and every set of uncovered rank bits.
+TEST_P(BroadcastTwin, EnumeratedHoldersMatchTheAllProcessorWalk) {
+  for (const int d : {1, 3, 4, 6}) {
+    Cube::Options opts;
+    opts.topology = GetParam();
+    Cube cube(d, CostParams::cm2(), opts);
+    const std::uint32_t all = (proc_t{1} << d) - 1;
+    const int gr = (d + 1) / 2;
+    const SubcubeSet families[] = {
+        SubcubeSet(all), SubcubeSet::contiguous(0, d - gr),
+        SubcubeSet::contiguous(d - gr, gr), SubcubeSet(all & ~(1u << (d / 2)))};
+    for (const SubcubeSet& sc : families) {
+      const auto n_of = [&](proc_t q) { return twin_payload(sc, d, q); };
+      DistBuffer<double> buf(cube);
+      cube.each_proc([&](proc_t q) {
+        buf.assign(q, std::vector<double>(n_of(q) + 1, static_cast<double>(q)));
+      });
+      const std::uint32_t P = sc.size();
+      for (const std::uint32_t root : {0u, P / 2, P - 1}) {
+        const detail::BroadcastRoots<double> roots(cube, buf, sc, root, 3,
+                                                   n_of);
+        for (std::uint32_t bits = 0; bits < P; ++bits) {
+          SCOPED_TRACE("d=" + std::to_string(d) +
+                       " mask=" + std::to_string(sc.mask()) +
+                       " root=" + std::to_string(root) +
+                       " bits=" + std::to_string(bits));
+          const std::uint32_t uncovered = deposit_bits(bits, sc.mask());
+          using Msg = std::pair<proc_t, std::span<const double>>;
+          std::vector<Msg> walked, filtered;
+          roots.each_holder(uncovered, [&](proc_t q) {
+            walked.emplace_back(q, roots.segment(q, 1));
+          });
+          for (proc_t q = 0; q < cube.procs(); ++q)
+            if (roots.holds(q, uncovered))
+              filtered.emplace_back(q, roots.segment(q, 1));
+          ASSERT_EQ(walked.size(), filtered.size());
+          EXPECT_EQ(walked.size(), cube.procs() >> std::popcount(bits));
+          for (std::size_t i = 0; i < walked.size(); ++i) {
+            EXPECT_EQ(walked[i].first, filtered[i].first) << "message " << i;
+            EXPECT_EQ(walked[i].second.data(), filtered[i].second.data());
+            EXPECT_EQ(walked[i].second.size(), filtered[i].second.size());
+          }
+        }
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Presets, BroadcastTwin,
     ::testing::Values(TopologyKind::Hypercube, TopologyKind::Mesh,

@@ -58,6 +58,33 @@ TEST(Bits, ExtractDepositRoundTrip) {
   }
 }
 
+// Contiguous masks (every Grid axis) take a shift-and-mask path, masks
+// with gaps the bit loop: both must match the bit-by-bit definition.
+TEST(Bits, ExtractDepositMatchTheBitByBitDefinitionOnEveryMask) {
+  int contiguous = 0;
+  for (std::uint32_t mask = 0; mask < 256; ++mask) {
+    contiguous += contiguous_low(mask) >= 0 ? 1 : 0;
+    for (std::uint32_t x = 0; x < 256; ++x) {
+      std::uint32_t ext = 0, dep = 0;
+      int pos = 0;
+      for (int b = 0; b < 8; ++b) {
+        if (((mask >> b) & 1u) == 0) continue;
+        ext |= ((x >> b) & 1u) << pos;
+        dep |= ((x >> pos) & 1u) << b;
+        ++pos;
+      }
+      ASSERT_EQ(extract_bits(x, mask), ext) << "mask=" << mask << " x=" << x;
+      ASSERT_EQ(deposit_bits(x, mask), dep) << "mask=" << mask << " x=" << x;
+    }
+  }
+  EXPECT_EQ(contiguous, 36) << "the 8-bit masks that are one run of ones";
+  EXPECT_EQ(contiguous_low(0b111000), 3);
+  EXPECT_EQ(contiguous_low(0b101), -1);
+  EXPECT_EQ(contiguous_low(0), -1);
+  EXPECT_EQ(extract_bits(0xffffffffu, 0x80000000u), 1u);
+  EXPECT_EQ(deposit_bits(3u, 0xc0000000u), 0xc0000000u);
+}
+
 TEST(Bits, ExtractBitsExample) {
   EXPECT_EQ(extract_bits(0b1011, 0b1010), 0b11u);
   EXPECT_EQ(extract_bits(0b0001, 0b1010), 0b00u);

@@ -6,12 +6,15 @@
 #include <bit>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <numeric>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "comm/allport.hpp"
 #include "comm/collectives.hpp"
+#include "fault/fault.hpp"
 #include "hypercube/machine.hpp"
 #include "param_printers.hpp"
 
@@ -429,6 +432,183 @@ INSTANTIATE_TEST_SUITE_P(
                       Case{5, 2, 3, 1}, Case{7, 0, 7, 129}, Case{7, 2, 4, 6},
                       Case{8, 0, 8, 5}, Case{8, 3, 5, 40},
                       Case{6, 0, 6, 1000}));
+
+// ---------------------------------------------------------------------------
+// AllreduceTwin: the doubling all-reduce charges its rounds over the
+// members' tiles (Cube::exchange_views) and folds each subcube once in one
+// deliver step.  The twin is the staged doubling it replaced, kept here as
+// the reference: k exchanges in which every member sends its tile and
+// combines what arrives (the high side taking the remote value as the
+// op's left argument), each followed by the same compute charge.  Every
+// call's tiles must match byte for byte — NaN payloads, signed zeros and
+// MaxLoc/MinLoc ties included — and the clock after it; at the end, the
+// trace and every SimStats field but the three pool counters (staged
+// rounds stage through the slots, the walk does not).
+// ---------------------------------------------------------------------------
+
+template <class T, class Op>
+void staged_allreduce(Cube& cube, DistBuffer<T>& buf, const SubcubeSet& sc,
+                      Op op) {
+  if (sc.k() == 0) return;
+  VMP_TRACE(cube, "allreduce");
+  const auto batch = cube.session();
+  const std::size_t n = max_local_len(cube, buf);
+  for (int i = 0; i < sc.k(); ++i) {
+    const int d = sc.dim_of_rank_bit(i);
+    cube.exchange<T>(
+        d, [&](proc_t q) -> std::span<const T> { return buf.tile(q); },
+        [&](proc_t q, std::span<const T> in) {
+          if (bit_of(q, d) != 0)
+            kern::zip_swapped(buf.tile(q), in, kern::op_fn(op));
+          else
+            kern::zip(buf.tile(q), in, kern::op_fn(op));
+        });
+    cube.clock().charge_compute_step(n, n * cube.procs());
+  }
+}
+
+[[nodiscard]] SimStats without_pool_counters(SimStats s) {
+  s.pool_hits = s.pool_misses = s.alloc_bytes = 0;
+  return s;
+}
+
+/// Element t of processor q: quiet NaNs with payloads naming (q, t),
+/// signed zeros, infinities and ordinary values.
+[[nodiscard]] double twin_value(proc_t q, std::size_t t) {
+  switch ((q * 7 + t * 3) % 8) {
+    case 0: return std::bit_cast<double>(0x7ff8000000000000ULL | (q << 8) | t);
+    case 1: return -0.0;
+    case 2: return +0.0;
+    case 3: return std::bit_cast<double>(0xfff8000000000000ULL | (t << 8) | q);
+    case 4: return std::numeric_limits<double>::infinity();
+    case 5: return 1.5;
+    case 6: return -static_cast<double>(q) - 0.25 * static_cast<double>(t);
+    default: return static_cast<double>(q % 3) * 0.75;
+  }
+}
+
+/// Values with ties (equal values at different indices, equal indices).
+[[nodiscard]] ValueIndex<double> twin_loc(proc_t q, std::size_t t) {
+  const double values[] = {1.0, -0.0, 2.0, +0.0, 2.0};
+  return {values[(q + t) % 5], static_cast<std::int64_t>((q * 3 + t) % 7)};
+}
+
+struct AllreduceTwinTally {
+  int calls = 0;
+  int throws = 0;
+  std::uint64_t retries = 0;
+};
+
+template <class T, class Op, class ValueFn>
+void run_allreduce_twin_op(Cube& lib, Cube& ref, const SubcubeSet& sc,
+                           std::size_t n, Op op, ValueFn value,
+                           AllreduceTwinTally& tally) {
+  DistBuffer<T> a(lib), b(ref);
+  a.reserve_each(n);
+  b.reserve_each(n);
+  for (proc_t q = 0; q < lib.procs(); ++q) {
+    std::vector<T> v(n);
+    for (std::size_t t = 0; t < n; ++t) v[t] = value(q, t);
+    a.assign(q, v);
+    b.assign(q, v);
+  }
+  std::vector<std::vector<T>> before;
+  for (proc_t q = 0; q < lib.procs(); ++q) before.push_back(a.host_vec(q));
+  bool lib_threw = false, ref_threw = false;
+  try {
+    allreduce(lib, a, sc, op);
+  } catch (const FaultError&) {
+    lib_threw = true;
+  }
+  try {
+    staged_allreduce(ref, b, sc, op);
+  } catch (const FaultError&) {
+    ref_threw = true;
+  }
+  ++tally.calls;
+  tally.throws += lib_threw ? 1 : 0;
+  ASSERT_EQ(lib_threw, ref_threw);
+  // A failed call leaves the library's tiles as they were; the staged
+  // reference's hold earlier rounds' partial combines.
+  for (proc_t q = 0; q < lib.procs(); ++q) {
+    const std::vector<T> want = lib_threw ? before[q] : b.host_vec(q);
+    ASSERT_EQ(a.len(q), want.size()) << "q=" << q;
+    if (!want.empty())
+      EXPECT_EQ(
+          std::memcmp(a.tile(q).data(), want.data(), want.size() * sizeof(T)),
+          0)
+          << "q=" << q;
+  }
+  ASSERT_EQ(lib.clock().now_us(), ref.clock().now_us());
+}
+
+void run_allreduce_twin(TopologyKind kind, std::uint32_t mask, std::size_t n,
+                        unsigned lanes, bool transient, bool simd,
+                        AllreduceTwinTally& tally) {
+  const bool simd_was = kern::simd::set_enabled(simd);
+  Cube::Options opts;
+  opts.threads = lanes;
+  opts.topology = kind;
+  Cube lib(6, CostParams::cm2(), opts), ref(6, CostParams::cm2(), opts);
+  for (Cube* cube : {&lib, &ref}) {
+    if (transient)
+      cube->enable_faults(
+          FaultPlan::transient(0xa11du + mask, 0.05, 0.05, 0.05, 2.5));
+    cube->clock().tracer().set_recording(true);
+  }
+  const SubcubeSet sc(mask);
+  run_allreduce_twin_op<double>(lib, ref, sc, n, Plus<double>{}, twin_value,
+                                tally);
+  run_allreduce_twin_op<double>(lib, ref, sc, n, Multiply<double>{},
+                                twin_value, tally);
+  run_allreduce_twin_op<double>(lib, ref, sc, n, Max<double>{}, twin_value,
+                                tally);
+  run_allreduce_twin_op<double>(lib, ref, sc, n, Min<double>{}, twin_value,
+                                tally);
+  run_allreduce_twin_op<ValueIndex<double>>(lib, ref, sc, n, MaxLoc<double>{},
+                                            twin_loc, tally);
+  run_allreduce_twin_op<ValueIndex<double>>(lib, ref, sc, n, MinLoc<double>{},
+                                            twin_loc, tally);
+  const Tracer& tl = lib.clock().tracer();
+  const Tracer& tr = ref.clock().tracer();
+  EXPECT_TRUE(tl.paths() == tr.paths());
+  EXPECT_TRUE(tl.events() == tr.events());
+  EXPECT_TRUE(without_pool_counters(lib.clock().stats()) ==
+              without_pool_counters(ref.clock().stats()));
+  tally.retries += lib.clock().stats().fault_retries;
+  kern::simd::set_enabled(simd_was);
+}
+
+class AllreduceTwin : public ::testing::TestWithParam<TopologyKind> {};
+
+TEST_P(AllreduceTwin, ChargeWalkAndFoldMatchTheStagedDoubling) {
+  AllreduceTwinTally tally;
+  // Grid rows and columns of an 8 × 8 grid, every other dimension, and
+  // the whole cube.
+  for (const std::uint32_t mask : {0x7u, 0x38u, 0x15u, 0x3fu})
+    for (const std::size_t n : {0ul, 1ul, 3ul, 37ul})
+      for (const unsigned lanes : {1u, 3u})
+        for (const bool transient : {false, true})
+          for (const bool simd : {false, true}) {
+            SCOPED_TRACE("mask=" + std::to_string(mask) +
+                         " n=" + std::to_string(n) +
+                         " lanes=" + std::to_string(lanes) +
+                         (transient ? " transient" : " clean") +
+                         (simd ? " simd" : " scalar"));
+            run_allreduce_twin(GetParam(), mask, n, lanes, transient, simd,
+                               tally);
+          }
+  EXPECT_EQ(tally.calls, 4 * 4 * 2 * 2 * 2 * 6);
+  EXPECT_GT(tally.retries, 0u) << "the transient plan must fire";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Presets, AllreduceTwin,
+    ::testing::Values(TopologyKind::Hypercube, TopologyKind::Mesh,
+                      TopologyKind::Torus, TopologyKind::Dragonfly),
+    [](const ::testing::TestParamInfo<TopologyKind>& info) {
+      return std::string(to_string(info.param));
+    });
 
 }  // namespace
 }  // namespace vmp

@@ -2,6 +2,7 @@
 // embedding changes (realign).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 
 #include "embed/axis_map.hpp"
@@ -108,6 +109,34 @@ TEST(AxisMap, SizeAndBeginMatchThePartitionFormulas) {
             if (s < map->size(r)) ASSERT_GE(map->global(r, s), lo);
             if (s > 0) ASSERT_LT(map->global(r, s - 1), lo);
           }
+      }
+    }
+}
+
+// first_local_at_or_after against its formula at every lower bound, past
+// the end included: Block counts from the block start, Cyclic takes
+// ⌈(lo − r) / parts⌉, which the map shifts for power-of-two part counts and
+// divides for the others.
+TEST(AxisMap, FirstLocalAtOrAfterMatchesTheFormulaAtEveryBound) {
+  for (const std::uint32_t parts : {1u, 2u, 3u, 5u, 8u, 64u})
+    for (std::size_t n = 0; n <= 200; ++n) {
+      const AxisMap block(n, parts, Part::Block);
+      const AxisMap cyclic(n, parts, Part::Cyclic);
+      for (std::uint32_t r = 0; r < parts; ++r) {
+        const std::size_t b0 = block_begin(n, parts, r);
+        for (std::size_t lo = 0; lo <= n + parts; ++lo) {
+          const std::size_t want_block =
+              lo <= b0 ? 0 : std::min(block.size(r), lo - b0);
+          const std::size_t want_cyclic =
+              lo <= r ? 0
+                      : std::min(cyclic.size(r), (lo - r + parts - 1) / parts);
+          ASSERT_EQ(block.first_local_at_or_after(r, lo), want_block)
+              << "Block n=" << n << " parts=" << parts << " r=" << r
+              << " lo=" << lo;
+          ASSERT_EQ(cyclic.first_local_at_or_after(r, lo), want_cyclic)
+              << "Cyclic n=" << n << " parts=" << parts << " r=" << r
+              << " lo=" << lo;
+        }
       }
     }
 }

@@ -593,6 +593,66 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(to_string(info.param));
     });
 
+// The doubling all-reduce charges its rounds over the members' tiles and
+// folds them only after the last round, so a FaultError part-way leaves
+// the buffer exactly as it was (the staged doubling it replaced left the
+// earlier rounds' partial combines behind), and the cube is reusable.
+class AllreduceFaults : public ::testing::TestWithParam<TopologyKind> {};
+
+TEST_P(AllreduceFaults, FailedAllreduceLeavesTheBufferAndTheCubeReusable) {
+  // Node 5 dies after round 0: every member sends in every round, so round
+  // 0 is charged and round 1 throws.
+  const auto solve = [](Cube& cube) {
+    Grid grid(cube, 2, 2);
+    const std::size_t n = 48;
+    const HostMatrix H = diag_dominant_matrix(n, 48);
+    DistMatrix<double> A(grid, n, n, MatrixLayout::cyclic());
+    A.load(H.data());
+    const DistLuResult lu = lu_factor(A);
+    return lu_solve(A, lu, random_vector(n, 49));
+  };
+  FaultPlan plan;
+  plan.node_kills.push_back({/*from_round=*/1, /*node=*/5});
+  Cube cube(4, CostParams::cm2(), preset_opts(GetParam()));
+  cube.enable_faults(plan);
+  const SubcubeSet whole = SubcubeSet::contiguous(0, cube.dim());
+  DistBuffer<double> buf(cube);
+  buf.reserve_each(10);
+  cube.each_proc([&](proc_t q) {
+    for (std::size_t j = 0; j < 10; ++j)
+      buf.push_back(q, static_cast<double>(q) + 0.5 * static_cast<double>(j));
+  });
+  std::vector<std::vector<double>> before;
+  cube.each_proc([&](proc_t q) { before.push_back(buf.host_vec(q)); });
+  const std::uint64_t steps = cube.team().steps_dispatched();
+  EXPECT_THROW(allreduce(cube, buf, whole, Plus<double>{}), FaultError);
+  EXPECT_EQ(cube.clock().stats().comm_steps, 1u)
+      << "round 0 ran before the throw";
+  EXPECT_EQ(cube.team().steps_dispatched(), steps)
+      << "a failed all-reduce runs no team step";
+  cube.each_proc([&](proc_t q) {
+    EXPECT_EQ(buf.host_vec(q), before[q]) << "q=" << q;
+  });
+
+  // The same cube, its fault plan detached, then factors and solves
+  // exactly like a fresh cube: the same x, and the same clock and SimStats
+  // from the reset on (buf stays alive, so neither pool holds a spare).
+  cube.disable_faults();
+  cube.clock().reset();
+  Cube fresh(4, CostParams::cm2(), preset_opts(GetParam()));
+  EXPECT_EQ(solve(cube), solve(fresh));
+  EXPECT_EQ(cube.clock().now_us(), fresh.clock().now_us());
+  EXPECT_TRUE(cube.clock().stats() == fresh.clock().stats());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Presets, AllreduceFaults,
+    ::testing::Values(TopologyKind::Hypercube, TopologyKind::Mesh,
+                      TopologyKind::Torus, TopologyKind::Dragonfly),
+    [](const ::testing::TestParamInfo<TopologyKind>& info) {
+      return std::string(to_string(info.param));
+    });
+
 // A staged round (exchange, exchange_allport, relay) is settled — charged
 // and, under a fault plan, recovered — before its one delivery step, so a
 // round that throws FaultError has called recv on no processor, even for

@@ -463,6 +463,54 @@ TEST(Kernels, AxpyRowsKeepsOperandOrderOnSpecialValues) {
   });
 }
 
+// The rank-1 update's row-block kernel against the per-row axpy loop it
+// replaces (alpha · c[r] as Multiply forms it), with the backend on and
+// off: random finite values, then NaNs with distinct payloads in the
+// block, alpha, c and x, signed zeros and infinities, at every tail length
+// 0–3 past the 4-wide body, row strides with and without padding, and
+// windows of 0 to 5 rows.
+TEST(Kernels, Rank1MatchesThePerRowAxpyLoopBitExactly) {
+  const auto nan_with = [](std::uint64_t payload, bool negative) {
+    return std::bit_cast<double>(
+        (negative ? 0xfff8000000000000ULL : 0x7ff8000000000000ULL) | payload);
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<double> special = {
+      nan_with(1, false), nan_with(2, true), +0.0, -0.0, nan_with(0x3ff, false),
+      inf, -inf, 1.0, -2.5, nan_with(0x51, true), 0.5};
+  const double alphas[] = {-1.0, -0.0, nan_with(0x1234, false), 2.5};
+  for_each_config([&](bool on, bool mis) {
+    for (const bool specials : {false, true})
+      for (const std::size_t n : {0ul, 1ul, 2ul, 3ul, 4ul, 5ul, 6ul, 7ul, 8ul,
+                                  13ul, 36ul, 39ul})
+        for (const std::size_t rows : {0ul, 1ul, 2ul, 5ul})
+          for (const std::size_t ld : {n, n + 3})
+            for (const double alpha : alphas) {
+              Rng r(n * 100 + rows * 10 + ld - n + 7);
+              const std::size_t len = rows == 0 ? 0 : (rows - 1) * ld + n;
+              TestBuf<double> blk(len, mis, r), c(rows, mis, r), x(n, mis, r);
+              if (specials) {
+                for (std::size_t i = 0; i < len; ++i)
+                  blk.span(len)[i] = special[(i * 7) % special.size()];
+                for (std::size_t i = 0; i < rows; ++i)
+                  c.span(rows)[i] = special[(i * 5 + 4) % special.size()];
+                for (std::size_t i = 0; i < n; ++i)
+                  x.span(n)[i] = special[(i * 3 + i / 4) % special.size()];
+              }
+              const std::span<const double> cs(c.span(rows)), xs(x.span(n));
+              std::vector<double> loop(blk.span(len).begin(),
+                                       blk.span(len).end());
+              for (std::size_t t = 0; t < rows; ++t)
+                kern::axpy(std::span<double>(loop).subspan(t * ld, n),
+                           Multiply<double>{}.combine(alpha, cs[t]), xs);
+              kern::rank1(blk.span(len), ld, alpha, cs, xs);
+              expect_bits_eq<double>(blk.span(len),
+                                     std::span<const double>(loop),
+                                     on ? "rank1 simd" : "rank1 scalar");
+            }
+  });
+}
+
 // ---------------------------------------------------------------------------
 // fold / dot (strict default) and the row-block kernels
 // ---------------------------------------------------------------------------
@@ -521,6 +569,47 @@ TEST(Kernels, DotKeepsTheSumFirstWhenNaNsMeet) {
               std::bit_cast<std::uint64_t>(first))
         << (on ? "simd on" : "simd off");
   }
+}
+
+// The same rule for the zip family and fold: when two NaNs meet in a Plus
+// or Multiply combine, the result carries the left operand's payload — in
+// the backend's vector body (n = 4), in its scalar tail (n = 1, and the
+// fifth element of n = 5) and with the backend off.  A combining
+// all-reduce computes op(low, high) with zip on one side of each pair and
+// zip_swapped on the other, so both must agree.
+TEST(Kernels, ZipKeepsTheLeftPayloadWhenNaNsMeet) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  const double left = std::bit_cast<double>(0x7ff8000000000aaaULL);
+  const double right = std::bit_cast<double>(0xfff8000000000bbbULL);
+  const auto check = [&](auto op, const char* name) {
+    for (const bool on : {false, true}) {
+      SimdGuard g(on);
+      for (const std::size_t n : {1ul, 4ul, 5ul}) {
+        SCOPED_TRACE(std::string(name) + (on ? " simd on" : " simd off") +
+                     " n=" + std::to_string(n));
+        const std::vector<double> l(n, left), r(n, right);
+        std::vector<double> dst = l;
+        kern::zip(std::span<double>(dst), std::span<const double>(r),
+                  kern::op_fn(op));
+        for (const double v : dst) EXPECT_EQ(bits(v), bits(left)) << "zip";
+        dst = r;  // dst = op(src, dst) with src = l
+        kern::zip_swapped(std::span<double>(dst), std::span<const double>(l),
+                          kern::op_fn(op));
+        for (const double v : dst)
+          EXPECT_EQ(bits(v), bits(left)) << "zip_swapped";
+        std::vector<double> out(n);
+        kern::zip_into(std::span<const double>(l), std::span<const double>(r),
+                       std::span<double>(out), kern::op_fn(op));
+        for (const double v : out)
+          EXPECT_EQ(bits(v), bits(left)) << "zip_into";
+        const double f =
+            kern::fold(std::span<const double>(r), left, kern::op_fn(op));
+        EXPECT_EQ(bits(f), bits(left)) << "fold";
+      }
+    }
+  };
+  check(Plus<double>{}, "Plus");
+  check(Multiply<double>{}, "Multiply");
 }
 
 template <class Op>
