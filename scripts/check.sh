@@ -5,7 +5,8 @@
 #      sub-minute inner loop), then the complete test suite;
 #   2. an address+undefined sanitizer build of the library, a set of test
 #      binaries (tracer, accounting, kernels, CG, sparse properties, the
-#      exchange-round tests, the slab arena, the collectives, the dense
+#      exchange-round tests, the slab arena, the collectives, their
+#      operators and traffic counts, the dense
 #      primitives, the vector maps, folds and scans, the naive router
 #      baselines, and the mixed inline/fanned-out step sequences, kernel
 #      and vector steps and staged rounds under a fault plan) and one
@@ -96,8 +97,8 @@ if [[ "$NO_SANITIZE" == 0 ]]; then
     test_kernels test_cg test_properties_random test_allport_shift \
     test_fault_recovery test_topology test_matmul_hyper test_buffer_pool \
     test_slab test_contracts test_primitives test_exhaustive_small \
-    test_collectives test_vector_ops test_scan_ops test_naive \
-    test_thread_invariance bench_naive_vs_primitive \
+    test_collectives test_ops test_stats test_vector_ops test_scan_ops \
+    test_naive test_thread_invariance bench_naive_vs_primitive \
     >/dev/null
   ./build-asan/tests/test_trace
   ./build-asan/tests/test_accounting \
@@ -134,11 +135,16 @@ if [[ "$NO_SANITIZE" == 0 ]]; then
   ./build-asan/tests/test_primitives
   ./build-asan/tests/test_exhaustive_small
   # Every collective against its host reference, the two segment
-  # pipelines against their one-segment twins on ragged lengths (the
-  # per-call tables their rounds read), and the doubling all-reduce's
-  # charge walk and fold against the staged doubling (AllreduceTwin;
-  # AllreduceFaults runs with test_fault_recovery above).
+  # pipelines against their one-segment twins and reduce-scatter +
+  # all-gather against the doubling on ragged lengths (the per-call tables
+  # their rounds read), and each all-reduce backend's charge walk and fold
+  # against its staged body (AllreduceTwin; AllreduceFaults runs with
+  # test_fault_recovery above).  Then the rank order of every all-reduce
+  # backend under a non-commutative operator, and the exact message and
+  # element counts of the collectives' rounds.
   ./build-asan/tests/test_collectives
+  ./build-asan/tests/test_ops
+  ./build-asan/tests/test_stats
   # The vector maps, folds and scans, which run once per piece and write
   # the piece's other replicas from its holder, against the per-processor
   # bodies they replaced (VecPieceTwin), and with host references.

@@ -3,25 +3,23 @@
 ///        four primitives are built from.
 ///
 /// Every collective runs concurrently and independently in all subcubes of
-/// a SubcubeSet, uses only one-port cube-edge exchanges, and charges the
-/// simulated clock per lockstep round.  The algorithms are the classical
-/// ones from the hypercube literature the paper cites (Johnsson & Ho,
-/// "Optimum Broadcasting and Personalized Communication in Hypercubes"):
+/// a SubcubeSet, uses only cube-edge exchanges (one-port, or all-port for
+/// the segment pipelines), and charges the simulated clock per lockstep
+/// round.  The algorithms are the classical ones from the hypercube
+/// literature the paper cites (Johnsson & Ho, "Optimum Broadcasting and
+/// Personalized Communication in Hypercubes"):
 ///
 ///  * broadcast            — spanning binomial tree: k(τ + n·t_c)
 ///  * broadcast_sag        — scatter + all-gather:   2k·τ + ~2n·t_c
-///  * reduce_to_rank       — binomial-tree combine:  k(τ + n·t_c) + k·n·t_a
 ///  * allreduce (doubling) — recursive doubling:     k(τ + n·t_c) + k·n·t_a
-///  * reduce_scatter       — recursive halving:      k·τ + ~n·t_c + ~n·t_a
-///  * allgather            — recursive doubling:     k·τ + ~n·t_c
 ///  * allreduce_rsag       — halving + doubling:     2k·τ + ~2n·t_c + n·t_a
 ///  * broadcast_pipelined  — segment pipeline: (k+S-1)(τ + ⌈n/S⌉·t_c)
 ///  * allreduce_pipelined  — segmented doubling, same round count + k·n·t_a
-///  * scan_* (prefix)      — rank-ordered parallel prefix, k rounds
+///  * scan_exclusive       — rank-ordered parallel prefix, k rounds
 ///  * route_within         — combining dimension-order routing, k rounds
 ///
 /// (k = subcube dimension, n = per-processor data, per subcube.)
-/// The reduce-scatter/all-gather forms are what make the paper's reduce and
+/// The halving/gathering schedules are what make the paper's reduce and
 /// distribute primitives processor-time optimal for m > p·lg p: the τ term
 /// appears only lg p times while every element crosses an edge O(1) times.
 /// `broadcast_auto` / `allreduce_auto` pick the cheaper variant by
@@ -31,10 +29,9 @@
 /// Payload lengths may differ from subcube to subcube (they arise from
 /// non-divisible matrix extents) but must agree within each subcube.
 ///
-/// Collectives whose delivery callbacks GROW a tile (all-gather's appends,
-/// broadcast's assigns, routing's inserts) pre-reserve the final capacity
-/// on the host thread before entering the exchange — slab tiles may change
-/// length concurrently but may not outgrow their stride off the host
+/// route_within's delivery callbacks GROW tiles, so it pre-reserves the
+/// final capacity on the host thread before each exchange — slab tiles may
+/// change length concurrently but may not outgrow their stride off the host
 /// thread (see comm/dist_buffer.hpp).
 ///
 /// Geometry is tabulated once per call on the host thread, and the rounds
@@ -50,11 +47,13 @@
 /// payloads, walked over each port's holders only — every holder's message
 /// is a range of its subcube root's tile, the bytes it would hold by then —
 /// and after the last round one uncharged Cube::deliver step copies each
-/// root's payload to its members.  The doubling `allreduce` is the same
-/// idea for a combine: its rounds are walked over the members' tiles and
-/// one deliver step folds each subcube once.  Charges, statistics and
-/// traces are those of the staged rounds; a FaultError leaves `buf` as it
-/// was.
+/// root's payload to its members.  The three all-reduce backends
+/// (`allreduce`, `allreduce_rsag`, `allreduce_pipelined`) are the same idea
+/// for a combine: each walks its rounds over ranges of the members' tiles,
+/// and one deliver step folds each subcube once, in the doubling's
+/// rank-ordered tree, so every backend returns the same bits.  Charges,
+/// statistics and traces are those of the staged rounds; a FaultError
+/// leaves `buf` as it was.  Only the scan and route_within still stage.
 #pragma once
 
 #include <algorithm>
@@ -64,7 +63,6 @@
 #include <cstdint>
 #include <memory_resource>
 #include <span>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -88,47 +86,36 @@ template <class T>
 }
 
 // ---------------------------------------------------------------------------
-// All-reduce by recursive doubling.
+// All-reduce: a charge walk of the backend's rounds, then one fold.
 // ---------------------------------------------------------------------------
 
-/// Combine equal-length (per subcube) local arrays; on exit every member
-/// holds the subcube-wide reduction.  Combines are applied in rank order,
-/// so non-commutative (but associative) operators are supported.
-///
-/// Recursive doubling: after round i every member of an aligned group of
-/// 2^(i+1) ranks holds op(low half's value, high half's value), so what
-/// the rounds compute is fixed by the tiles they start from.  The k rounds
-/// are therefore a charge walk — each one Cube::exchange_views over the
-/// members' tiles, whose lengths the combines never change, then its
-/// combine charge — and one uncharged deliver step folds each subcube's
-/// tiles once in the doubling's tree (for w = 1, 2, 4, …, rank r ≡ 0
-/// mod 2w takes op(tile(r), tile(r + w))) and copies the result into the
-/// other members.  Results, charges, statistics and traces are those of the
-/// staged rounds; nothing is staged, and a FaultError leaves `buf` as it
-/// was.
-template <class T, class Op>
-void allreduce(Cube& cube, DistBuffer<T>& buf, const SubcubeSet& sc, Op op) {
-  if (sc.k() == 0) return;
-  VMP_TRACE(cube, "allreduce");
-  const std::uint32_t mask = sc.mask();
-  const proc_t P = cube.procs();
+namespace detail {
+
+/// The body every all-reduce backend shares, over the subcubes of `mask`.
+/// Before anything is charged it checks that each member's tile is as long
+/// as its subcube's rank-0 member's.  `walk(n)`, n the longest tile, then
+/// charges the backend's rounds, each one Cube::exchange_views over ranges
+/// of the members' unchanged tiles (a combine never changes a length, so
+/// every message is as long as in the staged round) followed by its
+/// combine charge.  What the rounds would compute is fixed by the tiles
+/// they start from, so one uncharged deliver step then folds each subcube
+/// on its rank-0 member q0 (no mask bit set) in recursive doubling's
+/// rank-ordered tree — for w = 1, 2, 4, …, rank r ≡ 0 mod 2w takes
+/// op(tile(r), tile(r + w)) — and copies the result into the other
+/// members; no step runs when every non-root tile is empty.  Nothing is
+/// staged, and a FaultError leaves `buf` as it was.
+template <class T, class Op, class Walk>
+void walk_then_fold(Cube& cube, DistBuffer<T>& buf, std::uint32_t mask,
+                    Op op, Walk&& walk) {
   std::size_t n = 0;
   std::uint64_t combines = 0;  // the fold's: each non-root tile's length
-  for (proc_t q = 0; q < P; ++q) {
+  for (proc_t q = 0; q < cube.procs(); ++q) {
     VMP_ASSERT(buf.len(q) == buf.len(q & ~mask), "allreduce length mismatch");
     n = std::max(n, buf.len(q));
     if ((q & mask) != 0) combines += buf.len(q);
   }
-  // Rank bit i is the i-th lowest dimension of the mask.
-  for (std::uint32_t rest = mask; rest != 0; rest &= rest - 1) {
-    const int d = std::countr_zero(rest);
-    cube.exchange_views<T>(std::span<const int>(&d, 1), [&](auto&& fn) {
-      for (proc_t q = 0; q < P; ++q) fn(d, q, std::span<const T>(buf.tile(q)));
-    });
-    cube.clock().charge_compute_step(n, n * P);
-  }
+  walk(n);
   if (combines == 0) return;
-  // The fold runs on each subcube's rank-0 member q0 (no mask bit set).
   cube.deliver({.flops = combines, .bytes = combines * sizeof(T)},
                [&](proc_t q0) {
                  if ((q0 & mask) != 0) return;
@@ -152,155 +139,85 @@ void allreduce(Cube& cube, DistBuffer<T>& buf, const SubcubeSet& sc, Op op) {
                });
 }
 
-// ---------------------------------------------------------------------------
-// Reduce-scatter by recursive halving.
-// ---------------------------------------------------------------------------
+}  // namespace detail
 
-/// On entry every subcube member holds the same-length array (length may
-/// differ between subcubes); on exit the member with subcube rank r holds
-/// the combined block [block_begin(n,P,r), block_begin(n,P,r+1)) of its
-/// subcube's array and nothing else.  Combines are rank-ordered.
+/// Combine equal-length (per subcube) local arrays; on exit every member
+/// holds the subcube-wide reduction.  Every all-reduce backend combines in
+/// rank order and returns this one's bits, so associative, non-commutative
+/// operators are supported.
+///
+/// Recursive doubling: round i crosses rank bit i, and after it every
+/// member of an aligned group of 2^(i+1) ranks holds op(low half's value,
+/// high half's value).  Each of the k rounds sends every member's whole
+/// tile and charges its combine; detail::walk_then_fold folds the result.
 template <class T, class Op>
-void reduce_scatter(Cube& cube, DistBuffer<T>& buf, const SubcubeSet& sc,
-                    Op op) {
+void allreduce(Cube& cube, DistBuffer<T>& buf, const SubcubeSet& sc, Op op) {
   if (sc.k() == 0) return;
-  VMP_TRACE(cube, "reduce_scatter");
-  const auto batch = cube.session();
-  const std::uint32_t P = sc.size();
-  std::vector<std::size_t> n_of(cube.procs());
-  for (proc_t q = 0; q < cube.procs(); ++q) n_of[q] = buf.len(q);
-
-  std::vector<unsigned char> got(cube.procs());
-  for (int j = sc.k() - 1; j >= 0; --j) {
-    const int d = sc.dim_of_rank_bit(j);
-    const std::uint32_t half = 1u << j;
-    const std::uint32_t width = half << 1;
-    // Segment geometry for processor q at this level: (rank, seg_lo, split,
-    // seg_hi) of the global range the processor currently covers.
-    const auto geometry = [&](proc_t q) {
-      const std::size_t n = n_of[q];
-      const std::uint32_t r = sc.rank(q);
-      const std::uint32_t lo_rank = r & ~(width - 1);
-      const std::size_t seg_lo = block_begin(n, P, lo_rank);
-      const std::size_t split = block_begin(n, P, lo_rank + half);
-      const std::size_t seg_hi = block_begin(n, P, lo_rank + width);
-      return std::tuple{r, seg_lo, split, seg_hi};
-    };
-    std::size_t max_kept = 0;
-    std::uint64_t total_combines = 0;
-    for (proc_t q = 0; q < cube.procs(); ++q) {
-      const auto [r, seg_lo, split, seg_hi] = geometry(q);
-      const std::size_t kept =
-          ((r >> j) & 1u) == 0 ? split - seg_lo : seg_hi - split;
-      max_kept = std::max(max_kept, kept);
-      total_combines += kept;
+  VMP_TRACE(cube, "allreduce");
+  detail::walk_then_fold(cube, buf, sc.mask(), op, [&](std::size_t n) {
+    const proc_t P = cube.procs();
+    for (int i = 0; i < sc.k(); ++i) {
+      const int d = sc.dim_of_rank_bit(i);
+      cube.exchange_views<T>(std::span<const int>(&d, 1), [&](auto&& fn) {
+        for (proc_t q = 0; q < P; ++q)
+          fn(d, q, std::span<const T>(buf.tile(q)));
+      });
+      cube.clock().charge_compute_step(n, n * P);
     }
-    std::fill(got.begin(), got.end(), 0);
-    cube.exchange<T>(
-        d,
-        [&](proc_t q) -> std::span<const T> {
-          const auto [r, seg_lo, split, seg_hi] = geometry(q);
-          const std::span<const T> mine = buf.tile(q);
-          VMP_ASSERT(mine.size() == seg_hi - seg_lo,
-                     "reduce_scatter segment length mismatch");
-          if (((r >> j) & 1u) == 0)  // keep front, send back half
-            return mine.subspan(split - seg_lo);
-          return mine.first(split - seg_lo);
-        },
-        [&](proc_t q, std::span<const T> in) {
-          // Combine straight into the kept range while sliding it to the
-          // front (the write index never passes the read index), so the
-          // round needs no incoming staging buffer and no per-round
-          // scratch — the steady-state loop is allocation-free.  The
-          // trailing resize only shrinks, so it is delivery-safe.
-          const auto [r, seg_lo, split, seg_hi] = geometry(q);
-          const std::span<T> mine = buf.tile(q);
-          const bool low = ((r >> j) & 1u) == 0;
-          const std::size_t kept_off = low ? 0 : split - seg_lo;
-          const std::size_t kept_len = low ? split - seg_lo : seg_hi - split;
-          VMP_ASSERT(in.size() == kept_len,
-                     "reduce_scatter incoming length mismatch");
-          for (std::size_t t = 0; t < kept_len; ++t) {
-            const T& a = mine[kept_off + t];
-            mine[t] = low ? op.combine(a, in[t]) : op.combine(in[t], a);
-          }
-          buf.resize(q, kept_len);
-          got[q] = 1;
-        });
-    // Degenerate case: the partner's copy of the kept block was empty, so
-    // no message arrived — still shrink to the kept range, uncombined.
-    cube.each_proc([&](proc_t q) {
-      if (got[q]) return;
-      const auto [r, seg_lo, split, seg_hi] = geometry(q);
-      const std::span<T> mine = buf.tile(q);
-      const bool low = ((r >> j) & 1u) == 0;
-      const std::size_t kept_off = low ? 0 : split - seg_lo;
-      const std::size_t kept_len = low ? split - seg_lo : seg_hi - split;
-      if (kept_off != 0)
-        kern::copy(std::span<const T>(mine.subspan(kept_off, kept_len)),
-                   mine.first(kept_len));
-      buf.resize(q, kept_len);
-    });
-    cube.clock().charge_compute_step(max_kept, total_combines);
-  }
+  });
 }
 
-// ---------------------------------------------------------------------------
-// All-gather by recursive doubling.
-// ---------------------------------------------------------------------------
-
-/// Inverse of reduce_scatter's data layout: on entry the member with rank
-/// r holds block r of a block partition of its subcube's total `n_of(q)`;
-/// on exit every member holds the full concatenation in block order.
-template <class T, class NFn>
-void allgather(Cube& cube, DistBuffer<T>& buf, const SubcubeSet& sc,
-               NFn n_of) {
-  if (sc.k() == 0) return;
-  VMP_TRACE(cube, "allgather");
-  const auto batch = cube.session();
-  // Delivery appends/prepends into the tiles: reserve the assembled length
-  // up front so no round needs to grow the arena mid-exchange.
-  std::size_t cap = 0;
-  for (proc_t q = 0; q < cube.procs(); ++q)
-    cap = std::max(cap, static_cast<std::size_t>(n_of(q)));
-  buf.reserve_each(cap);
-  for (int j = 0; j < sc.k(); ++j) {
-    const int d = sc.dim_of_rank_bit(j);
-    cube.exchange<T>(
-        d, [&](proc_t q) -> std::span<const T> { return buf.tile(q); },
-        [&](proc_t q, std::span<const T> in) {
-          if (((sc.rank(q) >> j) & 1u) == 0) {
-            buf.append(q, in);  // partner higher
-          } else {
-            buf.prepend(q, in);  // partner lower
-          }
-        });
-  }
-  for (proc_t q = 0; q < cube.procs(); ++q) {
-    VMP_ASSERT(buf.len(q) == n_of(q),
-               "allgather did not assemble the expected length");
-  }
-}
-
-/// Uniform-length convenience overload.
-template <class T>
-void allgather(Cube& cube, DistBuffer<T>& buf, const SubcubeSet& sc,
-               std::size_t n) {
-  allgather(cube, buf, sc, [n](proc_t) { return n; });
-}
-
-/// Reduce-scatter followed by all-gather: the bandwidth-optimal all-reduce
-/// for long arrays.
+/// Reduce-scatter by recursive halving, then all-gather by recursive
+/// doubling: the bandwidth-optimal all-reduce for long arrays.  Each
+/// member's array is cut into P blocks (block_begin).  Halving round j
+/// (rank bits high to low) sends the blocks of the aligned group of 2^j
+/// ranks holding the partner's rank and combines the group holding the
+/// member's own, so each member ends with its own block combined;
+/// gathering round j (low to high) sends the member's own group.  The
+/// rounds are charged in a "reduce_scatter" and an "allgather" region and
+/// the result is the doubling's (see `allreduce`).
 template <class T, class Op>
 void allreduce_rsag(Cube& cube, DistBuffer<T>& buf, const SubcubeSet& sc,
                     Op op) {
   if (sc.k() == 0) return;
   VMP_TRACE(cube, "allreduce_rsag");
-  const auto batch = cube.session();
-  std::vector<std::size_t> n_of(cube.procs());
-  for (proc_t q = 0; q < cube.procs(); ++q) n_of[q] = buf.len(q);
-  reduce_scatter(cube, buf, sc, op);
-  allgather(cube, buf, sc, [&](proc_t q) { return n_of[q]; });
+  detail::walk_then_fold(cube, buf, sc.mask(), op, [&](std::size_t) {
+    const proc_t P = cube.procs();
+    // The blocks of q's array held by the aligned group of 2^j ranks that
+    // holds rank r.
+    const auto group = [&](proc_t q, std::uint32_t r, int j) {
+      const std::size_t n = buf.len(q);
+      const std::uint32_t lo = r & ~((1u << j) - 1u);
+      const std::size_t begin = block_begin(n, sc.size(), lo);
+      return std::span<const T>(buf.tile(q)).subspan(
+          begin, block_begin(n, sc.size(), lo + (1u << j)) - begin);
+    };
+    // Round j: q sends the group holding its rank with the bits in `flip`
+    // flipped.
+    const auto round = [&](int j, std::uint32_t flip) {
+      const int d = sc.dim_of_rank_bit(j);
+      cube.exchange_views<T>(std::span<const int>(&d, 1), [&](auto&& fn) {
+        for (proc_t q = 0; q < P; ++q)
+          fn(d, q, group(q, sc.rank(q) ^ flip, j));
+      });
+    };
+    {
+      VMP_TRACE(cube, "reduce_scatter");
+      for (int j = sc.k() - 1; j >= 0; --j) {
+        round(j, 1u << j);
+        std::size_t max_kept = 0;
+        std::uint64_t kept = 0;
+        for (proc_t q = 0; q < P; ++q) {
+          const std::size_t len = group(q, sc.rank(q), j).size();
+          max_kept = std::max(max_kept, len);
+          kept += len;
+        }
+        cube.clock().charge_compute_step(max_kept, kept);
+      }
+    }
+    VMP_TRACE(cube, "allgather");
+    for (int j = 0; j < sc.k(); ++j) round(j, 0);
+  });
 }
 
 // ---------------------------------------------------------------------------
@@ -393,10 +310,10 @@ inline constexpr std::size_t kMaxPipelinePorts = 32;
 /// Segment-pipelined recursive-doubling all-reduce: the array is cut into
 /// `nseg` blocks and segment s runs doubling step i in round s+i; active
 /// segments occupy DISTINCT cube dimensions, so every round is one
-/// all-port exchange of ~n/S elements instead of a one-port exchange of n.
-/// Combines follow the exact rank-ordered rule of `allreduce`, applied per
-/// segment — elementwise the combining sequence is identical, so results
-/// are bit-identical to recursive doubling (non-commutative ops included).
+/// all-port exchange of ~n/S elements instead of a one-port exchange of n,
+/// its messages port-major, then processor-ascending (the order
+/// exchange_allport settles in).  Elementwise the combining sequence is
+/// the doubling's, and so is the result (see `allreduce`).
 /// (k+S-1)(τ + ⌈n/S⌉·t_c) + k·n·t_a: beats doubling once k·τ dominates.
 template <class T, class Op>
 void allreduce_pipelined(Cube& cube, DistBuffer<T>& buf, const SubcubeSet& sc,
@@ -404,49 +321,42 @@ void allreduce_pipelined(Cube& cube, DistBuffer<T>& buf, const SubcubeSet& sc,
   if (sc.k() == 0) return;
   VMP_REQUIRE(nseg >= 1, "allreduce_pipelined needs at least one segment");
   VMP_TRACE(cube, "allreduce_pipelined");
-  const auto batch = cube.session();
-  const int k = sc.k();
-  const std::uint32_t S = nseg;
-  const detail::SegmentTable geo(cube.procs(), S, [&](std::size_t q) {
-    return buf.len(static_cast<proc_t>(q));
+  detail::walk_then_fold(cube, buf, sc.mask(), op, [&](std::size_t) {
+    const int k = sc.k();
+    const proc_t P = cube.procs();
+    const detail::SegmentTable geo(P, nseg, [&](std::size_t q) {
+      return buf.len(static_cast<proc_t>(q));
+    });
+    std::array<int, detail::kMaxPipelinePorts> dims{};
+    std::array<std::uint32_t, detail::kMaxPipelinePorts> segs{};
+    for (int t = 0; t < k + static_cast<int>(nseg) - 1; ++t) {
+      const std::uint32_t s_lo =
+          t >= k ? static_cast<std::uint32_t>(t - k + 1) : 0;
+      const std::uint32_t s_hi = std::min<std::uint32_t>(
+          nseg - 1, static_cast<std::uint32_t>(t));
+      std::size_t ports = 0;
+      for (std::uint32_t s = s_lo; s <= s_hi; ++s, ++ports) {
+        dims[ports] = sc.dim_of_rank_bit(t - static_cast<int>(s));
+        segs[ports] = s;
+      }
+      cube.exchange_views<T>(
+          std::span<const int>(dims.data(), ports), [&](auto&& fn) {
+            for (std::size_t i = 0; i < ports; ++i)
+              for (proc_t q = 0; q < P; ++q)
+                fn(dims[i], q,
+                   geo.segment(std::span<const T>(buf.tile(q)), q, segs[i]));
+          });
+      // The round combines segments [s_lo, s_hi] on every processor.
+      std::size_t max_comb = 0;
+      std::uint64_t total_comb = 0;
+      for (proc_t q = 0; q < P; ++q) {
+        const std::size_t len = geo.cut(q, s_hi + 1) - geo.cut(q, s_lo);
+        max_comb = std::max(max_comb, len);
+        total_comb += len;
+      }
+      cube.clock().charge_compute_step(max_comb, total_comb);
+    }
   });
-  std::array<int, detail::kMaxPipelinePorts> dims{};
-  std::array<std::uint32_t, detail::kMaxPipelinePorts> segs{};
-  for (int t = 0; t < k + static_cast<int>(S) - 1; ++t) {
-    const std::uint32_t s_lo =
-        t >= k ? static_cast<std::uint32_t>(t - k + 1) : 0;
-    const std::uint32_t s_hi = std::min<std::uint32_t>(
-        S - 1, static_cast<std::uint32_t>(t));
-    std::size_t ports = 0;
-    for (std::uint32_t s = s_lo; s <= s_hi; ++s, ++ports) {
-      dims[ports] = sc.dim_of_rank_bit(t - static_cast<int>(s));
-      segs[ports] = s;
-    }
-    cube.exchange_allport<T>(
-        std::span<const int>(dims.data(), ports),
-        [&](proc_t q, std::size_t idx) -> std::span<const T> {
-          return geo.segment(std::span<const T>(buf.tile(q)), q, segs[idx]);
-        },
-        [&](proc_t q, std::size_t idx, std::span<const T> in) {
-          const std::span<T> seg = geo.segment(buf.tile(q), q, segs[idx]);
-          VMP_ASSERT(in.size() == seg.size(),
-                     "allreduce_pipelined segment length mismatch");
-          if (bit_of(q, dims[idx]) != 0)
-            kern::zip_swapped(seg, in, kern::op_fn(op));
-          else
-            kern::zip(seg, in, kern::op_fn(op));
-        });
-    // This round combined the contiguous range [seg s_lo, seg s_hi] on
-    // every processor; charge its per-processor max like `allreduce` does.
-    std::size_t max_comb = 0;
-    std::uint64_t total_comb = 0;
-    for (proc_t q = 0; q < cube.procs(); ++q) {
-      const std::size_t len = geo.cut(q, s_hi + 1) - geo.cut(q, s_lo);
-      max_comb = std::max(max_comb, len);
-      total_comb += len;
-    }
-    cube.clock().charge_compute_step(max_comb, total_comb);
-  }
 }
 
 /// Model-driven choice between recursive doubling, reduce-scatter /
@@ -454,6 +364,7 @@ void allreduce_pipelined(Cube& cube, DistBuffer<T>& buf, const SubcubeSet& sc,
 /// actual cost parameters.  The pipeline is picked only when its model is
 /// strictly cheaper than both exact variants (its actual charge never
 /// exceeds the model, so the selection can only improve on the minimum).
+/// The choice moves only the charges: every backend returns the same bits.
 template <class T, class Op>
 void allreduce_auto(Cube& cube, DistBuffer<T>& buf, const SubcubeSet& sc,
                     Op op) {
@@ -778,40 +689,6 @@ void broadcast_auto(Cube& cube, DistBuffer<T>& buf, const SubcubeSet& sc,
 }
 
 // ---------------------------------------------------------------------------
-// Reduce to one rank (binomial tree, mirror image of broadcast).
-// ---------------------------------------------------------------------------
-
-/// Combine equal-length arrays onto the member with rank `root_rank`.
-/// Requires a commutative operator (combining order follows the tree, not
-/// global rank order).  Non-roots' arrays are left holding partial sums.
-template <class T, class Op>
-void reduce_to_rank(Cube& cube, DistBuffer<T>& buf, const SubcubeSet& sc,
-                    Op op, std::uint32_t root_rank) {
-  if (sc.k() == 0) return;
-  VMP_TRACE(cube, "reduce_to_rank");
-  const auto batch = cube.session();
-  VMP_REQUIRE(root_rank < sc.size(), "reduce root rank out of range");
-  const std::size_t n = max_local_len(cube, buf);
-  for (int j = 0; j < sc.k(); ++j) {
-    const int d = sc.dim_of_rank_bit(j);
-    cube.exchange<T>(
-        d,
-        [&](proc_t q) -> std::span<const T> {
-          const std::uint32_t rr = sc.rank(q) ^ root_rank;
-          if ((rr & ((2u << j) - 1u)) == (1u << j))  // low bits 0, bit j set
-            return buf.tile(q);
-          return {};
-        },
-        [&](proc_t q, std::span<const T> in) {
-          const std::span<T> mine = buf.tile(q);
-          VMP_ASSERT(in.size() == mine.size(), "reduce length mismatch");
-          kern::zip(mine, in, kern::op_fn(op));
-        });
-    cube.clock().charge_compute_step(n, n * (cube.procs() >> (j + 1)));
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Parallel prefix (scan) across subcube ranks.
 // ---------------------------------------------------------------------------
 
@@ -858,18 +735,6 @@ void scan_exclusive(Cube& cube, DistBuffer<T>& buf, const SubcubeSet& sc,
     cube.clock().charge_compute_step(2 * n, 2 * n * cube.procs());
   }
   buf.swap(prefix);  // O(1) arena exchange, no per-tile copies
-}
-
-/// Inclusive scan: rank r holds the combination of ranks 0..r.
-template <class T, class Op>
-void scan_inclusive(Cube& cube, DistBuffer<T>& buf, const SubcubeSet& sc,
-                    Op op) {
-  DistBuffer<T> orig(buf);
-  scan_exclusive(cube, buf, sc, op);
-  const std::size_t n = max_local_len(cube, buf);
-  cube.compute(n, [&](proc_t q) {
-    kern::zip(buf.tile(q), orig.tile(q), kern::op_fn(op));
-  });
 }
 
 // ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 /// \file ops.hpp
 /// \brief Reduction operators for the `reduce` primitive and the collective
 ///        library.  An operator is a stateless struct with
-///        `T combine(T,T) const` and `T identity() const`; all shipped
-///        operators are associative and commutative (MinLoc/MaxLoc break
-///        ties deterministically by index, preserving commutativity).
+///        `T combine(T,T) const` and `T identity() const`.  It must be
+///        associative but need not be commutative: every all-reduce
+///        backend and the scan combine in subcube rank order.  The shipped
+///        operators are commutative too (MinLoc/MaxLoc break ties
+///        deterministically by index, preserving commutativity).
 #pragma once
 
 #include <cstdint>

@@ -302,7 +302,11 @@ template <class T, class Shape>
 /// Fold every line of A along `axis` with `op`.  Axis::Row folds each row,
 /// out[i] = op(A[i][0], ..., A[i][ncols-1]), into a Rows-aligned vector
 /// (partitioned like A's rows, replicated across grid columns); Axis::Col
-/// folds each column into a Cols-aligned vector.
+/// folds each column into a Cols-aligned vector.  Each processor folds its
+/// own part of a line in local order, and allreduce_auto combines the
+/// parts in subcube rank order, so `op` must be associative and may be
+/// non-commutative (it is applied in that order).  Whichever all-reduce
+/// backend the cost parameters pick, the result's bits are the same.
 template <detail::Tiled Mat, class Op>
 [[nodiscard]] auto reduce(const Mat& A, Axis axis, Op op) {
   Grid& grid = A.grid();

@@ -28,15 +28,16 @@
 /// team step and copies no payload; the broadcasts (comm/collectives.hpp,
 /// comm/allport.hpp) walk their rounds with exchange_views over their
 /// roots' payloads and then run one uncharged `deliver` step in which
-/// every member copies its root's payload.  Staging remains only where a
-/// round's receivers overwrite what its senders read: the combining
-/// collectives, all-gather, routing, and the FFT and sort exchanges.
+/// every member copies its root's payload, and the all-reduces walk theirs
+/// over the members' tiles and then fold each subcube in one `deliver`
+/// step.  Staging remains only where a round's receivers overwrite what its
+/// senders read: the scans, routing, and the FFT and sort exchanges.
 ///
 /// Correctness never depends on host threading: the per-processor loops run
 /// on a persistent SPMD worker team (hypercube/team.hpp, Options::threads /
 /// VMP_THREADS) whose lanes own static processor ranges.  Host threads
 /// change wall-clock speed only, never simulated time or results — the
-/// round core's staging slots make in-place combining (all-reduce style)
+/// round core's staging slots make in-place combining (a scan's)
 /// race-free, and the per-step statistics are reduced from per-lane
 /// integer partials whose sums and maxima are independent of the partition.
 /// Multi-round loops open a `session()` so their steps run back to back

@@ -3,6 +3,7 @@
 // algorithms, and the charging contracts the documentation promises.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
 
 #include "algorithms/gauss.hpp"
@@ -162,6 +163,45 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(2, 4, 6),
                        ::testing::Values<std::size_t>(1, 8, 64, 1024, 8192),
                        ::testing::Values(0, 1)));
+
+// Every all-reduce backend returns the doubling's bits, so a sum does not
+// depend on the backend the cost parameters select.  On a 6-cube the three
+// presets pick different backends for allreduce_auto over the whole cube
+// (cm2 and unit at n = 8, cm2 and ipsc at n = 64), and for reduce on an
+// 8 × 8 grid (unit against the other two at n = 64).
+TEST(AutoSelectResults, SumsHaveTheSameBitsOnEveryPreset) {
+  for (const std::size_t n : {std::size_t{8}, std::size_t{64},
+                              std::size_t{1024}}) {
+    std::vector<std::vector<double>> results;
+    for (const CostParams& cp :
+         {CostParams::cm2(), CostParams::ipsc(), CostParams::unit()}) {
+      Cube cube(6, cp);
+      std::vector<double> out;
+      DistBuffer<double> buf(cube);
+      cube.each_proc([&](proc_t q) { buf.assign(q, random_vector(n, 90 + q)); });
+      allreduce_auto(cube, buf, SubcubeSet::contiguous(0, 6), Plus<double>{});
+      cube.each_proc([&](proc_t q) {
+        const std::vector<double> tile = buf.host_vec(q);
+        out.insert(out.end(), tile.begin(), tile.end());
+      });
+      Grid grid(cube, 3, 3);
+      DistMatrix<double> A(grid, n, n);
+      A.load(random_matrix(n, n, 91));
+      for (const Axis ax : {Axis::Row, Axis::Col}) {
+        const std::vector<double> sums = reduce(A, ax, Plus<double>{}).to_host();
+        out.insert(out.end(), sums.begin(), sums.end());
+      }
+      results.push_back(out);
+    }
+    for (std::size_t i = 1; i < results.size(); ++i) {
+      ASSERT_EQ(results[i].size(), results[0].size());
+      EXPECT_EQ(std::memcmp(results[i].data(), results[0].data(),
+                            results[0].size() * sizeof(double)),
+                0)
+          << "n=" << n << ": preset " << i << " differs from cm2";
+    }
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Host threading changes neither results nor simulated time, even for

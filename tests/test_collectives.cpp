@@ -10,6 +10,7 @@
 #include <numeric>
 #include <random>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "comm/allport.hpp"
@@ -94,39 +95,6 @@ TEST_P(CollectiveSweep, AllreduceMin) {
   });
 }
 
-TEST_P(CollectiveSweep, ReduceScatterThenAllgatherEqualsAllreduce) {
-  const std::size_t n = GetParam().n;
-  DistBuffer<double> buf(*cube);
-  cube->each_proc([&](proc_t q) { buf.assign(q, payload(q, n)); });
-  allreduce_rsag(*cube, buf, *sc, Plus<double>{});
-  cube->each_proc([&](proc_t q) {
-    ASSERT_EQ(buf.len(q), n);
-    for (std::size_t t = 0; t < n; ++t) {
-      double want = 0;
-      for (proc_t peer : peers(q)) want += payload_at(peer, t);
-      EXPECT_DOUBLE_EQ(buf.tile(q)[t], want);
-    }
-  });
-}
-
-TEST_P(CollectiveSweep, ReduceScatterBlocks) {
-  const std::size_t n = GetParam().n;
-  DistBuffer<double> buf(*cube);
-  cube->each_proc([&](proc_t q) { buf.assign(q, payload(q, n)); });
-  reduce_scatter(*cube, buf, *sc, Plus<double>{});
-  const std::uint32_t P = sc->size();
-  cube->each_proc([&](proc_t q) {
-    const std::uint32_t r = sc->rank(q);
-    ASSERT_EQ(buf.len(q), block_size(n, P, r));
-    for (std::size_t s = 0; s < buf.len(q); ++s) {
-      const std::size_t t = block_begin(n, P, r) + s;
-      double want = 0;
-      for (proc_t peer : peers(q)) want += payload_at(peer, t);
-      EXPECT_DOUBLE_EQ(buf.tile(q)[s], want);
-    }
-  });
-}
-
 TEST_P(CollectiveSweep, BroadcastFromEveryRoot) {
   const std::size_t n = GetParam().n;
   for (std::uint32_t root = 0; root < sc->size();
@@ -159,47 +127,6 @@ TEST_P(CollectiveSweep, BroadcastSagFromEveryRoot) {
   }
 }
 
-TEST_P(CollectiveSweep, AllgatherAssemblesInRankOrder) {
-  const std::size_t n = GetParam().n;
-  const std::uint32_t P = sc->size();
-  DistBuffer<double> buf(*cube);
-  // Block r of the reference is the slice of a global per-subcube vector.
-  cube->each_proc([&](proc_t q) {
-    const std::uint32_t r = sc->rank(q);
-    const std::size_t b = block_begin(n, P, r);
-    const std::size_t len = block_size(n, P, r);
-    std::vector<double> piece(len);
-    for (std::size_t s = 0; s < len; ++s)
-      piece[s] = static_cast<double>(sc->subcube_id(q) * 100000 + b + s);
-    buf.assign(q, piece);
-  });
-  allgather(*cube, buf, *sc, n);
-  cube->each_proc([&](proc_t q) {
-    ASSERT_EQ(buf.len(q), n);
-    for (std::size_t t = 0; t < n; ++t)
-      EXPECT_DOUBLE_EQ(buf.tile(q)[t],
-                       static_cast<double>(sc->subcube_id(q) * 100000 + t));
-  });
-}
-
-TEST_P(CollectiveSweep, ReduceToEveryRank) {
-  const std::size_t n = GetParam().n;
-  for (std::uint32_t root = 0; root < sc->size();
-       root += std::max<std::uint32_t>(1, sc->size() / 4)) {
-    DistBuffer<double> buf(*cube);
-    cube->each_proc([&](proc_t q) { buf.assign(q, payload(q, n)); });
-    reduce_to_rank(*cube, buf, *sc, Plus<double>{}, root);
-    cube->each_proc([&](proc_t q) {
-      if (sc->rank(q) != root) return;
-      for (std::size_t t = 0; t < n; ++t) {
-        double want = 0;
-        for (proc_t peer : peers(q)) want += payload_at(peer, t);
-        EXPECT_DOUBLE_EQ(buf.tile(q)[t], want);
-      }
-    });
-  }
-}
-
 TEST_P(CollectiveSweep, ExclusiveScanMatchesPrefixSums) {
   const std::size_t n = GetParam().n;
   DistBuffer<double> buf(*cube);
@@ -212,22 +139,6 @@ TEST_P(CollectiveSweep, ExclusiveScanMatchesPrefixSums) {
       for (std::uint32_t rr = 0; rr < r; ++rr)
         want += payload_at(sc->with_rank(q, rr), t);
       EXPECT_DOUBLE_EQ(buf.tile(q)[t], want) << "q=" << q << " t=" << t;
-    }
-  });
-}
-
-TEST_P(CollectiveSweep, InclusiveScanMatchesPrefixSums) {
-  const std::size_t n = GetParam().n;
-  DistBuffer<double> buf(*cube);
-  cube->each_proc([&](proc_t q) { buf.assign(q, payload(q, n)); });
-  scan_inclusive(*cube, buf, *sc, Plus<double>{});
-  cube->each_proc([&](proc_t q) {
-    const std::uint32_t r = sc->rank(q);
-    for (std::size_t t = 0; t < n; ++t) {
-      double want = 0;
-      for (std::uint32_t rr = 0; rr <= r; ++rr)
-        want += payload_at(sc->with_rank(q, rr), t);
-      EXPECT_DOUBLE_EQ(buf.tile(q)[t], want);
     }
   });
 }
@@ -271,10 +182,11 @@ TEST_P(CollectiveSweep, SimulatedTimeAdvancesForRealWork) {
             static_cast<std::uint64_t>(sc->k()));
 }
 
-// The segment pipelines against their one-segment references, bit for
-// bit: every root, S ∈ {1, 2, 3, k, n, n+1}, on uniform lengths and on
-// lengths that differ between subcubes (each distinct length gets its own
-// segment cuts in the pipeline's table).
+// The segment pipelines against their one-segment references, and
+// reduce-scatter + all-gather against the doubling, bit for bit: every
+// root, S ∈ {1, 2, 3, k, n, n+1}, on uniform lengths and on lengths that
+// differ between subcubes (each distinct length gets its own segment cuts
+// in the pipeline's table and its own blocks in the halving rounds).
 
 /// Payload length of q's subcube: n, or n plus a per-subcube offset.
 std::size_t subcube_len(const SubcubeSet& sc, proc_t q, std::size_t n,
@@ -393,34 +305,50 @@ TEST_P(CollectiveSweep, BroadcastsOverwriteStaleMembersEvenWithEmptyRoots) {
   }
 }
 
-TEST_P(CollectiveSweep, AllreducePipelinedMatchesDoubling) {
-  const std::size_t n = GetParam().n;
+/// `backend(buf, op)` against the doubling, bit for bit: order-sensitive
+/// sums and tied MaxLocs, on uniform and on ragged lengths.
+template <class Backend>
+void expect_doubling_bits(Cube& cube, const SubcubeSet& sc, std::size_t n,
+                          Backend backend) {
   const auto check = [&](auto op, auto value, bool ragged) {
     using V = decltype(value(proc_t{0}, std::size_t{0}));
     const auto filled = [&] {
-      DistBuffer<V> buf(*cube);
-      cube->each_proc([&](proc_t q) {
-        std::vector<V> v(subcube_len(*sc, q, n, ragged));
+      DistBuffer<V> buf(cube);
+      cube.each_proc([&](proc_t q) {
+        std::vector<V> v(subcube_len(sc, q, n, ragged));
         for (std::size_t t = 0; t < v.size(); ++t) v[t] = value(q, t);
         buf.assign(q, v);
       });
       return buf;
     };
     DistBuffer<V> want = filled();
-    allreduce(*cube, want, *sc, op);
-    for (const std::uint32_t S : segment_counts(sc->k(), n)) {
-      DistBuffer<V> got = filled();
-      allreduce_pipelined(*cube, got, *sc, op, S);
-      cube->each_proc([&](proc_t q) {
-        EXPECT_TRUE(same_bits(got.host_vec(q), want.host_vec(q)))
-            << "q=" << q << " S=" << S << " ragged=" << ragged;
-      });
-    }
+    allreduce(cube, want, sc, op);
+    DistBuffer<V> got = filled();
+    backend(got, op);
+    cube.each_proc([&](proc_t q) {
+      EXPECT_TRUE(same_bits(got.host_vec(q), want.host_vec(q)))
+          << "q=" << q << " ragged=" << ragged;
+    });
   };
   for (const bool ragged : {false, true}) {
     check(Plus<double>{}, order_sensitive, ragged);
     check(MaxLoc<double>{}, tied, ragged);
   }
+}
+
+TEST_P(CollectiveSweep, AllreducePipelinedMatchesDoubling) {
+  for (const std::uint32_t S : segment_counts(sc->k(), GetParam().n)) {
+    SCOPED_TRACE("S=" + std::to_string(S));
+    expect_doubling_bits(*cube, *sc, GetParam().n, [&](auto& buf, auto op) {
+      allreduce_pipelined(*cube, buf, *sc, op, S);
+    });
+  }
+}
+
+TEST_P(CollectiveSweep, ReduceScatterThenAllgatherEqualsAllreduce) {
+  expect_doubling_bits(*cube, *sc, GetParam().n, [&](auto& buf, auto op) {
+    allreduce_rsag(*cube, buf, *sc, op);
+  });
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -434,16 +362,19 @@ INSTANTIATE_TEST_SUITE_P(
                       Case{6, 0, 6, 1000}));
 
 // ---------------------------------------------------------------------------
-// AllreduceTwin: the doubling all-reduce charges its rounds over the
+// AllreduceTwin: every all-reduce backend charges its rounds over the
 // members' tiles (Cube::exchange_views) and folds each subcube once in one
-// deliver step.  The twin is the staged doubling it replaced, kept here as
-// the reference: k exchanges in which every member sends its tile and
-// combines what arrives (the high side taking the remote value as the
+// deliver step.  The twins are the staged bodies they replaced, kept here
+// as references: rounds in which every member sends (a range of) its tile
+// and combines what arrives (the high side taking the remote value as the
 // op's left argument), each followed by the same compute charge.  Every
 // call's tiles must match byte for byte — NaN payloads, signed zeros and
-// MaxLoc/MinLoc ties included — and the clock after it; at the end, the
-// trace and every SimStats field but the three pool counters (staged
-// rounds stage through the slots, the walk does not).
+// MaxLoc/MinLoc ties included — the staged body's for the doubling and the
+// pipeline, and the staged doubling's for reduce-scatter + all-gather,
+// whose halving rounds combined in another order; so must the clock after
+// every call and, at the end, the trace and every SimStats field but the
+// three pool counters (staged rounds stage through the slots, the walk
+// does not).
 // ---------------------------------------------------------------------------
 
 template <class T, class Op>
@@ -466,6 +397,179 @@ void staged_allreduce(Cube& cube, DistBuffer<T>& buf, const SubcubeSet& sc,
     cube.clock().charge_compute_step(n, n * cube.procs());
   }
 }
+
+/// Recursive halving: on exit the member with rank r holds the combined
+/// block r of its subcube's array.
+template <class T, class Op>
+void staged_reduce_scatter(Cube& cube, DistBuffer<T>& buf,
+                           const SubcubeSet& sc, Op op) {
+  VMP_TRACE(cube, "reduce_scatter");
+  const auto batch = cube.session();
+  const std::uint32_t P = sc.size();
+  std::vector<std::size_t> n_of(cube.procs());
+  for (proc_t q = 0; q < cube.procs(); ++q) n_of[q] = buf.len(q);
+  std::vector<unsigned char> got(cube.procs());
+  for (int j = sc.k() - 1; j >= 0; --j) {
+    const int d = sc.dim_of_rank_bit(j);
+    const std::uint32_t half = 1u << j;
+    const std::uint32_t width = half << 1;
+    // (rank, seg_lo, split, seg_hi) of the range q covers at this level.
+    const auto geometry = [&](proc_t q) {
+      const std::size_t n = n_of[q];
+      const std::uint32_t r = sc.rank(q);
+      const std::uint32_t lo_rank = r & ~(width - 1);
+      return std::tuple{r, block_begin(n, P, lo_rank),
+                        block_begin(n, P, lo_rank + half),
+                        block_begin(n, P, lo_rank + width)};
+    };
+    std::size_t max_kept = 0;
+    std::uint64_t total_combines = 0;
+    for (proc_t q = 0; q < cube.procs(); ++q) {
+      const auto [r, seg_lo, split, seg_hi] = geometry(q);
+      const std::size_t kept =
+          ((r >> j) & 1u) == 0 ? split - seg_lo : seg_hi - split;
+      max_kept = std::max(max_kept, kept);
+      total_combines += kept;
+    }
+    std::fill(got.begin(), got.end(), 0);
+    cube.exchange<T>(
+        d,
+        [&](proc_t q) -> std::span<const T> {
+          const auto [r, seg_lo, split, seg_hi] = geometry(q);
+          const std::span<const T> mine = buf.tile(q);
+          if (((r >> j) & 1u) == 0) return mine.subspan(split - seg_lo);
+          return mine.first(split - seg_lo);
+        },
+        [&](proc_t q, std::span<const T> in) {
+          const auto [r, seg_lo, split, seg_hi] = geometry(q);
+          const std::span<T> mine = buf.tile(q);
+          const bool low = ((r >> j) & 1u) == 0;
+          const std::size_t kept_off = low ? 0 : split - seg_lo;
+          const std::size_t kept_len = low ? split - seg_lo : seg_hi - split;
+          for (std::size_t t = 0; t < kept_len; ++t) {
+            const T& a = mine[kept_off + t];
+            mine[t] = low ? op.combine(a, in[t]) : op.combine(in[t], a);
+          }
+          buf.resize(q, kept_len);
+          got[q] = 1;
+        });
+    // The partner's copy of the kept block was empty: shrink, uncombined.
+    cube.each_proc([&](proc_t q) {
+      if (got[q]) return;
+      const auto [r, seg_lo, split, seg_hi] = geometry(q);
+      const std::span<T> mine = buf.tile(q);
+      const bool low = ((r >> j) & 1u) == 0;
+      const std::size_t kept_off = low ? 0 : split - seg_lo;
+      const std::size_t kept_len = low ? split - seg_lo : seg_hi - split;
+      if (kept_off != 0)
+        kern::copy(std::span<const T>(mine.subspan(kept_off, kept_len)),
+                   mine.first(kept_len));
+      buf.resize(q, kept_len);
+    });
+    cube.clock().charge_compute_step(max_kept, total_combines);
+  }
+}
+
+/// Recursive doubling of the blocks: every member ends with n_of[q].
+template <class T>
+void staged_allgather(Cube& cube, DistBuffer<T>& buf, const SubcubeSet& sc,
+                      const std::vector<std::size_t>& n_of) {
+  VMP_TRACE(cube, "allgather");
+  const auto batch = cube.session();
+  buf.reserve_each(*std::max_element(n_of.begin(), n_of.end()));
+  for (int j = 0; j < sc.k(); ++j) {
+    const int d = sc.dim_of_rank_bit(j);
+    cube.exchange<T>(
+        d, [&](proc_t q) -> std::span<const T> { return buf.tile(q); },
+        [&](proc_t q, std::span<const T> in) {
+          if (((sc.rank(q) >> j) & 1u) == 0) {
+            buf.append(q, in);
+          } else {
+            buf.prepend(q, in);
+          }
+        });
+  }
+}
+
+template <class T, class Op>
+void staged_rsag(Cube& cube, DistBuffer<T>& buf, const SubcubeSet& sc,
+                 Op op) {
+  if (sc.k() == 0) return;
+  VMP_TRACE(cube, "allreduce_rsag");
+  const auto batch = cube.session();
+  std::vector<std::size_t> n_of(cube.procs());
+  for (proc_t q = 0; q < cube.procs(); ++q) n_of[q] = buf.len(q);
+  staged_reduce_scatter(cube, buf, sc, op);
+  staged_allgather(cube, buf, sc, n_of);
+}
+
+/// Segment s runs doubling step i in round s + i, one all-port exchange
+/// per round over the active segments' dimensions.
+template <class T, class Op>
+void staged_pipelined(Cube& cube, DistBuffer<T>& buf, const SubcubeSet& sc,
+                      Op op, std::uint32_t S) {
+  if (sc.k() == 0) return;
+  VMP_TRACE(cube, "allreduce_pipelined");
+  const auto batch = cube.session();
+  const int k = sc.k();
+  const detail::SegmentTable geo(cube.procs(), S, [&](std::size_t q) {
+    return buf.len(static_cast<proc_t>(q));
+  });
+  std::array<int, detail::kMaxPipelinePorts> dims{};
+  std::array<std::uint32_t, detail::kMaxPipelinePorts> segs{};
+  for (int t = 0; t < k + static_cast<int>(S) - 1; ++t) {
+    const std::uint32_t s_lo =
+        t >= k ? static_cast<std::uint32_t>(t - k + 1) : 0;
+    const std::uint32_t s_hi =
+        std::min<std::uint32_t>(S - 1, static_cast<std::uint32_t>(t));
+    std::size_t ports = 0;
+    for (std::uint32_t s = s_lo; s <= s_hi; ++s, ++ports) {
+      dims[ports] = sc.dim_of_rank_bit(t - static_cast<int>(s));
+      segs[ports] = s;
+    }
+    cube.exchange_allport<T>(
+        std::span<const int>(dims.data(), ports),
+        [&](proc_t q, std::size_t idx) -> std::span<const T> {
+          return geo.segment(std::span<const T>(buf.tile(q)), q, segs[idx]);
+        },
+        [&](proc_t q, std::size_t idx, std::span<const T> in) {
+          const std::span<T> seg = geo.segment(buf.tile(q), q, segs[idx]);
+          if (bit_of(q, dims[idx]) != 0)
+            kern::zip_swapped(seg, in, kern::op_fn(op));
+          else
+            kern::zip(seg, in, kern::op_fn(op));
+        });
+    std::size_t max_comb = 0;
+    std::uint64_t total_comb = 0;
+    for (proc_t q = 0; q < cube.procs(); ++q) {
+      const std::size_t len = geo.cut(q, s_hi + 1) - geo.cut(q, s_lo);
+      max_comb = std::max(max_comb, len);
+      total_comb += len;
+    }
+    cube.clock().charge_compute_step(max_comb, total_comb);
+  }
+}
+
+/// One backend under test: the library call and its staged reference.
+struct TwinBackend {
+  enum Kind { Doubling, Rsag, Pipelined } kind = Doubling;
+  std::uint32_t nseg = 1;  ///< segments, for Pipelined
+
+  template <class T, class Op>
+  void library(Cube& cube, DistBuffer<T>& buf, const SubcubeSet& sc,
+               Op op) const {
+    if (kind == Doubling) allreduce(cube, buf, sc, op);
+    if (kind == Rsag) allreduce_rsag(cube, buf, sc, op);
+    if (kind == Pipelined) allreduce_pipelined(cube, buf, sc, op, nseg);
+  }
+  template <class T, class Op>
+  void staged(Cube& cube, DistBuffer<T>& buf, const SubcubeSet& sc,
+              Op op) const {
+    if (kind == Doubling) staged_allreduce(cube, buf, sc, op);
+    if (kind == Rsag) staged_rsag(cube, buf, sc, op);
+    if (kind == Pipelined) staged_pipelined(cube, buf, sc, op, nseg);
+  }
+};
 
 [[nodiscard]] SimStats without_pool_counters(SimStats s) {
   s.pool_hits = s.pool_misses = s.alloc_bytes = 0;
@@ -499,39 +603,42 @@ struct AllreduceTwinTally {
   std::uint64_t retries = 0;
 };
 
-template <class T, class Op, class ValueFn>
-void run_allreduce_twin_op(Cube& lib, Cube& ref, const SubcubeSet& sc,
-                           std::size_t n, Op op, ValueFn value,
+/// `lib` runs the backend, `ref` its staged body and `plain` the staged
+/// doubling, each on q's len(q) values.
+template <class T, class Op, class ValueFn, class LenFn>
+void run_allreduce_twin_op(Cube& lib, Cube& ref, Cube& plain,
+                           const SubcubeSet& sc, TwinBackend backend,
+                           LenFn len, Op op, ValueFn value,
                            AllreduceTwinTally& tally) {
-  DistBuffer<T> a(lib), b(ref);
-  a.reserve_each(n);
-  b.reserve_each(n);
-  for (proc_t q = 0; q < lib.procs(); ++q) {
-    std::vector<T> v(n);
-    for (std::size_t t = 0; t < n; ++t) v[t] = value(q, t);
-    a.assign(q, v);
-    b.assign(q, v);
-  }
+  DistBuffer<T> a(lib), b(ref), c(plain);
   std::vector<std::vector<T>> before;
-  for (proc_t q = 0; q < lib.procs(); ++q) before.push_back(a.host_vec(q));
+  for (proc_t q = 0; q < lib.procs(); ++q) {
+    std::vector<T> v(len(q));
+    for (std::size_t t = 0; t < v.size(); ++t) v[t] = value(q, t);
+    before.push_back(v);
+  }
+  for (DistBuffer<T>* buf : {&a, &b, &c})
+    for (proc_t q = 0; q < lib.procs(); ++q) buf->assign(q, before[q]);
   bool lib_threw = false, ref_threw = false;
   try {
-    allreduce(lib, a, sc, op);
+    backend.library(lib, a, sc, op);
   } catch (const FaultError&) {
     lib_threw = true;
   }
   try {
-    staged_allreduce(ref, b, sc, op);
+    backend.staged(ref, b, sc, op);
   } catch (const FaultError&) {
     ref_threw = true;
   }
+  staged_allreduce(plain, c, sc, op);
   ++tally.calls;
   tally.throws += lib_threw ? 1 : 0;
   ASSERT_EQ(lib_threw, ref_threw);
   // A failed call leaves the library's tiles as they were; the staged
-  // reference's hold earlier rounds' partial combines.
+  // reference's hold earlier rounds' partial results.
+  const DistBuffer<T>& done = backend.kind == TwinBackend::Rsag ? c : b;
   for (proc_t q = 0; q < lib.procs(); ++q) {
-    const std::vector<T> want = lib_threw ? before[q] : b.host_vec(q);
+    const std::vector<T> want = lib_threw ? before[q] : done.host_vec(q);
     ASSERT_EQ(a.len(q), want.size()) << "q=" << q;
     if (!want.empty())
       EXPECT_EQ(
@@ -542,7 +649,8 @@ void run_allreduce_twin_op(Cube& lib, Cube& ref, const SubcubeSet& sc,
   ASSERT_EQ(lib.clock().now_us(), ref.clock().now_us());
 }
 
-void run_allreduce_twin(TopologyKind kind, std::uint32_t mask, std::size_t n,
+void run_allreduce_twin(TopologyKind kind, std::uint32_t mask,
+                        TwinBackend backend, std::size_t n, bool ragged,
                         unsigned lanes, bool transient, bool simd,
                         AllreduceTwinTally& tally) {
   const bool simd_was = kern::simd::set_enabled(simd);
@@ -550,6 +658,7 @@ void run_allreduce_twin(TopologyKind kind, std::uint32_t mask, std::size_t n,
   opts.threads = lanes;
   opts.topology = kind;
   Cube lib(6, CostParams::cm2(), opts), ref(6, CostParams::cm2(), opts);
+  Cube plain(6, CostParams::unit(), Cube::Options{1});
   for (Cube* cube : {&lib, &ref}) {
     if (transient)
       cube->enable_faults(
@@ -557,18 +666,18 @@ void run_allreduce_twin(TopologyKind kind, std::uint32_t mask, std::size_t n,
     cube->clock().tracer().set_recording(true);
   }
   const SubcubeSet sc(mask);
-  run_allreduce_twin_op<double>(lib, ref, sc, n, Plus<double>{}, twin_value,
-                                tally);
-  run_allreduce_twin_op<double>(lib, ref, sc, n, Multiply<double>{},
-                                twin_value, tally);
-  run_allreduce_twin_op<double>(lib, ref, sc, n, Max<double>{}, twin_value,
-                                tally);
-  run_allreduce_twin_op<double>(lib, ref, sc, n, Min<double>{}, twin_value,
-                                tally);
-  run_allreduce_twin_op<ValueIndex<double>>(lib, ref, sc, n, MaxLoc<double>{},
-                                            twin_loc, tally);
-  run_allreduce_twin_op<ValueIndex<double>>(lib, ref, sc, n, MinLoc<double>{},
-                                            twin_loc, tally);
+  const auto len = [&](proc_t q) { return subcube_len(sc, q, n, ragged); };
+  const auto run = [&](auto op, auto value) {
+    using T = decltype(value(proc_t{0}, std::size_t{0}));
+    run_allreduce_twin_op<T>(lib, ref, plain, sc, backend, len, op, value,
+                             tally);
+  };
+  run(Plus<double>{}, twin_value);
+  run(Multiply<double>{}, twin_value);
+  run(Max<double>{}, twin_value);
+  run(Min<double>{}, twin_value);
+  run(MaxLoc<double>{}, twin_loc);
+  run(MinLoc<double>{}, twin_loc);
   const Tracer& tl = lib.clock().tracer();
   const Tracer& tr = ref.clock().tracer();
   EXPECT_TRUE(tl.paths() == tr.paths());
@@ -579,27 +688,62 @@ void run_allreduce_twin(TopologyKind kind, std::uint32_t mask, std::size_t n,
   kern::simd::set_enabled(simd_was);
 }
 
+/// Grid rows and columns of an 8 × 8 grid, every other dimension, and the
+/// whole cube; lengths 0, 1, 3, 37 and P − 1 (fewer elements than blocks
+/// for the halving rounds), uniform and differing between subcubes; lanes
+/// 1 and 3, with and without a transient plan, SIMD on and off, six ops.
+/// `backends(k)` lists the backends to run on a k-dimensional family.
+template <class BackendsFn>
+void sweep_allreduce_twin(TopologyKind kind, BackendsFn backends) {
+  AllreduceTwinTally tally;
+  int expected = 0;
+  for (const std::uint32_t mask : {0x7u, 0x38u, 0x15u, 0x3fu}) {
+    const SubcubeSet sc(mask);
+    for (const TwinBackend backend : backends(sc.k()))
+      for (const std::size_t n :
+           {std::size_t{0}, std::size_t{1}, std::size_t{3}, std::size_t{37},
+            std::size_t{sc.size() - 1}})
+        for (const bool ragged : {false, true})
+          for (const unsigned lanes : {1u, 3u})
+            for (const bool transient : {false, true})
+              for (const bool simd : {false, true}) {
+                SCOPED_TRACE("mask=" + std::to_string(mask) +
+                             " S=" + std::to_string(backend.nseg) +
+                             " n=" + std::to_string(n) +
+                             (ragged ? " ragged" : " uniform") +
+                             " lanes=" + std::to_string(lanes) +
+                             (transient ? " transient" : " clean") +
+                             (simd ? " simd" : " scalar"));
+                run_allreduce_twin(kind, mask, backend, n, ragged, lanes,
+                                   transient, simd, tally);
+                expected += 6;
+              }
+  }
+  EXPECT_EQ(tally.calls, expected);
+  EXPECT_GT(tally.retries, 0u) << "the transient plan must fire";
+}
+
 class AllreduceTwin : public ::testing::TestWithParam<TopologyKind> {};
 
 TEST_P(AllreduceTwin, ChargeWalkAndFoldMatchTheStagedDoubling) {
-  AllreduceTwinTally tally;
-  // Grid rows and columns of an 8 × 8 grid, every other dimension, and
-  // the whole cube.
-  for (const std::uint32_t mask : {0x7u, 0x38u, 0x15u, 0x3fu})
-    for (const std::size_t n : {0ul, 1ul, 3ul, 37ul})
-      for (const unsigned lanes : {1u, 3u})
-        for (const bool transient : {false, true})
-          for (const bool simd : {false, true}) {
-            SCOPED_TRACE("mask=" + std::to_string(mask) +
-                         " n=" + std::to_string(n) +
-                         " lanes=" + std::to_string(lanes) +
-                         (transient ? " transient" : " clean") +
-                         (simd ? " simd" : " scalar"));
-            run_allreduce_twin(GetParam(), mask, n, lanes, transient, simd,
-                               tally);
-          }
-  EXPECT_EQ(tally.calls, 4 * 4 * 2 * 2 * 2 * 6);
-  EXPECT_GT(tally.retries, 0u) << "the transient plan must fire";
+  sweep_allreduce_twin(GetParam(), [](int) {
+    return std::vector<TwinBackend>{{TwinBackend::Doubling}};
+  });
+}
+
+TEST_P(AllreduceTwin, RsagWalkMatchesTheStagedHalvingAndGathering) {
+  sweep_allreduce_twin(GetParam(), [](int) {
+    return std::vector<TwinBackend>{{TwinBackend::Rsag}};
+  });
+}
+
+TEST_P(AllreduceTwin, PipelinedWalkMatchesTheStagedPipeline) {
+  sweep_allreduce_twin(GetParam(), [](int k) {
+    const auto S = static_cast<std::uint32_t>(k + 1);
+    return std::vector<TwinBackend>{{TwinBackend::Pipelined, 2},
+                                    {TwinBackend::Pipelined, 3},
+                                    {TwinBackend::Pipelined, S}};
+  });
 }
 
 INSTANTIATE_TEST_SUITE_P(

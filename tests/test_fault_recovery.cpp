@@ -593,15 +593,15 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(to_string(info.param));
     });
 
-// The doubling all-reduce charges its rounds over the members' tiles and
+// Every all-reduce backend charges its rounds over the members' tiles and
 // folds them only after the last round, so a FaultError part-way leaves
-// the buffer exactly as it was (the staged doubling it replaced left the
-// earlier rounds' partial combines behind), and the cube is reusable.
+// the buffer exactly as it was (the staged bodies they replaced left the
+// earlier rounds' partial results behind), and the cube is reusable.
 class AllreduceFaults : public ::testing::TestWithParam<TopologyKind> {};
 
 TEST_P(AllreduceFaults, FailedAllreduceLeavesTheBufferAndTheCubeReusable) {
-  // Node 5 dies after round 0: every member sends in every round, so round
-  // 0 is charged and round 1 throws.
+  // Node 5 dies after round 0: every member sends in every round of each
+  // backend at this length, so round 0 is charged and round 1 throws.
   const auto solve = [](Cube& cube) {
     Grid grid(cube, 2, 2);
     const std::size_t n = 48;
@@ -611,38 +611,53 @@ TEST_P(AllreduceFaults, FailedAllreduceLeavesTheBufferAndTheCubeReusable) {
     const DistLuResult lu = lu_factor(A);
     return lu_solve(A, lu, random_vector(n, 49));
   };
-  FaultPlan plan;
-  plan.node_kills.push_back({/*from_round=*/1, /*node=*/5});
-  Cube cube(4, CostParams::cm2(), preset_opts(GetParam()));
-  cube.enable_faults(plan);
-  const SubcubeSet whole = SubcubeSet::contiguous(0, cube.dim());
-  DistBuffer<double> buf(cube);
-  buf.reserve_each(10);
-  cube.each_proc([&](proc_t q) {
-    for (std::size_t j = 0; j < 10; ++j)
-      buf.push_back(q, static_cast<double>(q) + 0.5 * static_cast<double>(j));
-  });
-  std::vector<std::vector<double>> before;
-  cube.each_proc([&](proc_t q) { before.push_back(buf.host_vec(q)); });
-  const std::uint64_t steps = cube.team().steps_dispatched();
-  EXPECT_THROW(allreduce(cube, buf, whole, Plus<double>{}), FaultError);
-  EXPECT_EQ(cube.clock().stats().comm_steps, 1u)
-      << "round 0 ran before the throw";
-  EXPECT_EQ(cube.team().steps_dispatched(), steps)
-      << "a failed all-reduce runs no team step";
-  cube.each_proc([&](proc_t q) {
-    EXPECT_EQ(buf.host_vec(q), before[q]) << "q=" << q;
-  });
+  const auto fail_then_reuse = [&](const char* what, auto allreduce_fn) {
+    SCOPED_TRACE(what);
+    FaultPlan plan;
+    plan.node_kills.push_back({/*from_round=*/1, /*node=*/5});
+    Cube cube(4, CostParams::cm2(), preset_opts(GetParam()));
+    cube.enable_faults(plan);
+    const SubcubeSet whole = SubcubeSet::contiguous(0, cube.dim());
+    DistBuffer<double> buf(cube);
+    buf.reserve_each(10);
+    cube.each_proc([&](proc_t q) {
+      for (std::size_t j = 0; j < 10; ++j)
+        buf.push_back(q,
+                      static_cast<double>(q) + 0.5 * static_cast<double>(j));
+    });
+    std::vector<std::vector<double>> before;
+    cube.each_proc([&](proc_t q) { before.push_back(buf.host_vec(q)); });
+    const std::uint64_t steps = cube.team().steps_dispatched();
+    EXPECT_THROW(allreduce_fn(cube, buf, whole), FaultError);
+    EXPECT_EQ(cube.clock().stats().comm_steps, 1u)
+        << "round 0 ran before the throw";
+    EXPECT_EQ(cube.team().steps_dispatched(), steps)
+        << "a failed all-reduce runs no team step";
+    cube.each_proc([&](proc_t q) {
+      EXPECT_EQ(buf.host_vec(q), before[q]) << "q=" << q;
+    });
 
-  // The same cube, its fault plan detached, then factors and solves
-  // exactly like a fresh cube: the same x, and the same clock and SimStats
-  // from the reset on (buf stays alive, so neither pool holds a spare).
-  cube.disable_faults();
-  cube.clock().reset();
-  Cube fresh(4, CostParams::cm2(), preset_opts(GetParam()));
-  EXPECT_EQ(solve(cube), solve(fresh));
-  EXPECT_EQ(cube.clock().now_us(), fresh.clock().now_us());
-  EXPECT_TRUE(cube.clock().stats() == fresh.clock().stats());
+    // The same cube, its fault plan detached, then factors and solves
+    // exactly like a fresh cube: the same x, and the same clock and
+    // SimStats from the reset on (buf stays alive, so neither pool holds a
+    // spare).
+    cube.disable_faults();
+    cube.clock().reset();
+    Cube fresh(4, CostParams::cm2(), preset_opts(GetParam()));
+    EXPECT_EQ(solve(cube), solve(fresh));
+    EXPECT_EQ(cube.clock().now_us(), fresh.clock().now_us());
+    EXPECT_TRUE(cube.clock().stats() == fresh.clock().stats());
+  };
+  const Plus<double> plus;
+  fail_then_reuse("doubling", [&](Cube& c, auto& b, const SubcubeSet& sc) {
+    allreduce(c, b, sc, plus);
+  });
+  fail_then_reuse("rsag", [&](Cube& c, auto& b, const SubcubeSet& sc) {
+    allreduce_rsag(c, b, sc, plus);
+  });
+  fail_then_reuse("pipelined", [&](Cube& c, auto& b, const SubcubeSet& sc) {
+    allreduce_pipelined(c, b, sc, plus, 3);
+  });
 }
 
 INSTANTIATE_TEST_SUITE_P(

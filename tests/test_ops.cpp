@@ -144,25 +144,64 @@ TEST_P(NonCommutative, AllreduceRespectsRankOrder) {
   });
 }
 
-TEST_P(NonCommutative, ReduceScatterRespectsRankOrder) {
-  const int d = GetParam();
+/// Maps that do not commute pairwise (apart from the pure translations, no
+/// two share a fixed point); every composition of them is exact in binary,
+/// whatever the fold order.
+[[nodiscard]] Affine rank_map(proc_t r) {
+  return Affine{1.0 + 0.5 * (r % 3), 1.0 - 0.25 * r};
+}
+
+/// Runs `collective` over the whole d-cube, every processor q holding n
+/// copies of rank_map(q), and expects each element to be the maps of ranks
+/// 0, 1, …, P−1 composed in that order.
+template <class Collective>
+void expect_rank_order(int d, std::size_t n, Collective collective) {
   Cube cube(d, CostParams::unit());
   const SubcubeSet sc = SubcubeSet::contiguous(0, d);
-  const std::size_t n = 6;
   DistBuffer<Affine> buf(cube);
-  cube.each_proc([&](proc_t q) {
-    buf.assign(q, n, Affine{1.0 + 0.125 * q, 0.25 * q});
-  });
+  cube.each_proc([&](proc_t q) { buf.assign(q, n, rank_map(q)); });
   const AffineCompose op;
   Affine want{};
   for (proc_t r = 0; r < cube.procs(); ++r)
-    want = op.combine(want, Affine{1.0 + 0.125 * r, 0.25 * r});
-  reduce_scatter(cube, buf, sc, op);
+    want = op.combine(want, rank_map(r));
+  collective(cube, buf, sc, op);
   cube.each_proc([&](proc_t q) {
+    ASSERT_EQ(buf.len(q), n);
     for (const Affine& f : buf.tile(q)) {
-      EXPECT_DOUBLE_EQ(f.a, want.a);
-      EXPECT_DOUBLE_EQ(f.b, want.b);
+      EXPECT_DOUBLE_EQ(f.a, want.a) << "q=" << q;
+      EXPECT_DOUBLE_EQ(f.b, want.b) << "q=" << q;
     }
+  });
+}
+
+TEST_P(NonCommutative, AllreduceRsagRespectsRankOrder) {
+  for (const std::size_t n : {std::size_t{1}, std::size_t{6}, std::size_t{37}})
+    expect_rank_order(GetParam(), n, [](Cube& cube, auto& buf,
+                                        const SubcubeSet& sc, auto op) {
+      allreduce_rsag(cube, buf, sc, op);
+    });
+}
+
+TEST_P(NonCommutative, AllreducePipelinedRespectsRankOrder) {
+  for (const std::uint32_t S : {2u, 3u})
+    expect_rank_order(GetParam(), 6, [S](Cube& cube, auto& buf,
+                                         const SubcubeSet& sc, auto op) {
+      allreduce_pipelined(cube, buf, sc, op, S);
+    });
+}
+
+// At 8 elements under unit costs the selector picks reduce-scatter +
+// all-gather on every cube with a dimension.
+TEST_P(NonCommutative, AllreduceAutoRespectsRankOrder) {
+  const int d = GetParam();
+  expect_rank_order(d, 8, [d](Cube& cube, auto& buf, const SubcubeSet& sc,
+                              auto op) {
+    allreduce_auto(cube, buf, sc, op);
+    if (d > 0)
+      EXPECT_EQ(cube.clock().tracer().self_profiles().count(
+                    "allreduce_rsag/reduce_scatter"),
+                1u)
+          << "allreduce_auto did not pick allreduce_rsag";
   });
 }
 
@@ -171,15 +210,12 @@ TEST_P(NonCommutative, ScanComputesRankPrefixes) {
   Cube cube(d, CostParams::unit());
   const SubcubeSet sc = SubcubeSet::contiguous(0, d);
   DistBuffer<Affine> buf(cube);
-  const auto at = [](proc_t r) {
-    return Affine{1.0 + 0.5 * (r % 3), 1.0 - 0.25 * r};
-  };
-  cube.each_proc([&](proc_t q) { buf.assign(q, 2, at(q)); });
+  cube.each_proc([&](proc_t q) { buf.assign(q, 2, rank_map(q)); });
   const AffineCompose op;
   scan_exclusive(cube, buf, sc, op);
   cube.each_proc([&](proc_t q) {
     Affine want{};
-    for (proc_t r = 0; r < q; ++r) want = op.combine(want, at(r));
+    for (proc_t r = 0; r < q; ++r) want = op.combine(want, rank_map(r));
     for (const Affine& f : buf.tile(q)) {
       EXPECT_DOUBLE_EQ(f.a, want.a) << "q=" << q;
       EXPECT_DOUBLE_EQ(f.b, want.b) << "q=" << q;

@@ -49,15 +49,17 @@ TEST(Stats, AllreduceDoublingMovesKPMessages) {
 }
 
 TEST(Stats, ReduceScatterMovesHalvingVolumes) {
-  // Per round the exchanged halves shrink: n/2, n/4, … — total per proc
-  // n·(P-1)/P, total elements = P times that.
+  // The halving rounds of allreduce_rsag, charged in its reduce_scatter
+  // region: per round the exchanged halves shrink, n/2, n/4, … — total per
+  // proc n·(P-1)/P, total elements = P times that.
   const int d = 4;
   Fx f(d);
   const std::size_t n = 32;  // divisible by P = 16
   DistBuffer<double> buf(f.cube);
   f.cube.each_proc([&](proc_t q) { buf.assign(q, random_vector(n, q)); });
-  reduce_scatter(f.cube, buf, f.sc, Plus<double>{});
-  const SimStats& st = f.cube.clock().stats();
+  allreduce_rsag(f.cube, buf, f.sc, Plus<double>{});
+  const RegionProfile& st = f.cube.clock().tracer().self_profiles().at(
+      "allreduce_rsag/reduce_scatter");
   EXPECT_EQ(st.comm_steps, 4u);
   EXPECT_EQ(st.elements_serial, 16u + 8u + 4u + 2u);  // n/2 + n/4 + …
   EXPECT_EQ(st.elements_moved, f.cube.procs() * (16u + 8u + 4u + 2u));

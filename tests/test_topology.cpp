@@ -1562,16 +1562,16 @@ const PrimitiveGolden kPrimitiveGoldens[] = {
      "59392,52,20,16,57344, tr=fe115eb80ba55694 pl=07931d6d88df635c thr="},
     {{TopologyKind::Hypercube, 4, 4, 33, 20, Part::Block, false},
      "now=3218.25 st=69,1280,12880,730,3053,30435,0,0,1280,0,0,0,"
-     "108544,1173,55,15,100352, tr=07e13a6ed0856157 pl=374471ff7ad4806b thr="},
+     "104448,53,23,15,100352, tr=07e13a6ed0856157 pl=374471ff7ad4806b thr="},
     {{TopologyKind::Hypercube, 4, 4, 33, 20, Part::Block, true},
      "now=7293.75 st=251,1590,16010,1810,3053,30435,0,0,1590,310,170,0,"
-     "108544,1173,55,15,100352, tr=8f4451e1dec87f99 pl=374471ff7ad4806b thr="},
+     "104448,53,23,15,100352, tr=8f4451e1dec87f99 pl=374471ff7ad4806b thr="},
     {{TopologyKind::Hypercube, 4, 4, 33, 20, Part::Cyclic, false},
      "now=3166.25 st=69,1280,12880,730,2845,30435,0,0,1280,0,0,0,"
-     "104448,1172,56,16,96256, tr=7ee090282dd2714d pl=b4024e6ec2e35b0f thr="},
+     "100352,52,24,16,96256, tr=7ee090282dd2714d pl=b4024e6ec2e35b0f thr="},
     {{TopologyKind::Hypercube, 4, 4, 33, 20, Part::Cyclic, true},
      "now=6984.75 st=244,1580,15910,1740,2845,30435,0,0,1580,300,162,0,"
-     "104448,1172,56,16,96256, tr=1ebb2f232b962b59 pl=b4024e6ec2e35b0f thr="},
+     "100352,52,24,16,96256, tr=1ebb2f232b962b59 pl=b4024e6ec2e35b0f thr="},
     {{TopologyKind::Hypercube, 6, 3, 5, 3, Part::Block, false},
      "now=2265.75 st=86,2208,2208,86,119,4444,0,0,2208,0,0,0,"
      "140032,55,27,15,139264, tr=7cf8c86d4be204d9 pl=39d9ecc358f2fcf9 thr="},
@@ -1622,28 +1622,28 @@ const PrimitiveGolden kPrimitiveGoldens[] = {
      "139520,49,17,15,139264, tr=1cc58b2d1bf91ac2 pl=932bd47c847c7f42 thr=40,"},
     {{TopologyKind::Hypercube, 6, 6, 13, 13, Part::Block, false},
      "now=3798 st=107,8956,58240,746,1508,60054,0,0,8956,0,0,0,"
-     "239616,8372,148,16,229376, tr=c1f80b7bc2e7288c pl=07931d6d88df635c thr="},
+     "231424,52,20,16,229376, tr=c1f80b7bc2e7288c pl=07931d6d88df635c thr="},
     {{TopologyKind::Hypercube, 6, 6, 13, 13, Part::Block, true},
      "now=12723 st=568,11209,72917,2403,1508,60054,0,0,11209,2253,1172,0,"
-     "239616,8372,148,16,229376, tr=c28b0b490740029d pl=07931d6d88df635c thr="},
+     "231424,52,20,16,229376, tr=c28b0b490740029d pl=07931d6d88df635c thr="},
     {{TopologyKind::Hypercube, 6, 6, 13, 13, Part::Cyclic, false},
      "now=3798 st=107,8956,58240,746,1508,60054,0,0,8956,0,0,0,"
-     "239616,8372,148,16,229376, tr=c1f80b7bc2e7288c pl=07931d6d88df635c thr="},
+     "231424,52,20,16,229376, tr=c1f80b7bc2e7288c pl=07931d6d88df635c thr="},
     {{TopologyKind::Hypercube, 6, 6, 13, 13, Part::Cyclic, true},
      "now=12723 st=568,11209,72917,2403,1508,60054,0,0,11209,2253,1172,0,"
-     "239616,8372,148,16,229376, tr=c28b0b490740029d pl=07931d6d88df635c thr="},
+     "231424,52,20,16,229376, tr=c28b0b490740029d pl=07931d6d88df635c thr="},
     {{TopologyKind::Hypercube, 6, 6, 33, 20, Part::Block, false},
      "now=3748.25 st=92,7418,74200,930,2073,87995,0,0,7418,0,0,0,"
-     "353280,6836,146,16,335872, tr=ee7c3cb0c6eb51f2 pl=bac48b6690f334e7 thr="},
+     "336896,52,18,16,335872, tr=ee7c3cb0c6eb51f2 pl=bac48b6690f334e7 thr="},
     {{TopologyKind::Hypercube, 6, 6, 33, 20, Part::Block, true},
      "now=12018.75 st=480,9318,93210,3030,2073,87995,0,0,9318,1900,968,0,"
-     "353280,6836,146,16,335872, tr=6ebc7ff48a3d268c pl=bac48b6690f334e7 thr="},
+     "336896,52,18,16,335872, tr=6ebc7ff48a3d268c pl=bac48b6690f334e7 thr="},
     {{TopologyKind::Hypercube, 6, 6, 33, 20, Part::Cyclic, false},
      "now=3748.25 st=92,7418,74200,930,2073,87995,0,0,7418,0,0,0,"
-     "353280,6836,146,16,335872, tr=ee7c3cb0c6eb51f2 pl=bac48b6690f334e7 thr="},
+     "336896,52,18,16,335872, tr=ee7c3cb0c6eb51f2 pl=bac48b6690f334e7 thr="},
     {{TopologyKind::Hypercube, 6, 6, 33, 20, Part::Cyclic, true},
      "now=12018.75 st=480,9318,93210,3030,2073,87995,0,0,9318,1900,968,0,"
-     "353280,6836,146,16,335872, tr=6ebc7ff48a3d268c pl=bac48b6690f334e7 thr="},
+     "336896,52,18,16,335872, tr=6ebc7ff48a3d268c pl=bac48b6690f334e7 thr="},
     {{TopologyKind::Mesh, 1, 0, 5, 3, Part::Block, false},
      "now=604 st=16,28,140,80,496,730,0,0,28,0,0,0,"
      "4864,49,17,15,4608, tr=a740f7cd8ceddc72 pl=3db480d0facae76d thr="},
@@ -1850,16 +1850,16 @@ const PrimitiveGolden kPrimitiveGoldens[] = {
      "59392,52,20,16,57344, tr=25ebde40a84e8095 pl=07931d6d88df635c thr="},
     {{TopologyKind::Mesh, 4, 4, 33, 20, Part::Block, false},
      "now=4988.25 st=69,1280,12880,730,3053,30435,0,0,1900,0,0,0,"
-     "108544,1173,55,15,100352, tr=b7b2fe3a7a43ea9d pl=374471ff7ad4806b thr="},
+     "104448,53,23,15,100352, tr=b7b2fe3a7a43ea9d pl=374471ff7ad4806b thr="},
     {{TopologyKind::Mesh, 4, 4, 33, 20, Part::Block, true},
      "now=10943.75 st=251,1590,16010,1810,3053,30435,0,0,2369,310,170,0,"
-     "108544,1173,55,15,100352, tr=c51f192ce1c7a6c8 pl=374471ff7ad4806b thr="},
+     "104448,53,23,15,100352, tr=c51f192ce1c7a6c8 pl=374471ff7ad4806b thr="},
     {{TopologyKind::Mesh, 4, 4, 33, 20, Part::Cyclic, false},
      "now=4956.25 st=69,1280,12880,730,2845,30435,0,0,1900,0,0,0,"
-     "104448,1172,56,16,96256, tr=f1f339f25a85f6c9 pl=b4024e6ec2e35b0f thr="},
+     "100352,52,24,16,96256, tr=f1f339f25a85f6c9 pl=b4024e6ec2e35b0f thr="},
     {{TopologyKind::Mesh, 4, 4, 33, 20, Part::Cyclic, true},
      "now=10644.75 st=244,1580,15910,1740,2845,30435,0,0,2358,300,162,0,"
-     "104448,1172,56,16,96256, tr=1badc65891283d1b pl=b4024e6ec2e35b0f thr="},
+     "100352,52,24,16,96256, tr=1badc65891283d1b pl=b4024e6ec2e35b0f thr="},
     {{TopologyKind::Mesh, 6, 3, 5, 3, Part::Block, false},
      "now=5245.75 st=86,2208,2208,86,119,4444,0,0,5020,0,0,0,"
      "140032,55,27,15,139264, tr=b47eafc1da6c5a5c pl=39d9ecc358f2fcf9 thr="},
@@ -1910,28 +1910,28 @@ const PrimitiveGolden kPrimitiveGoldens[] = {
      "139520,49,17,15,139264, tr=8a2bccdc49b8a807 pl=932bd47c847c7f42 thr=40,"},
     {{TopologyKind::Mesh, 6, 6, 13, 13, Part::Block, false},
      "now=10196 st=107,8956,58240,746,1508,60054,0,0,20586,0,0,0,"
-     "239616,8372,148,16,229376, tr=e22d029e2485accf pl=07931d6d88df635c thr="},
+     "231424,52,20,16,229376, tr=e22d029e2485accf pl=07931d6d88df635c thr="},
     {{TopologyKind::Mesh, 6, 6, 13, 13, Part::Block, true},
      "now=30701 st=568,11209,72917,2403,1508,60054,0,0,25763,2253,1172,0,"
-     "239616,8372,148,16,229376, tr=e4667005edcccced pl=07931d6d88df635c thr="},
+     "231424,52,20,16,229376, tr=e4667005edcccced pl=07931d6d88df635c thr="},
     {{TopologyKind::Mesh, 6, 6, 13, 13, Part::Cyclic, false},
      "now=10196 st=107,8956,58240,746,1508,60054,0,0,20586,0,0,0,"
-     "239616,8372,148,16,229376, tr=e22d029e2485accf pl=07931d6d88df635c thr="},
+     "231424,52,20,16,229376, tr=e22d029e2485accf pl=07931d6d88df635c thr="},
     {{TopologyKind::Mesh, 6, 6, 13, 13, Part::Cyclic, true},
      "now=30701 st=568,11209,72917,2403,1508,60054,0,0,25763,2253,1172,0,"
-     "239616,8372,148,16,229376, tr=e4667005edcccced pl=07931d6d88df635c thr="},
+     "231424,52,20,16,229376, tr=e4667005edcccced pl=07931d6d88df635c thr="},
     {{TopologyKind::Mesh, 6, 6, 33, 20, Part::Block, false},
      "now=9743.25 st=92,7418,74200,930,2073,87995,0,0,17000,0,0,0,"
-     "353280,6836,146,16,335872, tr=0d1f65b31b8d7852 pl=bac48b6690f334e7 thr="},
+     "336896,52,18,16,335872, tr=0d1f65b31b8d7852 pl=bac48b6690f334e7 thr="},
     {{TopologyKind::Mesh, 6, 6, 33, 20, Part::Block, true},
      "now=28118.75 st=480,9318,93210,3030,2073,87995,0,0,21383,1900,968,0,"
-     "353280,6836,146,16,335872, tr=536d7e08d0f9aa00 pl=bac48b6690f334e7 thr="},
+     "336896,52,18,16,335872, tr=536d7e08d0f9aa00 pl=bac48b6690f334e7 thr="},
     {{TopologyKind::Mesh, 6, 6, 33, 20, Part::Cyclic, false},
      "now=9743.25 st=92,7418,74200,930,2073,87995,0,0,17000,0,0,0,"
-     "353280,6836,146,16,335872, tr=0d1f65b31b8d7852 pl=bac48b6690f334e7 thr="},
+     "336896,52,18,16,335872, tr=0d1f65b31b8d7852 pl=bac48b6690f334e7 thr="},
     {{TopologyKind::Mesh, 6, 6, 33, 20, Part::Cyclic, true},
      "now=28118.75 st=480,9318,93210,3030,2073,87995,0,0,21383,1900,968,0,"
-     "353280,6836,146,16,335872, tr=536d7e08d0f9aa00 pl=bac48b6690f334e7 thr="},
+     "336896,52,18,16,335872, tr=536d7e08d0f9aa00 pl=bac48b6690f334e7 thr="},
     {{TopologyKind::Torus, 1, 0, 5, 3, Part::Block, false},
      "now=604 st=16,28,140,80,496,730,0,0,28,0,0,0,"
      "4864,49,17,15,4608, tr=a740f7cd8ceddc72 pl=3db480d0facae76d thr="},
@@ -2138,16 +2138,16 @@ const PrimitiveGolden kPrimitiveGoldens[] = {
      "59392,52,20,16,57344, tr=058d7434de51eca5 pl=07931d6d88df635c thr="},
     {{TopologyKind::Torus, 4, 4, 33, 20, Part::Block, false},
      "now=5128.25 st=69,1280,12880,730,3053,30435,0,0,1900,0,0,0,"
-     "108544,1173,55,15,100352, tr=06a2175313187e09 pl=374471ff7ad4806b thr="},
+     "104448,53,23,15,100352, tr=06a2175313187e09 pl=374471ff7ad4806b thr="},
     {{TopologyKind::Torus, 4, 4, 33, 20, Part::Block, true},
      "now=11113.75 st=251,1590,16010,1810,3053,30435,0,0,2369,310,170,0,"
-     "108544,1173,55,15,100352, tr=5150c54fc35d9ca4 pl=374471ff7ad4806b thr="},
+     "104448,53,23,15,100352, tr=5150c54fc35d9ca4 pl=374471ff7ad4806b thr="},
     {{TopologyKind::Torus, 4, 4, 33, 20, Part::Cyclic, false},
      "now=5136.25 st=69,1280,12880,730,2845,30435,0,0,1900,0,0,0,"
-     "104448,1172,56,16,96256, tr=7d1c6cdcd5fec546 pl=b4024e6ec2e35b0f thr="},
+     "100352,52,24,16,96256, tr=7d1c6cdcd5fec546 pl=b4024e6ec2e35b0f thr="},
     {{TopologyKind::Torus, 4, 4, 33, 20, Part::Cyclic, true},
      "now=10864.75 st=244,1580,15910,1740,2845,30435,0,0,2358,300,162,0,"
-     "104448,1172,56,16,96256, tr=6063c20dbe5f23b4 pl=b4024e6ec2e35b0f thr="},
+     "100352,52,24,16,96256, tr=6063c20dbe5f23b4 pl=b4024e6ec2e35b0f thr="},
     {{TopologyKind::Torus, 6, 3, 5, 3, Part::Block, false},
      "now=5245.75 st=86,2208,2208,86,119,4444,0,0,5020,0,0,0,"
      "140032,55,27,15,139264, tr=b47eafc1da6c5a5c pl=39d9ecc358f2fcf9 thr="},
@@ -2198,28 +2198,28 @@ const PrimitiveGolden kPrimitiveGoldens[] = {
      "139520,49,17,15,139264, tr=90f5b992333de53c pl=932bd47c847c7f42 thr=40,"},
     {{TopologyKind::Torus, 6, 6, 13, 13, Part::Block, false},
      "now=10454 st=107,8956,58240,746,1508,60054,0,0,20586,0,0,0,"
-     "239616,8372,148,16,229376, tr=7a3e6fe4c5f95aae pl=07931d6d88df635c thr="},
+     "231424,52,20,16,229376, tr=7a3e6fe4c5f95aae pl=07931d6d88df635c thr="},
     {{TopologyKind::Torus, 6, 6, 13, 13, Part::Block, true},
      "now=31070 st=568,11209,72917,2403,1508,60054,0,0,25763,2253,1172,0,"
-     "239616,8372,148,16,229376, tr=27c4d1bf45adac95 pl=07931d6d88df635c thr="},
+     "231424,52,20,16,229376, tr=27c4d1bf45adac95 pl=07931d6d88df635c thr="},
     {{TopologyKind::Torus, 6, 6, 13, 13, Part::Cyclic, false},
      "now=10454 st=107,8956,58240,746,1508,60054,0,0,20586,0,0,0,"
-     "239616,8372,148,16,229376, tr=7a3e6fe4c5f95aae pl=07931d6d88df635c thr="},
+     "231424,52,20,16,229376, tr=7a3e6fe4c5f95aae pl=07931d6d88df635c thr="},
     {{TopologyKind::Torus, 6, 6, 13, 13, Part::Cyclic, true},
      "now=31070 st=568,11209,72917,2403,1508,60054,0,0,25763,2253,1172,0,"
-     "239616,8372,148,16,229376, tr=27c4d1bf45adac95 pl=07931d6d88df635c thr="},
+     "231424,52,20,16,229376, tr=27c4d1bf45adac95 pl=07931d6d88df635c thr="},
     {{TopologyKind::Torus, 6, 6, 33, 20, Part::Block, false},
      "now=10113.25 st=92,7418,74200,930,2073,87995,0,0,17000,0,0,0,"
-     "353280,6836,146,16,335872, tr=71ce68dd7f2d25cd pl=bac48b6690f334e7 thr="},
+     "336896,52,18,16,335872, tr=71ce68dd7f2d25cd pl=bac48b6690f334e7 thr="},
     {{TopologyKind::Torus, 6, 6, 33, 20, Part::Block, true},
      "now=28648.75 st=480,9318,93210,3030,2073,87995,0,0,21383,1900,968,0,"
-     "353280,6836,146,16,335872, tr=f7f49222501096a2 pl=bac48b6690f334e7 thr="},
+     "336896,52,18,16,335872, tr=f7f49222501096a2 pl=bac48b6690f334e7 thr="},
     {{TopologyKind::Torus, 6, 6, 33, 20, Part::Cyclic, false},
      "now=10113.25 st=92,7418,74200,930,2073,87995,0,0,17000,0,0,0,"
-     "353280,6836,146,16,335872, tr=71ce68dd7f2d25cd pl=bac48b6690f334e7 thr="},
+     "336896,52,18,16,335872, tr=71ce68dd7f2d25cd pl=bac48b6690f334e7 thr="},
     {{TopologyKind::Torus, 6, 6, 33, 20, Part::Cyclic, true},
      "now=28648.75 st=480,9318,93210,3030,2073,87995,0,0,21383,1900,968,0,"
-     "353280,6836,146,16,335872, tr=f7f49222501096a2 pl=bac48b6690f334e7 thr="},
+     "336896,52,18,16,335872, tr=f7f49222501096a2 pl=bac48b6690f334e7 thr="},
     {{TopologyKind::Dragonfly, 1, 0, 5, 3, Part::Block, false},
      "now=604 st=16,28,140,80,496,730,0,0,28,0,0,0,"
      "4864,49,17,15,4608, tr=a740f7cd8ceddc72 pl=3db480d0facae76d thr="},
@@ -2426,16 +2426,16 @@ const PrimitiveGolden kPrimitiveGoldens[] = {
      "59392,52,20,16,57344, tr=db06880bf08fa2d7 pl=07931d6d88df635c thr="},
     {{TopologyKind::Dragonfly, 4, 4, 33, 20, Part::Block, false},
      "now=7078.25 st=69,1280,12880,730,3053,30435,0,0,2195,0,0,0,"
-     "108544,1173,55,15,100352, tr=00414fb0e63356d1 pl=374471ff7ad4806b thr="},
+     "104448,53,23,15,100352, tr=00414fb0e63356d1 pl=374471ff7ad4806b thr="},
     {{TopologyKind::Dragonfly, 4, 4, 33, 20, Part::Block, true},
      "now=15398.75 st=251,1590,16010,1810,3053,30435,0,0,2749,310,170,0,"
-     "108544,1173,55,15,100352, tr=efce42359a73ae0b pl=374471ff7ad4806b thr="},
+     "104448,53,23,15,100352, tr=efce42359a73ae0b pl=374471ff7ad4806b thr="},
     {{TopologyKind::Dragonfly, 4, 4, 33, 20, Part::Cyclic, false},
      "now=6951.25 st=69,1280,12880,730,2845,30435,0,0,2183,0,0,0,"
-     "104448,1172,56,16,96256, tr=2d70fbc8abb62fb1 pl=b4024e6ec2e35b0f thr="},
+     "100352,52,24,16,96256, tr=2d70fbc8abb62fb1 pl=b4024e6ec2e35b0f thr="},
     {{TopologyKind::Dragonfly, 4, 4, 33, 20, Part::Cyclic, true},
      "now=14664.75 st=244,1580,15910,1740,2845,30435,0,0,2715,300,162,0,"
-     "104448,1172,56,16,96256, tr=69aff2c1ff0e2d00 pl=b4024e6ec2e35b0f thr="},
+     "100352,52,24,16,96256, tr=69aff2c1ff0e2d00 pl=b4024e6ec2e35b0f thr="},
     {{TopologyKind::Dragonfly, 6, 3, 5, 3, Part::Block, false},
      "now=5345.75 st=86,2208,2208,86,119,4444,0,0,3516,0,0,0,"
      "140032,55,27,15,139264, tr=50d586ccb0594fa3 pl=39d9ecc358f2fcf9 thr="},
@@ -2486,28 +2486,28 @@ const PrimitiveGolden kPrimitiveGoldens[] = {
      "139520,49,17,15,139264, tr=03f9821c8732480e pl=932bd47c847c7f42 thr=40,"},
     {{TopologyKind::Dragonfly, 6, 6, 13, 13, Part::Block, false},
      "now=10377 st=107,8956,58240,746,1508,60054,0,0,16439,0,0,0,"
-     "239616,8372,148,16,229376, tr=a170319597a239dc pl=07931d6d88df635c thr="},
+     "231424,52,20,16,229376, tr=a170319597a239dc pl=07931d6d88df635c thr="},
     {{TopologyKind::Dragonfly, 6, 6, 13, 13, Part::Block, true},
      "now=29265 st=568,11209,72917,2403,1508,60054,0,0,20522,2253,1172,0,"
-     "239616,8372,148,16,229376, tr=7c4563682a9499cd pl=07931d6d88df635c thr="},
+     "231424,52,20,16,229376, tr=7c4563682a9499cd pl=07931d6d88df635c thr="},
     {{TopologyKind::Dragonfly, 6, 6, 13, 13, Part::Cyclic, false},
      "now=10377 st=107,8956,58240,746,1508,60054,0,0,16439,0,0,0,"
-     "239616,8372,148,16,229376, tr=a170319597a239dc pl=07931d6d88df635c thr="},
+     "231424,52,20,16,229376, tr=a170319597a239dc pl=07931d6d88df635c thr="},
     {{TopologyKind::Dragonfly, 6, 6, 13, 13, Part::Cyclic, true},
      "now=29265 st=568,11209,72917,2403,1508,60054,0,0,20522,2253,1172,0,"
-     "239616,8372,148,16,229376, tr=7c4563682a9499cd pl=07931d6d88df635c thr="},
+     "231424,52,20,16,229376, tr=7c4563682a9499cd pl=07931d6d88df635c thr="},
     {{TopologyKind::Dragonfly, 6, 6, 33, 20, Part::Block, false},
      "now=10143.25 st=92,7418,74200,930,2073,87995,0,0,13550,0,0,0,"
-     "353280,6836,146,16,335872, tr=d4a90f0191a2c6e3 pl=bac48b6690f334e7 thr="},
+     "336896,52,18,16,335872, tr=d4a90f0191a2c6e3 pl=bac48b6690f334e7 thr="},
     {{TopologyKind::Dragonfly, 6, 6, 33, 20, Part::Block, true},
      "now=27293.75 st=480,9318,93210,3030,2073,87995,0,0,16957,1900,968,0,"
-     "353280,6836,146,16,335872, tr=f5330a9a5245abca pl=bac48b6690f334e7 thr="},
+     "336896,52,18,16,335872, tr=f5330a9a5245abca pl=bac48b6690f334e7 thr="},
     {{TopologyKind::Dragonfly, 6, 6, 33, 20, Part::Cyclic, false},
      "now=10143.25 st=92,7418,74200,930,2073,87995,0,0,13550,0,0,0,"
-     "353280,6836,146,16,335872, tr=d4a90f0191a2c6e3 pl=bac48b6690f334e7 thr="},
+     "336896,52,18,16,335872, tr=d4a90f0191a2c6e3 pl=bac48b6690f334e7 thr="},
     {{TopologyKind::Dragonfly, 6, 6, 33, 20, Part::Cyclic, true},
      "now=27293.75 st=480,9318,93210,3030,2073,87995,0,0,16957,1900,968,0,"
-     "353280,6836,146,16,335872, tr=f5330a9a5245abca pl=bac48b6690f334e7 thr="},
+     "336896,52,18,16,335872, tr=f5330a9a5245abca pl=bac48b6690f334e7 thr="},
 };
 
 class PrimitiveCharges : public ::testing::TestWithParam<TopologyKind> {};
